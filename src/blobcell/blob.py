@@ -22,8 +22,7 @@ All arithmetic is exact, over the prime field F_p fixed by the parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from . import combinatorics as comb
 from .exactfield import RowSpace, invert_matrix, nullspace, rank, rref
 from .hecke import (HeckeParams, RegularRep, class_partition,
                     class_idempotent_vector, e2_idempotents,
-                    embed_two_string, generic_normal_form, specialize_vector)
+                    embed_two_string, specialize_vector)
 
 official_word = comb.official_word
 
@@ -219,19 +218,6 @@ class BlobAlgebra:
         coordinate vector v."""
         return self.push(self.lift(v))
 
-    def vec(self, M: np.ndarray) -> np.ndarray:
-        """Coordinate vector of the element whose left-multiplication
-        matrix is M."""
-        return M @ self.unit % self.p
-
-    def star_vec(self, v: np.ndarray) -> np.ndarray:
-        return self.star @ v % self.p
-
-    def star_of_matrix(self, M: np.ndarray) -> np.ndarray:
-        """Left-multiplication matrix of the star of the element with
-        left-multiplication matrix M."""
-        return self.lmat(self.star_vec(self.vec(M)))
-
 
 def build_blob(params: HeckeParams) -> "BlobAlgebra":
     """Construct the quotient algebra B with certified dimension."""
@@ -258,13 +244,12 @@ class KLRImages:
         self.params = params
         p, q, e, n = A.p, A.q, A.e, params.n
         self.p, self.q, self.e, self.n = p, q, e, n
-        nf = generic_normal_form(params)
         classes = class_partition(params)
         self.classes = classes
         self.E: dict = {}
         for iseq in sorted(classes):
             vec = specialize_vector(
-                class_idempotent_vector(params, nf, classes[iseq]), params)
+                class_idempotent_vector(params, classes[iseq]), params)
             M = A.push(vec)
             if M.any():
                 self.E[iseq] = M

@@ -9,6 +9,10 @@ suites, and emit machine-readable artifacts:
 * ``cell``   -- cell-module data (dimensions, Gram ranks, radicals).
 * ``trace``  -- a symbolic straightening trace for a chosen dot.
 
+A run builds the quotient algebra and its quiver-Hecke generator images
+at most once: the suites of ``verify`` share one lazy build, and
+``basis``, ``cell`` and ``trace`` go through one helper.
+
 Reports are JSON (deterministic modulo the timestamp field); matrices can
 be written as CSV.  Parameters come from flags or a plain ``key=value``
 config file, with the level presets as defaults.
@@ -17,11 +21,12 @@ config file, with the level presets as defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import blob as B
@@ -151,6 +156,26 @@ def cmd_dims(cfg: RunConfig) -> dict:
     return report
 
 
+def _build(params: H.HeckeParams) -> tuple:
+    """The quotient algebra, its generator images and the relations
+    those images fail (build_blob -> KLRImages -> relation_failures)."""
+    A = B.build_blob(params)
+    images = B.KLRImages(A)
+    return A, images, images.relation_failures()
+
+
+def _certified_build(params: H.HeckeParams) -> tuple:
+    """The quotient algebra and its certified generator images; raises
+    :class:`B.RelationFailure` on the first failing relation."""
+    A = B.build_blob(params)
+    return A, B.klr_images(A)
+
+
+def _uncertified(relation_fails: list) -> list[str]:
+    """The failure recorded by a suite whose generator images fail."""
+    return [f"generator images fail {len(relation_fails)} relations"]
+
+
 def _suite_hecke(params: H.HeckeParams, oracle: bool) -> list[str]:
     fails = H.RegularRep(params).relation_failures()
     sm = H.SeminormalModel(params)
@@ -164,18 +189,18 @@ def _suite_hecke(params: H.HeckeParams, oracle: bool) -> list[str]:
     return fails
 
 
-def _suite_klr(params: H.HeckeParams, oracle: bool) -> list[str]:
-    A = B.build_blob(params)
-    images = B.KLRImages(A)
-    fails = [str(f) for f in images.relation_failures()]
+def _suite_klr(build, oracle: bool) -> list[str]:
+    _, images, relation_fails = build()
+    fails = [str(f) for f in relation_fails]
     if oracle:
         fails += images.eigenprojection_failures()
     return fails
 
 
-def _suite_cellular(params: H.HeckeParams, theta, oracle: bool) -> list[str]:
-    A = B.build_blob(params)
-    images = B.klr_images(A)
+def _suite_cellular(build, theta) -> list[str]:
+    A, images, relation_fails = build()
+    if relation_fails:
+        return _uncertified(relation_fails)
     try:
         basis = B.build_cellular_basis(A, images, theta)
     except Exception as ex:          # construction is self-certifying
@@ -190,22 +215,25 @@ def _suite_cellular(params: H.HeckeParams, theta, oracle: bool) -> list[str]:
     return fails
 
 
-def _suite_jm(params: H.HeckeParams, theta) -> list[str]:
-    A = B.build_blob(params)
-    images = B.klr_images(A)
+def _suite_jm(build, theta) -> list[str]:
+    A, images, relation_fails = build()
+    if relation_fails:
+        return _uncertified(relation_fails)
     basis = B.build_cellular_basis(A, images, theta)
     jm = B.jm_images(A, images)
     return list(B.check_jm(A, basis, jm))
 
 
-def _suite_rewrite(params: H.HeckeParams, oracle: bool) -> list[str]:
+def _suite_rewrite(params: H.HeckeParams, build, oracle: bool) -> list[str]:
     mc = params.mc
     n, l = params.n, params.l
     fails = []
     images = None
     if oracle:
-        A = B.build_blob(params)
-        images = B.klr_images(A)
+        _, images, relation_fails = build()
+        if relation_fails:
+            fails += _uncertified(relation_fails)
+            images = None
     mumax = comb.mu_max(n, l)
     theta = comb.theta_zero(l)
     for shape in comb.one_column_shapes(n, l):
@@ -234,10 +262,13 @@ def _suite_rewrite(params: H.HeckeParams, oracle: bool) -> list[str]:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    """Run the selected invariant suites; exit code 1 on any failure."""
+    """Run the selected invariant suites; exit code 1 on any failure.
+    The suites that need the generator images share one build, made
+    by the first of them to run."""
     params = cfg.params()
     theta = cfg.weighting()
     wanted = SUITES[:-1] if cfg.suite == "all" else (cfg.suite,)
+    build = functools.cache(functools.partial(_build, params))
     report = _header(cfg, params)
     report["suites"] = {}
     code = 0
@@ -245,13 +276,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         if name == "hecke":
             fails = _suite_hecke(params, cfg.oracle)
         elif name == "klr":
-            fails = _suite_klr(params, cfg.oracle)
+            fails = _suite_klr(build, cfg.oracle)
         elif name == "cellular":
-            fails = _suite_cellular(params, theta, cfg.oracle)
+            fails = _suite_cellular(build, theta)
         elif name == "jm":
-            fails = _suite_jm(params, theta)
+            fails = _suite_jm(build, theta)
         else:
-            fails = _suite_rewrite(params, cfg.oracle)
+            fails = _suite_rewrite(params, build, cfg.oracle)
         report["suites"][name] = {"passed": not fails,
                                   "failures": fails}
         if fails:
@@ -265,8 +296,7 @@ def cmd_basis(cfg: RunConfig) -> dict:
     standard tableaux; with --out ending in .csv the basis matrix is also
     written column by column."""
     params = cfg.params()
-    A = B.build_blob(params)
-    images = B.klr_images(A)
+    A, images = _certified_build(params)
     basis = B.build_cellular_basis(A, images, cfg.weighting())
     report = _header(cfg, params)
     report["dim"] = A.dim
@@ -283,8 +313,7 @@ def cmd_basis(cfg: RunConfig) -> dict:
 def cmd_cell(cfg: RunConfig) -> dict:
     """Cell-module table: dimension, Gram rank and radical per shape."""
     params = cfg.params()
-    A = B.build_blob(params)
-    images = B.klr_images(A)
+    A, images = _certified_build(params)
     basis = B.build_cellular_basis(A, images, cfg.weighting())
     modules = B.cell_modules(A, basis)
     report = _header(cfg, params)
@@ -305,8 +334,7 @@ def cmd_trace(cfg: RunConfig, k: int) -> dict:
     symbolic = not cfg.oracle or cfg.n > 4
     res = K.straighten_dot(k, shape, mc, symbolic=symbolic)
     if not symbolic:
-        A = B.build_blob(params)
-        images = B.klr_images(A)
+        _, images = _certified_build(params)
         lhs = images.Y[k] @ images.E[comb.i_lambda(shape, mc)] % params.p
         rhs = K.evaluate_sum([w for w, _ in res.terms], images)
         if not (lhs == rhs).all():
@@ -374,7 +402,7 @@ def main(argv=None) -> int:
             report, code = cmd_cell(cfg), 0
         else:
             report, code = cmd_trace(cfg, args.k), 0
-    except (ValueError, K.NotProvablyZero) as ex:
+    except (ValueError, K.NotProvablyZero, B.RelationFailure) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     # a .csv out path receives the matrix artifact; the report then

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 Node = tuple[int, int, int]
@@ -314,15 +313,6 @@ def shape_of(t: Tableau) -> Shape:
 
 def tableau_size(t: Tableau) -> int:
     return sum(len(row) for comp in t for row in comp)
-
-
-def node_of(t: Tableau, k: int) -> Node:
-    for m, comp in enumerate(t, start=1):
-        for r, row in enumerate(comp, start=1):
-            for c, entry in enumerate(row, start=1):
-                if entry == k:
-                    return (r, c, m)
-    raise KeyError(f"entry {k} not in tableau")
 
 
 def entry_at(t: Tableau, node: Node) -> int:
@@ -662,10 +652,6 @@ def residue_seq(t: Tableau, mc: Multicharge) -> tuple[int, ...]:
     return tuple(residue(nm[k], mc) for k in range(1, tableau_size(t) + 1))
 
 
-def residue_class(t: Tableau, mc: Multicharge) -> tuple[int, ...]:
-    return residue_seq(t, mc)
-
-
 def same_class(s: Tableau, t: Tableau, mc: Multicharge) -> bool:
     return residue_seq(s, mc) == residue_seq(t, mc)
 
@@ -928,8 +914,3 @@ def tableau_degree(t: Tableau, mc: Multicharge) -> int:
     theta = theta_zero(len(shape))
     return word_degree(i_lambda(shape, mc),
                        official_word(d_perm(t, theta)), mc.e)
-
-
-def random_weighting(l: int, rng) -> Weighting:
-    return tuple(int(rng.integers(-5, 6)) if hasattr(rng, "integers")
-                 else rng.randint(-5, 5) for _ in range(l))

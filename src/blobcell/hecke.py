@@ -35,11 +35,9 @@ from scipy import sparse
 from . import combinatorics as comb
 from .exactfield import (
     Poly,
-    PoleAtSpecialization,
     RatFunc,
     is_prime,
     element_order,
-    invert_matrix,
     nullspace,
     root_of_unity,
 )
@@ -159,9 +157,6 @@ class FpScalars:
         self.zero = 0
         self.one = 1
 
-    def from_int(self, k: int) -> int:
-        return k % self.p
-
     def add(self, x, y):
         return (x + y) % self.p
 
@@ -188,9 +183,6 @@ class RatScalars:
         self.p = p
         self.zero = RatFunc.const(p, 0)
         self.one = RatFunc.const(p, 1)
-
-    def from_int(self, k: int) -> RatFunc:
-        return RatFunc.const(self.p, k)
 
     def add(self, x, y):
         return x + y
@@ -474,11 +466,6 @@ class RegularRep:
         """Coefficient vector of the element represented by matrix M."""
         return M[:, self.id_index] % self.p
 
-    def star_of_matrix(self, M: np.ndarray) -> np.ndarray:
-        """Left-multiplication matrix of the star of the element with
-        left-multiplication matrix M."""
-        return self.matrix_of(self.star_mat @ self.vector_of(M) % self.p)
-
     def relation_failures(self, rng=None, samples: int = 5) -> list[str]:
         """Exact matrix checks of every defining relation."""
         p, q, n = self.p, self.params.q, self.params.n
@@ -613,6 +600,7 @@ class SeminormalModel:
                             M[s][s] = M[s][s] - self.sc.one
                 tmats[i] = M
             self.blocks[lam] = Block(lam, std, idx, contents, tmats)
+        self.csets = content_sets(params)
 
     # -- structural checks ---------------------------------------------------
 
@@ -702,16 +690,6 @@ class SeminormalModel:
 
     # -- Murphy idempotents in the block model -------------------------------
 
-    @lru_cache(maxsize=None)
-    def _content_sets(self):
-        n = self.params.n
-        sets = [set() for _ in range(n)]
-        for b in self.blocks.values():
-            for vec in b.contents:
-                for k in range(n):
-                    sets[k].add(vec[k])
-        return [sorted(s) for s in sets]
-
     def murphy_eigenvalue(self, S, U) -> RatFunc:
         """Eigenvalue of the product-formula idempotent of S on the
         seminormal basis vector of U."""
@@ -720,7 +698,7 @@ class SeminormalModel:
         bU = self.blocks[comb.shape_of(U)]
         cS = bS.contents[bS.index[S]]
         cU = bU.contents[bU.index[U]]
-        sets = self._content_sets()
+        sets = self.csets
         val = self.sc.one
         for k in range(self.params.n):
             for c in sets[k]:
@@ -1050,100 +1028,75 @@ class MurphyEngine:
                 off += m
             self._walk(sub, k + 1, v, off, out, keep_raw)
 
+    def _unit(self) -> np.ndarray:
+        """The identity element as a one-column coefficient matrix."""
+        unit =np.zeros((len(self.nf.basis), 1), dtype=np.int64)
+        unit[self.key_index[self.nf.identity_key], 0] = 1
+        return unit
+
     def murphy_vectors(self, tabs=None) -> dict:
         """Tableau -> {basis key -> RatFunc} for the given tableaux
         (default: all standard tableaux of size n)."""
         if tabs is None:
             tabs = self.tabs
         out: dict = {}
-        unit = np.zeros((len(self.nf.basis), 1), dtype=np.int64)
-        unit[self.key_index[self.nf.identity_key], 0] = 1
-        self._walk(list(tabs), 1, unit, 0, out)
+        self._walk(list(tabs), 1, self._unit(), 0, out)
         return out
+
+    def class_vector(self, tabs) -> dict:
+        """Normal-form coordinates of E_[i] = sum of F_T over the
+        tableaux ``tabs`` of one residue class.
+
+        Only these tableaux are walked.  Their idempotents are summed
+        before any reduction, in the factored common-denominator form:
+        each raw leaf numerator is scaled up to the classwise least
+        common denominator by shift-and-subtract binomial
+        multiplications, the matrices are added, and the sum is reduced
+        once."""
+        p = self.p
+        raw: dict = {}
+        self._walk(list(tabs), 1, self._unit(), 0, raw, keep_raw=True)
+        dens = {}
+        for T, (_, offset) in raw.items():
+            tpows, fac, sign = self._leaf_factors(self.content_of[T])
+            dens[T] = (tpows + offset, fac, sign)
+        top = max(tp for tp, _, _ in dens.values())
+        lcm: dict[int, int] = {}
+        for _, fac, _ in dens.values():
+            for d, m in fac.items():
+                lcm[d] = max(lcm.get(d, 0), m)
+        acc = None
+        for T, (vec, _) in raw.items():
+            tp, fac, sign = dens[T]
+            W = vec if sign == 1 else (-vec) % p
+            if tp < top:
+                W = np.concatenate(
+                    [np.zeros((vec.shape[0], top - tp), dtype=np.int64), W],
+                    axis=1)
+            for d, m in lcm.items():
+                for _ in range(m - fac.get(d, 0)):
+                    W = _mul_by_binomial(W, d, p)
+            if acc is None:
+                acc = W.copy() if W is vec else W
+            elif acc.shape[1] >= W.shape[1]:
+                acc[:, :W.shape[1]] += W
+                acc %= p
+            else:
+                W = W.copy() if W is vec else W
+                W[:, :acc.shape[1]] += acc
+                acc = W % p
+        return self._reduce_matrix(acc, top, lcm, 1)
 
     def class_vectors(self) -> dict:
-        """Residue sequence -> normal-form coordinates of E_[i].
-
-        The tableau idempotents of a residue class are summed before
-        any reduction, in the factored common-denominator form: each
-        raw leaf numerator is scaled up to the classwise least common
-        denominator by shift-and-subtract binomial multiplications,
-        the matrices are added, and the sum is reduced once."""
-        p = self.p
-        mc = self.params.mc
-        raw: dict = {}
-        unit = np.zeros((len(self.nf.basis), 1), dtype=np.int64)
-        unit[self.key_index[self.nf.identity_key], 0] = 1
-        self._walk(list(self.tabs), 1, unit, 0, raw, keep_raw=True)
-        classes: dict = {}
-        for T in self.tabs:
-            classes.setdefault(comb.residue_seq(T, mc), []).append(T)
-        out: dict = {}
-        for key, tabs in classes.items():
-            dens = {}
-            for T in tabs:
-                tpows, fac, sign = self._leaf_factors(self.content_of[T])
-                dens[T] = (tpows + raw[T][1], fac, sign)
-            top = max(tp for tp, _, _ in dens.values())
-            lcm: dict[int, int] = {}
-            for _, fac, _ in dens.values():
-                for d, m in fac.items():
-                    lcm[d] = max(lcm.get(d, 0), m)
-            widths = sum(raw[T][0].shape[1] for T in tabs)
-            extra = sum(
-                (top - dens[T][0])
-                + sum(d * (m - dens[T][1].get(d, 0))
-                      for d, m in lcm.items())
-                for T in tabs)
-            if extra > widths:
-                # The common denominator would inflate the numerators
-                # more than it saves: reduce each leaf separately and
-                # add the fractions instead.
-                acc_rf: dict = {}
-                for T in tabs:
-                    tp, fac, sign = dens[T]
-                    for bk, rf in self._reduce_matrix(
-                            raw[T][0], tp, fac, sign).items():
-                        cur = acc_rf.get(bk)
-                        acc_rf[bk] = rf if cur is None else cur + rf
-                out[key] = {bk: v for bk, v in acc_rf.items()
-                            if not v.is_zero()}
-                continue
-            acc = None
-            for T in tabs:
-                vec = raw[T][0]
-                tp, fac, sign = dens[T]
-                W = vec if sign == 1 else (-vec) % p
-                if tp < top:
-                    W = np.concatenate(
-                        [np.zeros((vec.shape[0], top - tp),
-                                  dtype=np.int64), W], axis=1)
-                for d, m in lcm.items():
-                    for _ in range(m - fac.get(d, 0)):
-                        W = _mul_by_binomial(W, d, p)
-                if acc is None:
-                    acc = W.copy() if W is vec else W
-                elif acc.shape[1] >= W.shape[1]:
-                    acc[:, :W.shape[1]] += W
-                    acc %= p
-                else:
-                    W = W.copy() if W is vec else W
-                    W[:, :acc.shape[1]] += acc
-                    acc = W % p
-            out[key] = self._reduce_matrix(acc, top, lcm, 1)
-        return out
+        """Residue sequence -> normal-form coordinates of E_[i], one
+        :meth:`class_vector` per class of :func:`class_partition`."""
+        return {i: self.class_vector(tabs)
+                for i, tabs in class_partition(self.params).items()}
 
 
 @lru_cache(maxsize=8)
 def murphy_engine(params: HeckeParams) -> MurphyEngine:
     return MurphyEngine(params)
-
-
-def murphy_vector(params: HeckeParams, nf: NormalForm, S,
-                  csets=None) -> dict:
-    """Coefficients of the tableau idempotent F_S on the normal-form
-    basis, as rational functions of t."""
-    return murphy_engine(params).murphy_vectors([S])[S]
 
 
 def class_partition(params: HeckeParams) -> dict:
@@ -1155,16 +1108,11 @@ def class_partition(params: HeckeParams) -> dict:
     return classes
 
 
-def class_idempotent_vector(params: HeckeParams, nf: NormalForm, tabs,
-                            csets=None) -> dict:
-    """E_[i] = sum of F_T over the class, in normal-form coordinates."""
-    vecs = murphy_engine(params).murphy_vectors(list(tabs))
-    out: dict = {}
-    for T in tabs:
-        for key, val in vecs[T].items():
-            cur = out.get(key)
-            out[key] = val if cur is None else cur + val
-    return {key: val for key, val in out.items() if not val.is_zero()}
+def class_idempotent_vector(params: HeckeParams, tabs) -> dict:
+    """E_[i] = sum of F_T over the class ``tabs``, in normal-form
+    coordinates over F_p(t): :meth:`MurphyEngine.class_vector` of the
+    cached engine at ``params``."""
+    return murphy_engine(params).class_vector(tabs)
 
 
 def specialize_vector(vec: dict, params: HeckeParams) -> dict:
@@ -1204,8 +1152,6 @@ def e2_idempotents(params: HeckeParams) -> list[dict]:
     p2 = _two_string_params(params)
     p2.validate()
     p, q, e = p2.p, p2.q, p2.e
-    nf = generic_normal_form(p2)
-    csets = content_sets(p2)
     classes = class_partition(p2)
     reg = RegularRep(p2)
     out = []
@@ -1217,8 +1163,7 @@ def e2_idempotents(params: HeckeParams) -> list[dict]:
         tabs = classes[key]
         if len(tabs) != 1:
             raise ValueError(f"class {key} is not a singleton; bad multicharge")
-        va = specialize_vector(
-            class_idempotent_vector(p2, nf, tabs, csets), p2)
+        va = specialize_vector(class_idempotent_vector(p2, tabs), p2)
         # route (b): eigenvalue system in the regular representation
         I = reg.identity()
         stack = np.vstack([

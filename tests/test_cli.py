@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from blobcell import blob as B
 from blobcell import cli
 
 
@@ -100,6 +101,39 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["suites"]["rewrite"]["passed"]
+
+    def test_one_build_per_run(self, monkeypatch, capsys):
+        calls = {"build_blob": 0, "KLRImages": 0}
+
+        def counted(name):
+            original = getattr(B, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(B, name, wrapper)
+
+        counted("build_blob")
+        counted("KLRImages")
+        code, _, _ = run(["verify", "--n", "2", "--l", "2"], capsys)
+        assert code == 0
+        assert calls == {"build_blob": 1, "KLRImages": 1}
+
+    def test_relation_failure_is_reported(self, monkeypatch, capsys):
+        def failing(self):
+            return [B.RelationFailure("injected", (1, (0, 1)))]
+        monkeypatch.setattr(B.KLRImages, "relation_failures", failing)
+        code, out, _ = run(["verify", "--n", "2", "--l", "2"], capsys)
+        assert code == 1
+        suites = json.loads(out)["suites"]
+        assert suites["hecke"]["passed"]
+        for name in ("klr", "cellular", "jm", "rewrite"):
+            assert not suites[name]["passed"], name
+        assert "generator images fail 1 relations" in \
+            suites["cellular"]["failures"]
+        code, out, err = run(["basis", "--n", "2", "--l", "2"], capsys)
+        assert code == 2 and not out
+        assert err.startswith("error: relation injected fails")
 
     def test_single_suite_selection(self, capsys):
         code, out, _ = run(["verify", "--n", "2", "--l", "2", "--suite",

@@ -237,15 +237,24 @@ class TestMurphyIdempotents:
             assert any(v.has_pole_at(pa.q) for v in vecs[T].values()), T
             with pytest.raises(PoleAtSpecialization):
                 H.specialize_vector(vecs[T], pa)
-        H.specialize_vector(
-            H.class_idempotent_vector(pa, eng.nf, tabs), pa)
+        H.specialize_vector(H.class_idempotent_vector(pa, tabs), pa)
 
-    def test_murphy_vector_single_interface(self):
-        pa = P22
+    @pytest.mark.parametrize("pa", [P32, P23], ids=["32", "23"])
+    def test_class_idempotent_matches_tableau_sum(self, pa):
+        # oracle: the F_p(t) sum of the reduced tableau idempotents
         eng = H.murphy_engine(pa)
-        S = eng.tabs[0]
-        fv = H.murphy_vector(pa, eng.nf, S)
-        assert fv == eng.murphy_vectors([S])[S]
+        for key, tabs in H.class_partition(pa).items():
+            vecs = eng.murphy_vectors(tabs)
+            want: dict = {}
+            for T in tabs:
+                for bk, v in vecs[T].items():
+                    want[bk] = v if bk not in want else want[bk] + v
+            got = H.class_idempotent_vector(pa, tabs)
+            for bk in set(want) | set(got):
+                assert (got.get(bk, ZERO) - want.get(bk, ZERO)).is_zero(), \
+                    (key, bk)
+            assert H.specialize_vector(got, pa) == \
+                H.specialize_vector(want, pa), key
 
     def test_class_partition_matches_residues(self):
         pa = P32
