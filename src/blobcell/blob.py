@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import combinatorics as comb
-from .exactfield import RowSpace, invert_matrix, nullspace, rank, rref
+from .exactfield import (RowSpace, invert_matrix, mat_pow, matmul,
+                         nullspace, rank, rref)
 from .hecke import (HeckeParams, RegularRep, class_partition,
                     class_idempotent_vector, e2_idempotents,
-                    embed_two_string, specialize_vector)
+                    embed_two_string, regular_rep, specialize_vector)
 
 official_word = comb.official_word
 
@@ -82,19 +83,8 @@ def left_mult_matrix(reg: RegularRep, v: np.ndarray) -> np.ndarray:
             parent = (a[:k] + (a[k] - 1,) + a[k + 1:], w)
             M = reg.RL[k + 1]
         cols[:, reg.nf.index[(a, w)]] = \
-            M @ cols[:, reg.nf.index[parent]] % p
+            matmul((M, cols[:, reg.nf.index[parent]]), p)
     return cols
-
-
-def _mat_pow(M: np.ndarray, k: int, p: int) -> np.ndarray:
-    out = np.eye(M.shape[0], dtype=np.int64)
-    B = M % p
-    while k:
-        if k & 1:
-            out = out @ B % p
-        B = B @ B % p
-        k >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +101,11 @@ def _ideal_closure(reg: RegularRep, seeds: list[dict]):
     right-stable, so the limit is the two-sided ideal."""
     p = reg.p
     blocks = [reg.matrix_of(s).T for s in seeds]
-    R, piv = rref(np.vstack(blocks) % p, p)
+    R, piv = rref(np.vstack(blocks), p)
     R = R[:len(piv)]
     gens = [reg.T[i] for i in reg.T] + [reg.L[1]]
     while True:
-        stacked = np.vstack([R] + [R @ g.T % p for g in gens])
+        stacked = np.vstack([R] + [matmul((R, g.T), p) for g in gens])
         R2, piv2 = rref(stacked, p)
         R2 = R2[:len(piv2)]
         if len(piv2) == len(piv):
@@ -141,7 +131,7 @@ class BlobAlgebra:
         params.validate()
         self.params = params
         self.is_quotient = quotient
-        self.reg = reg = RegularRep(params)
+        self.reg = reg = regular_rep(params)
         self.p, self.q, self.e = params.p, params.q, params.e
         p = self.p
         D = reg.dim
@@ -164,7 +154,6 @@ class BlobAlgebra:
                     f"(n, l) = ({params.n}, {params.l})")
         pivset = set(piv)
         nonpiv = [j for j in range(D) if j not in pivset]
-        self._nonpivots = nonpiv
         # reduction mod the ideal sends v to v - rows^T . v[pivots]; the
         # quotient coordinates are the non-pivot entries of the result
         Pi = np.zeros((self.dim, D), dtype=np.int64)
@@ -179,24 +168,18 @@ class BlobAlgebra:
             stab = [("star", reg.star_mat), ("L_1", reg.L[1])]
             stab += [(f"T_{i}", reg.T[i]) for i in reg.T]
             for name, M in stab:
-                if (Pi @ (M @ rows.T % p) % p).any():
+                if matmul((Pi, M, rows.T), p).any():
                     raise ValueError(f"ideal is not stable under {name}")
         self.T = {i: self._q(reg.T[i]) for i in reg.T}
         self.L = {k: self._q(reg.L[k]) for k in reg.L}
         self.RT = {i: self._q(reg.RT[i]) for i in reg.RT}
         self.RL = {k: self._q(reg.RL[k]) for k in reg.RL}
         self.star = self._q(reg.star_mat)
-        self.unit = Pi @ reg.unit_vector() % p
+        self.unit = matmul((Pi, reg.unit_vector()), p)
         self.identity = np.eye(self.dim, dtype=np.int64)
 
     def _q(self, M: np.ndarray) -> np.ndarray:
-        return self.quotient_map @ M @ self._lift_mat % self.p
-
-    def mm(self, *mats) -> np.ndarray:
-        out = mats[0] % self.p
-        for M in mats[1:]:
-            out = out @ M % self.p
-        return out
+        return matmul((self.quotient_map, M, self._lift_mat), self.p)
 
     def push(self, el) -> np.ndarray:
         """Quotient left-multiplication matrix of an element of H, given
@@ -209,14 +192,10 @@ class BlobAlgebra:
             v = np.asarray(el, dtype=np.int64) % self.p
         return self._q(left_mult_matrix(self.reg, v))
 
-    def lift(self, v: np.ndarray) -> np.ndarray:
-        """A representative in H-coordinates of a quotient vector."""
-        return self._lift_mat @ (np.asarray(v, dtype=np.int64) % self.p)
-
     def lmat(self, v: np.ndarray) -> np.ndarray:
-        """Left-multiplication matrix of the element with quotient
-        coordinate vector v."""
-        return self.push(self.lift(v))
+        """Left-multiplication matrix of the element with reduced quotient
+        coordinate vector v, through its lift to H."""
+        return self.push(matmul((self._lift_mat, v), self.p))
 
 
 def build_blob(params: HeckeParams) -> "BlobAlgebra":
@@ -258,8 +237,8 @@ class KLRImages:
         for k in range(1, n + 1):
             Yk = np.zeros_like(I)
             for iseq, Ei in self.E.items():
-                Yk = (Yk + (I - pow(q, -iseq[k - 1], p) * A.L[k])
-                      @ Ei) % p
+                N = (I - pow(q, -iseq[k - 1], p) * A.L[k]) % p
+                Yk = (Yk + matmul((N, Ei), p)) % p
             self.Y[k] = Yk
         self.PSI = {r: self._psi(r) for r in range(1, n)}
         self._sigma = None
@@ -271,7 +250,8 @@ class KLRImages:
         vector v (via the Hecke-side anti-involution, used here purely as
         linear algebra)."""
         A = self.algebra
-        return A.star @ A.lmat(A.star @ v % self.p) @ A.star % self.p
+        Sv = matmul((A.star, v), self.p)
+        return matmul((A.star, A.lmat(Sv), A.star), self.p)
 
     @property
     def sigma(self) -> np.ndarray:
@@ -283,10 +263,8 @@ class KLRImages:
         anti-multiplicativity, generator fixing)."""
         if self._sigma is None:
             A, p = self.algebra, self.p
-            gens = [Ei for _, Ei in sorted(self.E.items())]
-            gens += [self.Y[k] for k in sorted(self.Y)]
-            gens += [self.PSI[r] for r in sorted(self.PSI)]
-            rgens = [self._rmat(G @ A.unit % p) for G in gens]
+            gens = [G for _, G in _named_generators(self)]
+            rgens = [self._rmat(matmul((G, A.unit), p)) for G in gens]
             space = RowSpace(A.dim, p)
             space.add(A.unit)
             cols, rcols = [A.unit], [A.unit]
@@ -295,10 +273,10 @@ class KLRImages:
                 nxt = []
                 for v, vr in frontier:
                     for G, RG in zip(gens, rgens):
-                        w = G @ v % p
+                        w = matmul((G, v), p)
                         if not space.add(w):
                             continue
-                        wr = RG @ vr % p
+                        wr = matmul((RG, vr), p)
                         cols.append(w)
                         rcols.append(wr)
                         nxt.append((w, wr))
@@ -309,9 +287,9 @@ class KLRImages:
                 frontier = nxt
             if len(cols) < A.dim:
                 raise ValueError("generator images do not span the algebra")
-            W = np.array(cols, dtype=np.int64).T % p
-            Wr = np.array(rcols, dtype=np.int64).T % p
-            self._sigma = Wr @ invert_matrix(W, p) % p
+            W = np.array(cols, dtype=np.int64).T
+            Wr = np.array(rcols, dtype=np.int64).T
+            self._sigma = matmul((Wr, invert_matrix(W, p)), p)
         return self._sigma
 
     # -- block-wise rational calculus ------------------------------------
@@ -320,8 +298,8 @@ class KLRImages:
         """Inverse of M on the image of the idempotent E (M must commute
         with E and be invertible there), times E."""
         p = self.p
-        A = (M @ E + self.algebra.identity - E) % p
-        return invert_matrix(A, p) @ E % p
+        A = (matmul((M, E), p) + self.algebra.identity - E) % p
+        return matmul((invert_matrix(A, p), E), p)
 
     def _psi_block(self, r: int, iseq) -> np.ndarray:
         A, p, q, e = self.algebra, self.p, self.q, self.e
@@ -330,21 +308,23 @@ class KLRImages:
         I = A.identity
         x, z = A.L[r], A.L[r + 1]
         if ir == ir1:
-            # same residue on both strands: (T_r + 1) against the
-            # invertible part of the quadratic relation on the block
-            den = ((q - 1) * I + (I - pow(q, -ir, p) * x)
-                   - q * (I - pow(q, -ir1, p) * z)) % p
-            return (A.T[r] + I) @ self._block_inv(den, Ei) % p
+            # same residue i on both strands: (T_r + 1) against the
+            # invertible part of the quadratic relation on the block,
+            # (q - 1) + y_r - q y_{r+1} = q^-i (q L_{r+1} - L_r)
+            den = pow(q, -ir, p) * ((q * z - x) % p) % p
+            return matmul(((A.T[r] + I) % p, self._block_inv(den, Ei)), p)
         # distinct residues: intertwiner against a case normalizer
-        U = (A.T[r] @ Ei - (q - 1) * z @ self._block_inv((z - x) % p, Ei)) % p
+        inv = self._block_inv((z - x) % p, Ei)
+        U = (matmul((A.T[r], Ei), p)
+             - matmul(((q - 1) * z % p, inv), p)) % p
         d = (ir1 - ir) % e
         if d == 1:
-            N = (x - q * z) @ self._block_inv((z - x) % p, Ei) % p
+            N = matmul(((x - q * z) % p, inv), p)
         elif d == e - 1:
             N = pow(q, ir, p) * self._block_inv((x - z) % p, Ei) % p
         else:
-            N = (q * x - z) @ self._block_inv((z - x) % p, Ei) % p
-        return U @ self._block_inv(N, Ei) % p
+            N = matmul(((q * x - z) % p, inv), p)
+        return matmul((U, self._block_inv(N, Ei)), p)
 
     def _psi(self, r: int) -> np.ndarray:
         out = np.zeros_like(self.algebra.identity)
@@ -354,10 +334,8 @@ class KLRImages:
 
     def psi_of(self, word) -> np.ndarray:
         """Product of crossing images along a word, in order."""
-        out = self.algebra.identity
-        for r in word:
-            out = out @ self.PSI[r] % self.p
-        return out
+        mats = [self.PSI[r] for r in word]
+        return matmul(mats, self.p) if mats else self.algebra.identity
 
     # -- relation suite ---------------------------------------------------
 
@@ -375,17 +353,18 @@ class KLRImages:
         fails: list[RelationFailure] = []
 
         def check(name, lhs, rhs, witness):
-            if not np.array_equal(lhs % p, rhs % p):
+            """Record a failure unless the two chains of factors agree."""
+            if not np.array_equal(matmul(lhs, p), matmul(rhs, p)):
                 fails.append(RelationFailure(name, witness))
 
         zero = np.zeros_like(I)
         total = zero
+        Y = self.Y
         for iseq, Ei in self.E.items():
             total = (total + Ei) % p
             for jseq, Ej in self.E.items():
                 tgt = Ei if iseq == jseq else zero
-                check("e(i)e(j) = delta e(i)", Ei @ Ej % p, tgt,
-                      (iseq, jseq))
+                check("e(i)e(j) = delta e(i)", (Ei, Ej), (tgt,), (iseq, jseq))
             if iseq[0] % e not in kap:
                 fails.append(RelationFailure(
                     "e(i) = 0 for unsupported first residue", iseq))
@@ -394,56 +373,48 @@ class KLRImages:
                 fails.append(RelationFailure(
                     "e(i) = 0 for second residue one above the first",
                     iseq))
-            check("y_1 e(i) = 0", self.Y[1] @ Ei % p, zero, iseq)
-        check("sum of e(i) = 1", total, I, "all")
-        for k in self.Y:
-            for m in self.Y:
-                check("y_k y_m commute", self.Y[k] @ self.Y[m] % p,
-                      self.Y[m] @ self.Y[k] % p, (k, m))
+            check("y_1 e(i) = 0", (Y[1], Ei), (zero,), iseq)
+        check("sum of e(i) = 1", (total,), (I,), "all")
+        for k in Y:
+            for m in Y:
+                check("y_k y_m commute", (Y[k], Y[m]), (Y[m], Y[k]), (k, m))
             for iseq, Ei in self.E.items():
-                check("y_k e(i) = e(i) y_k", self.Y[k] @ Ei % p,
-                      Ei @ self.Y[k] % p, (k, iseq))
-            check("y_k nilpotent", _mat_pow(self.Y[k], A.dim + 1, p),
-                  zero, k)
+                check("y_k e(i) = e(i) y_k", (Y[k], Ei), (Ei, Y[k]),
+                      (k, iseq))
+            check("y_k nilpotent", (mat_pow(Y[k], A.dim + 1, p),), (zero,), k)
         fails += self._sigma_failures()
-        for r in self.PSI:
-            P = self.PSI[r]
-            for s in self.PSI:
+        for r, P in self.PSI.items():
+            for s, Ps in self.PSI.items():
                 if abs(r - s) > 1:
-                    check("distant psi commute", P @ self.PSI[s] % p,
-                          self.PSI[s] @ P % p, (r, s))
-            for k in self.Y:
+                    check("distant psi commute", (P, Ps), (Ps, P), (r, s))
+            for k in Y:
                 if k not in (r, r + 1):
-                    check("psi_r y_k commute", P @ self.Y[k] % p,
-                          self.Y[k] @ P % p, (r, k))
+                    check("psi_r y_k commute", (P, Y[k]), (Y[k], P), (r, k))
             for iseq, Ei in self.E.items():
                 ir, ir1 = iseq[r - 1], iseq[r]
-                jseq = list(iseq)
-                jseq[r - 1], jseq[r] = jseq[r], jseq[r - 1]
-                Ej = self.E.get(tuple(jseq), zero)
-                PE = P @ Ei % p
-                check("psi_r e(i) = e(s_r i) psi_r", PE, Ej @ PE % p,
+                Ej = self.E.get(iseq[:r - 1] + (ir1, ir) + iseq[r + 1:], zero)
+                check("psi_r e(i) = e(s_r i) psi_r", (P, Ei), (Ej, P, Ei),
                       (r, iseq))
                 delta = I if ir == ir1 else zero
+                YP = (matmul((Y[r], P), p) + delta) % p
+                PY = (matmul((P, Y[r]), p) + delta) % p
                 check("psi_r y_{r+1} e(i) = (y_r psi_r + delta) e(i)",
-                      P @ self.Y[r + 1] @ Ei % p,
-                      (self.Y[r] @ P + delta) @ Ei % p, (r, iseq))
+                      (P, Y[r + 1], Ei), (YP, Ei), (r, iseq))
                 check("y_{r+1} psi_r e(i) = (psi_r y_r + delta) e(i)",
-                      self.Y[r + 1] @ P @ Ei % p,
-                      (P @ self.Y[r] + delta) @ Ei % p, (r, iseq))
+                      (Y[r + 1], P, Ei), (PY, Ei), (r, iseq))
                 d = (ir1 - ir) % e
                 if ir == ir1:
-                    rhs = zero
+                    rhs = (zero,)
                 elif d == 1:
-                    rhs = (self.Y[r + 1] - self.Y[r]) @ Ei % p
+                    rhs = ((Y[r + 1] - Y[r]) % p, Ei)
                 elif d == e - 1:
-                    rhs = (self.Y[r] - self.Y[r + 1]) @ Ei % p
+                    rhs = ((Y[r] - Y[r + 1]) % p, Ei)
                 else:
-                    rhs = Ei
-                check("psi_r^2 e(i)", P @ P @ Ei % p, rhs, (r, iseq))
+                    rhs = (Ei,)
+                check("psi_r^2 e(i)", (P, P, Ei), rhs, (r, iseq))
         for r in range(1, n - 1):
             P, Pn = self.PSI[r], self.PSI[r + 1]
-            lhs = (P @ Pn @ P - Pn @ P @ Pn) % p
+            lhs = (matmul((P, Pn, P), p) - matmul((Pn, P, Pn), p)) % p
             for iseq, Ei in self.E.items():
                 a, b, c = iseq[r - 1], iseq[r], iseq[r + 1]
                 if a == c and b % e == (a + 1) % e:
@@ -452,7 +423,7 @@ class KLRImages:
                     rhs = Ei
                 else:
                     rhs = zero
-                check("braid correction", lhs @ Ei % p, rhs, (r, iseq))
+                check("braid correction", (lhs, Ei), (rhs,), (r, iseq))
         return fails
 
     def _sigma_failures(self) -> list[RelationFailure]:
@@ -464,22 +435,18 @@ class KLRImages:
             S = self.sigma
         except ValueError as exc:
             return [RelationFailure("anti-involution exists", str(exc))]
-        if not np.array_equal(S @ S % p, A.identity):
+        if not np.array_equal(matmul((S, S), p), A.identity):
             fails.append(RelationFailure("star is an involution", "sigma"))
-        named = [(f"e({i})", Ei) for i, Ei in self.E.items()]
-        named += [(f"y_{k}", self.Y[k]) for k in self.Y]
-        named += [(f"psi_{r}", self.PSI[r]) for r in self.PSI]
-        for name, G in named:
-            v = G @ A.unit % p
-            if not np.array_equal(S @ v % p, v):
-                fails.append(RelationFailure("star fixes the generators",
-                                             name))
+        fails += [RelationFailure("star fixes the generators", name)
+                  for name, G in _named_generators(self)
+                  if not np.array_equal(matmul((S, G, A.unit), p),
+                                        matmul((G, A.unit), p))]
         rng = np.random.default_rng(20260826)
         for _ in range(5):
             x = rng.integers(0, p, A.dim)
             y = rng.integers(0, p, A.dim)
-            lhs = S @ (A.lmat(x) @ y % p) % p
-            rhs = A.lmat(S @ y % p) @ (S @ x % p) % p
+            lhs = matmul((S, A.lmat(x), y), p)
+            rhs = matmul((A.lmat(matmul((S, y), p)), S, x), p)
             if not np.array_equal(lhs, rhs):
                 fails.append(RelationFailure(
                     "star reverses products", "random pair"))
@@ -493,16 +460,16 @@ class KLRImages:
         I = A.identity
         spaces = {}
         for iseq in self.E:
-            Ms = [_mat_pow((A.L[k] - pow(q, iseq[k - 1], p) * I) % p,
-                           A.dim, p) for k in range(1, n + 1)]
+            Ms = [mat_pow((A.L[k] - pow(q, iseq[k - 1], p) * I) % p,
+                          A.dim, p) for k in range(1, n + 1)]
             spaces[iseq] = nullspace(np.vstack(Ms), p)
         fails = []
         if sum(V.shape[0] for V in spaces.values()) != A.dim:
             fails.append("generalized eigenspaces do not fill the algebra")
         for iseq, Ei in self.E.items():
             for jseq, V in spaces.items():
-                got = Ei @ V.T % p
-                want = V.T % p if iseq == jseq else np.zeros_like(got)
+                got = matmul((Ei, V.T), p)
+                want = V.T if iseq == jseq else np.zeros_like(got)
                 if not np.array_equal(got, want):
                     fails.append(f"e({iseq}) is not the projection onto "
                                  f"the eigenspace of {jseq}")
@@ -561,17 +528,19 @@ def jm_images(algebra: BlobAlgebra, images: KLRImages) -> dict:
     for k in range(1, A.params.n + 1):
         M = np.zeros_like(I)
         for iseq, Ei in images.E.items():
-            M = (M + pow(q, iseq[k - 1], p) * ((I - images.Y[k]) @ Ei)) % p
+            N = matmul(((I - images.Y[k]) % p, Ei), p)
+            M = (M + pow(q, iseq[k - 1], p) * N) % p
         if not np.array_equal(M, A.L[k]):
             raise ValueError(f"rebuilt Jucys-Murphy element {k} differs "
                              f"from the image of L_{k}")
-        v = M @ A.unit % p
-        if not np.array_equal(images.sigma @ v % p, v):
+        v = matmul((M, A.unit), p)
+        if not np.array_equal(matmul((images.sigma, v), p), v):
             raise ValueError(f"Jucys-Murphy element {k} is not star-fixed")
         jm[k] = M
     for k in jm:
         for m in jm:
-            if not np.array_equal(jm[k] @ jm[m] % p, jm[m] @ jm[k] % p):
+            if not np.array_equal(matmul((jm[k], jm[m]), p),
+                                  matmul((jm[m], jm[k]), p)):
                 raise ValueError(f"Jucys-Murphy elements {k}, {m} do not "
                                  f"commute")
     return jm
@@ -625,29 +594,22 @@ class CellularBasis:
                       for lam in self.shapes}
         self.index: list[tuple] = []   # (shape, S, T)
         self.column: dict = {}
-        self.word = {}
+        self.word = {S: comb.official_word(comb.d_perm(S, self.theta))
+                     for lam in self.shapes for S in self.std[lam]}
         cols = []
-        for lam in self.shapes:
-            for S in self.std[lam]:
-                self.word[S] = comb.official_word(
-                    comb.d_perm(S, self.theta))
-        psi_cache: dict = {}
-
-        def psi_mat(word):
-            if word not in psi_cache:
-                psi_cache[word] = images.psi_of(word)
-            return psi_cache[word]
-
+        # m_{S,T} times the unit, as a chain of matrix-vector products
+        PSI = images.PSI
         for lam in self.shapes:
             Elam = images.E[self.i_lam[lam]]
             for S in self.std[lam]:
-                left = psi_mat(tuple(reversed(self.word[S])))
+                left = [PSI[r] for r in reversed(self.word[S])] + [Elam]
                 for T in self.std[lam]:
-                    v = left @ Elam @ psi_mat(self.word[T]) @ A.unit % p
+                    v = matmul(left + [PSI[r] for r in self.word[T]]
+                               + [A.unit], p)
                     self.column[(S, T)] = len(self.index)
                     self.index.append((lam, S, T))
                     cols.append(v)
-        self.matrix = np.array(cols, dtype=np.int64).T % p
+        self.matrix = np.array(cols, dtype=np.int64).T
         if len(self.index) != A.dim or \
                 rank(self.matrix, p) != A.dim:
             raise ValueError(
@@ -664,9 +626,8 @@ class CellularBasis:
         return self.matrix[:, self.column[(S, T)]]
 
     def expand(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients of a coordinate vector on the cellular basis."""
-        return self._inv @ (np.asarray(v, dtype=np.int64) % self.algebra.p) \
-            % self.algebra.p
+        """Coefficients of a reduced vector on the cellular basis."""
+        return matmul((self._inv, v), self.algebra.p)
 
     def degree(self, S, T) -> int:
         lam = comb.shape_of(S)
@@ -683,13 +644,13 @@ def build_cellular_basis(algebra: BlobAlgebra, images: KLRImages,
     A, p = algebra, algebra.p
     for lam in basis.shapes:
         tl = basis.t_lam[lam]
-        want = images.E[basis.i_lam[lam]] @ A.unit % p
+        want = matmul((images.E[basis.i_lam[lam]], A.unit), p)
         if not np.array_equal(basis.vector(tl, tl), want):
             raise ValueError(f"maximal pair at shape {lam} is not the "
                              f"class idempotent")
     sig = images.sigma
     for lam, S, T in basis.index:
-        if not np.array_equal(sig @ basis.vector(S, T) % p,
+        if not np.array_equal(matmul((sig, basis.vector(S, T)), p),
                               basis.vector(T, S)):
             raise ValueError(f"star does not swap the pair at {lam}")
     return basis
@@ -721,26 +682,21 @@ def check_cellularity(algebra: BlobAlgebra, basis: CellularBasis,
     if elements is None:
         elements = _named_generators(images)
     report = []
-    N = len(basis.index)
     for name, M in elements:
         for lam in basis.shapes:
             std = basis.std[lam]
             tl = basis.t_lam[lam]
             above = basis._above[lam]
             for S in std:
-                ref = basis.expand(M @ basis.vector(S, tl) % p)
+                ref = basis.expand(matmul((M, basis.vector(S, tl)), p))
                 r_u = {u: ref[basis.column[(u, tl)]] for u in std}
                 for T in std:
-                    c = basis.expand(M @ basis.vector(S, T) % p)
+                    c = basis.expand(matmul((M, basis.vector(S, T)), p))
                     for idx, (mu, U, V) in enumerate(basis.index):
-                        want = None
                         if mu in above:
                             continue
-                        if mu == lam and V == T:
-                            want = r_u[U]
-                        else:
-                            want = 0
-                        if c[idx] % p != want % p:
+                        want = r_u[U] if mu == lam and V == T else 0
+                        if c[idx] != want:
                             report.append(
                                 f"{name} at (S, T) = ({S}, {T}): "
                                 f"coefficient on ({U}, {V}) is {c[idx]}, "
@@ -757,27 +713,20 @@ def _grading_violations(algebra: BlobAlgebra, basis: CellularBasis
     e = basis.params.e
     degs = np.array([basis.degree(S, T) for _, S, T in basis.index])
     report = []
-    elements = [(f"y_{k}", 2, images.Y[k]) for k in images.Y]
-    elements += [(f"e({i})", 0, Ei) for i, Ei in images.E.items()]
-    for name, d_a, M in elements:
+    elements = [(f"y_{k}", images.Y[k], lambda iS: 2) for k in images.Y]
+    elements += [(f"e({i})", Ei, lambda iS: 0) for i, Ei in images.E.items()]
+    elements += [(f"psi_{r}", images.PSI[r],
+                  lambda iS, r=r: comb.psi_degree(iS[r - 1], iS[r], e))
+                 for r in images.PSI]
+    for name, M, degree in elements:
         for lam, S, T in basis.index:
-            c = basis.expand(M @ basis.vector(S, T) % p)
-            target = basis.degree(S, T) + d_a
-            for idx in np.nonzero(c % p)[0]:
+            c = basis.expand(matmul((M, basis.vector(S, T)), p))
+            target = basis.degree(S, T) + \
+                degree(comb.residue_seq(S, basis.mc))
+            for idx in np.nonzero(c)[0]:
                 if degs[idx] != target:
                     report.append(
                         f"{name}.m_({S},{T}) has a component of degree "
-                        f"{degs[idx]}, expected {target}")
-    for r in images.PSI:
-        for lam, S, T in basis.index:
-            iS = comb.residue_seq(S, basis.mc)
-            d_a = comb.psi_degree(iS[r - 1], iS[r], e)
-            c = basis.expand(images.PSI[r] @ basis.vector(S, T) % p)
-            target = basis.degree(S, T) + d_a
-            for idx in np.nonzero(c % p)[0]:
-                if degs[idx] != target:
-                    report.append(
-                        f"psi_{r}.m_({S},{T}) has a component of degree "
                         f"{degs[idx]}, expected {target}")
     return report
 
@@ -797,13 +746,13 @@ def check_jm(algebra: BlobAlgebra, basis: CellularBasis, jm: dict
         for lam, S, T in basis.index:
             above = basis._above[lam]
             for side, Mv, moved, fixed in (
-                    ("right", right @ basis.vector(S, T) % p, T, S),
-                    ("left", left @ basis.vector(S, T) % p, S, T)):
+                    ("right", matmul((right, basis.vector(S, T)), p), T, S),
+                    ("left", matmul((left, basis.vector(S, T)), p), S, T)):
                 c = basis.expand(Mv)
                 res = comb.residue_seq(moved, basis.mc)[k - 1]
                 diag = pow(q, res, p)
                 for idx, (mu, U, V) in enumerate(basis.index):
-                    if mu in above or c[idx] % p == 0:
+                    if mu in above or not c[idx]:
                         continue
                     Umoved, Ufixed = (V, U) if side == "right" else (U, V)
                     ok = (mu == lam and Ufixed == fixed and
@@ -815,7 +764,7 @@ def check_jm(algebra: BlobAlgebra, basis: CellularBasis, jm: dict
                             f"JM_{k} {side} on ({S}, {T}): stray "
                             f"component on ({U}, {V})")
                         continue
-                    if Umoved == moved and c[idx] % p != diag:
+                    if Umoved == moved and c[idx] != diag:
                         report.append(
                             f"JM_{k} {side} on ({S}, {T}): diagonal "
                             f"coefficient {c[idx]}, expected {diag}")
@@ -839,19 +788,18 @@ def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
         for name, M in _named_generators(images):
             mat = np.zeros((len(std), len(std)), dtype=np.int64)
             for j, S in enumerate(std):
-                c = basis.expand(M @ basis.vector(S, tl) % p)
+                c = basis.expand(matmul((M, basis.vector(S, tl)), p))
                 for i, U in enumerate(std):
-                    mat[i, j] = c[basis.column[(U, tl)]] % p
+                    mat[i, j] = c[basis.column[(U, tl)]]
             action[name] = mat
         gram = np.zeros((len(std), len(std)), dtype=np.int64)
         for a, S in enumerate(std):
             left = A.lmat(basis.vector(tl, S))
             for b, T in enumerate(std):
-                prod = left @ basis.vector(T, tl) % p
-                c = basis.expand(prod)
-                gram[a, b] = c[col_tt] % p
+                c = basis.expand(matmul((left, basis.vector(T, tl)), p))
+                gram[a, b] = c[col_tt]
                 for idx, (mu, U, V) in enumerate(basis.index):
-                    if mu in above or c[idx] % p == 0 or idx == col_tt:
+                    if mu in above or not c[idx] or idx == col_tt:
                         continue
                     raise ValueError(
                         f"half-basis product at shape {lam} has a stray "

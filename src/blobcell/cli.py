@@ -9,9 +9,9 @@ suites, and emit machine-readable artifacts:
 * ``cell``   -- cell-module data (dimensions, Gram ranks, radicals).
 * ``trace``  -- a symbolic straightening trace for a chosen dot.
 
-A run builds the quotient algebra and its quiver-Hecke generator images
-at most once: the suites of ``verify`` share one lazy build, and
-``basis``, ``cell`` and ``trace`` go through one helper.
+A run builds the quotient algebra, its quiver-Hecke generator images and
+its cellular basis at most once: the suites of ``verify`` share one lazy
+build, and ``basis``, ``cell`` and ``trace`` go through one helper.
 
 Reports are JSON (deterministic modulo the timestamp field); matrices can
 be written as CSV.  Parameters come from flags or a plain ``key=value``
@@ -61,7 +61,6 @@ class RunConfig:
         if self.p is not None and (self.p - 1) % params.e:
             raise ValueError(
                 f"e = {params.e} does not divide p - 1 = {self.p - 1}")
-        params.validate()
         return params
 
     def weighting(self) -> tuple:
@@ -176,8 +175,19 @@ def _uncertified(relation_fails: list) -> list[str]:
     return [f"generator images fail {len(relation_fails)} relations"]
 
 
+def _cellular_basis(build, theta) -> tuple:
+    """(cellular basis of the shared build, []), or (None, failures)."""
+    A, images, relation_fails = build()
+    if relation_fails:
+        return None, _uncertified(relation_fails)
+    try:
+        return B.build_cellular_basis(A, images, theta), []
+    except Exception as ex:          # construction is self-certifying
+        return None, [f"cellular basis construction failed: {ex}"]
+
+
 def _suite_hecke(params: H.HeckeParams, oracle: bool) -> list[str]:
-    fails = H.RegularRep(params).relation_failures()
+    fails = H.regular_rep(params).relation_failures()
     sm = H.SeminormalModel(params)
     fails += sm.relation_failures()
     if oracle:
@@ -197,14 +207,11 @@ def _suite_klr(build, oracle: bool) -> list[str]:
     return fails
 
 
-def _suite_cellular(build, theta) -> list[str]:
-    A, images, relation_fails = build()
-    if relation_fails:
-        return _uncertified(relation_fails)
-    try:
-        basis = B.build_cellular_basis(A, images, theta)
-    except Exception as ex:          # construction is self-certifying
-        return [f"cellular basis construction failed: {ex}"]
+def _suite_cellular(build, cellular_basis) -> list[str]:
+    basis, fails = cellular_basis()
+    if basis is None:
+        return list(fails)
+    A = build()[0]
     fails = list(B.check_cellularity(A, basis))
     try:
         modules = B.cell_modules(A, basis)
@@ -215,13 +222,12 @@ def _suite_cellular(build, theta) -> list[str]:
     return fails
 
 
-def _suite_jm(build, theta) -> list[str]:
-    A, images, relation_fails = build()
-    if relation_fails:
-        return _uncertified(relation_fails)
-    basis = B.build_cellular_basis(A, images, theta)
-    jm = B.jm_images(A, images)
-    return list(B.check_jm(A, basis, jm))
+def _suite_jm(build, cellular_basis) -> list[str]:
+    basis, fails = cellular_basis()
+    if basis is None:
+        return list(fails)
+    A, images, _ = build()
+    return list(B.check_jm(A, basis, B.jm_images(A, images)))
 
 
 def _suite_rewrite(params: H.HeckeParams, build, oracle: bool) -> list[str]:
@@ -247,7 +253,7 @@ def _suite_rewrite(params: H.HeckeParams, build, oracle: bool) -> list[str]:
             if shape == mumax and not res.zero:
                 fails.append(f"y_{k} e(i^max) did not straighten to zero")
             if images is not None:
-                lhs = images.Y[k] @ images.E[ilam] % params.p
+                lhs = xf.matmul((images.Y[k], images.E[ilam]), params.p)
                 rhs = K.evaluate_sum([w for w, _ in res.terms], images)
                 if not (lhs == rhs).all():
                     fails.append(f"straighten_dot({k}, {shape}) is not "
@@ -263,12 +269,13 @@ def _suite_rewrite(params: H.HeckeParams, build, oracle: bool) -> list[str]:
 
 def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     """Run the selected invariant suites; exit code 1 on any failure.
-    The suites that need the generator images share one build, made
-    by the first of them to run."""
+    The suites that need the generator images or the cellular basis
+    share one build of each, made by the first of them to run."""
     params = cfg.params()
     theta = cfg.weighting()
     wanted = SUITES[:-1] if cfg.suite == "all" else (cfg.suite,)
     build = functools.cache(functools.partial(_build, params))
+    basis = functools.cache(functools.partial(_cellular_basis, build, theta))
     report = _header(cfg, params)
     report["suites"] = {}
     code = 0
@@ -278,9 +285,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         elif name == "klr":
             fails = _suite_klr(build, cfg.oracle)
         elif name == "cellular":
-            fails = _suite_cellular(build, theta)
+            fails = _suite_cellular(build, basis)
         elif name == "jm":
-            fails = _suite_jm(build, theta)
+            fails = _suite_jm(build, basis)
         else:
             fails = _suite_rewrite(params, build, cfg.oracle)
         report["suites"][name] = {"passed": not fails,
@@ -335,7 +342,8 @@ def cmd_trace(cfg: RunConfig, k: int) -> dict:
     res = K.straighten_dot(k, shape, mc, symbolic=symbolic)
     if not symbolic:
         _, images = _certified_build(params)
-        lhs = images.Y[k] @ images.E[comb.i_lambda(shape, mc)] % params.p
+        lhs = xf.matmul((images.Y[k], images.E[comb.i_lambda(shape, mc)]),
+                        params.p)
         rhs = K.evaluate_sum([w for w, _ in res.terms], images)
         if not (lhs == rhs).all():
             raise RuntimeError("trace is not oracle-invariant")

@@ -3,19 +3,31 @@
 Everything downstream of this module is exact: no floating point appears
 anywhere.  The pieces provided here are
 
-* ``root_of_unity(p, e)`` -- a primitive e'th root of unity in F_p,
+* ``root_of_unity(p, e)`` -- a primitive e'th root of unity in F_p, found
+  in O(e) steps through ``cyclic_subgroup``, the subgroup of order e,
 * ``Poly`` -- dense univariate polynomials over F_p,
 * ``RatFunc`` -- rational functions over F_p in canonical (reduced, monic
   denominator) form, with pole-aware specialization,
+* the matrix kernel ``matmul``/``mat_pow``: products of int64 matrices
+  with entries in [0, p), reduced mod p after every product,
 * mod-p linear algebra on numpy int64 matrices (``rank``, ``rref``,
   ``solve``, ``nullspace``) with deterministic pivot choice, and
 * ``RowSpace`` -- an incremental echelon form, used to close two-sided
   ideals and certify spanning ranks one vector at a time.
+
+The kernel does not reduce its inputs: callers keep stored matrices in
+[0, p) and reduce a linear combination where they form it.  Before a
+reduction an int64 entry is then at most ``product_bound(D, p)``, one
+product of D-wide factors plus one reduced addend; the Murphy engine's
+chunked layer sums keep to it too, and ``HeckeParams.validate_exact``
+rejects a p that breaks it at D = dim H.  An accepted p is below 2^32,
+so a cumulative sum of w reduced values stays below w 2^32.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -45,19 +57,33 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def element_order(x: int, p: int) -> int:
-    """Multiplicative order of x in F_p^*."""
-    if x % p == 0:
-        raise ValueError("zero has no multiplicative order")
-    k, y = 1, x % p
-    while y != 1:
-        y = y * x % p
-        k += 1
-    return k
+def has_order(x: int, e: int, p: int) -> bool:
+    """True when x has multiplicative order exactly e in F_p^*: x^e = 1
+    but x^(e/r) != 1 for each prime r | e, found by trial division."""
+    if x % p == 0 or pow(x, e, p) != 1:
+        return False
+    m, r = e, 2
+    while m > 1:
+        r = r if r * r <= m else m
+        if m % r == 0 and pow(x, e // r, p) == 1:
+            return False
+        while m % r == 0:
+            m //= r
+        r += 1
+    return True
+
+
+def cyclic_subgroup(p: int, m: int) -> list[int]:
+    """The m-th roots of unity in F_p (m | p - 1) as g^0, ..., g^(m-1)
+    for a generator g, found among the (p - 1)/m-th powers."""
+    g = next(y for y in (pow(x, (p - 1) // m, p) for x in range(1, p))
+             if has_order(y, m, p))
+    return [pow(g, k, p) for k in range(m)]
 
 
 def root_of_unity(p: int, e: int) -> int:
-    """Smallest element of F_p^* of multiplicative order exactly e.
+    """Smallest element of F_p^* of multiplicative order exactly e: the
+    least g^k with gcd(k, e) = 1 in the subgroup of order e.
 
     >>> root_of_unity(11, 5)
     3
@@ -70,10 +96,8 @@ def root_of_unity(p: int, e: int) -> int:
         raise ValueError(f"{p} is not prime")
     if e < 1 or (p - 1) % e != 0:
         raise NoRoot(f"F_{p} has no element of order {e}")
-    for x in range(1, p):
-        if element_order(x, p) == e:
-            return x
-    raise NoRoot(f"F_{p} has no element of order {e}")  # pragma: no cover
+    return min(x for k, x in enumerate(cyclic_subgroup(p, e))
+               if gcd(k, e) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +377,42 @@ class RatFunc:
 def specialize(x: RatFunc, q: int) -> int:
     """Evaluate a rational function at t = q in F_p (module-level alias)."""
     return x.specialize(q)
+
+
+# ---------------------------------------------------------------------------
+# The matrix kernel: products of reduced int64 matrices
+# ---------------------------------------------------------------------------
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def product_bound(D: int, p: int) -> int:
+    """Largest int64 entry met before a reduction: one product of two
+    D-wide factors with entries in [0, p), D (p - 1)^2, plus one value in
+    (-p, p), a carried partial sum or a reduced term."""
+    return D * (p - 1) ** 2 + p - 1
+
+
+def matmul(factors: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """Product of a chain of int64 matrices with entries in [0, p), the
+    last of which may be a vector, reduced mod p after every product and
+    evaluated from the right (a chain ending in a vector costs only
+    matrix-vector products).  The inputs are not reduced again."""
+    out = factors[-1]
+    for M in reversed(factors[:-1]):
+        out = M @ out % p
+    return out
+
+
+def mat_pow(M: np.ndarray, k: int, p: int) -> np.ndarray:
+    """M^k over F_p by repeated squaring (M with entries in [0, p))."""
+    out = np.eye(M.shape[0], dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ M % p
+        M = M @ M % p
+        k >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------

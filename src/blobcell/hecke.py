@@ -27,20 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 from scipy import sparse
 
 from . import combinatorics as comb
-from .exactfield import (
-    Poly,
-    RatFunc,
-    is_prime,
-    element_order,
-    nullspace,
-    root_of_unity,
-)
+from .exactfield import (INT64_MAX, Poly, RatFunc, cyclic_subgroup,
+                         has_order, is_prime, matmul, nullspace,
+                         product_bound, root_of_unity)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +59,7 @@ class HeckeParams:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
-        if element_order(self.q % self.p, self.p) != self.e:
+        if not has_order(self.q, self.e, self.p):
             raise ValueError(f"q = {self.q} does not have order {self.e} mod {self.p}")
         if len(self.hat_kappa) != self.l:
             raise ValueError("multicharge length differs from the level")
@@ -102,6 +97,17 @@ class HeckeParams:
             raise ValueError(
                 "multicharge condition iv) violated: residues not strictly increasing"
             )
+
+    def validate_exact(self) -> None:
+        """:meth:`validate`, and reject a p too large for exact int64
+        matrices of size D = dim H = l^n n!."""
+        self.validate()
+        D = self.l ** self.n * factorial(self.n)
+        if product_bound(D, self.p) > INT64_MAX:
+            raise ValueError(
+                f"p = {self.p} is too large for exact int64 products at "
+                f"dim H = {D}: the product bound D (p - 1)^2 + p - 1 "
+                f"exceeds 2^63 - 1")
 
 
 _DEFAULTS = {
@@ -395,7 +401,7 @@ class RegularRep:
     as dense integer matrices mod p."""
 
     def __init__(self, params: HeckeParams):
-        params.validate()
+        params.validate_exact()
         self.params = params
         p, q = params.p, params.q
         sc = FpScalars(p)
@@ -410,10 +416,9 @@ class RegularRep:
                   for k in range(1, params.n + 1)}
         self.star_mat = self._gen_matrix(self.nf.star)
         # right multiplication via x*z = (z* x*)*
-        self.RT = {i: self.star_mat @ self.T[i] @ self.star_mat % p
-                   for i in self.T}
-        self.RL = {k: self.star_mat @ self.L[k] @ self.star_mat % p
-                   for k in self.L}
+        S = self.star_mat
+        self.RT = {i: matmul((S, self.T[i], S), p) for i in self.T}
+        self.RL = {k: matmul((S, self.L[k], S), p) for k in self.L}
         self._word_cache: dict = {}
 
     def _gen_matrix(self, op) -> np.ndarray:
@@ -424,12 +429,6 @@ class RegularRep:
                 M[self.nf.index[out_key], j] = c % self.p
         return M
 
-    def mm(self, *mats) -> np.ndarray:
-        out = mats[0]
-        for M in mats[1:]:
-            out = (out @ M) % self.p
-        return out
-
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=np.int64)
 
@@ -439,13 +438,10 @@ class RegularRep:
         return v
 
     def t_word_matrix(self, word: tuple[int, ...]) -> np.ndarray:
-        if word in self._word_cache:
-            return self._word_cache[word]
-        M = self.identity()
-        for i in word:
-            M = self.mm(M, self.T[i])
-        self._word_cache[word] = M
-        return M
+        if word not in self._word_cache:
+            self._word_cache[word] = (matmul([self.T[i] for i in word], self.p)
+                                      if word else self.identity())
+        return self._word_cache[word]
 
     def matrix_of(self, el: dict) -> np.ndarray:
         """Left-multiplication matrix of an element given as a dict or a
@@ -454,77 +450,69 @@ class RegularRep:
             el = {self.nf.basis[j]: int(el[j]) for j in np.nonzero(el)[0]}
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for (a, w), c in el.items():
-            M = self.identity()
-            for k in range(1, self.params.n + 1):
-                for _ in range(a[k - 1]):
-                    M = self.mm(M, self.L[k])
-            M = self.mm(M, self.t_word_matrix(comb.official_word(w)))
-            out = (out + c * M) % self.p
+            mats = [self.L[k] for k in range(1, self.params.n + 1)
+                    for _ in range(a[k - 1])]
+            mats.append(self.t_word_matrix(comb.official_word(w)))
+            out = (out + c * matmul(mats, self.p)) % self.p
         return out
 
     def vector_of(self, M: np.ndarray) -> np.ndarray:
-        """Coefficient vector of the element represented by matrix M."""
-        return M[:, self.id_index] % self.p
+        """Coefficient vector of the element with reduced matrix M."""
+        return M[:, self.id_index]
 
     def relation_failures(self, rng=None, samples: int = 5) -> list[str]:
         """Exact matrix checks of every defining relation."""
         p, q, n = self.p, self.params.q, self.params.n
         I = self.identity()
+        T, L, S = self.T, self.L, self.star_mat
         fails = []
 
-        def check(name, A, B):
-            if not np.array_equal(A % p, B % p):
+        def check(name, lhs, rhs):
+            """Record a failure unless the two chains of factors agree."""
+            if not np.array_equal(matmul(lhs, p), matmul(rhs, p)):
                 fails.append(name)
 
-        for i in self.T:
-            Ti = self.T[i]
-            check(f"quadratic T_{i}", self.mm(Ti + I, (Ti - q * I) % p),
-                  np.zeros_like(I))
-        for i in self.T:
-            for j in self.T:
+        zero = (np.zeros_like(I),)
+        for i in T:
+            check(f"quadratic T_{i}", ((T[i] + I) % p, (T[i] - q * I) % p),
+                  zero)
+        for i in T:
+            for j in T:
                 if abs(i - j) > 1:
-                    check(f"commuting T_{i} T_{j}",
-                          self.mm(self.T[i], self.T[j]),
-                          self.mm(self.T[j], self.T[i]))
+                    check(f"commuting T_{i} T_{j}", (T[i], T[j]), (T[j], T[i]))
         for i in range(1, n - 1):
-            check(f"braid T_{i} T_{i+1} T_{i}",
-                  self.mm(self.T[i], self.T[i + 1], self.T[i]),
-                  self.mm(self.T[i + 1], self.T[i], self.T[i + 1]))
-        for r in self.L:
-            for s in self.L:
-                check(f"commuting L_{r} L_{s}",
-                      self.mm(self.L[r], self.L[s]),
-                      self.mm(self.L[s], self.L[r]))
-        for r in self.T:
-            check(f"T_{r} L_{r} = L_{r+1}(T_{r} - q + 1)",
-                  self.mm(self.T[r], self.L[r]),
-                  self.mm(self.L[r + 1], (self.T[r] - q * I + I) % p))
-            check(f"L_{r+1} = q^-1 T_{r} L_{r} T_{r}",
-                  self.L[r + 1],
-                  pow(q, -1, p) * self.mm(self.T[r], self.L[r], self.T[r]) % p)
-            for s in self.L:
+            check(f"braid T_{i} T_{i+1} T_{i}", (T[i], T[i + 1], T[i]),
+                  (T[i + 1], T[i], T[i + 1]))
+        for r in L:
+            for s in L:
+                check(f"commuting L_{r} L_{s}", (L[r], L[s]), (L[s], L[r]))
+        for r in T:
+            check(f"T_{r} L_{r} = L_{r+1}(T_{r} - q + 1)", (T[r], L[r]),
+                  (L[r + 1], (T[r] - q * I + I) % p))
+            TLT = matmul((T[r], L[r], T[r]), p)
+            check(f"L_{r+1} = q^-1 T_{r} L_{r} T_{r}", (L[r + 1],),
+                  (pow(q, -1, p) * TLT % p,))
+            for s in L:
                 if abs(r - s) > 1 and s != r + 1:
-                    check(f"commuting T_{r} L_{s}",
-                          self.mm(self.T[r], self.L[s]),
-                          self.mm(self.L[s], self.T[r]))
-        cyc = self.identity()
-        for Qj in self.nf.Q:
-            cyc = self.mm(cyc, (self.L[1] - Qj * I) % p)
-        check("cyclotomic relation for L_1", cyc, np.zeros_like(I))
-        check("star is an involution", self.mm(self.star_mat, self.star_mat), I)
+                    check(f"commuting T_{r} L_{s}", (T[r], L[s]), (L[s], T[r]))
+        check("cyclotomic relation for L_1",
+              [(L[1] - Qj * I) % p for Qj in self.nf.Q], zero)
+        check("star is an involution", (S, S), (I,))
         if rng is None:
             rng = np.random.default_rng(20260826)
         for _ in range(samples):
             x = rng.integers(0, p, self.dim)
             y = rng.integers(0, p, self.dim)
             Mx, My = self.matrix_of(x), self.matrix_of(y)
-            lhs = self.star_mat @ self.vector_of(self.mm(Mx, My)) % p
-            rhs = self.vector_of(
-                self.mm(self.matrix_of(self.star_mat @ y % p),
-                        self.matrix_of(self.star_mat @ x % p)))
-            if not np.array_equal(lhs, rhs):
-                fails.append("star anti-multiplicativity on a random pair")
+            Sy, Sx = (self.matrix_of(matmul((S, v), p)) for v in (y, x))
+            check("star anti-multiplicativity on a random pair",
+                  (S, Mx, self.vector_of(My)), (Sy, self.vector_of(Sx)))
         return fails
+
+
+@lru_cache(maxsize=8)
+def regular_rep(params: HeckeParams) -> RegularRep:
+    return RegularRep(params)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +596,6 @@ class SeminormalModel:
         return sum(len(b.std) ** 2 for b in self.blocks.values())
 
     def _mat_mul(self, A, B):
-        p = self.params.p
         d = len(A)
         zero = self.sc.zero
         out = [[zero] * d for _ in range(d)]
@@ -795,7 +782,7 @@ class MurphyEngine:
     share the corresponding partial products through a prefix tree."""
 
     def __init__(self, params: HeckeParams):
-        params.validate()
+        params.validate_exact()
         self.params = params
         self.p = params.p
         self.nf = generic_normal_form(params)
@@ -813,14 +800,15 @@ class MurphyEngine:
         self.key_index = {key: i for i, key in enumerate(self.nf.basis)}
         self.ops = {k: self._op_layers(k) for k in range(1, params.n + 1)}
         self._powcache: dict[int, np.ndarray] = {}
-        self._rootcache: dict[int, np.ndarray] = {}
+        self._rootcache: dict[int, tuple] = {}
         self._dencache: dict = {}
 
     def _op_layers(self, k: int):
-        """t^{k-1} L_k as a list of (degree, sparse matrix) layers:
-        the entry of layer a at (i, j) is the coefficient of t^a in
-        the polynomial numerator of the basis-j column of the operator,
-        row i.  Raises ValueError on an entry with a denominator."""
+        """t^{k-1} L_k as (degree, sparse matrix) layers: the entry of
+        layer a at (i, j) is the coefficient of t^a in the polynomial
+        numerator of the basis-j column of the operator, row i, grouped
+        in chunks whose rows hold at most dim nonzeros together.  Raises
+        ValueError on an entry with a denominator."""
         dim = len(self.nf.basis)
         triples: dict[int, list] = {}
         for key in self.nf.basis:
@@ -834,12 +822,18 @@ class MurphyEngine:
                 for a, cv in enumerate(c.num.coeffs):
                     if cv:
                         triples.setdefault(a, []).append((i, j, cv))
-        layers = []
+        chunks, terms = [], dim
         for a in sorted(triples):
             rows, cols, vals = zip(*triples[a])
-            layers.append((a, sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(dim, dim), dtype=np.int64)))
-        return layers
+            A = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim),
+                                  dtype=np.int64)
+            nnz = int(np.diff(A.indptr).max())
+            if terms + nnz > dim:
+                chunks.append([])
+                terms = 0
+            chunks[-1].append((a, A))
+            terms += nnz
+        return chunks
 
     def _pows(self, x: int, length: int) -> np.ndarray:
         """Array of x^j mod p for j < length, cached and grown on demand."""
@@ -858,19 +852,21 @@ class MurphyEngine:
     def _apply_factor(self, vec: np.ndarray, k: int,
                       c: int) -> tuple[np.ndarray, int]:
         """vec -> t^m (L_k - t^c) vec with m = max(k-1, -c) >= 0;
-        returns the new matrix and the offset increment m."""
+        returns the new matrix and the offset increment m.  Reduced after
+        each chunk, an entry stays within :func:`product_bound`."""
         p = self.p
         m = max(k - 1, -c)
         s_op = m - (k - 1)
         s_id = m + c
         dim, width = vec.shape
-        layers = self.ops[k]
-        top = max(s_op + layers[-1][0], s_id) + width
+        chunks = self.ops[k]
+        top = max(s_op + chunks[-1][-1][0], s_id) + width
         out = np.zeros((dim, top), dtype=np.int64)
-        for a, A in layers:
-            out[:, s_op + a:s_op + a + width] += A @ vec
         out[:, s_id:s_id + width] -= vec
-        out %= p
+        for chunk in chunks:
+            for a, A in chunk:
+                out[:, s_op + a:s_op + a + width] += A @ vec
+            out %= p
         nz = np.flatnonzero(out.any(axis=0))
         return out[:, :nz[-1] + 1] if len(nz) else out[:, :1], m
 
@@ -916,19 +912,16 @@ class MurphyEngine:
                 out[self.nf.basis[i]] = rf
         return out
 
-    def _root_mult(self, d: int) -> np.ndarray:
-        """Multiplicity of each x in F_p* as a root of t^d - 1."""
-        arr = self._rootcache.get(d)
-        if arr is None:
-            p = self.p
-            d0, pa = d, 1
-            while d0 % p == 0:
-                d0 //= p
+    def _roots(self, d: int) -> tuple[list[int], int]:
+        """The roots of t^d - 1 in F_p and their common multiplicity.
+        With d = p^a d0 and p not dividing d0, t^d - 1 = (t^d0 - 1)^(p^a),
+        whose roots are the subgroup of order gcd(d, p - 1): O(d) work."""
+        if d not in self._rootcache:
+            p, pa = self.p, 1
+            while d % (pa * p) == 0:
                 pa *= p
-            arr = np.array([0] + [pa if pow(x, d0, p) == 1 else 0
-                                  for x in range(1, p)], dtype=np.int64)
-            self._rootcache[d] = arr
-        return arr
+            self._rootcache[d] = (cyclic_subgroup(p, gcd(d, p - 1)), pa)
+        return self._rootcache[d]
 
     def _den_poly(self, tpows: int, fac_items: tuple,
                   cancels: tuple) -> Poly:
@@ -977,7 +970,7 @@ class MurphyEngine:
             num = num[s:]
             tpows -= s
         res = dict(fac)
-        mult = np.zeros(p, dtype=np.int64)
+        mult: dict[int, int] = {}
         for d in sorted(res):
             # 1 is a root of every t^d - 1, so a nonzero value there
             # rules out all further whole-binomial divisions.
@@ -988,18 +981,20 @@ class MurphyEngine:
                 num = quo
                 res[d] -= 1
             if res[d]:
-                mult += res[d] * self._root_mult(d)
+                roots, pa = self._roots(d)
+                for x in roots:
+                    mult[x] = mult.get(x, 0) + res[d] * pa
         cancels = []
-        for x in np.flatnonzero(mult):
+        for x in sorted(mult):
             cnt = 0
             while cnt < mult[x]:
-                quo = self._div_linear(num, int(x))
+                quo = self._div_linear(num, x)
                 if quo is None:
                     break
                 num = quo
                 cnt += 1
             if cnt:
-                cancels.append((int(x), cnt))
+                cancels.append((x, cnt))
         den = self._den_poly(
             tpows, tuple((d, m) for d, m in sorted(res.items()) if m),
             tuple(cancels))
@@ -1175,13 +1170,12 @@ def e2_idempotents(params: HeckeParams) -> list[dict]:
         if ns.shape[0] != 1:
             raise ValueError(f"eigenvalue system solution space has "
                              f"dimension {ns.shape[0]}, expected 1")
-        v = ns[0] % p
-        Mv = reg.matrix_of(v)
-        v2 = Mv @ v % p
+        v = ns[0]
+        v2 = matmul((reg.matrix_of(v), v), p)
         # v^2 = beta v on a one-dimensional block; normalize
         pos = int(np.nonzero(v)[0][0])
         beta = v2[pos] * pow(int(v[pos]), -1, p) % p
-        if not np.array_equal(v2 % p, beta * v % p):
+        if not np.array_equal(v2, beta * v % p):
             raise ValueError("eigenvalue system vector does not square "
                              "into its own line")
         vb = pow(int(beta), -1, p) * v % p

@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import combinatorics as comb
+from .exactfield import matmul
 
 
 class PatternMismatch(Exception):
@@ -129,9 +130,6 @@ class DiagramWord:
     def top(self) -> tuple:
         return self.profiles()[0]
 
-    def scaled(self, c: int) -> "DiagramWord":
-        return DiagramWord(self.coeff * c, self.tokens, self.ibot)
-
     def render(self) -> str:
         parts = []
         for kind, arg in self.tokens:
@@ -146,22 +144,13 @@ class DiagramWord:
         """Matrix of the word in the faithful representation carried by a
         :class:`blobcell.blob.KLRImages` instance."""
         p = images.p
-        dim = images.algebra.dim
-        zero = np.zeros((dim, dim), dtype=np.int64)
-        M = images.E.get(self.ibot)
-        if M is None:
-            return zero
-        for kind, arg in reversed(self.tokens):
-            if kind == "psi":
-                M = images.PSI[arg] @ M % p
-            elif kind == "y":
-                M = images.Y[arg] @ M % p
-            else:
-                Ei = images.E.get(tuple(arg))
-                if Ei is None:
-                    return zero
-                M = Ei @ M % p
-        return self.coeff % p * M % p
+        mats = [images.PSI[arg] if kind == "psi" else
+                images.Y[arg] if kind == "y" else images.E.get(tuple(arg))
+                for kind, arg in self.tokens]
+        mats.append(images.E.get(self.ibot))
+        if any(M is None for M in mats):
+            return np.zeros_like(images.algebra.identity)
+        return self.coeff % p * matmul(mats, p) % p
 
 
 def evaluate_sum(words: Sequence[DiagramWord], images) -> np.ndarray:
@@ -780,12 +769,12 @@ def _garnir_oracle(S, G, mc, basis, theta, trace) -> GarnirResult:
     ilam = basis.i_lam[shape]
     wS = tuple(reversed(basis.word[S]))
     wG = comb.official_word(comb.d_perm(G, theta))
-    v = images.psi_of(wS) @ images.E[ilam] @ images.psi_of(wG) \
-        @ A.unit % p
+    v = matmul((images.psi_of(wS), images.E[ilam], images.psi_of(wG),
+                A.unit), p)
     coeffs = basis.expand(v)
     terms = []
     for idx, c in enumerate(coeffs):
-        c = int(c) % p
+        c = int(c)
         if c == 0:
             continue
         mu, Sp, Tp = basis.index[idx]

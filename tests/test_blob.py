@@ -8,6 +8,7 @@ import pytest
 from blobcell import blob as B
 from blobcell import combinatorics as C
 from blobcell import hecke as H
+from blobcell.exactfield import mat_pow
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
 
@@ -158,7 +159,7 @@ class TestJucysMurphy:
             for k in jm:
                 N = (jm[k] - pow(A.q, iseq[k - 1], A.p)
                      * A.identity) @ Ei % A.p
-                assert not B._mat_pow(N, A.dim + 1, A.p).any()
+                assert not mat_pow(N, A.dim + 1, A.p).any()
 
     def test_redundant_generator(self, built):
         # the second Jucys-Murphy element is recovered from the first:

@@ -103,7 +103,7 @@ class TestVerify:
         assert report["suites"]["rewrite"]["passed"]
 
     def test_one_build_per_run(self, monkeypatch, capsys):
-        calls = {"build_blob": 0, "KLRImages": 0}
+        calls = {"build_blob": 0, "KLRImages": 0, "build_cellular_basis": 0}
 
         def counted(name):
             original = getattr(B, name)
@@ -115,9 +115,39 @@ class TestVerify:
 
         counted("build_blob")
         counted("KLRImages")
+        counted("build_cellular_basis")
         code, _, _ = run(["verify", "--n", "2", "--l", "2"], capsys)
         assert code == 0
-        assert calls == {"build_blob": 1, "KLRImages": 1}
+        assert calls == {"build_blob": 1, "KLRImages": 1,
+                         "build_cellular_basis": 1}
+
+    def test_basis_failure_is_reported(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise ValueError("injected")
+        monkeypatch.setattr(B, "build_cellular_basis", failing)
+        code, out, _ = run(["verify", "--n", "2", "--l", "2"], capsys)
+        assert code == 1
+        suites = json.loads(out)["suites"]
+        for name in ("hecke", "klr", "rewrite"):
+            assert suites[name]["passed"], name
+        for name in ("cellular", "jm"):
+            assert suites[name]["failures"] == [
+                "cellular basis construction failed: injected"], name
+
+    def test_large_prime_without_overflow(self, capsys):
+        # at p = 100151 an unreduced chain of products passes 2^63
+        args = ["--n", "2", "--l", "2", "--p", "100151", "--q", "47062"]
+        code, out, _ = run(["verify"] + args, capsys)
+        assert code == 0
+        assert all(s["passed"] for s in json.loads(out)["suites"].values())
+        code, out, _ = run(["basis"] + args, capsys)
+        assert code == 0 and len(json.loads(out)["vectors"]) == 6
+
+    def test_prime_beyond_bound_rejected(self, capsys):
+        code, out, err = run(["verify", "--n", "2", "--l", "2", "--p",
+                              "2147483951"], capsys)
+        assert code == 2 and not out
+        assert "product bound" in err
 
     def test_relation_failure_is_reported(self, monkeypatch, capsys):
         def failing(self):

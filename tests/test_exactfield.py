@@ -1,13 +1,29 @@
+import ast
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blobcell.exactfield import (NoRoot, PoleAtSpecialization, Poly, RatFunc,
-                                 RowSpace, element_order, invert_matrix,
-                                 is_prime, nullspace, rank, root_of_unity,
-                                 rref, solve, specialize)
+from blobcell.exactfield import (INT64_MAX, NoRoot, PoleAtSpecialization,
+                                 Poly, RatFunc, RowSpace, cyclic_subgroup,
+                                 has_order, invert_matrix,
+                                 is_prime, mat_pow, matmul, nullspace,
+                                 product_bound, rank, root_of_unity, rref,
+                                 solve, specialize)
 
 P = 11
+
+
+def element_order(x: int, p: int) -> int:
+    """Oracle: the multiplicative order of x in F_p^* by successive
+    powers."""
+    k, y = 1, x % p
+    while y != 1:
+        y = y * x % p
+        k += 1
+    return k
 
 
 def poly(coeffs, p=P):
@@ -37,6 +53,36 @@ class TestRootOfUnity:
     def test_is_prime(self):
         assert [x for x in range(2, 30) if is_prime(x)] == \
             [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_matches_scan(self):
+        # oracle: the smallest x whose successive powers first reach 1
+        # after exactly e steps
+        for p in (2, 3, 11, 29, 31, 71):
+            for e in range(1, p):
+                if (p - 1) % e == 0:
+                    want = min(x for x in range(1, p)
+                               if element_order(x, p) == e)
+                    assert root_of_unity(p, e) == want, (p, e)
+
+    def test_large_prime_is_fast(self):
+        p = 2147483951          # prime near 2^31 with 5 | p - 1
+        start = time.perf_counter()
+        q = root_of_unity(p, 5)
+        assert time.perf_counter() - start < 1.0
+        assert pow(q, 5, p) == 1 and q != 1
+
+    def test_has_order_matches_element_order(self):
+        for p in (11, 29, 71):
+            for x in range(1, p):
+                for e in range(1, p):
+                    assert has_order(x, e, p) == (element_order(x, p) == e)
+
+    def test_cyclic_subgroup_matches_scan(self):
+        for p in (11, 29, 71):
+            for m in range(1, p):
+                if (p - 1) % m == 0:
+                    assert sorted(cyclic_subgroup(p, m)) == \
+                        [x for x in range(1, p) if pow(x, m, p) == 1]
 
 
 coeff_lists = st.lists(st.integers(0, P - 1), max_size=8)
@@ -203,6 +249,33 @@ class TestLinalg:
             for row in M:
                 assert rs.contains(row)
 
+    def test_matmul_chain_is_exact(self):
+        # p = 1000003 at width 8: an unreduced chain of three products
+        # would pass 2^63; the kernel must still equal the exact product
+        p, D = 1000003, 8
+        mats = [rng.integers(0, p, size=(D, D)) for _ in range(3)]
+        v = rng.integers(0, p, size=D)
+        exact = v.astype(object)
+        for M in reversed(mats):
+            exact = M.astype(object).dot(exact) % p
+        assert matmul(mats + [v], p).tolist() == exact.tolist()
+        M = matmul(mats, p)
+        assert M.min() >= 0 and M.max() < p
+
+    def test_product_bound(self):
+        p, D = 1000003, 8
+        full = np.full((D, D), p - 1, dtype=np.int64)
+        assert int((full @ full).max()) + p - 1 == product_bound(D, p)
+        assert product_bound(D, p) <= INT64_MAX
+        assert product_bound(8, 2147483951) > INT64_MAX
+
+    def test_mat_pow(self):
+        M = rng.integers(0, P, size=(5, 5))
+        acc = np.eye(5, dtype=np.int64)
+        for k in range(9):
+            assert np.array_equal(mat_pow(M, k, P), acc)
+            acc = matmul((acc, M), P)
+
     def test_rowspace_reduce_idempotent(self):
         M = rng.integers(0, P, size=(5, 8))
         rs = RowSpace(8, P)
@@ -211,3 +284,15 @@ class TestLinalg:
         v = rng.integers(0, P, size=8)
         w = rs.reduce(v)
         assert np.array_equal(rs.reduce(w), w)
+
+
+def test_products_stay_in_the_kernel():
+    # every dense product of these modules goes through exactfield.matmul,
+    # which reduces after each product; a bare ``@`` would bypass the bound
+    src = Path(__file__).resolve().parents[1] / "src" / "blobcell"
+    for name in ("blob.py", "cli.py", "klrcalc.py"):
+        tree = ast.parse((src / name).read_text())
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.MatMult)]
+        assert not lines, (name, lines)

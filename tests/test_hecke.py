@@ -5,7 +5,8 @@ import pytest
 
 from blobcell import combinatorics as C
 from blobcell import hecke as H
-from blobcell.exactfield import PoleAtSpecialization, Poly, RatFunc
+from blobcell.exactfield import (PoleAtSpecialization, Poly, RatFunc,
+                                 matmul)
 
 P22 = H.default_params(2, 2)
 P32 = H.default_params(3, 2)
@@ -50,6 +51,18 @@ class TestParams:
     def test_override_multicharge(self):
         pa = H.default_params(2, 2, hat_kappa=(1, 8))
         assert pa.hat_kappa == (1, 8)
+
+    def test_prime_beyond_product_bound_rejected(self):
+        # at (2,2), dim H = 8 and 8 (p - 1)^2 passes 2^63 for p near 2^31;
+        # rejected with the bound named, before anything is built
+        pa = H.default_params(2, 2, p=2147483951)
+        with pytest.raises(ValueError, match="product bound"):
+            pa.validate_exact()
+        with pytest.raises(ValueError, match="product bound"):
+            H.RegularRep(pa)
+        with pytest.raises(ValueError, match="product bound"):
+            H.MurphyEngine(pa)
+        H.default_params(2, 2, p=1000151).validate_exact()
 
 
 class TestNormalForm:
@@ -217,12 +230,13 @@ class TestMurphyIdempotents:
         acc = np.zeros_like(reg.identity())
         for ka in keys:
             acc = (acc + mats[ka]) % pa.p
-            assert np.array_equal(reg.mm(mats[ka], mats[ka]), mats[ka])
+            assert np.array_equal(matmul((mats[ka], mats[ka]), reg.p),
+                                  mats[ka])
         assert np.array_equal(acc, reg.identity())
         for ka in keys:
             for kb in keys:
                 if ka != kb:
-                    assert not reg.mm(mats[ka], mats[kb]).any()
+                    assert not matmul((mats[ka], mats[kb]), reg.p).any()
 
     def test_single_tableau_idempotent_has_pole(self):
         # a non-singleton class exists at (3,2); its individual tableau
@@ -256,6 +270,18 @@ class TestMurphyIdempotents:
             assert H.specialize_vector(got, pa) == \
                 H.specialize_vector(want, pa), key
 
+    @pytest.mark.parametrize("e,p", [(5, 11), (7, 29), (5, 71)])
+    def test_binomial_roots_match_scan(self, e, p):
+        # roots of t^d - 1 with multiplicity, against a scan of F_p that
+        # divides out t - x while x stays a root
+        eng = H.MurphyEngine(H.default_params(2, 2, e=e, p=p))
+        for d in range(1, 2 * p + 2):
+            roots, mult = eng._roots(d)
+            f = Poly.monomial(p, 1, d) - Poly.const(p, 1)
+            want = {x: f.valuation_at(x) for x in range(1, p)}
+            assert sorted(roots) == [x for x, v in want.items() if v], d
+            assert all(want[x] == mult for x in roots), d
+
     def test_class_partition_matches_residues(self):
         pa = P32
         for key, tabs in H.class_partition(pa).items():
@@ -279,10 +305,10 @@ class TestTwoStringIdempotents:
         mats = [reg.matrix_of(reg.matrix_of(e) @ reg.unit_vector() % reg.p)
                 for e in H.e2_idempotents(pa)]
         for j, M in enumerate(mats):
-            assert np.array_equal(reg.mm(M, M), M)
+            assert np.array_equal(matmul((M, M), reg.p), M)
             for k, N in enumerate(mats):
                 if j != k:
-                    assert not reg.mm(M, N).any()
+                    assert not matmul((M, N), reg.p).any()
 
     def test_defining_eigenvalues(self):
         pa = P22
@@ -293,21 +319,21 @@ class TestTwoStringIdempotents:
         for j, e2 in enumerate(H.e2_idempotents(pa)):
             kj = pa.mc.kappa[j]
             M = reg.matrix_of(e2)
-            assert np.array_equal(reg.mm(reg.L[1], M),
+            assert np.array_equal(matmul((reg.L[1], M), reg.p),
                                   pow(q, kj, p) * M % p)
-            assert np.array_equal(reg.mm(reg.L[2], M),
+            assert np.array_equal(matmul((reg.L[2], M), reg.p),
                                   pow(q, kj + 1, p) * M % p)
-            assert np.array_equal(reg.mm(reg.T[1], M), q * M % p)
+            assert np.array_equal(matmul((reg.T[1], M), reg.p), q * M % p)
 
     def test_embedding_into_three_strings(self):
         pa = P32
         reg = H.RegularRep(pa)
         for e2 in H.e2_idempotents(pa):
             M = reg.matrix_of(H.embed_two_string(pa, e2))
-            assert np.array_equal(reg.mm(M, M), M)
+            assert np.array_equal(matmul((M, M), reg.p), M)
             # strings beyond the first two are untouched
-            assert np.array_equal(reg.mm(reg.L[3], M),
-                                  reg.mm(M, reg.L[3]))
+            assert np.array_equal(matmul((reg.L[3], M), reg.p),
+                                  matmul((M, reg.L[3]), reg.p))
 
 
 class TestCrossModelAgreement:
