@@ -31,7 +31,7 @@ from .exactfield import (RowSpace, invert_matrix, mat_pow, matmul,
                          nullspace, rank, rref)
 from .hecke import (HeckeParams, RegularRep, class_partition,
                     class_idempotent_vector, e2_idempotents,
-                    embed_two_string, regular_rep, specialize_vector)
+                    embed_two_string, regular_rep)
 
 official_word = comb.official_word
 
@@ -160,10 +160,8 @@ class BlobAlgebra:
         Pi[np.arange(self.dim), nonpiv] = 1
         if piv:
             Pi[:, piv] = (Pi[:, piv] - rows[:, nonpiv].T) % p
-        Lift = np.zeros((D, self.dim), dtype=np.int64)
-        Lift[nonpiv, np.arange(self.dim)] = 1
         self.quotient_map = Pi
-        self._lift_mat = Lift
+        self._nonpiv = np.array(nonpiv, dtype=np.int64)
         if piv:
             stab = [("star", reg.star_mat), ("L_1", reg.L[1])]
             stab += [(f"T_{i}", reg.T[i]) for i in reg.T]
@@ -179,7 +177,9 @@ class BlobAlgebra:
         self.identity = np.eye(self.dim, dtype=np.int64)
 
     def _q(self, M: np.ndarray) -> np.ndarray:
-        return matmul((self.quotient_map, M, self._lift_mat), self.p)
+        """The quotient matrix of M: reduce its columns at the lifts of
+        the quotient basis, which are the non-pivot basis vectors."""
+        return matmul((self.quotient_map, M[:, self._nonpiv]), self.p)
 
     def push(self, el) -> np.ndarray:
         """Quotient left-multiplication matrix of an element of H, given
@@ -194,8 +194,11 @@ class BlobAlgebra:
 
     def lmat(self, v: np.ndarray) -> np.ndarray:
         """Left-multiplication matrix of the element with reduced quotient
-        coordinate vector v, through its lift to H."""
-        return self.push(matmul((self._lift_mat, v), self.p))
+        coordinate vector v, through its lift to H: v placed at the
+        non-pivot coordinates."""
+        lift = np.zeros(self.reg.dim, dtype=np.int64)
+        lift[self._nonpiv] = v
+        return self.push(lift)
 
 
 def build_blob(params: HeckeParams) -> "BlobAlgebra":
@@ -227,9 +230,7 @@ class KLRImages:
         self.classes = classes
         self.E: dict = {}
         for iseq in sorted(classes):
-            vec = specialize_vector(
-                class_idempotent_vector(params, classes[iseq]), params)
-            M = A.push(vec)
+            M = A.push(class_idempotent_vector(params, classes[iseq]))
             if M.any():
                 self.E[iseq] = M
         I = A.identity

@@ -19,9 +19,10 @@ The kernel does not reduce its inputs: callers keep stored matrices in
 [0, p) and reduce a linear combination where they form it.  Before a
 reduction an int64 entry is then at most ``product_bound(D, p)``, one
 product of D-wide factors plus one reduced addend; the Murphy engine's
-chunked layer sums keep to it too, and ``HeckeParams.validate_exact``
-rejects a p that breaks it at D = dim H.  An accepted p is below 2^32,
-so a cumulative sum of w reduced values stays below w 2^32.
+chunked layer sums and its series layers keep to it too, and
+``HeckeParams.validate_exact`` rejects a p that breaks it at D = dim H.
+An accepted p is below 2^32, so a cumulative sum of w reduced values
+stays below w 2^32.
 """
 
 from __future__ import annotations
@@ -42,18 +43,39 @@ class NoRoot(Exception):
     """Raised when F_p contains no element of the requested order."""
 
 
+# The first 12 primes: as Miller-Rabin bases they decide primality of
+# every n below 3317044064679887385961981 (about 3.3 10^24).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test over the bases ``_MR_BASES``;
+    raises ValueError for p >= ``_MR_LIMIT``, where they no longer
+    decide."""
     if p < 2:
         return False
-    if p < 4:
+    if p in _MR_BASES:
         return True
-    if p % 2 == 0:
+    if any(p % b == 0 for b in _MR_BASES):
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_LIMIT:
+        raise ValueError(f"p = {p} is beyond the range of the deterministic "
+                         f"primality test (p < {_MR_LIMIT})")
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -17,25 +17,35 @@ Two complementary realizations are provided.
   acting through the classical two-term formulas.
 
 On top of these sit the tableau idempotents F_S (product formula), the
-residue-class idempotents E_[i] (which are pole-free at t = q and
-specialize into the mod-p algebra), and the rank-one idempotents of the
-two-row/two-string subalgebra used to present the blob quotient.
+residue-class idempotents E_[i] = sum of F_S over one residue class, and
+the rank-one idempotents of the two-row/two-string subalgebra used to
+present the blob quotient.
+
+Each F_S has a pole at t = q; E_[i] does not, and the pipeline needs only
+its value there.  ``class_idempotent_vector`` computes that value directly
+in truncated Laurent series in s = t - q: the leaves of the product
+formula are carried to the exact precision the s^0 term needs, added, and
+certified pole-free by checking that every term of negative order
+cancels (``PoleAtSpecialization`` otherwise).  The same idempotents over
+F_p(t) (``MurphyEngine.murphy_vectors``, ``class_vector``,
+``class_vectors``) are kept as the generic oracle that the tests compare
+against; the pipeline does not use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import permutations, product
-from math import factorial, gcd
+from math import comb as binomial, factorial, gcd
 
 import numpy as np
 from scipy import sparse
 
 from . import combinatorics as comb
-from .exactfield import (INT64_MAX, Poly, RatFunc, cyclic_subgroup,
-                         has_order, is_prime, matmul, nullspace,
-                         product_bound, root_of_unity)
+from .exactfield import (INT64_MAX, PoleAtSpecialization, Poly, RatFunc,
+                         cyclic_subgroup, has_order, is_prime, matmul,
+                         nullspace, product_bound, root_of_unity)
 
 
 # ---------------------------------------------------------------------------
@@ -768,18 +778,84 @@ def _mul_by_binomial(vec: np.ndarray, d: int, p: int) -> np.ndarray:
     return out % p
 
 
-class MurphyEngine:
-    """Evaluates the product-formula idempotents in normal-form
-    coordinates over F_p(t), denominator-free until the very end.
+# -- truncated power series in s = t - q: coefficient lists mod s^K --------
 
-    Working representation: a vector is a dense int64 matrix with one
-    row per basis key and one column per power of t, together with one
-    global power-of-t offset.  The n operators t^{k-1} L_k have
-    polynomial entries in the generic normal form; their numerators are
-    preexpanded once into stacks of sparse matrices indexed by
-    coefficient degree, so applying a factor is a handful of sparse
-    matrix products; tableaux sharing an initial segment of contents
-    share the corresponding partial products through a prefix tree."""
+
+def shifted_binomial(q: int, d: int, p: int) -> tuple[int, list[int]]:
+    """t^d - 1 at t = q + s as s^v u(s) over F_p, returned as (v, the
+    coefficients of u), with u(0) != 0 (d >= 1).  The valuation v is the
+    multiplicity of the root q of t^d - 1, read off the coefficients: 0
+    unless the order e of q divides d, and p^a when it does and p^a
+    exactly divides d, since then t^d - 1 = (t^(d/p^a) - 1)^(p^a)."""
+    c = _series_pow(q, d, d + 1, p)
+    c[0] = (c[0] - 1) % p
+    v = next(j for j, x in enumerate(c) if x)
+    return v, c[v:]
+
+
+def _series_pow(q: int, m: int, K: int, p: int) -> list[int]:
+    """(q + s)^m mod s^K over F_p, for any integer m."""
+    def choose(j):  # the binomial coefficient m choose j, any sign of m
+        return (binomial(m, j) if m >= 0
+                else (-1) ** j * binomial(j - m - 1, j))
+    return [choose(j) * pow(q, m - j, p) % p for j in range(K)]
+
+
+def _series_mul(a: list[int], b: list[int], K: int, p: int) -> list[int]:
+    """a b mod s^K over F_p."""
+    return [sum(a[i] * b[j - i] for i in range(j + 1)
+                if i < len(a) and j - i < len(b)) % p for j in range(K)]
+
+
+def _series_inv(u: list[int], K: int, p: int) -> list[int]:
+    """1 / u mod s^K over F_p, for u(0) != 0 given to K terms."""
+    inv0 = pow(u[0], -1, p)
+    w = [inv0]
+    for j in range(1, K):
+        acc = sum(u[i] * w[j - i] for i in range(1, j + 1))
+        w.append(-acc * inv0 % p)
+    return w
+
+
+def _toeplitz(c: list[int], K: int) -> np.ndarray:
+    """The K x K matrix of multiplication by the series c on coefficient
+    rows: (V @ T)[:, j] = sum over i <= j of V[:, i] c[j - i]."""
+    T = np.zeros((K, K), dtype=np.int64)
+    for i in range(K):
+        T[i, i:] = c[:K - i]
+    return T
+
+
+class MurphyEngine:
+    """The product-formula idempotents F_T = prod_k prod_{c != c_T(k)}
+    (L_k - t^c) / (t^{c_T(k)} - t^c) and their residue-class sums
+    E_[i] = sum of F_T, in normal-form coordinates.
+
+    The n operators t^{k-1} L_k have polynomial entries in the generic
+    normal form; their numerators are expanded once, at construction,
+    into sparse matrices indexed by coefficient degree.  Tableaux sharing
+    an initial segment of contents share the corresponding partial
+    products through one prefix-tree walk, :meth:`_walk`, which takes the
+    factor step as a parameter.  Two steps use it.
+
+    * The series path, :meth:`class_value`: E_[i] at t = q, which is all
+      the pipeline needs.  With s = t - q every vector is a dim x K
+      integer array of the coefficients of s^0, ..., s^(K-1), together
+      with a pole order N, so that it stands for s^(-N) times that
+      truncated series.  L_k becomes the stack of its s-coefficient
+      matrices B_b, and a factor step multiplies by the series inverse of
+      the unit part of its denominator and adds the denominator's
+      s-adic valuation to N.  Each F_T has a pole at q; the class sum
+      does not, and the integrality certificate is that every term of
+      negative order in the sum vanishes.  No polynomial in t is formed
+      and nothing is divided.
+    * The generic oracle over F_p(t), :meth:`murphy_vectors`,
+      :meth:`class_vector` and :meth:`class_vectors`: a vector is a dense
+      int64 matrix with one column per power of t and a power-of-t
+      offset, denominator-free until the leaves, which are reduced by
+      exact division against the factored denominator.  The acceptance
+      criteria on the generic idempotents and the tests of the series
+      path use it; the pipeline does not."""
 
     def __init__(self, params: HeckeParams):
         params.validate_exact()
@@ -798,19 +874,29 @@ class MurphyEngine:
             raise DegenerateContents("content vectors do not separate "
                                      "standard tableaux")
         self.key_index = {key: i for i, key in enumerate(self.nf.basis)}
+        self.entries = {k: self._op_entries(k)
+                        for k in range(1, params.n + 1)}
         self.ops = {k: self._op_layers(k) for k in range(1, params.n + 1)}
+        # pole order at t = q of each product formula: the sum of the
+        # s-adic valuations of its denominators
+        val = cache(lambda d: shifted_binomial(params.q, d, self.p)[0])
+        self.pole_order = {
+            T: sum(val(abs(cT[k] - c)) for k in range(params.n)
+                   for c in self.csets[k] if c != cT[k])
+            for T, cT in self.content_of.items()}
+        self.K = 1 + max(self.pole_order.values())
         self._powcache: dict[int, np.ndarray] = {}
         self._rootcache: dict[int, tuple] = {}
         self._dencache: dict = {}
+        self._laycache: dict = {}
+        self._stepcache: dict = {}
 
-    def _op_layers(self, k: int):
-        """t^{k-1} L_k as (degree, sparse matrix) layers: the entry of
-        layer a at (i, j) is the coefficient of t^a in the polynomial
-        numerator of the basis-j column of the operator, row i, grouped
-        in chunks whose rows hold at most dim nonzeros together.  Raises
-        ValueError on an entry with a denominator."""
-        dim = len(self.nf.basis)
-        triples: dict[int, list] = {}
+    def _op_entries(self, k: int) -> tuple[np.ndarray, ...]:
+        """t^{k-1} L_k as coordinate arrays (degree a, row i, column j,
+        value): the coefficient of t^a in the polynomial numerator of
+        the basis-j column of the operator, row i.  Raises ValueError on
+        an entry with a denominator."""
+        quads = []
         for key in self.nf.basis:
             j = self.key_index[key]
             el = self.nf.lmul_l_unnorm(k, self.nf.unit_at(key))
@@ -819,19 +905,26 @@ class MurphyEngine:
                     raise ValueError(
                         f"t^{k - 1} L_{k} has a non-polynomial entry {c!r}")
                 i = self.key_index[okey]
-                for a, cv in enumerate(c.num.coeffs):
-                    if cv:
-                        triples.setdefault(a, []).append((i, j, cv))
+                quads.extend((a, i, j, cv)
+                             for a, cv in enumerate(c.num.coeffs) if cv)
+        return tuple(np.array(col, dtype=np.int64) for col in zip(*quads))
+
+    def _op_layers(self, k: int):
+        """t^{k-1} L_k as (degree, sparse matrix) layers from
+        :meth:`_op_entries`, grouped in chunks whose rows hold at most dim
+        nonzeros together."""
+        dim = len(self.nf.basis)
+        deg, rows, cols, vals = self.entries[k]
         chunks, terms = [], dim
-        for a in sorted(triples):
-            rows, cols, vals = zip(*triples[a])
-            A = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim),
-                                  dtype=np.int64)
+        for a in np.unique(deg):
+            at = deg == a
+            A = sparse.csr_matrix((vals[at], (rows[at], cols[at])),
+                                  shape=(dim, dim), dtype=np.int64)
             nnz = int(np.diff(A.indptr).max())
             if terms + nnz > dim:
                 chunks.append([])
                 terms = 0
-            chunks[-1].append((a, A))
+            chunks[-1].append((int(a), A))
             terms += nnz
         return chunks
 
@@ -849,11 +942,13 @@ class MurphyEngine:
             self._powcache[x] = arr
         return arr
 
-    def _apply_factor(self, vec: np.ndarray, k: int,
+    def _apply_factor(self, vec: np.ndarray, k: int, ck: int,
                       c: int) -> tuple[np.ndarray, int]:
-        """vec -> t^m (L_k - t^c) vec with m = max(k-1, -c) >= 0;
-        returns the new matrix and the offset increment m.  Reduced after
-        each chunk, an entry stays within :func:`product_bound`."""
+        """The step of the generic oracle: vec -> t^m (L_k - t^c) vec with
+        m = max(k-1, -c) >= 0; returns the new matrix and the offset
+        increment m.  The denominator, which depends on ck, is left to the
+        leaf.  Reduced after each chunk, an entry stays within
+        :func:`product_bound`."""
         p = self.p
         m = max(k - 1, -c)
         s_op = m - (k - 1)
@@ -870,7 +965,7 @@ class MurphyEngine:
         nz = np.flatnonzero(out.any(axis=0))
         return out[:, :nz[-1] + 1] if len(nz) else out[:, :1], m
 
-    def _leaf_ratfuncs(self, vec: dict, offset: int, cS) -> dict:
+    def _leaf_ratfuncs(self, T, vec: np.ndarray, offset: int) -> dict:
         """Divide the polynomial vector by the full denominator.
 
         The denominator is known in factored form, sign * t^M times a
@@ -881,7 +976,7 @@ class MurphyEngine:
         irreducible factor of degree > 1, but it is exact, and
         specialization and pole detection at any point of F_p are
         unaffected (every shared linear factor has been cancelled)."""
-        tpows, fac, sign = self._leaf_factors(cS)
+        tpows, fac, sign = self._leaf_factors(self.content_of[T])
         return self._reduce_matrix(vec, offset + tpows, fac, sign)
 
     def _leaf_factors(self, cS) -> tuple[int, dict, int]:
@@ -1002,14 +1097,14 @@ class MurphyEngine:
         inv = pow(den.leading(), -1, p)
         return RatFunc(numP.scale(inv), den.monic())
 
-    def _walk(self, tabs, k, vec, offset, out, keep_raw=False):
+    def _walk(self, tabs, k, vec, offset, step, leaf, out):
+        """The prefix-tree walk: apply the factors of level k, grouped by
+        the content c_T(k), once per group, and recurse.  ``step(vec, k,
+        ck, c)`` returns the new vector and the increment of ``offset``;
+        at a leaf, ``out[T] = leaf(T, vec, offset)``."""
         if k > self.params.n:
             T = tabs[0]
-            if keep_raw:
-                out[T] = (vec, offset)
-            else:
-                out[T] = self._leaf_ratfuncs(vec, offset,
-                                             self.content_of[T])
+            out[T] = leaf(T, vec, offset)
             return
         groups: dict = {}
         for T in tabs:
@@ -1019,15 +1114,114 @@ class MurphyEngine:
             for c in self.csets[k - 1]:
                 if c == ck:
                     continue
-                v, m = self._apply_factor(v, k, c)
+                v, m = step(v, k, ck, c)
                 off += m
-            self._walk(sub, k + 1, v, off, out, keep_raw)
+            self._walk(sub, k + 1, v, off, step, leaf, out)
 
-    def _unit(self) -> np.ndarray:
-        """The identity element as a one-column coefficient matrix."""
-        unit =np.zeros((len(self.nf.basis), 1), dtype=np.int64)
+    def _unit(self, width: int) -> np.ndarray:
+        """The identity element as a coefficient matrix of the given
+        width (its only nonzero column is the first)."""
+        unit = np.zeros((len(self.nf.basis), width), dtype=np.int64)
         unit[self.key_index[self.nf.identity_key], 0] = 1
         return unit
+
+    # -- the series path at t = q ------------------------------------------
+
+    def _series_layers(self, k: int, K: int):
+        """L_k = t^{-(k-1)} sum_a A_a t^a at t = q + s, as the sparse stack
+        [B_0; ...; B_{K-1}] of its s^b coefficients, reduced mod p and
+        cached.  Each B_b is dim x dim, so a row holds at most dim
+        nonzeros and B_b times a reduced vector stays within
+        :func:`product_bound`."""
+        B = self._laycache.get((k, K))
+        if B is None:
+            p, q, dim = self.p, self.params.q, len(self.nf.basis)
+            deg, rows, cols, vals = self.entries[k]
+            # coef[a, b]: the coefficient of s^b in (q + s)^(a - k + 1)
+            coef = np.array([_series_pow(q, a - k + 1, K, p)
+                             for a in range(int(deg.max()) + 1)],
+                            dtype=np.int64)
+            w = vals[:, None] * coef[deg] % p
+            B = sparse.csr_matrix(
+                (w.T.ravel(), (np.concatenate([rows + b * dim
+                                               for b in range(K)]),
+                               np.tile(cols, K))),
+                shape=(K * dim, dim), dtype=np.int64)
+            B.sum_duplicates()
+            B.data %= p
+            B.eliminate_zeros()
+            self._laycache[(k, K)] = B
+        return B
+
+    def _step_scalars(self, ck: int, c: int) -> tuple:
+        """The scalar part of the factor (L_k - t^c) / (t^ck - t^c) at
+        t = q + s, cached: (Toeplitz matrix of 1/u, Toeplitz matrix of
+        t^c / u, v), where the denominator is s^v u with u(0) != 0, to
+        the engine's largest truncation order.  The denominator is
+        +-t^min (t^d - 1) with d = |ck - c|, and v is the valuation of
+        t^d - 1 at q (:func:`shifted_binomial`)."""
+        hit = self._stepcache.get((ck, c))
+        if hit is None:
+            p, q, K = self.p, self.params.q, self.K
+            v, unit = shifted_binomial(q, abs(ck - c), p)
+            den = _series_mul(_series_pow(q, min(ck, c), K, p), unit, K, p)
+            if ck < c:
+                den = [-x % p for x in den]
+            inv = _series_inv(den, K, p)
+            hit = (_toeplitz(inv, K),
+                   _toeplitz(_series_mul(_series_pow(q, c, K, p), inv, K, p),
+                             K),
+                   v)
+            self._stepcache[(ck, c)] = hit
+        return hit
+
+    def _series_step(self, V: np.ndarray, k: int, ck: int,
+                     c: int) -> tuple[np.ndarray, int]:
+        """The step of the series path: V -> (L_k - t^c) V / u mod s^K,
+        where t^ck - t^c = s^v u; returns the new array and the pole
+        order increment v."""
+        p = self.p
+        dim, K = V.shape
+        inv, c_inv, v = self._step_scalars(ck, c)
+        P = self._series_layers(k, K) @ V % p
+        LV = P[:dim].copy()
+        for b in range(1, K):
+            LV[:, b:] += P[b * dim:(b + 1) * dim, :K - b]
+        W = (matmul((LV % p, inv[:K, :K]), p)
+             - matmul((V, c_inv[:K, :K]), p)) % p
+        return W, v
+
+    def class_value(self, tabs) -> dict:
+        """E_[i] = sum of F_T over the tableaux ``tabs`` of one residue
+        class, at t = q: {basis key: coefficient in [1, p)}.
+
+        The leaves of the prefix tree are carried as truncated Laurent
+        series in s = t - q to order K = 1 + the largest pole order of
+        the class, which is the exact precision of the s^0 term.  They
+        are aligned by pole order and added; every term of negative order
+        must cancel, otherwise PoleAtSpecialization is raised naming the
+        class, a basis key and the order.  The s^0 column is the value."""
+        p, dim = self.p, len(self.nf.basis)
+        K = 1 + max(self.pole_order[T] for T in tabs)
+        leaves: dict = {}
+        self._walk(list(tabs), 1, self._unit(K), 0, self._series_step,
+                   lambda T, V, N: (V, N), leaves)
+        top = K - 1
+        acc = np.zeros((dim, K), dtype=np.int64)
+        for V, N in leaves.values():
+            acc[:, top - N:] += V[:, :N + 1]
+        acc %= p
+        bad = np.argwhere(acc[:, :top])
+        if len(bad):
+            i, j = bad[0]
+            seq = comb.residue_seq(tabs[0], self.params.mc)
+            raise PoleAtSpecialization(
+                f"class {seq}: coordinate {self.nf.basis[i]} has a "
+                f"nonzero term of order s^{j - top} at t = q")
+        return {self.nf.basis[i]: int(acc[i, top])
+                for i in np.flatnonzero(acc[:, top])}
+
+    # -- the generic oracle over F_p(t) ------------------------------------
 
     def murphy_vectors(self, tabs=None) -> dict:
         """Tableau -> {basis key -> RatFunc} for the given tableaux
@@ -1035,12 +1229,13 @@ class MurphyEngine:
         if tabs is None:
             tabs = self.tabs
         out: dict = {}
-        self._walk(list(tabs), 1, self._unit(), 0, out)
+        self._walk(list(tabs), 1, self._unit(1), 0, self._apply_factor,
+                   self._leaf_ratfuncs, out)
         return out
 
     def class_vector(self, tabs) -> dict:
-        """Normal-form coordinates of E_[i] = sum of F_T over the
-        tableaux ``tabs`` of one residue class.
+        """Normal-form coordinates over F_p(t) of E_[i] = sum of F_T over
+        the tableaux ``tabs`` of one residue class.
 
         Only these tableaux are walked.  Their idempotents are summed
         before any reduction, in the factored common-denominator form:
@@ -1050,7 +1245,8 @@ class MurphyEngine:
         once."""
         p = self.p
         raw: dict = {}
-        self._walk(list(tabs), 1, self._unit(), 0, raw, keep_raw=True)
+        self._walk(list(tabs), 1, self._unit(1), 0, self._apply_factor,
+                   lambda T, vec, offset: (vec, offset), raw)
         dens = {}
         for T, (_, offset) in raw.items():
             tpows, fac, sign = self._leaf_factors(self.content_of[T])
@@ -1083,8 +1279,9 @@ class MurphyEngine:
         return self._reduce_matrix(acc, top, lcm, 1)
 
     def class_vectors(self) -> dict:
-        """Residue sequence -> normal-form coordinates of E_[i], one
-        :meth:`class_vector` per class of :func:`class_partition`."""
+        """Residue sequence -> normal-form coordinates over F_p(t) of
+        E_[i], one :meth:`class_vector` per class of
+        :func:`class_partition`."""
         return {i: self.class_vector(tabs)
                 for i, tabs in class_partition(self.params).items()}
 
@@ -1104,10 +1301,11 @@ def class_partition(params: HeckeParams) -> dict:
 
 
 def class_idempotent_vector(params: HeckeParams, tabs) -> dict:
-    """E_[i] = sum of F_T over the class ``tabs``, in normal-form
-    coordinates over F_p(t): :meth:`MurphyEngine.class_vector` of the
-    cached engine at ``params``."""
-    return murphy_engine(params).class_vector(tabs)
+    """E_[i] = sum of F_T over the class ``tabs``, at t = q, in
+    normal-form coordinates over F_p: :meth:`MurphyEngine.class_value` of
+    the cached engine at ``params``.  Raises PoleAtSpecialization if the
+    sum has a pole at q."""
+    return murphy_engine(params).class_value(tabs)
 
 
 def specialize_vector(vec: dict, params: HeckeParams) -> dict:
@@ -1158,7 +1356,7 @@ def e2_idempotents(params: HeckeParams) -> list[dict]:
         tabs = classes[key]
         if len(tabs) != 1:
             raise ValueError(f"class {key} is not a singleton; bad multicharge")
-        va = specialize_vector(class_idempotent_vector(p2, tabs), p2)
+        va = class_idempotent_vector(p2, tabs)
         # route (b): eigenvalue system in the regular representation
         I = reg.identity()
         stack = np.vstack([

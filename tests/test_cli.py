@@ -3,6 +3,7 @@ reports, verification suites and exit codes, artifact dumps, and the
 symbolic straightening trace."""
 
 import json
+import time
 
 import pytest
 
@@ -146,6 +147,16 @@ class TestVerify:
     def test_prime_beyond_bound_rejected(self, capsys):
         code, out, err = run(["verify", "--n", "2", "--l", "2", "--p",
                               "2147483951"], capsys)
+        assert code == 2 and not out
+        assert "product bound" in err
+
+    def test_huge_prime_rejected_fast(self, capsys):
+        # 2^61 - 1: the primality test must not stand between the input
+        # and the bound check
+        start = time.perf_counter()
+        code, out, err = run(["verify", "--n", "2", "--l", "2", "--p",
+                              "2305843009213693951"], capsys)
+        assert time.perf_counter() - start < 2
         assert code == 2 and not out
         assert "product bound" in err
 

@@ -1,4 +1,5 @@
 import ast
+import math
 import time
 from pathlib import Path
 
@@ -53,6 +54,20 @@ class TestRootOfUnity:
     def test_is_prime(self):
         assert [x for x in range(2, 30) if is_prime(x)] == \
             [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert all(is_prime(n) == trial(n) for n in range(20000))
+
+    def test_is_prime_on_large_inputs(self):
+        # Mersenne primes and their neighbours, in microseconds
+        assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+        assert not is_prime(2 ** 61 + 1) and not is_prime((2 ** 31 - 1) ** 2)
+        # 3215031751 = 151 * 751 * 28351 fools the bases 2, 3, 5 and 7
+        assert not is_prime(3215031751)
+        with pytest.raises(ValueError, match="primality test"):
+            is_prime(2 ** 127 - 1)
 
     def test_matches_scan(self):
         # oracle: the smallest x whose successive powers first reach 1

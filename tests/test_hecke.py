@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from blobcell import blob as B
 from blobcell import combinatorics as C
 from blobcell import hecke as H
 from blobcell.exactfield import (PoleAtSpecialization, Poly, RatFunc,
@@ -251,7 +252,9 @@ class TestMurphyIdempotents:
             assert any(v.has_pole_at(pa.q) for v in vecs[T].values()), T
             with pytest.raises(PoleAtSpecialization):
                 H.specialize_vector(vecs[T], pa)
-        H.specialize_vector(H.class_idempotent_vector(pa, tabs), pa)
+        generic = eng.class_vector(tabs)
+        assert H.class_idempotent_vector(pa, tabs) == \
+            H.specialize_vector(generic, pa)
 
     @pytest.mark.parametrize("pa", [P32, P23], ids=["32", "23"])
     def test_class_idempotent_matches_tableau_sum(self, pa):
@@ -263,12 +266,60 @@ class TestMurphyIdempotents:
             for T in tabs:
                 for bk, v in vecs[T].items():
                     want[bk] = v if bk not in want else want[bk] + v
-            got = H.class_idempotent_vector(pa, tabs)
+            got = eng.class_vector(tabs)
             for bk in set(want) | set(got):
                 assert (got.get(bk, ZERO) - want.get(bk, ZERO)).is_zero(), \
                     (key, bk)
             assert H.specialize_vector(got, pa) == \
                 H.specialize_vector(want, pa), key
+            assert H.class_idempotent_vector(pa, tabs) == \
+                H.specialize_vector(got, pa), key
+
+    @pytest.mark.parametrize("n,l,p", [(2, 2, 11), (2, 2, 31), (3, 2, 11),
+                                       (3, 2, 31), (2, 3, 29), (2, 3, 43)])
+    def test_series_value_matches_generic_oracle(self, n, l, p):
+        # the truncated-series value at t = q against the F_p(t) class
+        # sum specialized at q, on every class
+        pa = H.default_params(n, l, p=p)
+        eng = H.murphy_engine(pa)
+        for key, tabs in H.class_partition(pa).items():
+            assert H.class_idempotent_vector(pa, tabs) == \
+                H.specialize_vector(eng.class_vector(tabs), pa), key
+
+    def test_series_certificate_detects_pole(self):
+        # one tableau of a non-singleton class keeps its pole at t = q:
+        # the negative-order terms of its series do not vanish
+        pa = P32
+        tabs = next(ts for _, ts in sorted(H.class_partition(pa).items())
+                    if len(ts) > 1)
+        assert H.murphy_engine(pa).pole_order[tabs[0]] > 0
+        with pytest.raises(PoleAtSpecialization, match="order s\\^-"):
+            H.class_idempotent_vector(pa, tabs[:1])
+
+    def test_binomial_valuation_counts_multiplicity(self):
+        # t^55 - 1 = (t^5 - 1)^11 over F_11: the root q of order 5 has
+        # multiplicity 11, which "e | d" alone would count as 1
+        pa = H.default_params(2, 2, e=5, p=11)
+        q, p = pa.q, pa.p
+        for d in range(1, 3 * 55):
+            f = Poly.monomial(p, 1, d) - Poly.const(p, 1)
+            v, unit = H.shifted_binomial(q, d, p)
+            assert v == f.valuation_at(q) and unit[0], d
+        assert H.shifted_binomial(q, 55, p)[0] == 11
+
+    def test_pipeline_makes_no_polynomial_division(self, monkeypatch):
+        # the class idempotents of the pipeline never divide in F_p[t]
+        calls = {"divmod": 0, "gcd": 0}
+        for name in calls:
+            orig = getattr(Poly, name)
+
+            def counted(self, other, name=name, orig=orig):
+                calls[name] += 1
+                return orig(self, other)
+            monkeypatch.setattr(Poly, name, counted)
+        H.murphy_engine.cache_clear()
+        B.KLRImages(B.build_blob(H.default_params(3, 2)))
+        assert calls == {"divmod": 0, "gcd": 0}
 
     @pytest.mark.parametrize("e,p", [(5, 11), (7, 29), (5, 71)])
     def test_binomial_roots_match_scan(self, e, p):
