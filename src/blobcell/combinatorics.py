@@ -647,6 +647,12 @@ def hat_content(node: Node, mc: Multicharge) -> int:
     return mc.hat_kappa[m - 1] + c - r
 
 
+def swap_entries(seq: Sequence[int], r: int) -> tuple:
+    """s_r applied to a sequence: entries r and r + 1 (from 1) exchanged."""
+    s = tuple(seq)
+    return s[:r - 1] + (s[r], s[r - 1]) + s[r + 1:]
+
+
 def residue_seq(t: Tableau, mc: Multicharge) -> tuple[int, ...]:
     nm = node_map(t)
     return tuple(residue(nm[k], mc) for k in range(1, tableau_size(t) + 1))

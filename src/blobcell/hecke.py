@@ -35,7 +35,7 @@ against; the pipeline does not use them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import permutations, product
 from math import comb as binomial, factorial, gcd
 
@@ -123,13 +123,14 @@ class HeckeParams:
 _DEFAULTS = {
     2: {"e": 5, "p": 11, "kappa": (0, 2)},
     3: {"e": 7, "p": 29, "kappa": (0, 2, 4)},
+    4: {"e": 9, "p": 19, "kappa": (0, 2, 4, 6)},
 }
 
 
 def default_params(n: int, l: int, e: int | None = None, p: int | None = None,
                    q: int | None = None,
                    hat_kappa: tuple[int, ...] | None = None) -> HeckeParams:
-    """Presets for levels 2 and 3; any field can be overridden."""
+    """Presets for levels 2, 3 and 4; any field can be overridden."""
     preset = _DEFAULTS.get(l, {})
     if e is None:
         e = preset.get("e")
@@ -466,6 +467,46 @@ class RegularRep:
             out = (out + c * matmul(mats, self.p)) % self.p
         return out
 
+    @cached_property
+    def spanning_tree(self) -> list[tuple[int, int, str, int]]:
+        """The basis as a tree under right multiplication by generators:
+        one (index of key, index of its parent, "RT" or "RL", generator
+        index) per key but the identity, with key = parent * T_i or
+        parent * L_k, parents first."""
+        n, index = self.params.n, self.nf.index
+        ident = comb.perm_identity(n)
+        keys = sorted(self.nf.basis,
+                      key=lambda key: (comb.perm_length(key[1]), sum(key[0])))
+        tree = []
+        for a, w in keys[1:]:
+            if w != ident:
+                word = comb.official_word(w)
+                parent = (a, comb.perm_from_word(n, word[:-1]))
+                gen = ("RT", word[-1])
+            else:
+                k = next(j for j in range(n) if a[j])
+                parent = (a[:k] + (a[k] - 1,) + a[k + 1:], w)
+                gen = ("RL", k + 1)
+            tree.append((index[(a, w)], index[parent]) + gen)
+        return tree
+
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Coefficient vector of x * y for reduced coefficient vectors x, y,
+        from matrix-vector products only: the sum over the basis keys
+        L^a T_w of x_(a,w) L^a (T_w y), with T_w y formed once per w."""
+        p, n = self.p, self.params.n
+        out = np.zeros(self.dim, dtype=np.int64)
+        tw_y: dict = {}
+        for j in np.nonzero(x)[0]:
+            a, w = self.nf.basis[j]
+            if w not in tw_y:
+                tw_y[w] = matmul([self.T[i] for i in comb.official_word(w)]
+                                 + [y], p)
+            mats = [self.L[k] for k in range(1, n + 1)
+                    for _ in range(a[k - 1])]
+            out = (out + int(x[j]) * matmul(mats + [tw_y[w]], p)) % p
+        return out
+
     def vector_of(self, M: np.ndarray) -> np.ndarray:
         """Coefficient vector of the element with reduced matrix M."""
         return M[:, self.id_index]
@@ -513,10 +554,9 @@ class RegularRep:
         for _ in range(samples):
             x = rng.integers(0, p, self.dim)
             y = rng.integers(0, p, self.dim)
-            Mx, My = self.matrix_of(x), self.matrix_of(y)
-            Sy, Sx = (self.matrix_of(matmul((S, v), p)) for v in (y, x))
+            Sx, Sy = (matmul((S, v), p) for v in (x, y))
             check("star anti-multiplicativity on a random pair",
-                  (S, Mx, self.vector_of(My)), (Sy, self.vector_of(Sx)))
+                  (S, self.product(x, y)), (self.product(Sy, Sx),))
         return fails
 
 

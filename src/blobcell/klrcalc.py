@@ -79,12 +79,6 @@ def standard_class_shapes(seq: Sequence[int], mc: comb.Multicharge):
 Token = tuple
 
 
-def _swap(seq: tuple, r: int) -> tuple:
-    s = list(seq)
-    s[r - 1], s[r] = s[r], s[r - 1]
-    return tuple(s)
-
-
 @dataclass(frozen=True)
 class DiagramWord:
     """A scalar multiple of a word in crossings, dots and idempotents
@@ -101,7 +95,7 @@ class DiagramWord:
             if kind == "psi":
                 if not 1 <= arg <= n - 1:
                     raise ValueError(f"crossing index {arg} out of range")
-                cur = _swap(cur, arg)
+                cur = comb.swap_entries(cur, arg)
             elif kind == "y":
                 if not 1 <= arg <= n:
                     raise ValueError(f"dot index {arg} out of range")
@@ -122,7 +116,8 @@ class DiagramWord:
         right; entry ``len(tokens)`` is the bottom sequence."""
         out = [self.ibot]
         for kind, arg in reversed(self.tokens):
-            out.append(_swap(out[-1], arg) if kind == "psi" else out[-1])
+            out.append(comb.swap_entries(out[-1], arg) if kind == "psi"
+                       else out[-1])
         out.reverse()
         return out
 
@@ -353,11 +348,15 @@ def local_rewrite(t: DiagramWord, rule: str, position: int,
         r = min(r1, r2)
         s = prof[position + 3]
         a, b, c = s[r - 1], s[r], s[r + 1]
+        # (psi_r psi_{r+1} psi_r - psi_{r+1} psi_r psi_{r+1}) e(i) is +e(i)
+        # at (a, a+1, a) and -e(i) at (a, a-1, a): the sign that the
+        # dot-crossing and crossing-square rules force (see
+        # blob.KLRImages.relation_failures)
         alpha = 0
         if a == c and _adj(b, a, e) == 1:
-            alpha = -1
-        elif a == c and _adj(b, a, e) == e - 1:
             alpha = 1
+        elif a == c and _adj(b, a, e) == e - 1:
+            alpha = -1
         if r1 < r2:   # psi_r psi_{r+1} psi_r = psi_{r+1} psi_r psi_{r+1} + alpha
             other = (("psi", r + 1), ("psi", r), ("psi", r + 1))
             return _rebuild(t, position, position + 3,
@@ -531,14 +530,14 @@ class _Straightener:
         c = _adj(seq[d - 2], A, self.e)
         if c not in (0, 1, self.e - 1):
             nxt = _State(st.coeff, st.left + (("psi", d - 1),),
-                         _swap(seq, d - 1), d - 1, True,
+                         comb.swap_entries(seq, d - 1), d - 1, True,
                          (("psi", d - 1),) + st.right)
             self.note("free-move", d - 1, st, [nxt])
             return [nxt]
         if c == 1:   # the node above: dot-jump
             up = _State(st.coeff, st.left, seq, d - 1, True, st.right)
             out = _State(-st.coeff, st.left + (("psi", d - 1),),
-                         _swap(seq, d - 1), d - 1, False,
+                         comb.swap_entries(seq, d - 1), d - 1, False,
                          (("psi", d - 1),) + st.right)
             self.note("dot-jump", d - 1, st, [up, out])
             return [up, out]
@@ -560,7 +559,7 @@ class _Straightener:
         c = _adj(seq[t - 2], X, self.e)
         if c not in (0, 1, self.e - 1):
             nxt = _State(st.coeff, st.left + (("psi", t - 1),),
-                         _swap(seq, t - 1), t - 1, False,
+                         comb.swap_entries(seq, t - 1), t - 1, False,
                          (("psi", t - 1),) + st.right)
             self.note("free-move", t - 1, st, [nxt])
             return [nxt]
@@ -610,7 +609,7 @@ class _Straightener:
             cur = st
             for j in range(g, o - 1):   # move the upper copy to o - 1
                 nxt = _State(cur.coeff, cur.left + (("psi", j),),
-                             _swap(cur.seq, j), t, False,
+                             comb.swap_entries(cur.seq, j), t, False,
                              (("psi", j),) + cur.right)
                 self.note("gap-placement", j, cur, [nxt])
                 cur = nxt
@@ -624,7 +623,8 @@ class _Straightener:
         cur = st
         while cur.focus > 2:   # slide the pair leftwards
             f = cur.focus
-            s2 = _swap(_swap(cur.seq, f - 2), f - 1)
+            s2 = comb.swap_entries(comb.swap_entries(cur.seq, f - 2),
+                                   f - 1)
             nxt = _State(cur.coeff,
                          cur.left + (("psi", f - 2), ("psi", f - 1)),
                          s2, f - 1, False,
@@ -637,21 +637,22 @@ class _Straightener:
         return []
 
     def _triple(self, st: _State, r: int) -> list[_State]:
-        """Pattern (X, X-1, X) at (r, r+1, r+2):
-        e = psi_r psi_{r+1} [e(X-1,X,X)] psi_r
-          - psi_{r+1} psi_r [e(X,X,X-1)] psi_{r+1},
-        the second factor resolved at once by the double-residue rule."""
+        """Pattern (X, X-1, X) at (r, r+1, r+2), where the braid rule
+        gives (psi_r psi_{r+1} psi_r - psi_{r+1} psi_r psi_{r+1}) e = -e:
+        e = psi_{r+1} psi_r [e(X,X,X-1)] psi_{r+1}
+          - psi_r psi_{r+1} [e(X-1,X,X)] psi_r,
+        the first term resolved at once by the double-residue rule."""
         seq = st.seq
-        j1 = _swap(seq, r)
-        j2 = _swap(seq, r + 1)
+        j1 = comb.swap_entries(seq, r)
+        j2 = comb.swap_entries(seq, r + 1)
         if self.symbolic:
             dot = _State(st.coeff, (), j2, r, True, ())
             trav = _State(st.coeff, (), j1, r, False, ())
             self.note("triple-resolution", r, st, [dot, trav])
             return [dot, trav]
-        trav = _State(st.coeff, st.left + (("psi", r), ("psi", r + 1)),
+        trav = _State(-st.coeff, st.left + (("psi", r), ("psi", r + 1)),
                       j1, r, False, (("psi", r),) + st.right)
-        pair = _State(-st.coeff, st.left + (("psi", r + 1), ("psi", r)),
+        pair = _State(st.coeff, st.left + (("psi", r + 1), ("psi", r)),
                       j2, r + 1, False, (("psi", r + 1),) + st.right)
         self.note("triple-resolution", r, st, [trav, pair])
         return [trav] + self._double(pair, r)

@@ -8,7 +8,7 @@ import pytest
 from blobcell import blob as B
 from blobcell import combinatorics as C
 from blobcell import hecke as H
-from blobcell.exactfield import mat_pow
+from blobcell.exactfield import mat_pow, matmul
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
 
@@ -141,6 +141,157 @@ class TestRelationSuite:
         assert fails[0].witness is not None
         with pytest.raises(B.RelationFailure):
             raise fails[0]
+
+
+def dense_relation_failures(images, blob_defining):
+    """The relation suite on the dense matrices, one full product per
+    factor: the reference that the block suite is compared against."""
+    p, e, n = images.p, images.e, images.n
+    I = images.algebra.identity
+    zero = np.zeros_like(I)
+    E, Y = images.E, images.Y
+    kap = {k % e for k in images.params.mc.kappa}
+    fails = []
+
+    def check(name, lhs, rhs, witness):
+        if not np.array_equal(matmul(lhs, p), matmul(rhs, p)):
+            fails.append((name, witness))
+
+    total = zero
+    for iseq, Ei in E.items():
+        total = (total + Ei) % p
+        for jseq, Ej in E.items():
+            check("e(i)e(j) = delta e(i)", (Ei, Ej),
+                  (Ei if iseq == jseq else zero,), (iseq, jseq))
+        if iseq[0] % e not in kap:
+            fails.append(("e(i) = 0 for unsupported first residue", iseq))
+        if blob_defining and n >= 2 and iseq[1] % e == (iseq[0] + 1) % e:
+            fails.append(("e(i) = 0 for second residue one above the "
+                          "first", iseq))
+        check("y_1 e(i) = 0", (Y[1], Ei), (zero,), iseq)
+    check("sum of e(i) = 1", (total,), (I,), "all")
+    for k in Y:
+        for m in Y:
+            check("y_k y_m commute", (Y[k], Y[m]), (Y[m], Y[k]), (k, m))
+        for iseq, Ei in E.items():
+            check("y_k e(i) = e(i) y_k", (Y[k], Ei), (Ei, Y[k]), (k, iseq))
+        check("y_k nilpotent", (mat_pow(Y[k], len(I) + 1, p),), (zero,), k)
+    fails += [(f.relation, f.witness) for f in images._sigma_failures()]
+    for r, P in images.PSI.items():
+        for s, Ps in images.PSI.items():
+            if abs(r - s) > 1:
+                check("distant psi commute", (P, Ps), (Ps, P), (r, s))
+        for k in Y:
+            if k not in (r, r + 1):
+                check("psi_r y_k commute", (P, Y[k]), (Y[k], P), (r, k))
+        for iseq, Ei in E.items():
+            ir, ir1 = iseq[r - 1], iseq[r]
+            Ej = E.get(iseq[:r - 1] + (ir1, ir) + iseq[r + 1:], zero)
+            check("psi_r e(i) = e(s_r i) psi_r", (P, Ei), (Ej, P, Ei),
+                  (r, iseq))
+            delta = I if ir == ir1 else zero
+            YP = (matmul((Y[r], P), p) + delta) % p
+            PY = (matmul((P, Y[r]), p) + delta) % p
+            check("psi_r y_{r+1} e(i) = (y_r psi_r + delta) e(i)",
+                  (P, Y[r + 1], Ei), (YP, Ei), (r, iseq))
+            check("y_{r+1} psi_r e(i) = (psi_r y_r + delta) e(i)",
+                  (Y[r + 1], P, Ei), (PY, Ei), (r, iseq))
+            d = (ir1 - ir) % e
+            rhs = ((zero,) if ir == ir1 else
+                   ((Y[r + 1] - Y[r]) % p, Ei) if d == 1 else
+                   ((Y[r] - Y[r + 1]) % p, Ei) if d == e - 1 else (Ei,))
+            check("psi_r^2 e(i)", (P, P, Ei), rhs, (r, iseq))
+    for r in range(1, n - 1):
+        P, Pn = images.PSI[r], images.PSI[r + 1]
+        lhs = (matmul((P, Pn, P), p) - matmul((Pn, P, Pn), p)) % p
+        for iseq, Ei in E.items():
+            a, b, c = iseq[r - 1], iseq[r], iseq[r + 1]
+            rhs = (Ei if a == c and (b - a) % e == 1 else
+                   (-Ei) % p if a == c and (b - a) % e == e - 1 else zero)
+            check("braid correction", (lhs, Ei), (rhs,), (r, iseq))
+    return fails
+
+
+def _failures(images):
+    return [(f.relation, f.witness) for f in images.relation_failures()]
+
+
+def _tamper_in_block(images, name, key, row, col):
+    """Add 1 at (row, col) of the adapted form of a generator image."""
+    mats = getattr(images, name)
+    Xt = images._adapt(mats[key])
+    Xt[row, col] = (Xt[row, col] + 1) % images.p
+    mats[key] = images._dense(Xt)
+
+
+class TestAdaptedCoordinates:
+    @pytest.mark.parametrize("n,l", SCALES)
+    def test_block_suite_matches_dense_suite(self, built, built_full, n, l):
+        _, _, images, _ = built[(n, l)]
+        assert _failures(images) == dense_relation_failures(images, True)
+        full = built_full[(n, l)][2]
+        assert [(f.relation, f.witness) for f in full.relation_failures(
+            blob_defining=True)] == dense_relation_failures(full, True)
+
+    def test_generators_in_adapted_form(self, built):
+        _, A, images, _ = built[(3, 2)]
+        for iseq, Ei in images.E.items():
+            P = np.zeros_like(A.identity)
+            sl = images.blocks[iseq]
+            P[sl, sl] = np.eye(sl.stop - sl.start, dtype=np.int64)
+            assert np.array_equal(images._adapt(Ei), P)
+            for k, Yk in images.Y.items():
+                assert not images._leaves_block(images._adapt(Yk), iseq)
+
+    def test_small_inversions_and_one_push_per_nonzero_class(
+            self, built, monkeypatch):
+        _, A, _, _ = built[(3, 2)]
+        sizes, pushes = [], []
+        invert, push = B.invert_matrix, B.BlobAlgebra.push
+
+        def counted_invert(M, p):
+            sizes.append(M.shape[0])
+            return invert(M, p)
+
+        def counted_push(self, el):
+            pushes.append(el)
+            return push(self, el)
+
+        monkeypatch.setattr(B, "invert_matrix", counted_invert)
+        monkeypatch.setattr(B.BlobAlgebra, "push", counted_push)
+        images = B.KLRImages(A)
+        largest = max(sl.stop - sl.start for sl in images.blocks.values())
+        assert sizes.count(A.dim) == 1
+        assert max(x for x in sizes if x != A.dim) <= largest < A.dim
+        assert len(pushes) == len(images.E) < len(images.classes)
+
+    @pytest.mark.parametrize("name,key,relation", [
+        ("E", (0, 2, 4), "e(i) is the block projection"),
+        ("Y", 2, "y_k e(i) = e(i) y_k"),
+        ("PSI", 2, "psi_r e(i) = e(s_r i) psi_r")])
+    def test_changed_entry_names_its_relation(self, built, name, key,
+                                              relation):
+        _, A, _, _ = built[(3, 2)]
+        images = B.KLRImages(A)
+        mats = getattr(images, name)
+        mats[key] = mats[key].copy()
+        mats[key][0, 0] = (mats[key][0, 0] + 1) % A.p
+        fails = _failures(images)
+        assert any(rel == relation and key in (w, w[0])
+                   for rel, w in fails if isinstance(w, tuple))
+
+    def test_change_inside_a_block_matches_dense_suite(self, built):
+        _, A, _, _ = built[(3, 2)]
+        for name, key in (("Y", 2), ("PSI", 1)):
+            images = B.KLRImages(A)
+            iseq = next(i for i in images.blocks
+                        if C.swap_entries(i, 1) in images.blocks)
+            target = iseq if name == "Y" else C.swap_entries(iseq, 1)
+            row = images.blocks[target]
+            _tamper_in_block(images, name, key, row.start,
+                             images.blocks[iseq].start)
+            fails = _failures(images)
+            assert fails and fails == dense_relation_failures(images, True)
 
 
 class TestJucysMurphy:
