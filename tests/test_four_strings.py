@@ -1,9 +1,9 @@
 """Four strings at level two: the first scale whose realized classes have
 equal adjacent residues and a braid triple (a, a+1, a), so the first where
 the sign of the same-residue crossing and the sign of the braid correction
-are checked.  Triples (a, a-1, a) occur only before the quotient.  The
-algebra, its generator images and its cellular basis are built once for
-the module."""
+are checked.  Triples (a, a-1, a) occur only before the quotient, so the
+generator images of the unquotiented algebra are built too.  Each build
+is made once for the module."""
 
 import itertools
 
