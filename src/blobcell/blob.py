@@ -88,24 +88,29 @@ def left_mult_matrix(reg: RegularRep, v: np.ndarray) -> np.ndarray:
 
 
 def _ideal_closure(reg: RegularRep, seeds: list[dict]):
-    """Row-reduced basis of the two-sided ideal generated by the seeds.
+    """Reduced row echelon basis and pivots of the two-sided ideal HsH
+    generated by the seeds.
 
-    Starts from the right ideals seed*H (the columns of the seeds'
-    left-multiplication matrices) and closes under left multiplication by
-    the algebra generators; left multiples of a right-stable subspace stay
-    right-stable, so the limit is the two-sided ideal."""
+    The closure is semi-naive.  It starts from the seed vectors, and each
+    round multiplies only the rows the previous round added, on the left
+    by T_i and L_1 (``reg.T``, ``reg.L``) and on the right by the same
+    generators (``reg.RT``, ``reg.RL``); ``RowSpace.extend`` absorbs the
+    products.  The frontier suffices: write V_k for the space after round
+    k and N_k for the rows it absorbed, so V_k = V_(k-1) + span N_k.  If
+    every generator g maps V_(k-1) into V_k, then g V_k lies in
+    V_k + span(g N_k) = V_(k+1), so by induction g V_k lies in V_(k+1)
+    for every k.  A round that adds nothing therefore leaves a space that
+    holds the seeds and is stable under left and right multiplication by
+    T_1, ..., T_(n-1), L_1.  These generate H as an algebra, so that space
+    is HsH, and its reduced echelon form is the one of any spanning set."""
     p = reg.p
-    blocks = [reg.matrix_of(s).T for s in seeds]
-    R, piv = rref(np.vstack(blocks), p)
-    R = R[:len(piv)]
     gens = [reg.T[i] for i in reg.T] + [reg.L[1]]
-    while True:
-        stacked = np.vstack([R] + [matmul((R, g.T), p) for g in gens])
-        R2, piv2 = rref(stacked, p)
-        R2 = R2[:len(piv2)]
-        if len(piv2) == len(piv):
-            return R2, piv2
-        R, piv = R2, piv2
+    gens += [reg.RT[i] for i in reg.RT] + [reg.RL[1]]
+    space = RowSpace(reg.dim, p)
+    new = space.extend(np.array([reg.coefficients(s) for s in seeds]))
+    while len(new):
+        new = space.extend(np.vstack([matmul((new, g.T), p) for g in gens]))
+    return space.matrix(), space.pivots
 
 
 class BlobAlgebra:
@@ -183,13 +188,7 @@ class BlobAlgebra:
         non-pivot key, for the quotient vector u of the element.  The
         products are taken in the quotient itself, along the spanning tree
         of the basis of H."""
-        if isinstance(el, dict):
-            v = np.zeros(self.reg.dim, dtype=np.int64)
-            for key, c in el.items():
-                v[self.reg.nf.index[key]] = c % self.p
-        else:
-            v = np.asarray(el, dtype=np.int64) % self.p
-        u = matmul((self.quotient_map, v), self.p)
+        u = matmul((self.quotient_map, self.reg.coefficients(el)), self.p)
         return _times_basis(self.reg, self, u)[:, self._nonpiv]
 
     def lmat(self, v: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ anywhere.  The pieces provided here are
   with entries in [0, p), reduced mod p after every product,
 * mod-p linear algebra on numpy int64 matrices (``rank``, ``rref``,
   ``solve``, ``nullspace``) with deterministic pivot choice, and
-* ``RowSpace`` -- an incremental echelon form, used to close two-sided
-  ideals and certify spanning ranks one vector at a time.
+* ``RowSpace`` -- an incremental reduced echelon form, used to close
+  two-sided ideals a block of new vectors at a time and to certify
+  spanning ranks.
 
 The kernel does not reduce its inputs: callers keep stored matrices in
 [0, p) and reduce a linear combination where they form it.  Before a
@@ -521,57 +522,66 @@ def invert_matrix(M: np.ndarray, p: int) -> np.ndarray:
 class RowSpace:
     """Incrementally maintained row space over F_p.
 
-    Rows are kept in echelon form with recorded pivot columns; ``add``
-    reduces the incoming vector and absorbs it when independent.  Used to
-    close ideals under multiplication and to certify ranks of spanning sets
-    without materializing huge matrices.
+    The rows are kept in reduced row echelon form with pivot columns in
+    increasing order, so the stored matrix depends only on the space
+    spanned.  ``extend`` absorbs a block of vectors at once: the block is
+    reduced against the held rows in one kernel product, only the residual
+    is row-reduced, and the held rows are cleared at its pivots.  Used to
+    close two-sided ideals under multiplication and to certify ranks of
+    spanning sets without materializing huge matrices.
     """
 
     def __init__(self, dim: int, p: int):
         self.dim = dim
         self.p = p
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
+        self._R = np.zeros((0, dim), dtype=np.int64)
+        self._piv = np.zeros(0, dtype=np.intp)
+
+    def _residual(self, X: np.ndarray) -> np.ndarray:
+        """X - X[:, pivots] R for reduced rows X: each row minus its
+        component along the held rows, zero at every pivot column."""
+        if not len(self._piv):
+            return X
+        return (X - matmul((X[:, self._piv], self._R), self.p)) % self.p
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        w = _as_modp(v, self.p).copy()
-        for row, c in zip(self.rows, self.pivots):
-            f = int(w[c])
-            if f:
-                w = (w - f * row) % self.p
-        return w
+        return self._residual(_as_modp(v, self.p)[None, :])[0]
+
+    def extend(self, block: np.ndarray) -> np.ndarray:
+        """Insert the rows of ``block``; returns the rows this absorbed, in
+        reduced echelon form: the held rows at the new pivots, a
+        (0, dim) array when the block already lies in the space."""
+        X = self._residual(_as_modp(block, self.p).reshape(-1, self.dim))
+        X = X[X.any(axis=1)]
+        if not len(X):
+            return X
+        N, piv = rref(X, self.p)
+        N = N[:len(piv)]
+        # N vanishes at the held pivots, so clearing the held rows at the
+        # new pivots keeps both parts reduced
+        R = (self._R - matmul((self._R[:, piv], N), self.p)) % self.p
+        pivots = np.concatenate([self._piv, piv])
+        order = np.argsort(pivots)
+        self._R = np.vstack([R, N])[order]
+        self._piv = pivots[order]
+        return N
 
     def add(self, v: np.ndarray) -> bool:
         """Insert v; returns True if it enlarged the space."""
-        w = self.reduce(v)
-        nz = np.nonzero(w)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        w = w * pow(int(w[c]), -1, self.p) % self.p
-        # Keep existing rows fully reduced against the new one.
-        for i, row in enumerate(self.rows):
-            f = int(row[c])
-            if f:
-                self.rows[i] = (row - f * w) % self.p
-        # Insert keeping pivot columns sorted (deterministic echelon form).
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < c:
-            pos += 1
-        self.rows.insert(pos, w)
-        self.pivots.insert(pos, c)
-        return True
+        return len(self.extend(v)) > 0
+
+    @property
+    def pivots(self) -> list[int]:
+        return self._piv.tolist()
 
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._piv)
 
     def contains(self, v: np.ndarray) -> bool:
         return not np.any(self.reduce(v))
 
     def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.array(self.rows, dtype=np.int64)
+        return self._R.copy()
 
 
 def dump_matrix_csv(path: str, M: np.ndarray) -> None:

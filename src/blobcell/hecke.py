@@ -456,7 +456,9 @@ class RegularRep:
 
     def matrix_of(self, el: dict) -> np.ndarray:
         """Left-multiplication matrix of an element given as a dict or a
-        coefficient vector on the normal-form basis."""
+        coefficient vector on the normal-form basis, as a sum of dense
+        D x D chain products.  The tests' dense oracle: the program
+        multiplies with :meth:`product` and the generator matrices."""
         if isinstance(el, np.ndarray):
             el = {self.nf.basis[j]: int(el[j]) for j in np.nonzero(el)[0]}
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
@@ -506,6 +508,16 @@ class RegularRep:
                     for _ in range(a[k - 1])]
             out = (out + int(x[j]) * matmul(mats + [tw_y[w]], p)) % p
         return out
+
+    def coefficients(self, el) -> np.ndarray:
+        """Reduced coefficient vector of an element given as a dict or a
+        coefficient vector on the normal-form basis."""
+        if not isinstance(el, dict):
+            return np.asarray(el, dtype=np.int64) % self.p
+        v = np.zeros(self.dim, dtype=np.int64)
+        for key, c in el.items():
+            v[self.nf.index[key]] = c % self.p
+        return v
 
     def vector_of(self, M: np.ndarray) -> np.ndarray:
         """Coefficient vector of the element with reduced matrix M."""
@@ -1409,7 +1421,7 @@ def e2_idempotents(params: HeckeParams) -> list[dict]:
             raise ValueError(f"eigenvalue system solution space has "
                              f"dimension {ns.shape[0]}, expected 1")
         v = ns[0]
-        v2 = matmul((reg.matrix_of(v), v), p)
+        v2 = reg.product(v, v)
         # v^2 = beta v on a one-dimensional block; normalize
         pos = int(np.nonzero(v)[0][0])
         beta = v2[pos] * pow(int(v[pos]), -1, p) % p

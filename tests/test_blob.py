@@ -8,7 +8,7 @@ import pytest
 from blobcell import blob as B
 from blobcell import combinatorics as C
 from blobcell import hecke as H
-from blobcell.exactfield import mat_pow, matmul
+from blobcell.exactfield import mat_pow, matmul, rref
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
 
@@ -37,10 +37,45 @@ def built_full():
     return out
 
 
+def stacked_closure(reg, seeds):
+    """The reference closure: rref of the seeds' right ideals (the columns
+    of their dense left-multiplication matrices), then of the whole basis
+    restacked with its left multiples by T_i and L_1, until the rank stops
+    growing."""
+    p = reg.p
+    R, piv = rref(np.vstack([reg.matrix_of(s).T for s in seeds]), p)
+    R = R[:len(piv)]
+    gens = [reg.T[i] for i in reg.T] + [reg.L[1]]
+    while True:
+        stacked = np.vstack([R] + [matmul((R, g.T), p) for g in gens])
+        R2, piv2 = rref(stacked, p)
+        R2 = R2[:len(piv2)]
+        if len(piv2) == len(piv):
+            return R2, piv2
+        R, piv = R2, piv2
+
+
+class TestIdealClosure:
+    @pytest.mark.parametrize("n,l", SCALES + [(3, 3)])
+    def test_matches_stacked_closure(self, n, l):
+        params = H.default_params(n, l)
+        reg = H.regular_rep(params)
+        seeds = [H.embed_two_string(params, f)
+                 for f in H.e2_idempotents(params)]
+        rows, piv = B._ideal_closure(reg, seeds)
+        ref_rows, ref_piv = stacked_closure(reg, seeds)
+        assert piv == ref_piv
+        assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape
+        assert rows.tobytes() == ref_rows.tobytes()
+        assert B.build_blob(params).ideal_rows.tobytes() == ref_rows.tobytes()
+
+
 class TestQuotient:
-    @pytest.mark.parametrize("n,l,dim", [(2, 2, 6), (3, 2, 20), (2, 3, 15)])
+    @pytest.mark.parametrize("n,l,dim", [(2, 2, 6), (3, 2, 20), (2, 3, 15),
+                                         (3, 4, 256)])
     def test_dimension(self, built, n, l, dim):
-        _, A, _, _ = built[(n, l)]
+        A = (built[(n, l)][1] if (n, l) in built
+             else B.build_blob(H.default_params(n, l)))
         assert A.dim == dim
         assert A.dim == B.one_column_dimension(n, l)
         assert A.ideal_rank == A.reg.dim - dim

@@ -264,6 +264,31 @@ class TestLinalg:
             for row in M:
                 assert rs.contains(row)
 
+    def test_rowspace_extend_matches_rref(self):
+        # blocks drawn from a random subspace, so that most of them are
+        # partly or wholly dependent on what the space already holds
+        for _ in range(20):
+            n, r = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+            basis = rng.integers(0, P, size=(r, n))
+            blocks = [rng.integers(0, P, size=(int(rng.integers(0, 5)), r))
+                      @ basis % P for _ in range(4)]
+            rs, seq = RowSpace(n, P), RowSpace(n, P)
+            for blk in blocks:
+                held = list(rs.pivots)
+                N = rs.extend(blk)
+                new = [c for c in rs.pivots if c not in held]
+                assert N.shape == (len(new), n)
+                assert rs.rank() == len(held) + len(new)
+                assert np.array_equal(
+                    N, rs.matrix()[[rs.pivots.index(c) for c in new]])
+                assert rs.extend(blk).shape == (0, n)
+                for row in blk:
+                    seq.add(row)
+            R, piv = rref(np.vstack(blocks), P)
+            assert rs.pivots == seq.pivots == piv == sorted(piv)
+            assert np.array_equal(rs.matrix(), R[:len(piv)])
+            assert np.array_equal(seq.matrix(), R[:len(piv)])
+
     def test_matmul_chain_is_exact(self):
         # p = 1000003 at width 8: an unreduced chain of three products
         # would pass 2^63; the kernel must still equal the exact product
