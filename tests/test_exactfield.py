@@ -274,7 +274,7 @@ class TestLinalg:
                       @ basis % P for _ in range(4)]
             rs, seq = RowSpace(n, P), RowSpace(n, P)
             for blk in blocks:
-                held = list(rs.pivots)
+                held = rs.pivots
                 N = rs.extend(blk)
                 new = [c for c in rs.pivots if c not in held]
                 assert N.shape == (len(new), n)
