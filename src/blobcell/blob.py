@@ -75,13 +75,6 @@ def _times_basis(reg: RegularRep, carrier, u: np.ndarray) -> np.ndarray:
     return cols
 
 
-def left_mult_matrix(reg: RegularRep, v: np.ndarray) -> np.ndarray:
-    """Left-multiplication matrix of the element with coefficient vector v:
-    column (a, w) is v L^a T_w, so the whole matrix costs dim
-    matrix-vector products."""
-    return _times_basis(reg, reg, v % reg.p)
-
-
 # ---------------------------------------------------------------------------
 # The quotient algebra
 # ---------------------------------------------------------------------------
@@ -824,8 +817,8 @@ def _named_generators(images: KLRImages) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def check_cellularity(algebra: BlobAlgebra, basis: CellularBasis,
-                      elements=None) -> list[str]:
+def check_cellularity(algebra: BlobAlgebra, basis: CellularBasis
+                      ) -> list[str]:
     """Condition (ii) of cellularity, with exact coefficients: for each
     generator a and each S, the coefficients of a.m_{S,T} on same-shape
     basis pairs must be r_{u,S,a} on column (u, T) -- extracted once at
@@ -835,10 +828,8 @@ def check_cellularity(algebra: BlobAlgebra, basis: CellularBasis,
     degree, deg a + deg m."""
     A, p = algebra, algebra.p
     images = basis.images
-    if elements is None:
-        elements = _named_generators(images)
     report = []
-    for name, M in elements:
+    for name, M in _named_generators(images):
         for lam in basis.shapes:
             std = basis.std[lam]
             tl = basis.t_lam[lam]
@@ -901,6 +892,7 @@ def check_jm(algebra: BlobAlgebra, basis: CellularBasis, jm: dict
         left = A.L[k]
         for lam, S, T in basis.index:
             above = basis._above[lam]
+            own = basis.column[(S, T)]
             for side, Mv, moved, fixed in (
                     ("right", matmul((right, basis.vector(S, T)), p), T, S),
                     ("left", matmul((left, basis.vector(S, T)), p), S, T)):
@@ -908,7 +900,8 @@ def check_jm(algebra: BlobAlgebra, basis: CellularBasis, jm: dict
                 res = comb.residue_seq(moved, basis.mc)[k - 1]
                 diag = pow(q, res, p)
                 for idx, (mu, U, V) in enumerate(basis.index):
-                    if mu in above or not c[idx]:
+                    # the diagonal coefficient is compared even when zero
+                    if mu in above or not (c[idx] or idx == own):
                         continue
                     Umoved, Ufixed = (V, U) if side == "right" else (U, V)
                     ok = (mu == lam and Ufixed == fixed and

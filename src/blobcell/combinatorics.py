@@ -350,17 +350,6 @@ def is_standard(t: Tableau) -> bool:
     return True
 
 
-def restrict_shape(t: Tableau, k: int) -> Shape:
-    """Shape of t restricted to entries 1..k (a multicomposition)."""
-    out = []
-    for comp in t:
-        rows = tuple(sum(1 for e in row if e <= k) for row in comp)
-        while rows and rows[-1] == 0:
-            rows = rows[:-1]
-        out.append(rows)
-    return tuple(out)
-
-
 def restrict_tableau(t: Tableau, k: int) -> Tableau:
     return tuple(
         tuple(prow for prow in
@@ -656,10 +645,6 @@ def swap_entries(seq: Sequence[int], r: int) -> tuple:
 def residue_seq(t: Tableau, mc: Multicharge) -> tuple[int, ...]:
     nm = node_map(t)
     return tuple(residue(nm[k], mc) for k in range(1, tableau_size(t) + 1))
-
-
-def same_class(s: Tableau, t: Tableau, mc: Multicharge) -> bool:
-    return residue_seq(s, mc) == residue_seq(t, mc)
 
 
 def free_move_equivalent(s: Tableau, t: Tableau, mc: Multicharge) -> bool:

@@ -11,7 +11,7 @@ anywhere.  The pieces provided here are
 * the matrix kernel ``matmul``/``mat_pow``: products of int64 matrices
   with entries in [0, p), reduced mod p after every product,
 * mod-p linear algebra on numpy int64 matrices (``rank``, ``rref``,
-  ``solve``, ``nullspace``) with deterministic pivot choice, and
+  ``nullspace``, ``invert_matrix``) with deterministic pivot choice, and
 * ``RowSpace`` -- an incremental reduced echelon form, used to close
   two-sided ideals a block of new vectors at a time and to certify
   spanning ranks.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -274,17 +274,6 @@ class Poly:
             v += 1
         return v
 
-    def shifted_eval(self, x: int) -> tuple[int, "Poly"]:
-        """Return (f(x), f // (t-x)) computed by one synthetic division."""
-        p = self.p
-        out = [0] * max(len(self.coeffs) - 1, 0)
-        acc = 0
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            acc = (acc * x + self.coeffs[i]) % p
-            if i > 0:
-                out[i - 1] = acc
-        return acc, Poly(p, _trim(out))
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
@@ -397,11 +386,6 @@ class RatFunc:
         return f"({self.num!r})/({self.den!r})"
 
 
-def specialize(x: RatFunc, q: int) -> int:
-    """Evaluate a rational function at t = q in F_p (module-level alias)."""
-    return x.specialize(q)
-
-
 # ---------------------------------------------------------------------------
 # The matrix kernel: products of reduced int64 matrices
 # ---------------------------------------------------------------------------
@@ -481,19 +465,6 @@ def rank(M: np.ndarray, p: int) -> int:
     if M.size == 0:
         return 0
     return len(rref(M, p)[1])
-
-
-def solve(M: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """One solution of M x = b over F_p, or None if inconsistent."""
-    A = _as_modp(M, p)
-    bb = _as_modp(b, p).reshape(-1, 1)
-    R, piv = rref(np.hstack([A, bb]), p)
-    if len(piv) > 0 and piv[-1] == A.shape[1]:
-        return None
-    x = np.zeros(A.shape[1], dtype=np.int64)
-    for r, c in enumerate(piv):
-        x[c] = R[r, -1]
-    return x
 
 
 def nullspace(M: np.ndarray, p: int) -> np.ndarray:

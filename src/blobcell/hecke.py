@@ -1,20 +1,20 @@
 """Cyclotomic Hecke algebras of type G(l,1,n) in two exact models.
 
-Two complementary realizations are provided.
+* A *normal-form* model over the rational function field F_p(t): the
+  algebra is free with basis ``L_1^{a_1} ... L_n^{a_n} T_w``
+  (0 <= a_k < l, w in S_n), the parameter is q-hat = t, the cyclotomic
+  roots are t^{hat_kappa_j}, and left multiplication by the generators
+  is exact rewriting (``NormalForm``).  This is the one rewriting model.
+  ``RegularRep`` is its specialization at a primitive e-th root of unity
+  q: dense matrices mod p whose entries are the rewriting's polynomial
+  entries evaluated at t = q.  L_k is read from the numerator arrays of
+  t^{k-1} L_k, which ``RegularRep`` computes once and shares with the
+  Murphy engine.
 
-* A *normal-form* model: the algebra is free with basis
-  ``L_1^{a_1} ... L_n^{a_n} T_w`` (0 <= a_k < l, w in S_n), and left
-  multiplication by the generators is implemented by exact rewriting.
-  The scalar ring is pluggable: integers mod p (specialized), or
-  rational functions in a parameter t over F_p (generic).
-  In the generic mode the parameter is q-hat = t and the cyclotomic
-  roots are t^{hat_kappa_j}; specializing t at a primitive e-th root of
-  unity q recovers the mod-p algebra.
-
-* A *seminormal* block model over the rational function field: one
-  block per multipartition of n, with basis indexed by standard
-  tableaux, the L_k acting diagonally through contents and the T_r
-  acting through the classical two-term formulas.
+* A *seminormal* block model over F_p(t): one block per multipartition of
+  n, with basis indexed by standard tableaux, the L_k acting diagonally
+  through contents and the T_r acting through the classical two-term
+  formulas.
 
 On top of these sit the tableau idempotents F_S (product formula), the
 residue-class idempotents E_[i] = sum of F_S over one residue class, and
@@ -162,62 +162,8 @@ def default_params(n: int, l: int, e: int | None = None, p: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Scalar backends
+# Normal-form model over F_p(t)
 # ---------------------------------------------------------------------------
-
-
-class FpScalars:
-    """Integers mod p."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1
-
-    def add(self, x, y):
-        return (x + y) % self.p
-
-    def sub(self, x, y):
-        return (x - y) % self.p
-
-    def mul(self, x, y):
-        return (x * y) % self.p
-
-    def neg(self, x):
-        return (-x) % self.p
-
-    def inv(self, x):
-        return pow(x, -1, self.p)
-
-    def is_zero(self, x) -> bool:
-        return x % self.p == 0
-
-
-class RatScalars:
-    """F_p(t)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = RatFunc.const(p, 0)
-        self.one = RatFunc.const(p, 1)
-
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
-    def inv(self, x):
-        return x.inverse()
-
-    def is_zero(self, x) -> bool:
-        return x.is_zero()
 
 
 def tpow(p: int, m: int) -> RatFunc:
@@ -227,22 +173,26 @@ def tpow(p: int, m: int) -> RatFunc:
     return RatFunc.make(Poly.const(p, 1), Poly.monomial(p, 1, -m))
 
 
-# ---------------------------------------------------------------------------
-# Normal-form model
-# ---------------------------------------------------------------------------
-
-
 class NormalForm:
-    """The free model on the basis L^a T_w with rewriting-based left
+    """The free model over F_p(t) on the basis L^a T_w, with q-hat = t and
+    cyclotomic parameters Q_j = t^{hat_kappa_j}, and rewriting-based left
     multiplication by the generators.  Elements are dicts mapping basis
-    keys (a, w) to scalars of the chosen backend."""
+    keys (a, w) to RatFunc values.
 
-    def __init__(self, n: int, l: int, sc, q, Q):
+    T_i, L_1, the star and the unnormalized t^{k-1} L_k
+    (:meth:`lmul_l_unnorm`) take polynomials to polynomials, since every
+    Q_j is a nonnegative power of t; :class:`RegularRep` evaluates their
+    entries at t = q.  Only L_k itself (:meth:`lmul_l`, k > 1) divides,
+    by t^{k-1}."""
+
+    def __init__(self, n: int, l: int, p: int, hat_kappa):
         self.n = n
         self.l = l
-        self.sc = sc
-        self.q = q
-        self.Q = list(Q)
+        self.p = p
+        self.zero = RatFunc.const(p, 0)
+        self.one = RatFunc.const(p, 1)
+        self.q = tpow(p, 1)
+        self.Q = [tpow(p, kj) for kj in hat_kappa]
         if len(self.Q) != l:
             raise ValueError("need l cyclotomic parameters")
         self.perms = sorted(permutations(range(1, n + 1)))
@@ -251,35 +201,35 @@ class NormalForm:
         self.index = {key: j for j, key in enumerate(self.basis)}
         self.dim = l ** n * factorial(n)
         self.identity_key = ((0,) * n, comb.perm_identity(n))
-        self.qm1 = sc.sub(q, sc.one)
+        self.qm1 = self.q - self.one
         # expand prod_j (x - Q_j) = x^l + sum_j cyclo_neg[j] x^j, so that
         # x^l = sum_j cyclo[j] x^j with cyclo[j] = -cyclo_neg[j]
-        coeffs = [sc.one]
+        coeffs = [self.one]
         for Qj in self.Q:
-            nxt = [sc.zero] * (len(coeffs) + 1)
+            nxt = [self.zero] * (len(coeffs) + 1)
             for d, c in enumerate(coeffs):
-                nxt[d + 1] = sc.add(nxt[d + 1], c)
-                nxt[d] = sc.sub(nxt[d], sc.mul(c, Qj))
+                nxt[d + 1] = nxt[d + 1] + c
+                nxt[d] = nxt[d] - c * Qj
             coeffs = nxt
-        self.cyclo = [sc.neg(coeffs[j]) for j in range(l)]
+        self.cyclo = [-coeffs[j] for j in range(l)]
         self._lengths = {w: comb.perm_length(w) for w in self.perms}
 
     # -- element helpers ----------------------------------------------------
 
     def unit(self):
-        return {self.identity_key: self.sc.one}
+        return {self.identity_key: self.one}
 
     def unit_at(self, key):
-        return {key: self.sc.one}
+        return {key: self.one}
 
     def _accum(self, out, key, c):
         if key in out:
-            s = self.sc.add(out[key], c)
-            if self.sc.is_zero(s):
+            s = out[key] + c
+            if s.is_zero():
                 del out[key]
             else:
                 out[key] = s
-        elif not self.sc.is_zero(c):
+        elif not c.is_zero():
             out[key] = c
 
     def add(self, x, y):
@@ -289,12 +239,12 @@ class NormalForm:
         return out
 
     def scale(self, c, x):
-        if self.sc.is_zero(c):
+        if c.is_zero():
             return {}
-        return {key: self.sc.mul(c, v) for key, v in x.items()}
+        return {key: c * v for key, v in x.items()}
 
     def sub(self, x, y):
-        return self.add(x, self.scale(self.sc.neg(self.sc.one), y))
+        return self.add(x, self.scale(-self.one, y))
 
     def equal(self, x, y) -> bool:
         return not self.sub(x, y)
@@ -303,8 +253,7 @@ class NormalForm:
 
     def lmul_t(self, i: int, el):
         """Left multiply by T_i, 1 <= i <= n-1."""
-        sc, n = self.sc, self.n
-        si = comb.simple(n, i)
+        si = comb.simple(self.n, i)
         out: dict = {}
         for (a, w), c in el.items():
             alpha, beta = a[i - 1], a[i]
@@ -313,13 +262,13 @@ class NormalForm:
             swapped[i - 1], swapped[i] = beta, alpha
             terms.append((tuple(swapped), c, True))
             if alpha > beta:
-                cc = sc.neg(sc.mul(c, self.qm1))
+                cc = -(c * self.qm1)
                 for j in range(alpha - beta):
                     ex = list(a)
                     ex[i - 1], ex[i] = beta + j, alpha - j
                     terms.append((tuple(ex), cc, False))
             elif alpha < beta:
-                cc = sc.mul(c, self.qm1)
+                cc = c * self.qm1
                 for j in range(beta - alpha):
                     ex = list(a)
                     ex[i - 1], ex[i] = alpha + j, beta - j
@@ -332,8 +281,8 @@ class NormalForm:
                 if self._lengths[siw] > self._lengths[w]:
                     self._accum(out, (ex, siw), cc)
                 else:
-                    self._accum(out, (ex, siw), sc.mul(self.q, cc))
-                    self._accum(out, (ex, w), sc.mul(self.qm1, cc))
+                    self._accum(out, (ex, siw), self.q * cc)
+                    self._accum(out, (ex, w), self.qm1 * cc)
         return out
 
     def lmul_l1(self, el):
@@ -344,15 +293,14 @@ class NormalForm:
                 self._accum(out, ((a[0] + 1,) + a[1:], w), c)
             else:
                 for j in range(self.l):
-                    self._accum(out, ((j,) + a[1:], w),
-                                self.sc.mul(c, self.cyclo[j]))
+                    self._accum(out, ((j,) + a[1:], w), c * self.cyclo[j])
         return out
 
     def lmul_l_unnorm(self, k: int, el):
-        """Left multiply by q^{k-1} L_k = T_{k-1}...T_1 L_1 T_1...T_{k-1}.
+        """Left multiply by t^{k-1} L_k = T_{k-1}...T_1 L_1 T_1...T_{k-1}.
 
-        Denominator-free: over F_p(t), polynomial inputs give polynomial
-        outputs (every Q_j is a nonnegative power of t)."""
+        Denominator-free: polynomial inputs give polynomial outputs.  Its
+        numerator arrays on the basis are :attr:`RegularRep.entries`."""
         for i in range(k - 1, 0, -1):
             el = self.lmul_t(i, el)
         el = self.lmul_l1(el)
@@ -361,15 +309,9 @@ class NormalForm:
         return el
 
     def lmul_l(self, k: int, el):
-        """Left multiply by L_k (needs invertible scalars for k > 1)."""
+        """Left multiply by L_k = t^{1-k} (t^{k-1} L_k)."""
         el = self.lmul_l_unnorm(k, el)
-        if k > 1:
-            qinv = self.sc.inv(self.q)
-            c = self.sc.one
-            for _ in range(k - 1):
-                c = self.sc.mul(c, qinv)
-            el = self.scale(c, el)
-        return el
+        return self.scale(tpow(self.p, 1 - k), el) if k > 1 else el
 
     def lmul_word(self, word, el):
         """Left multiply by T_{word} = T_{word[0]} ... T_{word[-1]}."""
@@ -409,36 +351,63 @@ class NormalForm:
 
 class RegularRep:
     """Left regular representation of the specialized algebra over F_p,
-    as dense integer matrices mod p."""
+    as dense integer matrices mod p: the generic normal form ``nf`` over
+    F_p(t) specialized at t = q.
+
+    T_i and ``star_mat`` are the polynomial entries of the generic
+    rewriting evaluated at q.  ``entries[k]`` holds the numerator of
+    t^{k-1} L_k (:meth:`NormalForm.lmul_l_unnorm`) as coordinate arrays
+    (degree a, row i, column j, value), the coefficient of t^a in row i of
+    the image of basis element j; L_k is q^{1-k} sum_a q^a A_a.  The
+    :class:`MurphyEngine` of the same parameters expands its factors from
+    these arrays, so L_k is rewritten once per algebra."""
 
     def __init__(self, params: HeckeParams):
         params.validate_exact()
         self.params = params
         p, q = params.p, params.q
-        sc = FpScalars(p)
-        Q = [pow(q, kj, p) for kj in params.mc.kappa]
-        self.nf = NormalForm(params.n, params.l, sc, q % p, Q)
-        self.dim = self.nf.dim
+        self.nf = nf = generic_normal_form(params)
+        self.dim = nf.dim
         self.p = p
-        self.id_index = self.nf.index[self.nf.identity_key]
-        self.T = {i: self._gen_matrix(lambda el, i=i: self.nf.lmul_t(i, el))
+        self.id_index = nf.index[nf.identity_key]
+        self.entries = {k: self._entries(nf.lmul_l_unnorm, k)
+                        for k in range(1, params.n + 1)}
+        self.T = {i: self._at_q(self._entries(nf.lmul_t, i))
                   for i in range(1, params.n)}
-        self.L = {k: self._gen_matrix(lambda el, k=k: self.nf.lmul_l(k, el))
-                  for k in range(1, params.n + 1)}
-        self.star_mat = self._gen_matrix(self.nf.star)
+        self.L = {k: self._at_q(self.entries[k]) * pow(q, 1 - k, p) % p
+                  for k in self.entries}
+        self.star_mat = self._at_q(self._entries(nf.star))
         # right multiplication via x*z = (z* x*)*
         S = self.star_mat
         self.RT = {i: matmul((S, self.T[i], S), p) for i in self.T}
         self.RL = {k: matmul((S, self.L[k], S), p) for k in self.L}
         self._word_cache: dict = {}
 
-    def _gen_matrix(self, op) -> np.ndarray:
-        D = self.dim
-        M = np.zeros((D, D), dtype=np.int64)
-        for j, key in enumerate(self.nf.basis):
-            for out_key, c in op(self.nf.unit_at(key)).items():
-                M[self.nf.index[out_key], j] = c % self.p
-        return M
+    def _entries(self, op, *args) -> tuple[np.ndarray, ...]:
+        """The polynomial operator ``op(*args, el)`` of the generic normal
+        form as coordinate arrays (degree a, row i, column j, value): the
+        coefficient of t^a in row i of the image of basis element j.
+        Raises ValueError on an entry with a denominator."""
+        nf = self.nf
+        quads = []
+        for j, key in enumerate(nf.basis):
+            for okey, c in op(*args, nf.unit_at(key)).items():
+                if not c.is_poly():
+                    raise ValueError(f"non-polynomial entry {c!r}")
+                i = nf.index[okey]
+                quads.extend((a, i, j, cv)
+                             for a, cv in enumerate(c.num.coeffs) if cv)
+        return tuple(np.array(col, dtype=np.int64) for col in zip(*quads))
+
+    def _at_q(self, entries) -> np.ndarray:
+        """The dense matrix sum_a q^a A_a mod p of coordinate arrays."""
+        p, q = self.p, self.params.q
+        deg, rows, cols, vals = entries
+        qpow = np.array([pow(q, a, p) for a in range(deg.max() + 1)],
+                        dtype=np.int64)
+        M = np.zeros((self.dim, self.dim), dtype=np.int64)
+        np.add.at(M, (rows, cols), vals * qpow[deg] % p)
+        return M % p
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=np.int64)
@@ -519,12 +488,9 @@ class RegularRep:
             v[self.nf.index[key]] = c % self.p
         return v
 
-    def vector_of(self, M: np.ndarray) -> np.ndarray:
-        """Coefficient vector of the element with reduced matrix M."""
-        return M[:, self.id_index]
-
-    def relation_failures(self, rng=None, samples: int = 5) -> list[str]:
-        """Exact matrix checks of every defining relation."""
+    def relation_failures(self) -> list[str]:
+        """Exact matrix checks of every defining relation; the star's
+        anti-multiplicativity on five seeded random pairs."""
         p, q, n = self.p, self.params.q, self.params.n
         I = self.identity()
         T, L, S = self.T, self.L, self.star_mat
@@ -559,11 +525,11 @@ class RegularRep:
                 if abs(r - s) > 1 and s != r + 1:
                     check(f"commuting T_{r} L_{s}", (T[r], L[s]), (L[s], T[r]))
         check("cyclotomic relation for L_1",
-              [(L[1] - Qj * I) % p for Qj in self.nf.Q], zero)
+              [(L[1] - pow(q, kj, p) * I) % p
+               for kj in self.params.hat_kappa], zero)
         check("star is an involution", (S, S), (I,))
-        if rng is None:
-            rng = np.random.default_rng(20260826)
-        for _ in range(samples):
+        rng = np.random.default_rng(20260826)
+        for _ in range(5):
             x = rng.integers(0, p, self.dim)
             y = rng.integers(0, p, self.dim)
             Sx, Sy = (matmul((S, v), p) for v in (x, y))
@@ -604,7 +570,8 @@ class SeminormalModel:
         params.validate()
         self.params = params
         p, n, l = params.p, params.n, params.l
-        self.sc = RatScalars(p)
+        self.zero = RatFunc.const(p, 0)
+        self.one = RatFunc.const(p, 1)
         mc = params.mc
         theta = comb.theta_sep(l, n)
         self.blocks: dict = {}
@@ -624,7 +591,7 @@ class SeminormalModel:
             tmats = {}
             for i in range(1, n):
                 d = len(std)
-                M = [[self.sc.zero] * d for _ in range(d)]
+                M = [[self.zero] * d for _ in range(d)]
                 for s, S in enumerate(std):
                     T = comb.apply_simple(S, i)
                     cs = tpow(p, contents[s][i - 1])
@@ -633,10 +600,10 @@ class SeminormalModel:
                     if comb.is_standard(T):
                         tt = idx[T]
                         # the common diagonal coefficient
-                        diag = (qq - self.sc.one) * ct / (ct - cs)
+                        diag = (qq - self.one) * ct / (ct - cs)
                         M[s][s] = M[s][s] + diag
                         if comb.tableau_strictly_dominates(S, T, theta):
-                            M[s][tt] = M[s][tt] + self.sc.one
+                            M[s][tt] = M[s][tt] + self.one
                         else:
                             off = ((qq * cs - ct) * (cs - qq * ct)
                                    / ((ct - cs) * (ct - cs)))
@@ -647,19 +614,16 @@ class SeminormalModel:
                         if ni[0] == nj[0] and ni[2] == nj[2]:  # same row
                             M[s][s] = M[s][s] + qq
                         else:  # same column
-                            M[s][s] = M[s][s] - self.sc.one
+                            M[s][s] = M[s][s] - self.one
                 tmats[i] = M
             self.blocks[lam] = Block(lam, std, idx, contents, tmats)
         self.csets = content_sets(params)
 
     # -- structural checks ---------------------------------------------------
 
-    def total_dimension(self) -> int:
-        return sum(len(b.std) ** 2 for b in self.blocks.values())
-
     def _mat_mul(self, A, B):
         d = len(A)
-        zero = self.sc.zero
+        zero = self.zero
         out = [[zero] * d for _ in range(d)]
         for i in range(d):
             for k in range(d):
@@ -686,8 +650,8 @@ class SeminormalModel:
         fails = []
         for lam, b in self.blocks.items():
             d = len(b.std)
-            zero = [[self.sc.zero] * d for _ in range(d)]
-            ident = [[self.sc.one if i == j else self.sc.zero
+            zero = [[self.zero] * d for _ in range(d)]
+            ident = [[self.one if i == j else self.zero
                       for j in range(d)] for i in range(d)]
             qr = tpow(p, 1)
 
@@ -722,14 +686,14 @@ class SeminormalModel:
                 Lr1 = self._ldiag(b, r + 1)
                 Tr = b.tmats[r]
                 lhs = [[Tr[i][j] * Lr[j] for j in range(d)] for i in range(d)]
-                rhs = [[Lr1[i] * (Tr[i][j] + (self.sc.one - qr)
-                                  * (self.sc.one if i == j else self.sc.zero))
+                rhs = [[Lr1[i] * (Tr[i][j] + (self.one - qr)
+                                  * (self.one if i == j else self.zero))
                         for j in range(d)] for i in range(d)]
                 if not self._mat_eq(lhs, rhs):
                     fails.append(f"mixed relation T_{r} L_{r} in block {lam}")
             # cyclotomic relation on L_1
             for s in range(d):
-                val = self.sc.one
+                val = self.one
                 for kj in self.params.hat_kappa:
                     val = val * (tpow(p, b.contents[s][0]) - tpow(p, kj))
                 if not val.is_zero():
@@ -748,13 +712,15 @@ class SeminormalModel:
         cS = bS.contents[bS.index[S]]
         cU = bU.contents[bU.index[U]]
         sets = self.csets
-        val = self.sc.one
+        val = self.one
         for k in range(self.params.n):
+            if cU[k] == cS[k]:  # every factor of level k is 1
+                continue
             for c in sets[k]:
                 if c == cS[k]:
                     continue
                 if cU[k] == c:
-                    return self.sc.zero
+                    return self.zero
                 val = val * ((tpow(p, cU[k]) - tpow(p, c))
                              / (tpow(p, cS[k]) - tpow(p, c)))
         return val
@@ -762,11 +728,10 @@ class SeminormalModel:
     def murphy_is_matrix_unit(self, S) -> bool:
         """The product formula applied in the block model must give the
         diagonal matrix unit at (S, S)."""
-        one = self.sc.one
         for b in self.blocks.values():
             for U in b.std:
                 val = self.murphy_eigenvalue(S, U)
-                want = one if U == S else self.sc.zero
+                want = self.one if U == S else self.zero
                 if not (val - want).is_zero():
                     return False
         return True
@@ -798,10 +763,10 @@ def content_sets(params: HeckeParams) -> list[list[int]]:
 
 def generic_normal_form(params: HeckeParams) -> NormalForm:
     """Normal-form model over F_p(t) with q-hat = t and Q_j =
-    t^{hat_kappa_j}; specializing t at q recovers ``RegularRep``."""
-    p = params.p
-    return NormalForm(params.n, params.l, RatScalars(p), tpow(p, 1),
-                      [tpow(p, kj) for kj in params.hat_kappa])
+    t^{hat_kappa_j}.  ``RegularRep`` holds one, specializes it at t = q,
+    and keeps its rewriting of t^{k-1} L_k as ``entries``, from which L_k
+    and the Murphy engine's factors are read."""
+    return NormalForm(params.n, params.l, params.p, params.hat_kappa)
 
 
 def _div_by_binomial(num: np.ndarray, d: int, p: int):
@@ -884,11 +849,14 @@ class MurphyEngine:
     E_[i] = sum of F_T, in normal-form coordinates.
 
     The n operators t^{k-1} L_k have polynomial entries in the generic
-    normal form; their numerators are expanded once, at construction,
-    into sparse matrices indexed by coefficient degree.  Tableaux sharing
-    an initial segment of contents share the corresponding partial
-    products through one prefix-tree walk, :meth:`_walk`, which takes the
-    factor step as a parameter.  Two steps use it.
+    normal form.  The engine does not rewrite them: it takes the normal
+    form ``nf`` and the numerator arrays ``entries`` from the cached
+    :func:`regular_rep` of the same parameters, the arrays from which
+    ``RegularRep.L`` is evaluated, and groups them into sparse matrices
+    indexed by coefficient degree.  Tableaux sharing an initial segment
+    of contents share the corresponding partial products through one
+    prefix-tree walk, :meth:`_walk`, which takes the factor step as a
+    parameter.  Two steps use it.
 
     * The series path, :meth:`class_value`: E_[i] at t = q, which is all
       the pipeline needs.  With s = t - q every vector is a dim x K
@@ -910,10 +878,10 @@ class MurphyEngine:
       path use it; the pipeline does not."""
 
     def __init__(self, params: HeckeParams):
-        params.validate_exact()
+        reg = regular_rep(params)
         self.params = params
         self.p = params.p
-        self.nf = generic_normal_form(params)
+        self.nf, self.entries = reg.nf, reg.entries
         self.csets = content_sets(params)
         self.tabs = standard_tableaux_all(params.n, params.l)
         mc = params.mc
@@ -925,9 +893,6 @@ class MurphyEngine:
         if len(set(self.content_of.values())) != len(self.tabs):
             raise DegenerateContents("content vectors do not separate "
                                      "standard tableaux")
-        self.key_index = {key: i for i, key in enumerate(self.nf.basis)}
-        self.entries = {k: self._op_entries(k)
-                        for k in range(1, params.n + 1)}
         self.ops = {k: self._op_layers(k) for k in range(1, params.n + 1)}
         # pole order at t = q of each product formula: the sum of the
         # s-adic valuations of its denominators
@@ -943,27 +908,9 @@ class MurphyEngine:
         self._laycache: dict = {}
         self._stepcache: dict = {}
 
-    def _op_entries(self, k: int) -> tuple[np.ndarray, ...]:
-        """t^{k-1} L_k as coordinate arrays (degree a, row i, column j,
-        value): the coefficient of t^a in the polynomial numerator of
-        the basis-j column of the operator, row i.  Raises ValueError on
-        an entry with a denominator."""
-        quads = []
-        for key in self.nf.basis:
-            j = self.key_index[key]
-            el = self.nf.lmul_l_unnorm(k, self.nf.unit_at(key))
-            for okey, c in el.items():
-                if not c.is_poly():
-                    raise ValueError(
-                        f"t^{k - 1} L_{k} has a non-polynomial entry {c!r}")
-                i = self.key_index[okey]
-                quads.extend((a, i, j, cv)
-                             for a, cv in enumerate(c.num.coeffs) if cv)
-        return tuple(np.array(col, dtype=np.int64) for col in zip(*quads))
-
     def _op_layers(self, k: int):
         """t^{k-1} L_k as (degree, sparse matrix) layers from
-        :meth:`_op_entries`, grouped in chunks whose rows hold at most dim
+        ``entries[k]``, grouped in chunks whose rows hold at most dim
         nonzeros together."""
         dim = len(self.nf.basis)
         deg, rows, cols, vals = self.entries[k]
@@ -1174,7 +1121,7 @@ class MurphyEngine:
         """The identity element as a coefficient matrix of the given
         width (its only nonzero column is the first)."""
         unit = np.zeros((len(self.nf.basis), width), dtype=np.int64)
-        unit[self.key_index[self.nf.identity_key], 0] = 1
+        unit[self.nf.index[self.nf.identity_key], 0] = 1
         return unit
 
     # -- the series path at t = q ------------------------------------------
@@ -1398,7 +1345,7 @@ def e2_idempotents(params: HeckeParams) -> list[dict]:
     p2.validate()
     p, q, e = p2.p, p2.q, p2.e
     classes = class_partition(p2)
-    reg = RegularRep(p2)
+    reg = regular_rep(p2)
     out = []
     for j in range(params.l):
         kj = p2.mc.kappa[j]

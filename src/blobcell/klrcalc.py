@@ -194,22 +194,6 @@ class SymbolicSequence:
             chunks.append(",".join(marked[at:]))
         return "(" + " | ".join(chunks) + ")"
 
-    def to_word(self) -> DiagramWord:
-        tokens = tuple(("y", k) for k in sorted(self.dots))
-        tokens += (("e", self.residues),)
-        return DiagramWord(1, tokens, self.residues)
-
-    @classmethod
-    def from_word(cls, w: DiagramWord, rows: tuple = ()) -> "SymbolicSequence":
-        dots = []
-        for kind, arg in w.tokens:
-            if kind == "y":
-                dots.append(arg)
-            elif kind != "e":
-                raise ValueError("only dot/idempotent words translate to "
-                                 "symbolic sequences")
-        return cls(w.ibot, tuple(sorted(dots)), rows)
-
 
 @dataclass
 class TraceStep:

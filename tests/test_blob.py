@@ -2,6 +2,8 @@
 quiver-Hecke generator images and the defining relation suite, the graded
 cellular basis, Jucys-Murphy triangularity, and cell modules."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ class TestQuotient:
         for _ in range(3):
             x = rng.integers(0, A.p, A.reg.dim)
             y = rng.integers(0, A.p, A.reg.dim)
-            xy = B.left_mult_matrix(A.reg, x) @ y % A.p
+            xy = A.reg.product(x, y)
             lhs = A.quotient_map @ xy % A.p
             rhs = A.lmat(A.quotient_map @ x % A.p) @ \
                 (A.quotient_map @ y % A.p) % A.p
@@ -110,11 +112,10 @@ class TestQuotient:
 
     def test_left_mult_matrix_matches_dict_route(self):
         params = H.default_params(2, 2)
-        reg = H.RegularRep(params)
+        reg = H.regular_rep(params)
         rng = np.random.default_rng(7)
         v = rng.integers(0, params.p, reg.dim)
-        assert np.array_equal(B.left_mult_matrix(reg, v),
-                              reg.matrix_of(v))
+        assert np.array_equal(B._times_basis(reg, reg, v), reg.matrix_of(v))
 
 
 class TestRelationSuite:
@@ -359,6 +360,17 @@ class TestJucysMurphy:
         _, A, images, basis = built[(n, l)]
         jm = B.jm_images(A, images)
         assert B.check_jm(A, basis, jm) == []
+
+    @pytest.mark.parametrize("side,k", [("RL", 1), ("L", 2)])
+    def test_zeroed_action_fails(self, built, side, k):
+        # a zero action leaves every diagonal coefficient 0, never q^res
+        _, A, images, basis = built[(2, 2)]
+        jm = B.jm_images(A, images)
+        broken = copy.copy(A)
+        setattr(broken, side, {**getattr(A, side),
+                               k: np.zeros_like(getattr(A, side)[k])})
+        fails = B.check_jm(broken, basis, jm)
+        assert fails and all("diagonal coefficient 0," in f for f in fails)
 
 
 class TestCellularBasis:

@@ -128,7 +128,19 @@ class TestRegularRep:
         reg = H.RegularRep(P22)
         rng = np.random.default_rng(3)
         v = rng.integers(0, reg.p, reg.dim)
-        assert np.array_equal(reg.vector_of(reg.matrix_of(v)), v % reg.p)
+        assert np.array_equal(reg.matrix_of(v)[:, reg.id_index], v % reg.p)
+
+    @pytest.mark.parametrize("pa", [P22, P32, P23], ids=["22", "32", "23"])
+    def test_l_from_entries_matches_normalized_rewriting(self, pa):
+        # L_k = q^{1-k} sum_a q^a A_a from the arrays of t^{k-1} L_k,
+        # against the generic L_k (divided by t^{k-1}) specialized at q
+        reg = H.regular_rep(pa)
+        nf = reg.nf
+        for k in reg.L:
+            for j, key in enumerate(nf.basis):
+                col = H.specialize_vector(nf.lmul_l(k, nf.unit_at(key)), pa)
+                assert np.array_equal(reg.L[k][:, j],
+                                      reg.coefficients(col)), (k, key)
 
     def test_regular_rep_is_faithful(self):
         # matrix_of is injective: an element is recovered from its
@@ -138,15 +150,48 @@ class TestRegularRep:
         assert np.array_equal(M, reg.identity())
 
 
+def per_factor_eigenvalue(sm, S, U):
+    """The eigenvalue of F_S on the seminormal vector of U as the product
+    of every factor (t^{c_U(k)} - t^c) / (t^{c_S(k)} - t^c), c != c_S(k),
+    the unit ones included."""
+    def contents(X):
+        b = sm.blocks[C.shape_of(X)]
+        return b.contents[b.index[X]]
+    p = sm.params.p
+    cS, cU = contents(S), contents(U)
+    val = RatFunc.const(p, 1)
+    for k in range(sm.params.n):
+        for c in sm.csets[k]:
+            if c == cS[k]:
+                continue
+            if cU[k] == c:
+                return RatFunc.const(p, 0)
+            val = val * ((H.tpow(p, cU[k]) - H.tpow(p, c))
+                         / (H.tpow(p, cS[k]) - H.tpow(p, c)))
+    return val
+
+
 class TestSeminormal:
     @pytest.mark.parametrize("pa", [P22, P32, P23], ids=["22", "32", "23"])
     def test_total_dimension(self, pa):
         sm = H.SeminormalModel(pa)
-        assert sm.total_dimension() == pa.l ** pa.n * math.factorial(pa.n)
+        assert sum(len(b.std) ** 2 for b in sm.blocks.values()) == \
+            pa.l ** pa.n * math.factorial(pa.n)
 
     @pytest.mark.parametrize("pa", [P22, P32, P23], ids=["22", "32", "23"])
     def test_relation_suite(self, pa):
         assert H.SeminormalModel(pa).relation_failures() == []
+
+    @pytest.mark.parametrize("pa", [P32, P23], ids=["32", "23"])
+    def test_eigenvalue_skips_unit_factors(self, pa):
+        # the eigenvalue without the levels k where c_U(k) = c_S(k)
+        # equals the full per-factor product, as canonical RatFuncs
+        sm = H.SeminormalModel(pa)
+        tabs = H.standard_tableaux_all(pa.n, pa.l)
+        for S in tabs:
+            for U in tabs:
+                assert sm.murphy_eigenvalue(S, U) == \
+                    per_factor_eigenvalue(sm, S, U), (S, U)
 
     @pytest.mark.parametrize("pa", [P22, P32, P23], ids=["22", "32", "23"])
     def test_product_formula_gives_matrix_units(self, pa):
@@ -317,9 +362,19 @@ class TestMurphyIdempotents:
                 calls[name] += 1
                 return orig(self, other)
             monkeypatch.setattr(Poly, name, counted)
+        H.regular_rep.cache_clear()
         H.murphy_engine.cache_clear()
         B.KLRImages(B.build_blob(H.default_params(3, 2)))
         assert calls == {"divmod": 0, "gcd": 0}
+
+    def test_engine_shares_the_rewriting(self):
+        # t^{k-1} L_k is rewritten once, by RegularRep, for both layers
+        H.regular_rep.cache_clear()
+        H.murphy_engine.cache_clear()
+        for pa in (P22, P32, P23):
+            eng = H.murphy_engine(pa)
+            assert eng.entries is H.regular_rep(pa).entries
+            assert eng.nf is H.regular_rep(pa).nf
 
     @pytest.mark.parametrize("e,p", [(5, 11), (7, 29), (5, 71)])
     def test_binomial_roots_match_scan(self, e, p):

@@ -62,15 +62,6 @@ class TestSymbolicSequence:
         assert s.render() == "(0,2,4,7 | 9.,1)"
         assert K.SymbolicSequence((2, 1, 0)).render() == "(2,1,0)"
 
-    def test_word_bijection(self):
-        s = K.SymbolicSequence((2, 1, 0), dots=(1, 3))
-        w = s.to_word()
-        assert w.tokens == (("y", 1), ("y", 3), ("e", (2, 1, 0)))
-        assert K.SymbolicSequence.from_word(w) == s
-        with pytest.raises(ValueError):
-            K.SymbolicSequence.from_word(
-                K.DiagramWord(1, (("psi", 1),), (2, 1, 0)))
-
     def test_trace_json_round_trip(self):
         tr = K.RewriteTrace()
         tr.add("free-move", 2, "(2,0.,1)", "(0.,2,1)")
