@@ -63,10 +63,10 @@ def one_column_dimension(n: int, l: int) -> int:
 
 def _times_basis(reg: RegularRep, carrier, u: np.ndarray) -> np.ndarray:
     """Columns u L^a T_w for every basis key (a, w) of H, where u is a
-    reduced vector of ``carrier`` (H itself, or a quotient of it) and
-    ``carrier.RT``, ``carrier.RL`` are its right multiplications by the
-    generators.  The products follow ``reg.spanning_tree``: one
-    matrix-vector product per key."""
+    reduced vector of the :class:`BlobAlgebra` ``carrier`` (a quotient of
+    H, or H itself with ``quotient=False``), whose ``RT``, ``RL`` are
+    right multiplication by the generators.  The products follow
+    ``reg.spanning_tree``: one matrix-vector product per key."""
     p = reg.p
     cols = np.zeros((len(u), reg.dim), dtype=np.int64)
     cols[:, reg.id_index] = u
@@ -82,25 +82,27 @@ def _times_basis(reg: RegularRep, carrier, u: np.ndarray) -> np.ndarray:
 
 def _ideal_closure(reg: RegularRep, seeds: list[dict]):
     """Reduced row echelon basis and pivots of the two-sided ideal HsH
-    generated by the seeds.
+    generated by star-fixed seeds; raises ValueError on a seed s* != s.
 
-    The closure is semi-naive.  It starts from the seed vectors, and each
-    round multiplies only the rows the previous round added, on the left
-    by T_i and L_1 (``reg.T``, ``reg.L``) and on the right by the same
-    generators (``reg.RT``, ``reg.RL``); ``RowSpace.extend`` absorbs the
-    products.  The frontier suffices: write V_k for the space after round
-    k and N_k for the rows it absorbed, so V_k = V_(k-1) + span N_k.  If
-    every generator g maps V_(k-1) into V_k, then g V_k lies in
-    V_k + span(g N_k) = V_(k+1), so by induction g V_k lies in V_(k+1)
-    for every k.  A round that adds nothing therefore leaves a space that
-    holds the seeds and is stable under left and right multiplication by
-    T_1, ..., T_(n-1), L_1.  These generate H as an algebra, so that space
-    is HsH, and its reduced echelon form is the one of any spanning set."""
+    The closure is semi-naive: each round multiplies only the rows the
+    previous round added, by T_i, L_1 and the star (``reg.T``, ``reg.L``,
+    ``reg.star_mat``), and ``RowSpace.extend`` absorbs the products.
+    Write V_k for the space after round k and N_k for the rows it
+    absorbed.  If each of these maps g sends V_(k-1) into V_k, then g V_k
+    lies in V_k + span(g N_k) = V_(k+1), so by induction the space V left
+    by a round that adds nothing is stable under all of them: it holds
+    the seeds and is a star-stable left ideal, since T_i and L_1 generate
+    H.  It is two-sided, as x h = (h* x*)*, so it contains HsH; and HsH
+    is a star-stable left ideal, as (a s b)* = b* s a*, so V = HsH, whose
+    reduced echelon form is the one of any spanning set."""
     p = reg.p
-    gens = [reg.T[i] for i in reg.T] + [reg.L[1]]
-    gens += [reg.RT[i] for i in reg.RT] + [reg.RL[1]]
+    start = np.array([reg.coefficients(s) for s in seeds])
+    for j, v in enumerate(start):
+        if not np.array_equal(matmul((reg.star_mat, v), p), v):
+            raise ValueError(f"seed {j} is not fixed by the star")
+    gens = [reg.T[i] for i in reg.T] + [reg.L[1], reg.star_mat]
     space = RowSpace(reg.dim, p)
-    new = space.extend(np.array([reg.coefficients(s) for s in seeds]))
+    new = space.extend(start)
     while len(new):
         new = space.extend(np.vstack([matmul((new, g.T), p) for g in gens]))
     return space.matrix(), space.pivots
@@ -115,10 +117,12 @@ class BlobAlgebra:
     before and after passing to the quotient.
 
     Attributes: ``dim``; ``quotient_map`` (dim x dim_H matrix taking
-    H-coordinates to B-coordinates); generator image matrices ``T``, ``L``
-    with right-multiplication companions ``RT``, ``RL``; the
-    anti-involution matrix ``star``; the coordinate vector ``unit`` of the
-    identity."""
+    H-coordinates to B-coordinates); generator image matrices ``T``, ``L``,
+    the anti-involution ``star`` and the star conjugates ``RT``, ``RL`` of
+    T and L, which are right multiplication by the generators (the star
+    fixes each generator and reverses products); the coordinate vector
+    ``unit`` of the identity.  The ideal is certified stable under the
+    star, L_1 and every T_i, so quotient matrices multiply as lifts do."""
 
     def __init__(self, params: HeckeParams, quotient: bool = True):
         params.validate()
@@ -163,9 +167,9 @@ class BlobAlgebra:
                     raise ValueError(f"ideal is not stable under {name}")
         self.T = {i: self._q(reg.T[i]) for i in reg.T}
         self.L = {k: self._q(reg.L[k]) for k in reg.L}
-        self.RT = {i: self._q(reg.RT[i]) for i in reg.RT}
-        self.RL = {k: self._q(reg.RL[k]) for k in reg.RL}
-        self.star = self._q(reg.star_mat)
+        self.star = S = self._q(reg.star_mat)
+        self.RT = {i: matmul((S, X, S), p) for i, X in self.T.items()}
+        self.RL = {k: matmul((S, X, S), p) for k, X in self.L.items()}
         self.unit = matmul((Pi, reg.unit_vector()), p)
         self.identity = np.eye(self.dim, dtype=np.int64)
 
@@ -606,12 +610,13 @@ class KLRImages:
         """Cross-check: e(i) must be the projection onto the simultaneous
         generalized eigenspace of (L_1..L_n) at (q^{i_1},..,q^{i_n})."""
         A, p, q, n = self.algebra, self.p, self.q, self.n
-        I = A.identity
+        pows: dict = {}   # (k, c) -> (L_k - c)^dim, shared by the classes
         spaces = {}
         for iseq in self.E:
-            Ms = [mat_pow((A.L[k] - pow(q, iseq[k - 1], p) * I) % p,
-                          A.dim, p) for k in range(1, n + 1)]
-            spaces[iseq] = nullspace(np.vstack(Ms), p)
+            keys = [(k, pow(q, iseq[k - 1], p)) for k in range(1, n + 1)]
+            for k, c in set(keys) - pows.keys():
+                pows[k, c] = mat_pow((A.L[k] - c * A.identity) % p, A.dim, p)
+            spaces[iseq] = nullspace(np.vstack([pows[kc] for kc in keys]), p)
         fails = []
         if sum(V.shape[0] for V in spaces.values()) != A.dim:
             fails.append("generalized eigenspaces do not fill the algebra")
@@ -830,15 +835,16 @@ def check_cellularity(algebra: BlobAlgebra, basis: CellularBasis
     images = basis.images
     report = []
     for name, M in _named_generators(images):
+        X = basis.expand(matmul((M, basis.matrix), p))
         for lam in basis.shapes:
             std = basis.std[lam]
             tl = basis.t_lam[lam]
             above = basis._above[lam]
             for S in std:
-                ref = basis.expand(matmul((M, basis.vector(S, tl)), p))
-                r_u = {u: ref[basis.column[(u, tl)]] for u in std}
+                r_u = {u: X[basis.column[(u, tl)], basis.column[(S, tl)]]
+                       for u in std}
                 for T in std:
-                    c = basis.expand(matmul((M, basis.vector(S, T)), p))
+                    c = X[:, basis.column[(S, T)]]
                     for idx, (mu, U, V) in enumerate(basis.index):
                         if mu in above:
                             continue
@@ -866,8 +872,8 @@ def _grading_violations(algebra: BlobAlgebra, basis: CellularBasis
                   lambda iS, r=r: comb.psi_degree(iS[r - 1], iS[r], e))
                  for r in images.PSI]
     for name, M, degree in elements:
-        for lam, S, T in basis.index:
-            c = basis.expand(matmul((M, basis.vector(S, T)), p))
+        X = basis.expand(matmul((M, basis.matrix), p))
+        for (_, S, T), c in zip(basis.index, X.T):
             target = basis.degree(S, T) + \
                 degree(comb.residue_seq(S, basis.mc))
             for idx in np.nonzero(c)[0]:
@@ -933,14 +939,9 @@ def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
         tl = basis.t_lam[lam]
         above = basis._above[lam]
         col_tt = basis.column[(tl, tl)]
-        action = {}
-        for name, M in _named_generators(images):
-            mat = np.zeros((len(std), len(std)), dtype=np.int64)
-            for j, S in enumerate(std):
-                c = basis.expand(matmul((M, basis.vector(S, tl)), p))
-                for i, U in enumerate(std):
-                    mat[i, j] = c[basis.column[(U, tl)]]
-            action[name] = mat
+        top = [basis.column[(S, tl)] for S in std]
+        action = {name: basis.expand(matmul((M, basis.matrix[:, top]), p))[top]
+                  for name, M in _named_generators(images)}
         gram = np.zeros((len(std), len(std)), dtype=np.int64)
         for a, S in enumerate(std):
             left = A.lmat(basis.vector(tl, S))

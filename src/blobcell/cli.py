@@ -54,14 +54,11 @@ class RunConfig:
     oracle: bool = True
 
     def params(self) -> H.HeckeParams:
-        """Resolved parameters; raises ValueError naming the violated
-        multicharge condition on bad input."""
-        params = H.default_params(self.n, self.l, e=self.e, p=self.p,
-                                  q=self.q, hat_kappa=self.kappa_hat)
-        if self.p is not None and (self.p - 1) % params.e:
-            raise ValueError(
-                f"e = {params.e} does not divide p - 1 = {self.p - 1}")
-        return params
+        """Resolved parameters; raises ValueError naming bad input."""
+        if self.n < 1:
+            raise ValueError(f"n = {self.n}: need at least one string")
+        return H.default_params(self.n, self.l, e=self.e, p=self.p,
+                                q=self.q, hat_kappa=self.kappa_hat)
 
     def weighting(self) -> tuple:
         if self.theta is not None:
@@ -334,6 +331,8 @@ def cmd_trace(cfg: RunConfig, k: int) -> dict:
     Large scales run symbolically; with the oracle on (and a small scale)
     the exact expansion is certified against the matrix representation."""
     params = cfg.params()
+    if not 1 <= k <= cfg.n:
+        raise ValueError(f"dot index k = {k} is outside 1..n = 1..{cfg.n}")
     mc = params.mc
     shape = comb.mu_max(cfg.n, cfg.l)
     symbolic = not cfg.oracle or cfg.n > 4

@@ -40,7 +40,7 @@ class PoleAtSpecialization(Exception):
     denominator (in lowest terms)."""
 
 
-class NoRoot(Exception):
+class NoRoot(ValueError):
     """Raised when F_p contains no element of the requested order."""
 
 

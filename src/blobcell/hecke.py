@@ -354,6 +354,10 @@ class RegularRep:
     as dense integer matrices mod p: the generic normal form ``nf`` over
     F_p(t) specialized at t = q.
 
+    It holds left multiplication by the generators (``T``, ``L``) and the
+    anti-involution ``star_mat`` only: the star fixes every T_i and L_k,
+    so right multiplication by a generator g is x -> (g x*)*.
+
     T_i and ``star_mat`` are the polynomial entries of the generic
     rewriting evaluated at q.  ``entries[k]`` holds the numerator of
     t^{k-1} L_k (:meth:`NormalForm.lmul_l_unnorm`) as coordinate arrays
@@ -377,10 +381,6 @@ class RegularRep:
         self.L = {k: self._at_q(self.entries[k]) * pow(q, 1 - k, p) % p
                   for k in self.entries}
         self.star_mat = self._at_q(self._entries(nf.star))
-        # right multiplication via x*z = (z* x*)*
-        S = self.star_mat
-        self.RT = {i: matmul((S, self.T[i], S), p) for i in self.T}
-        self.RL = {k: matmul((S, self.L[k], S), p) for k in self.L}
         self._word_cache: dict = {}
 
     def _entries(self, op, *args) -> tuple[np.ndarray, ...]:

@@ -115,7 +115,24 @@ class TestQuotient:
         reg = H.regular_rep(params)
         rng = np.random.default_rng(7)
         v = rng.integers(0, params.p, reg.dim)
-        assert np.array_equal(B._times_basis(reg, reg, v), reg.matrix_of(v))
+        full = B.BlobAlgebra(params, quotient=False)
+        assert np.array_equal(full.push(v), reg.matrix_of(v))
+
+    @pytest.mark.parametrize("n,l", SCALES)
+    def test_right_mult_matches_lifted_star_conjugates(self, built, n, l):
+        # the quotient's RT, RL against the star conjugates formed at dim H
+        _, A, _, _ = built[(n, l)]
+        reg, p, S = A.reg, A.p, A.reg.star_mat
+        for i in reg.T:
+            assert np.array_equal(A.RT[i], A._q(matmul((S, reg.T[i], S), p)))
+        for k in reg.L:
+            assert np.array_equal(A.RL[k], A._q(matmul((S, reg.L[k], S), p)))
+
+    def test_closure_rejects_seed_the_star_moves(self):
+        reg = H.regular_rep(H.default_params(2, 2))
+        seed = {((1, 0), (2, 1)): 1}   # L_1 T_1, whose star is T_1 L_1
+        with pytest.raises(ValueError, match="seed 0"):
+            B._ideal_closure(reg, [seed])
 
 
 class TestRelationSuite:

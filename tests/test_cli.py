@@ -51,6 +51,23 @@ class TestConfig:
             cli.config_from_args(args)
 
 
+class TestRejectedInput:
+    @pytest.mark.parametrize("argv,message", [
+        (["dims", "--n", "2", "--l", "2", "--p", "13"], "order 5"),
+        (["trace", "--n", "2", "--l", "2"], "outside 1..n = 1..2"),
+        (["trace", "--n", "2", "--l", "2", "--k", "0"], "outside 1..n = 1..2"),
+        (["verify", "--n", "0", "--l", "2"], "at least one string"),
+        (["basis", "--n", "0", "--l", "2"], "at least one string"),
+        (["cell", "--n", "0", "--l", "2"], "at least one string"),
+        (["trace", "--n", "0", "--l", "2", "--k", "1"], "at least one string"),
+        (["verify", "--n", "-1", "--l", "2"], "at least one string"),
+    ])
+    def test_exits_two_with_message(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and message in err
+
+
 class TestDims:
     def test_three_strings_level_two(self, capsys):
         code, out, _ = run(["dims", "--n", "3", "--l", "2"], capsys)
