@@ -674,7 +674,7 @@ def klr_images(algebra: BlobAlgebra) -> KLRImages:
 
 def jm_images(algebra: BlobAlgebra, images: KLRImages) -> dict:
     """The Jucys-Murphy elements, rebuilt from the generator images as
-    ``JM_k = sum_i q^{i_k} (1 - y_k) e(i)`` and cross-checked against the
+    ``JM_k = (1 - y_k) sum_i q^{i_k} e(i)`` and cross-checked against the
     quotient images of the L_k."""
     A, p, q = algebra, algebra.p, algebra.q
     I = A.identity
@@ -682,8 +682,8 @@ def jm_images(algebra: BlobAlgebra, images: KLRImages) -> dict:
     for k in range(1, A.params.n + 1):
         M = np.zeros_like(I)
         for iseq, Ei in images.E.items():
-            N = matmul(((I - images.Y[k]) % p, Ei), p)
-            M = (M + pow(q, iseq[k - 1], p) * N) % p
+            M = (M + pow(q, iseq[k - 1], p) * Ei) % p
+        M = matmul(((I - images.Y[k]) % p, M), p)
         if not np.array_equal(M, A.L[k]):
             raise ValueError(f"rebuilt Jucys-Murphy element {k} differs "
                              f"from the image of L_{k}")
@@ -728,7 +728,9 @@ class CellularBasis:
     """The homogeneous basis ``m_{S,T}`` of B, indexed by pairs of standard
     tableaux of a common one-column shape: the star of the crossing word of
     d(S), the class idempotent of the shape's maximal residue sequence, and
-    the crossing word of d(T)."""
+    the crossing word of d(T).  ``below[i, j]`` says that the shape of
+    pair i of ``index`` is not strictly above that of pair j, so the cell
+    order keeps a coefficient at (i, j); ``residues[S]`` is i^S."""
 
     def __init__(self, algebra: BlobAlgebra, images: KLRImages,
                  theta=None):
@@ -746,24 +748,18 @@ class CellularBasis:
         self.std = {lam: comb.std_tableaux(lam) for lam in self.shapes}
         self.t_lam = {lam: comb.t_lambda(lam, self.theta)
                       for lam in self.shapes}
-        self.index: list[tuple] = []   # (shape, S, T)
-        self.column: dict = {}
+        self.index = [(lam, S, T) for lam in self.shapes
+                      for S in self.std[lam] for T in self.std[lam]]
+        self.column = {(S, T): j for j, (_, S, T) in enumerate(self.index)}
         self.word = {S: comb.official_word(comb.d_perm(S, self.theta))
                      for lam in self.shapes for S in self.std[lam]}
-        cols = []
         # m_{S,T} times the unit, as a chain of matrix-vector products
         PSI = images.PSI
-        for lam in self.shapes:
-            Elam = images.E[self.i_lam[lam]]
-            for S in self.std[lam]:
-                left = [PSI[r] for r in reversed(self.word[S])] + [Elam]
-                for T in self.std[lam]:
-                    v = matmul(left + [PSI[r] for r in self.word[T]]
-                               + [A.unit], p)
-                    self.column[(S, T)] = len(self.index)
-                    self.index.append((lam, S, T))
-                    cols.append(v)
-        self.matrix = np.array(cols, dtype=np.int64).T
+        self.matrix = np.array(
+            [matmul([PSI[r] for r in reversed(self.word[S])]
+                    + [images.E[self.i_lam[lam]]]
+                    + [PSI[r] for r in self.word[T]] + [A.unit], p)
+             for lam, S, T in self.index], dtype=np.int64).T
         if len(self.index) != A.dim or \
                 rank(self.matrix, p) != A.dim:
             raise ValueError(
@@ -775,6 +771,11 @@ class CellularBasis:
             lam: {mu for mu in self.shapes
                   if comb.strictly_dominates(mu, lam, self.theta)}
             for lam in self.shapes}
+        lams = [lam for lam, _, _ in self.index]
+        self.below = np.array([[mu not in self._above[lam] for lam in lams]
+                               for mu in lams])
+        self.residues = {S: comb.residue_seq(S, self.mc)
+                         for lam in self.shapes for S in self.std[lam]}
 
     def vector(self, S, T) -> np.ndarray:
         return self.matrix[:, self.column[(S, T)]]
@@ -782,6 +783,11 @@ class CellularBasis:
     def expand(self, v: np.ndarray) -> np.ndarray:
         """Coefficients of a reduced vector on the cellular basis."""
         return matmul((self._inv, v), self.algebra.p)
+
+    def coords(self, M: np.ndarray) -> np.ndarray:
+        """The operator M written on the cellular basis: column j holds
+        the coefficients of M m_j, for the j-th pair of ``index``."""
+        return self.expand(matmul((M, self.matrix), self.algebra.p))
 
     def degree(self, S, T) -> int:
         lam = comb.shape_of(S)
@@ -802,11 +808,12 @@ def build_cellular_basis(algebra: BlobAlgebra, images: KLRImages,
         if not np.array_equal(basis.vector(tl, tl), want):
             raise ValueError(f"maximal pair at shape {lam} is not the "
                              f"class idempotent")
-    sig = images.sigma
-    for lam, S, T in basis.index:
-        if not np.array_equal(matmul((sig, basis.vector(S, T)), p),
-                              basis.vector(T, S)):
-            raise ValueError(f"star does not swap the pair at {lam}")
+    swapped = [basis.column[(T, S)] for _, S, T in basis.index]
+    bad = (matmul((images.sigma, basis.matrix), p)
+           != basis.matrix[:, swapped]).any(axis=0)
+    if bad.any():
+        raise ValueError(f"star does not swap the pair at "
+                         f"{basis.index[bad.argmax()][0]}")
     return basis
 
 
@@ -822,66 +829,61 @@ def _named_generators(images: KLRImages) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def _generator_lines(basis: CellularBasis) -> list[tuple]:
+    """(name, cellularity lines, grading lines) per generator a in the
+    grading report's order (y_k, e(i), psi_r), both read off the matrix X
+    of a on the cellular basis (see :func:`check_cellularity`)."""
+    images, e, index = basis.images, basis.params.e, basis.index
+    degs = np.array([basis.degree(S, T) for _, S, T in index])
+    # m_{S,T} lies in e(i^S) B, where psi_r has degree psi_degree(i^S)
+    table = [(f"y_{k}", M, degs + 2) for k, M in images.Y.items()]
+    table += [(f"e({i})", M, degs) for i, M in images.E.items()]
+    table += [(f"psi_{r}", M, degs + [comb.psi_degree(
+        *basis.residues[S][r - 1:r + 1], e) for _, S, _ in index])
+        for r, M in images.PSI.items()]
+    # W = r (x) 1: W[(U, V), (S, T)] = X[(U, T^lam), (S, T^lam)] when both
+    # pairs have shape lam and V = T, i.e. when their keys agree; else 0
+    top = [basis.column[(U, basis.t_lam[lam])] for lam, U, _ in index]
+    ids: dict = {}
+    key = np.array([ids.setdefault((lam, V), len(ids)) for lam, _, V in index])
+    out = []
+    for name, M, target in table:
+        X = basis.coords(M)
+        W = np.where(key[:, None] == key, X[np.ix_(top, top)], 0)
+        bad = (X != W) & basis.below
+        cells = []
+        for j in np.flatnonzero(bad.any(axis=0)):
+            i = bad[:, j].argmax()
+            cells.append(f"{name} at (S, T) = {index[j][1:]}: coefficient "
+                         f"on {index[i][1:]} is {X[i, j]}, expected {W[i, j]}")
+        bad = (X != 0) & (degs[:, None] != target)
+        grading = [f"{name}.m_({index[j][1]},{index[j][2]}) has a component "
+                   f"of degree {degs[i]}, expected {target[j]}"
+                   for j, i in zip(*np.nonzero(bad.T))]
+        out.append((name, cells, grading))
+    return out
+
+
 def check_cellularity(algebra: BlobAlgebra, basis: CellularBasis
                       ) -> list[str]:
-    """Condition (ii) of cellularity, with exact coefficients: for each
-    generator a and each S, the coefficients of a.m_{S,T} on same-shape
-    basis pairs must be r_{u,S,a} on column (u, T) -- extracted once at
-    T = T^lam and reproduced for every other T -- with everything else
-    supported on strictly dominating shapes.  Also checks that every
-    nonzero expansion term of psi_r . m is concentrated in a single
-    degree, deg a + deg m."""
-    A, p = algebra, algebra.p
-    images = basis.images
-    report = []
-    for name, M in _named_generators(images):
-        X = basis.expand(matmul((M, basis.matrix), p))
-        for lam in basis.shapes:
-            std = basis.std[lam]
-            tl = basis.t_lam[lam]
-            above = basis._above[lam]
-            for S in std:
-                r_u = {u: X[basis.column[(u, tl)], basis.column[(S, tl)]]
-                       for u in std}
-                for T in std:
-                    c = X[:, basis.column[(S, T)]]
-                    for idx, (mu, U, V) in enumerate(basis.index):
-                        if mu in above:
-                            continue
-                        want = r_u[U] if mu == lam and V == T else 0
-                        if c[idx] != want:
-                            report.append(
-                                f"{name} at (S, T) = ({S}, {T}): "
-                                f"coefficient on ({U}, {V}) is {c[idx]}, "
-                                f"expected {want}")
-                            break
-    report += _grading_violations(algebra, basis)
-    return report
+    """Condition (ii) of cellularity, with exact coefficients, as a block
+    identity: the matrix X of each generator a on the cellular basis
+    (:meth:`CellularBasis.coords`) is r_a (x) 1 on the pairs of each shape
+    lambda, with r_a[u, S] read off at T = T^lam and the identity running
+    over T, and vanishes on the other rows of shapes not strictly above
+    lambda.  A column breaking this is reported at its first such row.
+    The same X gives the grading lines: every nonzero coefficient of
+    a m_{S,T} must have degree deg a + deg m_{S,T}."""
+    lines = _generator_lines(basis)
+    cells = {name: c for name, c, _ in lines}
+    return [line for name, _ in _named_generators(basis.images)
+            for line in cells[name]] + [line for *_, g in lines for line in g]
 
 
 def _grading_violations(algebra: BlobAlgebra, basis: CellularBasis
                         ) -> list[str]:
-    A, p = algebra, algebra.p
-    images = basis.images
-    e = basis.params.e
-    degs = np.array([basis.degree(S, T) for _, S, T in basis.index])
-    report = []
-    elements = [(f"y_{k}", images.Y[k], lambda iS: 2) for k in images.Y]
-    elements += [(f"e({i})", Ei, lambda iS: 0) for i, Ei in images.E.items()]
-    elements += [(f"psi_{r}", images.PSI[r],
-                  lambda iS, r=r: comb.psi_degree(iS[r - 1], iS[r], e))
-                 for r in images.PSI]
-    for name, M, degree in elements:
-        X = basis.expand(matmul((M, basis.matrix), p))
-        for (_, S, T), c in zip(basis.index, X.T):
-            target = basis.degree(S, T) + \
-                degree(comb.residue_seq(S, basis.mc))
-            for idx in np.nonzero(c)[0]:
-                if degs[idx] != target:
-                    report.append(
-                        f"{name}.m_({S},{T}) has a component of degree "
-                        f"{degs[idx]}, expected {target}")
-    return report
+    """The grading lines of :func:`check_cellularity` alone."""
+    return [line for *_, g in _generator_lines(basis) for line in g]
 
 
 def check_jm(algebra: BlobAlgebra, basis: CellularBasis, jm: dict
@@ -889,40 +891,35 @@ def check_jm(algebra: BlobAlgebra, basis: CellularBasis, jm: dict
     """Triangularity of the Jucys-Murphy action on the cellular basis:
     acting on the right of m_{S,T}, JM_k has diagonal coefficient
     q^{residue of k in T} and otherwise moves T strictly up in dominance
-    (modulo strictly dominating shapes); symmetrically on the left for S."""
+    (modulo strictly dominating shapes); symmetrically on the left for S.
+    Column j of ``coords`` of ``RL[k]`` and ``L[k]`` is read at its nonzero
+    and its diagonal entries, on rows of shapes not strictly above."""
     A, p, q = algebra, algebra.p, algebra.q
     report = []
-    theta = basis.theta
     for k in jm:
-        right = A.RL[k]
-        left = A.L[k]
-        for lam, S, T in basis.index:
-            above = basis._above[lam]
-            own = basis.column[(S, T)]
-            for side, Mv, moved, fixed in (
-                    ("right", matmul((right, basis.vector(S, T)), p), T, S),
-                    ("left", matmul((left, basis.vector(S, T)), p), S, T)):
-                c = basis.expand(Mv)
-                res = comb.residue_seq(moved, basis.mc)[k - 1]
-                diag = pow(q, res, p)
-                for idx, (mu, U, V) in enumerate(basis.index):
-                    # the diagonal coefficient is compared even when zero
-                    if mu in above or not (c[idx] or idx == own):
-                        continue
+        sides = (("right", basis.coords(A.RL[k])),
+                 ("left", basis.coords(A.L[k])))
+        for j, (lam, S, T) in enumerate(basis.index):
+            for side, X in sides:
+                moved, fixed = (T, S) if side == "right" else (S, T)
+                diag = pow(q, basis.residues[moved][k - 1], p)
+                # the diagonal coefficient is compared even when zero
+                seen = X[:, j] != 0
+                seen[j] = True
+                for i in np.flatnonzero(seen & basis.below[:, j]):
+                    mu, U, V = basis.index[i]
                     Umoved, Ufixed = (V, U) if side == "right" else (U, V)
-                    ok = (mu == lam and Ufixed == fixed and
-                          (Umoved == moved or
-                           comb.tableau_strictly_dominates(
-                               Umoved, moved, theta)))
-                    if not ok:
+                    if not (mu == lam and Ufixed == fixed and
+                            (Umoved == moved or
+                             comb.tableau_strictly_dominates(
+                                 Umoved, moved, basis.theta))):
                         report.append(
                             f"JM_{k} {side} on ({S}, {T}): stray "
                             f"component on ({U}, {V})")
-                        continue
-                    if Umoved == moved and c[idx] != diag:
+                    elif Umoved == moved and X[i, j] != diag:
                         report.append(
                             f"JM_{k} {side} on ({S}, {T}): diagonal "
-                            f"coefficient {c[idx]}, expected {diag}")
+                            f"coefficient {X[i, j]}, expected {diag}")
     return report
 
 
@@ -930,30 +927,31 @@ def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
                  ) -> list[CellModule]:
     """Cell modules with generator action (coefficients r_{u,S,a} read off
     at T = T^lam) and Gram matrices extracted from products of half-basis
-    elements; raises on any coefficient outside the allowed support."""
+    elements; raises on any coefficient outside the allowed support.  The
+    images act by left multiplication, so m_{T^lam,S} m_{T,T^lam} is
+    e(i^lam) psi_{d(S)} applied to m_{T,T^lam}, for every T at once."""
     A, p = algebra, algebra.p
     images = basis.images
     out = []
     for lam in basis.shapes:
         std = basis.std[lam]
         tl = basis.t_lam[lam]
-        above = basis._above[lam]
         col_tt = basis.column[(tl, tl)]
         top = [basis.column[(S, tl)] for S in std]
         action = {name: basis.expand(matmul((M, basis.matrix[:, top]), p))[top]
                   for name, M in _named_generators(images)}
+        stray = basis.below[:, col_tt] & (np.arange(A.dim) != col_tt)
+        Elam = images.E[basis.i_lam[lam]]
         gram = np.zeros((len(std), len(std)), dtype=np.int64)
         for a, S in enumerate(std):
-            left = A.lmat(basis.vector(tl, S))
-            for b, T in enumerate(std):
-                c = basis.expand(matmul((left, basis.vector(T, tl)), p))
-                gram[a, b] = c[col_tt]
-                for idx, (mu, U, V) in enumerate(basis.index):
-                    if mu in above or not c[idx] or idx == col_tt:
-                        continue
-                    raise ValueError(
-                        f"half-basis product at shape {lam} has a stray "
-                        f"component on ({U}, {V})")
+            chain = [Elam] + [images.PSI[r] for r in basis.word[S]]
+            c = basis.expand(matmul(chain + [basis.matrix[:, top]], p))
+            gram[a] = c[col_tt]
+            bad = (c != 0) & stray[:, None]
+            if bad.any():
+                _, U, V = basis.index[np.argwhere(bad.T)[0, 1]]
+                raise ValueError(f"half-basis product at shape {lam} has a "
+                                 f"stray component on ({U}, {V})")
         if not np.array_equal(gram, gram.T):
             raise ValueError(f"Gram matrix at shape {lam} is not symmetric")
         out.append(CellModule(shape=lam, tableaux=std, action=action,

@@ -26,7 +26,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import blob as B
@@ -74,14 +74,19 @@ def _int_tuple(text: str) -> tuple:
 
 def read_config_file(path: str) -> dict:
     """Plain key=value lines; '#' starts a comment."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as ex:
+        raise ValueError(f"cannot read config file {path}: "
+                         f"{ex.strerror}") from None
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, val = line.partition("=")
+        out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 
@@ -89,6 +94,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     raw = {}
     if getattr(args, "config", None):
         raw.update(read_config_file(args.config))
+        known = [f.name for f in fields(RunConfig)]
+        unknown = sorted(set(raw) - set(known))
+        if unknown:
+            raise ValueError(f"unknown config key {', '.join(unknown)}; "
+                             f"known keys: {', '.join(known)}")
     for key in ("n", "l", "e", "p", "q", "kappa_hat", "theta", "suite",
                 "out", "oracle"):
         val = getattr(args, key, None)
@@ -138,7 +148,7 @@ def _header(cfg: RunConfig, params: Optional[H.HeckeParams]) -> dict:
 def cmd_dims(cfg: RunConfig) -> dict:
     """Dimension table: the cyclotomic algebra (l^n n!), the quotient
     (sum of squared standard-tableau counts) and the per-shape counts."""
-    params = cfg.params() if cfg.n > 0 else None
+    params = cfg.params() if cfg.n != 0 else None   # rejects n < 0
     shapes = comb.one_column_shapes(cfg.n, cfg.l)
     counts = {lam: len(comb.std_tableaux(lam)) for lam in shapes}
     report = _header(cfg, params)

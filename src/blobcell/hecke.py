@@ -712,17 +712,18 @@ class SeminormalModel:
         cS = bS.contents[bS.index[S]]
         cU = bU.contents[bU.index[U]]
         sets = self.csets
+        # F_p(t) is a field: the product is zero iff a factor has c = c_U(k)
+        if any(cU[k] != cS[k] and cU[k] in sets[k]
+               for k in range(self.params.n)):
+            return self.zero
         val = self.one
         for k in range(self.params.n):
             if cU[k] == cS[k]:  # every factor of level k is 1
                 continue
             for c in sets[k]:
-                if c == cS[k]:
-                    continue
-                if cU[k] == c:
-                    return self.zero
-                val = val * ((tpow(p, cU[k]) - tpow(p, c))
-                             / (tpow(p, cS[k]) - tpow(p, c)))
+                if c != cS[k]:
+                    val = val * ((tpow(p, cU[k]) - tpow(p, c))
+                                 / (tpow(p, cS[k]) - tpow(p, c)))
         return val
 
     def murphy_is_matrix_unit(self, S) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from blobcell import blob as B
 from blobcell import combinatorics as C
 from blobcell import hecke as H
-from blobcell.exactfield import mat_pow, matmul, rref
+from blobcell.exactfield import mat_pow, matmul, rank, rref
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
 
@@ -593,3 +593,209 @@ class TestMaxShapeVanishing:
         for iota in range(params3.e):
             iseq = imax2 + (iota,)
             assert (iseq in images3.E) == (iseq in lam_seqs)
+
+
+# ---------------------------------------------------------------------------
+# Per-vector references for the checks written on the cellular basis
+# ---------------------------------------------------------------------------
+
+
+def per_vector_cellularity(A, basis):
+    """Cellularity, one expanded column and one basis pair at a time,
+    followed by the grading lines of :func:`per_vector_grading`."""
+    p, report = A.p, []
+    for name, M in B._named_generators(basis.images):
+        X = basis.expand(matmul((M, basis.matrix), p))
+        for lam in basis.shapes:
+            std, tl = basis.std[lam], basis.t_lam[lam]
+            above = basis._above[lam]
+            for S in std:
+                r_u = {u: X[basis.column[(u, tl)], basis.column[(S, tl)]]
+                       for u in std}
+                for T in std:
+                    c = X[:, basis.column[(S, T)]]
+                    for idx, (mu, U, V) in enumerate(basis.index):
+                        if mu in above:
+                            continue
+                        want = r_u[U] if mu == lam and V == T else 0
+                        if c[idx] != want:
+                            report.append(
+                                f"{name} at (S, T) = ({S}, {T}): "
+                                f"coefficient on ({U}, {V}) is {c[idx]}, "
+                                f"expected {want}")
+                            break
+    return report + per_vector_grading(A, basis)
+
+
+def per_vector_grading(A, basis):
+    """The degree of every nonzero coefficient of every generator times
+    every basis vector, with the residue sequence read per pair."""
+    p, e, images = A.p, basis.params.e, basis.images
+    degs = np.array([basis.degree(S, T) for _, S, T in basis.index])
+    elements = [(f"y_{k}", images.Y[k], lambda iS: 2) for k in images.Y]
+    elements += [(f"e({i})", Ei, lambda iS: 0) for i, Ei in images.E.items()]
+    elements += [(f"psi_{r}", images.PSI[r],
+                  lambda iS, r=r: C.psi_degree(iS[r - 1], iS[r], e))
+                 for r in images.PSI]
+    report = []
+    for name, M, degree in elements:
+        X = basis.expand(matmul((M, basis.matrix), p))
+        for (_, S, T), c in zip(basis.index, X.T):
+            target = basis.degree(S, T) + degree(C.residue_seq(S, basis.mc))
+            for idx in np.nonzero(c)[0]:
+                if degs[idx] != target:
+                    report.append(
+                        f"{name}.m_({S},{T}) has a component of degree "
+                        f"{degs[idx]}, expected {target}")
+    return report
+
+
+def per_vector_jm(A, basis, jm):
+    """JM triangularity, expanding JM_k times one basis vector at a time
+    on either side."""
+    p, q, theta, report = A.p, A.q, basis.theta, []
+    for k in jm:
+        for lam, S, T in basis.index:
+            above, own = basis._above[lam], basis.column[(S, T)]
+            for side, Mv, moved, fixed in (
+                    ("right", matmul((A.RL[k], basis.vector(S, T)), p), T, S),
+                    ("left", matmul((A.L[k], basis.vector(S, T)), p), S, T)):
+                c = basis.expand(Mv)
+                diag = pow(q, C.residue_seq(moved, basis.mc)[k - 1], p)
+                for idx, (mu, U, V) in enumerate(basis.index):
+                    if mu in above or not (c[idx] or idx == own):
+                        continue
+                    Umoved, Ufixed = (V, U) if side == "right" else (U, V)
+                    if not (mu == lam and Ufixed == fixed and
+                            (Umoved == moved or C.tableau_strictly_dominates(
+                                Umoved, moved, theta))):
+                        report.append(f"JM_{k} {side} on ({S}, {T}): stray "
+                                      f"component on ({U}, {V})")
+                    elif Umoved == moved and c[idx] != diag:
+                        report.append(
+                            f"JM_{k} {side} on ({S}, {T}): diagonal "
+                            f"coefficient {c[idx]}, expected {diag}")
+    return report
+
+
+def per_vector_cell_modules(A, basis):
+    """(shape, action, Gram matrix, Gram rank) per shape, each Gram entry
+    from the left-multiplication matrix ``A.lmat`` of m_{T^lam,S} applied
+    to one m_{T,T^lam}; raises ValueError as ``cell_modules`` does."""
+    p, out = A.p, []
+    for lam in basis.shapes:
+        std, tl = basis.std[lam], basis.t_lam[lam]
+        col_tt = basis.column[(tl, tl)]
+        top = [basis.column[(S, tl)] for S in std]
+        action = {name: basis.expand(matmul((M, basis.matrix[:, top]), p))[top]
+                  for name, M in B._named_generators(basis.images)}
+        gram = np.zeros((len(std), len(std)), dtype=np.int64)
+        for a, S in enumerate(std):
+            left = A.lmat(basis.vector(tl, S))
+            for b, T in enumerate(std):
+                c = basis.expand(matmul((left, basis.vector(T, tl)), p))
+                gram[a, b] = c[col_tt]
+                for idx, (mu, U, V) in enumerate(basis.index):
+                    if mu not in basis._above[lam] and c[idx] and \
+                            idx != col_tt:
+                        raise ValueError(
+                            f"half-basis product at shape {lam} has a stray "
+                            f"component on ({U}, {V})")
+        out.append((lam, action, gram, rank(gram, p)))
+    return out
+
+
+def assert_modules_match(A, basis):
+    try:
+        ref = per_vector_cell_modules(A, basis)
+    except ValueError as ex:
+        with pytest.raises(ValueError) as got:
+            B.cell_modules(A, basis)
+        assert str(got.value) == str(ex)
+        return str(ex)
+    mods = B.cell_modules(A, basis)
+    assert len(mods) == len(ref)
+    for m, (lam, action, gram, grank) in zip(mods, ref):
+        assert m.shape == lam and m.gram_rank == grank
+        assert m.gram.tobytes() == gram.tobytes()
+        assert m.action.keys() == action.keys()
+        assert all(m.action[k].tobytes() == action[k].tobytes()
+                   for k in action)
+    return None
+
+
+class TestCellularBasisMatrices:
+    """The checks on the matrices of operators on the cellular basis give
+    the reports of the per-vector references, in order."""
+
+    @pytest.mark.parametrize("n,l", SCALES)
+    def test_certified_bases(self, built, n, l):
+        _, A, images, basis = built[(n, l)]
+        jm = B.jm_images(A, images)
+        assert B.check_cellularity(A, basis) == \
+            per_vector_cellularity(A, basis) == []
+        assert B._grading_violations(A, basis) == []
+        assert B.check_jm(A, basis, jm) == per_vector_jm(A, basis, jm) == []
+        assert assert_modules_match(A, basis) is None
+
+    @pytest.mark.parametrize("n,l,theta,count", [
+        ((2, 2, (0, 1), 16)), ((2, 3, (0, 3, 1), 32))])
+    def test_other_weightings(self, built, n, l, theta, count):
+        _, A, images, _ = built[(n, l)]
+        basis = B.build_cellular_basis(A, images, theta)
+        jm = B.jm_images(A, images)
+        got = B.check_jm(A, basis, jm)
+        assert len(got) == count and got == per_vector_jm(A, basis, jm)
+        assert B.check_cellularity(A, basis) == \
+            per_vector_cellularity(A, basis)
+        assert_modules_match(A, basis)
+
+    def test_images_changed_after_the_basis(self, built):
+        _, A, images, basis = built[(3, 2)]
+        p = A.p
+        changed = copy.copy(images)
+        changed.E, changed.Y = dict(images.E), dict(images.Y)
+        changed.PSI = dict(images.PSI)
+        first = next(iter(images.E))
+        changed.Y[2] = (images.Y[2] + images.E[first]) % p
+        changed.E[first] = (images.E[first] + images.Y[1]) % p
+        changed.PSI[2] = (images.PSI[2] + images.Y[3]) % p
+        moved = copy.copy(basis)
+        moved.images = changed
+        grading = B._grading_violations(A, moved)
+        assert grading == per_vector_grading(A, moved)
+        assert len(grading) == 4
+        assert {line.split(".")[0] for line in grading} == {"y_2", "psi_2"}
+        assert B.check_cellularity(A, moved) == \
+            per_vector_cellularity(A, moved)
+        assert len(B.check_cellularity(A, moved)) == 4
+        assert_modules_match(A, moved)
+
+    @pytest.mark.parametrize("n,l", [(3, 2), (2, 3)])
+    def test_changed_inverse(self, built, n, l):
+        # the row of an (S, S) pair gains the row of (T^lam, T^lam), so an
+        # expansion on (T^lam, T^lam) also lands on (S, S)
+        _, A, images, basis = built[(n, l)]
+        lam = next(lam for lam in basis.shapes if len(basis.std[lam]) >= 2)
+        tl = basis.t_lam[lam]
+        S = next(S for S in basis.std[lam] if S != tl)
+        moved = copy.copy(basis)
+        moved._inv = basis._inv.copy()
+        i, j = basis.column[(S, S)], basis.column[(tl, tl)]
+        moved._inv[i] = (moved._inv[i] + moved._inv[j]) % A.p
+        assert "stray component" in assert_modules_match(A, moved)
+        cells = B.check_cellularity(A, moved)
+        assert cells and cells == per_vector_cellularity(A, moved)
+        jm = B.jm_images(A, images)
+        assert B.check_jm(A, moved, jm) == per_vector_jm(A, moved, jm)
+
+    @pytest.mark.parametrize("n,l", SCALES)
+    def test_jm_images_equal_per_class_sum(self, built, n, l):
+        _, A, images, _ = built[(n, l)]
+        p, I = A.p, A.identity
+        for k, M in B.jm_images(A, images).items():
+            want = np.zeros_like(I)
+            for iseq, Ei in images.E.items():
+                N = matmul(((I - images.Y[k]) % p, Ei), p)
+                want = (want + pow(A.q, iseq[k - 1], p) * N) % p
+            assert M.tobytes() == want.tobytes()

@@ -68,6 +68,26 @@ class TestRejectedInput:
         assert err.startswith("error: ") and message in err
 
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("n=2\nl=2\nfoo=1\n")
+        code, out, err = run(["dims", "--config", str(cfgfile)], capsys)
+        assert code == 2 and not out
+        assert err.startswith("error: unknown config key foo")
+        assert "known keys: n, l, e, p, q" in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        code, out, err = run(["verify", "--config", str(path)], capsys)
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot read config file {path}")
+
+    def test_negative_strings_in_dims(self, capsys):
+        code, out, err = run(["dims", "--n", "-1", "--l", "2"], capsys)
+        assert code == 2 and not out
+        assert err == "error: n = -1: need at least one string\n"
+
+
 class TestDims:
     def test_three_strings_level_two(self, capsys):
         code, out, _ = run(["dims", "--n", "3", "--l", "2"], capsys)
@@ -160,6 +180,14 @@ class TestVerify:
         assert all(s["passed"] for s in json.loads(out)["suites"].values())
         code, out, _ = run(["basis"] + args, capsys)
         assert code == 0 and len(json.loads(out)["vectors"]) == 6
+
+    def test_largest_admitted_prime_at_three_strings(self, capsys):
+        # the largest prime p = 1 mod 5 that the product bound admits at
+        # dim H = 48
+        code, out, _ = run(["verify", "--n", "3", "--l", "2", "--p",
+                            "438353261", "--q", "166042506"], capsys)
+        assert code == 0
+        assert all(s["passed"] for s in json.loads(out)["suites"].values())
 
     def test_prime_beyond_bound_rejected(self, capsys):
         code, out, err = run(["verify", "--n", "2", "--l", "2", "--p",
