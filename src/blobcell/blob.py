@@ -28,7 +28,7 @@ import numpy as np
 
 from . import combinatorics as comb
 from .exactfield import (RowSpace, invert_matrix, mat_pow, matmul,
-                         nullspace, rank, rref)
+                         nullspace, rank, rank_and_inverse, rref)
 from .hecke import (HeckeParams, RegularRep, class_partition,
                     class_idempotent_vector, e2_idempotents,
                     embed_two_string, regular_rep)
@@ -207,6 +207,24 @@ def build_blob(params: HeckeParams) -> "BlobAlgebra":
 # ---------------------------------------------------------------------------
 
 
+def _carried_classes(algebra: BlobAlgebra, classes: dict) -> set:
+    """The residue classes whose idempotents can be nonzero in the
+    carrier: every class in H itself, and in the quotient B the residue
+    sequences of standard tableaux of one-column shapes.
+
+    In B this is certified, not assumed.  The class idempotents of H are
+    orthogonal and add up to 1, and :meth:`KLRImages._adapted_basis` and
+    :meth:`KLRImages._projection_failures` check that the kept ones add up
+    to 1 in B.  So the other classes add up to 0 in B, and each of them
+    is 0 there: by orthogonality it is its own product with that sum."""
+    if not algebra.is_quotient:
+        return set(classes)
+    n, l = algebra.params.n, algebra.params.l
+    return {comb.residue_seq(T, algebra.params.mc)
+            for lam in comb.one_column_shapes(n, l)
+            for T in comb.std_tableaux(lam)}
+
+
 class KLRImages:
     """Images of the quiver-Hecke generators inside the given algebra.
 
@@ -248,7 +266,7 @@ class KLRImages:
         self.classes = classes
         self.E: dict = {}
         index = A.reg.nf.index
-        for iseq in sorted(classes):
+        for iseq in sorted(_carried_classes(A, classes)):
             v = np.zeros(A.reg.dim, dtype=np.int64)
             for key, c in class_idempotent_vector(params,
                                                   classes[iseq]).items():
@@ -760,12 +778,11 @@ class CellularBasis:
                     + [images.E[self.i_lam[lam]]]
                     + [PSI[r] for r in self.word[T]] + [A.unit], p)
              for lam, S, T in self.index], dtype=np.int64).T
-        if len(self.index) != A.dim or \
-                rank(self.matrix, p) != A.dim:
+        r, self._inv = rank_and_inverse(self.matrix, p)
+        if len(self.index) != A.dim or r != A.dim:
             raise ValueError(
                 f"cellular family of size {len(self.index)} has rank "
-                f"{rank(self.matrix, p)}, expected {A.dim}")
-        self._inv = invert_matrix(self.matrix, p)
+                f"{r}, expected {A.dim}")
         # strictly-dominating shape comparisons, for the cell order
         self._above = {
             lam: {mu for mu in self.shapes

@@ -10,8 +10,11 @@ anywhere.  The pieces provided here are
   denominator) form, with pole-aware specialization,
 * the matrix kernel ``matmul``/``mat_pow``: products of int64 matrices
   with entries in [0, p), reduced mod p after every product,
+* ``SeriesOperator`` -- a sparse operator with truncated power series
+  entries, the Murphy engine's L_k at t = q + s,
 * mod-p linear algebra on numpy int64 matrices (``rank``, ``rref``,
-  ``nullspace``, ``invert_matrix``) with deterministic pivot choice, and
+  ``nullspace``, ``invert_matrix``, ``rank_and_inverse``) with
+  deterministic pivot choice, and
 * ``RowSpace`` -- an incremental reduced echelon form, used to close
   two-sided ideals a block of new vectors at a time and to certify
   spanning ranks.
@@ -19,11 +22,12 @@ anywhere.  The pieces provided here are
 The kernel does not reduce its inputs: callers keep stored matrices in
 [0, p) and reduce a linear combination where they form it.  Before a
 reduction an int64 entry is then at most ``product_bound(D, p)``, one
-product of D-wide factors plus one reduced addend; the Murphy engine's
-chunked layer sums and its series layers keep to it too, and
+product of D-wide factors plus one reduced addend; the generic Murphy
+oracle's chunked layer sums keep to it too, and
 ``HeckeParams.validate_exact`` rejects a p that breaks it at D = dim H.
-An accepted p is below 2^32, so a cumulative sum of w reduced values
-stays below w 2^32.
+``SeriesOperator`` reduces by its own bound, ``series_terms(p)``, which
+every such p meets.  An accepted p is below 2^32, so a
+cumulative sum of w reduced values stays below w 2^32.
 """
 
 from __future__ import annotations
@@ -128,6 +132,10 @@ def root_of_unity(p: int, e: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# factors this short are multiplied in plain Python (``Poly.__mul__``)
+_SHORT = 2
+
+
 def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     n = len(coeffs)
     while n > 0 and coeffs[n - 1] == 0:
@@ -187,10 +195,22 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(self.p, ())
-        a = np.array(self.coeffs, dtype=np.int64)
-        b = np.array(other.coeffs, dtype=np.int64)
+        p, a, b = self.p, self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly(p, ())
+        if min(len(a), len(b)) <= _SHORT:
+            # schoolbook on Python ints: exact at any p, and cheaper than
+            # numpy for the short factors (t, t - 1, constants) of the
+            # rewriting
+            if len(a) > len(b):
+                a, b = b, a
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+            return Poly(p, _trim([c % p for c in out]))
+        a = np.array(a, dtype=np.int64)
+        b = np.array(b, dtype=np.int64)
         # Coefficients are < p <= a few thousand, so int64 convolution is
         # exact as long as min(len) * p^2 < 2^63; chunk the longer factor
         # if that ever fails.
@@ -400,6 +420,80 @@ def product_bound(D: int, p: int) -> int:
     return D * (p - 1) ** 2 + p - 1
 
 
+def series_terms(p: int) -> int:
+    """Most products of two values in [0, p) that can be added to one
+    value in [0, p) within int64: the m with m (p - 1)^2 + p - 1 at most
+    2^63 - 1.  ``product_bound(D, p)`` fits exactly when D <= m, so
+    every p that ``HeckeParams.validate_exact`` admits gives m >= dim H."""
+    return (INT64_MAX - (p - 1)) // (p - 1) ** 2
+
+
+class SeriesOperator:
+    """A sparse dim x dim operator whose entries are power series in s
+    truncated mod s^K, sum_b s^b B_b, over F_p.
+
+    Built from coordinate arrays: row, column and the K coefficients of
+    each entry (duplicate positions are added, the sums reduced mod p and
+    all-zero entries dropped); the pattern is kept sorted by row.
+    :meth:`apply` is one gather, K(K+1)/2 vector multiply-adds and one
+    ``np.add.reduceat`` over the rows.
+
+    Bound: a row of the result sums at most K r products of two values
+    in [0, p), r the most entries in one row.  When K r is at most
+    ``series_terms(p)`` that sum fits in int64 and is reduced once.
+    Otherwise each entry's series product, at most K such products, is
+    reduced after every ``series_terms(p)`` of them and once more before
+    the row sums, which then add at most dim values in [0, p).  So no
+    int64 value passes ``series_terms(p) (p - 1)^2 + p - 1`` <= 2^63 - 1.
+    That needs series_terms(p) >= 1, which every p that
+    ``HeckeParams.validate_exact`` admits meets; a larger p is refused."""
+
+    def __init__(self, dim: int, rows: np.ndarray, cols: np.ndarray,
+                 coeffs: np.ndarray, p: int):
+        """``coeffs[b]`` holds the s^b coefficients of the entries
+        (rows[j], cols[j]), in [0, p)."""
+        self.terms = series_terms(p)
+        if self.terms < 1:
+            raise ValueError(f"p = {p} is too large for exact int64 "
+                             f"series products")
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        K = coeffs.shape[0]
+        self.dim, self.p, self.K = dim, p, K
+        pos, at = np.unique(np.asarray(rows, dtype=np.int64) * dim + cols,
+                            return_inverse=True)
+        C = np.zeros((K, len(pos)), dtype=np.int64)
+        for b in range(K):
+            np.add.at(C[b], at, coeffs[b])
+        C %= p
+        keep = C.any(axis=0)
+        pos, self.coeffs = pos[keep], C[:, keep]
+        rows, self.cols = np.divmod(pos, dim)
+        self.rows, self.starts, counts = np.unique(
+            rows, return_index=True, return_counts=True)
+        # whether a whole row sum of unreduced series products fits
+        self._row_sums_fit = K * counts.max(initial=0) <= self.terms
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        """sum_b s^b B_b V mod s^K for a dim x K array V of series
+        coefficients in [0, p); returns a dim x K array in [0, p)."""
+        p, K, C = self.p, self.K, self.coeffs
+        G = np.take(V.T, self.cols, axis=1)
+        S = np.empty_like(C)
+        tmp = np.empty(C.shape[1], dtype=np.int64)
+        for j in range(K):
+            acc = S[j]
+            np.multiply(C[0], G[j], out=acc)
+            for b in range(1, j + 1):
+                if b % self.terms == 0:
+                    acc %= p
+                acc += np.multiply(C[b], G[j - b], out=tmp)
+        if not self._row_sums_fit:
+            S %= p
+        out = np.zeros((self.dim, K), dtype=np.int64)
+        out[self.rows] = np.add.reduceat(S, self.starts, axis=1).T % p
+        return out
+
+
 def matmul(factors: Sequence[np.ndarray], p: int) -> np.ndarray:
     """Product of a chain of int64 matrices with entries in [0, p), the
     last of which may be a vector, reduced mod p after every product and
@@ -481,13 +575,22 @@ def nullspace(M: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def invert_matrix(M: np.ndarray, p: int) -> np.ndarray:
+def rank_and_inverse(M: np.ndarray, p: int) -> tuple[int, np.ndarray | None]:
+    """The rank of M and, when M is square and invertible, its inverse
+    (None otherwise), from one rref of [M | I]: its pivots in the columns
+    of M are those of an rref of M."""
     A = _as_modp(M, p)
-    n = A.shape[0]
-    R, piv = rref(np.hstack([A, np.eye(n, dtype=np.int64)]), p)
-    if piv[: n] != list(range(n)):
+    rows, cols = A.shape
+    R, piv = rref(np.hstack([A, np.eye(rows, dtype=np.int64)]), p)
+    r = sum(c < cols for c in piv)
+    return r, (R[:, cols:] if r == rows == cols else None)
+
+
+def invert_matrix(M: np.ndarray, p: int) -> np.ndarray:
+    inv = rank_and_inverse(M, p)[1]
+    if inv is None:
         raise ValueError("matrix is singular mod p")
-    return R[:, n:]
+    return inv
 
 
 class RowSpace:

@@ -26,10 +26,13 @@ its value there.  ``class_idempotent_vector`` computes that value directly
 in truncated Laurent series in s = t - q: the leaves of the product
 formula are carried to the exact precision the s^0 term needs, added, and
 certified pole-free by checking that every term of negative order
-cancels (``PoleAtSpecialization`` otherwise).  The same idempotents over
-F_p(t) (``MurphyEngine.murphy_vectors``, ``class_vector``,
-``class_vectors``) are kept as the generic oracle that the tests compare
-against; the pipeline does not use them.
+cancels (``PoleAtSpecialization`` otherwise).  Its L_k are
+:class:`~.exactfield.SeriesOperator` instances, so the pipeline needs only
+numpy.  The same idempotents over F_p(t) (``MurphyEngine.murphy_vectors``,
+``class_vector``, ``class_vectors``) are kept as the generic oracle that
+the tests compare against; the pipeline does not use them.  Only that
+oracle needs scipy (its sparse degree layers, ``MurphyEngine.ops``), and
+imports it on first use.
 """
 
 from __future__ import annotations
@@ -40,12 +43,12 @@ from itertools import permutations, product
 from math import comb as binomial, factorial, gcd
 
 import numpy as np
-from scipy import sparse
 
 from . import combinatorics as comb
 from .exactfield import (INT64_MAX, PoleAtSpecialization, Poly, RatFunc,
-                         cyclic_subgroup, has_order, is_prime, matmul,
-                         nullspace, product_bound, root_of_unity)
+                         SeriesOperator, cyclic_subgroup, has_order,
+                         is_prime, matmul, nullspace, product_bound,
+                         root_of_unity)
 
 
 # ---------------------------------------------------------------------------
@@ -853,8 +856,8 @@ class MurphyEngine:
     normal form.  The engine does not rewrite them: it takes the normal
     form ``nf`` and the numerator arrays ``entries`` from the cached
     :func:`regular_rep` of the same parameters, the arrays from which
-    ``RegularRep.L`` is evaluated, and groups them into sparse matrices
-    indexed by coefficient degree.  Tableaux sharing an initial segment
+    ``RegularRep.L`` is evaluated, and builds each path's operators from
+    them on first use.  Tableaux sharing an initial segment
     of contents share the corresponding partial products through one
     prefix-tree walk, :meth:`_walk`, which takes the factor step as a
     parameter.  Two steps use it.
@@ -863,8 +866,9 @@ class MurphyEngine:
       the pipeline needs.  With s = t - q every vector is a dim x K
       integer array of the coefficients of s^0, ..., s^(K-1), together
       with a pole order N, so that it stands for s^(-N) times that
-      truncated series.  L_k becomes the stack of its s-coefficient
-      matrices B_b, and a factor step multiplies by the series inverse of
+      truncated series.  L_k becomes the :class:`SeriesOperator` sum_b
+      s^b B_b of its s-coefficient matrices (:meth:`_series_layers`,
+      numpy only), and a factor step multiplies by the series inverse of
       the unit part of its denominator and adds the denominator's
       s-adic valuation to N.  Each F_T has a pole at q; the class sum
       does not, and the integrality certificate is that every term of
@@ -874,9 +878,11 @@ class MurphyEngine:
       :meth:`class_vector` and :meth:`class_vectors`: a vector is a dense
       int64 matrix with one column per power of t and a power-of-t
       offset, denominator-free until the leaves, which are reduced by
-      exact division against the factored denominator.  The acceptance
-      criteria on the generic idempotents and the tests of the series
-      path use it; the pipeline does not."""
+      exact division against the factored denominator.  Its operators
+      are scipy sparse matrices indexed by coefficient degree
+      (:attr:`ops`, built and scipy imported on first use).  The
+      acceptance criteria on the generic idempotents and the tests of
+      the series path use it; the pipeline does not."""
 
     def __init__(self, params: HeckeParams):
         reg = regular_rep(params)
@@ -894,7 +900,6 @@ class MurphyEngine:
         if len(set(self.content_of.values())) != len(self.tabs):
             raise DegenerateContents("content vectors do not separate "
                                      "standard tableaux")
-        self.ops = {k: self._op_layers(k) for k in range(1, params.n + 1)}
         # pole order at t = q of each product formula: the sum of the
         # s-adic valuations of its denominators
         val = cache(lambda d: shifted_binomial(params.q, d, self.p)[0])
@@ -909,10 +914,17 @@ class MurphyEngine:
         self._laycache: dict = {}
         self._stepcache: dict = {}
 
+    @cached_property
+    def ops(self) -> dict:
+        """The generic oracle's operators, k -> :meth:`_op_layers`,
+        built on first use: only this oracle needs scipy."""
+        return {k: self._op_layers(k) for k in range(1, self.params.n + 1)}
+
     def _op_layers(self, k: int):
         """t^{k-1} L_k as (degree, sparse matrix) layers from
         ``entries[k]``, grouped in chunks whose rows hold at most dim
         nonzeros together."""
+        from scipy import sparse
         dim = len(self.nf.basis)
         deg, rows, cols, vals = self.entries[k]
         chunks, terms = [], dim
@@ -1127,29 +1139,21 @@ class MurphyEngine:
 
     # -- the series path at t = q ------------------------------------------
 
-    def _series_layers(self, k: int, K: int):
-        """L_k = t^{-(k-1)} sum_a A_a t^a at t = q + s, as the sparse stack
-        [B_0; ...; B_{K-1}] of its s^b coefficients, reduced mod p and
-        cached.  Each B_b is dim x dim, so a row holds at most dim
-        nonzeros and B_b times a reduced vector stays within
-        :func:`product_bound`."""
+    def _series_layers(self, k: int, K: int) -> SeriesOperator:
+        """L_k = t^{-(k-1)} sum_a A_a t^a at t = q + s, as the operator
+        sum_b s^b B_b truncated mod s^K, cached; its pattern is that of
+        ``entries[k]`` and entry (i, j) of B_b is the s^b coefficient of
+        the (i, j) entry of L_k."""
         B = self._laycache.get((k, K))
         if B is None:
-            p, q, dim = self.p, self.params.q, len(self.nf.basis)
+            p, q = self.p, self.params.q
             deg, rows, cols, vals = self.entries[k]
             # coef[a, b]: the coefficient of s^b in (q + s)^(a - k + 1)
             coef = np.array([_series_pow(q, a - k + 1, K, p)
                              for a in range(int(deg.max()) + 1)],
                             dtype=np.int64)
-            w = vals[:, None] * coef[deg] % p
-            B = sparse.csr_matrix(
-                (w.T.ravel(), (np.concatenate([rows + b * dim
-                                               for b in range(K)]),
-                               np.tile(cols, K))),
-                shape=(K * dim, dim), dtype=np.int64)
-            B.sum_duplicates()
-            B.data %= p
-            B.eliminate_zeros()
+            B = SeriesOperator(len(self.nf.basis), rows, cols,
+                               vals * coef[deg].T % p, p)
             self._laycache[(k, K)] = B
         return B
 
@@ -1180,14 +1184,10 @@ class MurphyEngine:
         """The step of the series path: V -> (L_k - t^c) V / u mod s^K,
         where t^ck - t^c = s^v u; returns the new array and the pole
         order increment v."""
-        p = self.p
-        dim, K = V.shape
+        p, K = self.p, V.shape[1]
         inv, c_inv, v = self._step_scalars(ck, c)
-        P = self._series_layers(k, K) @ V % p
-        LV = P[:dim].copy()
-        for b in range(1, K):
-            LV[:, b:] += P[b * dim:(b + 1) * dim, :K - b]
-        W = (matmul((LV % p, inv[:K, :K]), p)
+        LV = self._series_layers(k, K).apply(V)
+        W = (matmul((LV, inv[:K, :K]), p)
              - matmul((V, c_inv[:K, :K]), p)) % p
         return W, v
 

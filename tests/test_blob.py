@@ -318,6 +318,44 @@ class TestAdaptedCoordinates:
         assert max(x for x in sizes if x != A.dim) <= largest < A.dim
         assert len(pushes) == len(images.E) < len(images.classes)
 
+    def test_kept_classes_are_the_nonzero_ones(self, built, built_full,
+                                               nonzero_classes):
+        # B computes only the one-column classes; H computes them all
+        for n, l in SCALES:
+            _, A, images, _ = built[(n, l)]
+            assert set(images.E) == nonzero_classes(A), (n, l)
+            _, A_full, full = built_full[(n, l)]
+            assert set(full.E) == nonzero_classes(A_full) == \
+                set(full.classes), (n, l)
+
+    def test_kept_classes_at_three_strings_level_three(self, nonzero_classes):
+        A = B.build_blob(H.default_params(3, 3))
+        assert set(B.KLRImages(A).E) == nonzero_classes(A)
+
+    def test_idempotents_only_for_kept_classes(self, built, monkeypatch):
+        _, A, images, _ = built[(3, 2)]
+        calls = []
+        murphy = B.class_idempotent_vector
+
+        def counted(params, tabs):
+            calls.append(tabs)
+            return murphy(params, tabs)
+
+        monkeypatch.setattr(B, "class_idempotent_vector", counted)
+        assert len(B.KLRImages(A).E) == len(calls) == 7
+        assert len(images.classes) == 16
+
+    def test_dropped_class_breaks_the_sum(self, built, monkeypatch):
+        # the kept set is certified: without one of its classes the
+        # images of the e(i) no longer add up to 1
+        _, A, _, _ = built[(3, 2)]
+        carried = B._carried_classes
+        monkeypatch.setattr(B, "_carried_classes",
+                            lambda *args: set(sorted(carried(*args))[1:]))
+        with pytest.raises(B.RelationFailure) as err:
+            B.KLRImages(A)
+        assert err.value.relation == "sum of e(i) = 1"
+
     @pytest.mark.parametrize("name,key,relation", [
         ("E", (0, 2, 4), "e(i) is the block projection"),
         ("Y", 2, "y_k e(i) = e(i) y_k"),

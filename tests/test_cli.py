@@ -3,6 +3,10 @@ reports, verification suites and exit codes, artifact dumps, and the
 symbolic straightening trace."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -280,3 +284,21 @@ class TestTrace:
         assert code == 0
         report = json.loads(out)
         assert report["mode"] == "exact" and report["zero"]
+
+
+def test_commands_do_not_import_scipy():
+    # scipy serves only the generic oracle of the tests; a fresh process
+    # running the commands must not load it
+    script = (
+        "import contextlib, io, sys\n"
+        "from blobcell import cli\n"
+        "for cmd in ('verify', 'cell', 'basis', 'dims'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main([cmd, '--n', '2', '--l', '2']) == 0, cmd\n"
+        "assert 'scipy' not in sys.modules\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

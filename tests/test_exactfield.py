@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blobcell.exactfield import (INT64_MAX, NoRoot, PoleAtSpecialization,
-                                 Poly, RatFunc, RowSpace, cyclic_subgroup,
-                                 has_order, invert_matrix,
+                                 Poly, RatFunc, RowSpace, SeriesOperator,
+                                 cyclic_subgroup, has_order, invert_matrix,
                                  is_prime, mat_pow, matmul, nullspace,
-                                 product_bound, rank, root_of_unity, rref)
+                                 product_bound, rank, rank_and_inverse,
+                                 root_of_unity, rref, series_terms)
 
 P = 11
 
@@ -142,6 +143,15 @@ class TestPoly:
     def test_bigint_fallback_matches(self):
         f, g = poly([3, 1, 4, 1, 5]), poly([9, 2, 6])
         assert f._mul_bigint(g) == f * g
+
+    @given(st.lists(st.integers(0, 10), max_size=2), coeff_lists)
+    @settings(max_examples=60)
+    def test_short_factor_products(self, a, b):
+        # one or two coefficients take the plain-Python path, also at a
+        # p whose squares overflow int64
+        for p in (P, 2 ** 61 - 1):
+            f, g = Poly.of(p, a), Poly.of(p, [c * 977 for c in b])
+            assert f * g == g * f == f._mul_bigint(g)
 
 
 class TestRatFunc:
@@ -295,6 +305,17 @@ class TestLinalg:
             assert np.array_equal(mat_pow(M, k, P), acc)
             acc = matmul((acc, M), P)
 
+    def test_rank_and_inverse(self):
+        for _ in range(20):
+            m, n = (int(x) for x in rng.integers(1, 7, size=2))
+            M = rng.integers(0, P, size=(m, n))
+            r, inv = rank_and_inverse(M, P)
+            assert r == rank(M, P)
+            if m == n == r:
+                assert np.array_equal(inv, invert_matrix(M, P))
+            else:
+                assert inv is None
+
     def test_rowspace_reduce_idempotent(self):
         M = rng.integers(0, P, size=(5, 8))
         rs = RowSpace(8, P)
@@ -303,6 +324,51 @@ class TestLinalg:
         v = rng.integers(0, P, size=8)
         w = rs.reduce(v)
         assert np.array_equal(rs.reduce(w), w)
+
+
+def series_reference(dim, rows, cols, coeffs, V, p):
+    """sum_b s^b B_b V mod s^K on Python integers, entry by entry."""
+    K = V.shape[1]
+    out = [[0] * K for _ in range(dim)]
+    for e, (i, c) in enumerate(zip(rows.tolist(), cols.tolist())):
+        for j in range(K):
+            out[i][j] += sum(int(coeffs[b, e]) * int(V[c, j - b])
+                             for b in range(j + 1))
+    return [[x % p for x in row] for row in out]
+
+
+class TestSeriesOperator:
+    @pytest.mark.parametrize("p", [11, 438353261, 2147483647])
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    def test_apply_is_exact(self, p, K):
+        # duplicate positions, empty rows and, at p = 2^31 - 1, where
+        # series_terms(p) = 2, reductions inside the series products
+        dim, nnz = 9, 40
+        rows = rng.integers(0, dim - 2, size=nnz)
+        cols = rng.integers(0, dim, size=nnz)
+        coeffs = rng.integers(0, p, size=(K, nnz))
+        coeffs[:, :3] = 0
+        op = SeriesOperator(dim, rows, cols, coeffs, p)
+        assert list(op.rows) == sorted(set(op.rows.tolist()))
+        assert op.coeffs.any(axis=0).all()
+        for _ in range(3):
+            V = rng.integers(0, p, size=(dim, K))
+            got = op.apply(V)
+            assert got.tolist() == series_reference(dim, rows, cols, coeffs,
+                                                    V, p)
+        assert got[dim - 2:].tolist() == [[0] * K] * 2
+
+    def test_series_terms(self):
+        for p in (2, 11, 438353261, 2147483647):
+            m = series_terms(p)
+            assert m * (p - 1) ** 2 + p - 1 <= INT64_MAX
+            assert (m + 1) * (p - 1) ** 2 + p - 1 > INT64_MAX
+            assert product_bound(m, p) <= INT64_MAX < product_bound(m + 1, p)
+        assert series_terms(2147483647) == 2
+        with pytest.raises(ValueError, match="too large"):
+            SeriesOperator(2, np.zeros(1, dtype=np.int64),
+                           np.zeros(1, dtype=np.int64),
+                           np.ones((1, 1), dtype=np.int64), 2 ** 33 + 1)
 
 
 def test_products_stay_in_the_kernel():

@@ -46,6 +46,12 @@ def test_sign_sensitive_classes_are_realized(built, full):
     assert _triples(full, -1)
 
 
+def test_kept_classes_are_the_nonzero_ones(built, nonzero_classes):
+    _, A, images, _ = built
+    assert set(images.E) == nonzero_classes(A)
+    assert len(images.E) == 13 < len(images.classes) == 46
+
+
 def test_relations(built):
     _, _, images, _ = built
     assert images.relation_failures() == []

@@ -388,6 +388,47 @@ class TestMurphyIdempotents:
             assert sorted(roots) == [x for x, v in want.items() if v], d
             assert all(want[x] == mult for x in roots), d
 
+    @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (2, 3), (3, 3),
+                                     (4, 2)])
+    def test_series_operator_matches_stacked_scipy_product(self, n, l):
+        # every (k, K) the series path builds, against the scipy form it
+        # replaced: the CSR stack [B_0; ...; B_(K-1)] times V, then the
+        # shift-and-add of the blocks
+        from scipy import sparse
+        pa = H.default_params(n, l)
+        eng = H.murphy_engine(pa)
+        for tabs in H.class_partition(pa).values():
+            eng.class_value(tabs)
+        p, q, dim = pa.p, pa.q, len(eng.nf.basis)
+        rng = np.random.default_rng(n * 10 + l)
+        assert eng._laycache
+        for k, K in eng._laycache:
+            deg, rows, cols, vals = eng.entries[k]
+            coef = np.array([H._series_pow(q, a - k + 1, K, p)
+                             for a in range(int(deg.max()) + 1)],
+                            dtype=np.int64)
+            w = vals[:, None] * coef[deg] % p
+            stack = sparse.csr_matrix(
+                (w.T.ravel(), (np.concatenate([rows + b * dim
+                                               for b in range(K)]),
+                               np.tile(cols, K))),
+                shape=(K * dim, dim), dtype=np.int64)
+            stack.sum_duplicates()
+            stack.data %= p
+            V = rng.integers(0, p, size=(dim, K))
+            P = stack @ V % p
+            want = P[:dim].copy()
+            for b in range(1, K):
+                want[:, b:] += P[b * dim:(b + 1) * dim, :K - b]
+            assert np.array_equal(eng._series_layers(k, K).apply(V),
+                                  want % p), (k, K)
+
+    def test_generic_oracle_layers_are_built_on_first_use(self):
+        eng = H.MurphyEngine(P32)
+        assert "ops" not in vars(eng)
+        eng.class_vector(H.class_partition(P32)[(0, 2, 1)])
+        assert sorted(vars(eng)["ops"]) == [1, 2, 3]
+
     def test_class_partition_matches_residues(self):
         pa = P32
         for key, tabs in H.class_partition(pa).items():
