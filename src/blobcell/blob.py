@@ -297,6 +297,7 @@ class KLRImages:
                               - c * self._L[k][iseq]) % p
             self.Y[k] = self._dense(Yt)
         self.PSI = {r: self._psi(r) for r in range(1, n)}
+        self._family = None
         self._sigma = None
 
     # -- adapted coordinates -------------------------------------------------
@@ -368,45 +369,68 @@ class KLRImages:
         Sg = matmul((A.star, g), p)
         return G if np.array_equal(Sg, g) else A.lmat(Sg)
 
+    def family(self) -> CellularFamily:
+        """The one-column family of the zero weighting in the carrier,
+        built on first use and again once E or PSI holds other matrices."""
+        if self._family is None or not self._family.built_from(self):
+            self._family = cellular_family(
+                self.algebra, self, comb.theta_zero(self.params.l))
+        return self._family
+
     @property
     def sigma(self) -> np.ndarray:
         """Matrix of the anti-involution that fixes e(i), y_k, psi_r.
 
-        Built by spanning the algebra with words in the generator images:
-        a word and its reversal are star-images of each other.  The result
-        is certified by :meth:`relation_failures` (involution,
-        anti-multiplicativity, generator fixing)."""
+        In the quotient it is the cellular one: the linear map m_{S,T} ->
+        m_{T,S} on the one-column family of the zero weighting (Graham-
+        Lehrer; Hu-Mathas for the quiver-Hecke case), M[:, swapped] M^-1
+        for the family matrix M, whenever the family is a basis.  In H
+        itself, where the family does not span, or when it is not a basis,
+        it comes from :meth:`_span_sigma`.  Either way it is certified by
+        :meth:`_sigma_failures`: an involution, fixing every generator,
+        and reversing every product."""
         if self._sigma is None:
-            A, p = self.algebra, self.p
-            gens = [G for _, G in _named_generators(self)]
-            lefts = [self._star_left(G) for G in gens]
-            space = RowSpace(A.dim, p)
-            space.add(A.unit)
-            cols, rcols = [A.unit], [A.unit]
-            frontier = [(A.unit, A.unit)]
-            while len(cols) < A.dim and frontier:
-                nxt = []
-                for v, vr in frontier:
-                    for G, SG in zip(gens, lefts):
-                        w = matmul((G, v), p)
-                        if not space.add(w):
-                            continue
-                        # the reversed word: vr g = S(S(g) S(vr))
-                        wr = matmul((A.star, SG, A.star, vr), p)
-                        cols.append(w)
-                        rcols.append(wr)
-                        nxt.append((w, wr))
-                        if len(cols) == A.dim:
-                            break
+            fam = self.family() if self.algebra.is_quotient else None
+            if fam is not None and fam.inv is not None:
+                self._sigma = matmul((fam.matrix[:, fam.swapped], fam.inv),
+                                     self.p)
+            else:
+                self._sigma = self._span_sigma()
+        return self._sigma
+
+    def _span_sigma(self) -> np.ndarray:
+        """The anti-involution from words in the generator images: span
+        the algebra with words, and send each word to its reversal, which
+        is its star image.  Raises ValueError if the words do not span."""
+        A, p = self.algebra, self.p
+        gens = [G for _, G in _named_generators(self)]
+        lefts = [self._star_left(G) for G in gens]
+        space = RowSpace(A.dim, p)
+        space.add(A.unit)
+        cols, rcols = [A.unit], [A.unit]
+        frontier = [(A.unit, A.unit)]
+        while len(cols) < A.dim and frontier:
+            nxt = []
+            for v, vr in frontier:
+                for G, SG in zip(gens, lefts):
+                    w = matmul((G, v), p)
+                    if not space.add(w):
+                        continue
+                    # the reversed word: vr g = S(S(g) S(vr))
+                    wr = matmul((A.star, SG, A.star, vr), p)
+                    cols.append(w)
+                    rcols.append(wr)
+                    nxt.append((w, wr))
                     if len(cols) == A.dim:
                         break
-                frontier = nxt
-            if len(cols) < A.dim:
-                raise ValueError("generator images do not span the algebra")
-            W = np.array(cols, dtype=np.int64).T
-            Wr = np.array(rcols, dtype=np.int64).T
-            self._sigma = matmul((Wr, invert_matrix(W, p)), p)
-        return self._sigma
+                if len(cols) == A.dim:
+                    break
+            frontier = nxt
+        if len(cols) < A.dim:
+            raise ValueError("generator images do not span the algebra")
+        W = np.array(cols, dtype=np.int64).T
+        Wr = np.array(rcols, dtype=np.int64).T
+        return matmul((Wr, invert_matrix(W, p)), p)
 
     # -- the crossings, column block by column block ------------------------
 
@@ -598,8 +622,16 @@ class KLRImages:
         return fails
 
     def _sigma_failures(self) -> list[RelationFailure]:
-        """Certify the anti-involution: squares to the identity, fixes
-        every generator, and reverses random products."""
+        """Exact certificate of the anti-involution sigma: it squares to
+        the identity, fixes every generator image, and reverses products.
+
+        For the last, sigma(1) = 1 and sigma R_g = L_sigma(g) sigma for
+        g = T_i and L_1, where R_g is right multiplication by g (``RT``,
+        ``RL``) and L_x left multiplication by x: sigma(x g) =
+        sigma(g) sigma(x) for every x.  By induction on the length of a
+        word y in these generators, sigma(x y) = sigma(y) sigma(x), and
+        they generate the algebra, so this holds for all x and y.  A
+        failure names the generator."""
         A, p = self.algebra, self.p
         fails = []
         try:
@@ -612,16 +644,15 @@ class KLRImages:
                   for name, G in _named_generators(self)
                   if not np.array_equal(matmul((S, G, A.unit), p),
                                         matmul((G, A.unit), p))]
-        rng = np.random.default_rng(20260826)
-        for _ in range(5):
-            x = rng.integers(0, p, A.dim)
-            y = rng.integers(0, p, A.dim)
-            lhs = matmul((S, A.lmat(x), y), p)
-            rhs = matmul((A.lmat(matmul((S, y), p)), S, x), p)
-            if not np.array_equal(lhs, rhs):
-                fails.append(RelationFailure(
-                    "star reverses products", "random pair"))
-                break
+        if not np.array_equal(matmul((S, A.unit), p), A.unit):
+            fails.append(RelationFailure("star reverses products", "1"))
+        right = [(f"T_{i}", A.T[i], A.RT[i]) for i in A.T]
+        right.append(("L_1", A.L[1], A.RL[1]))
+        for name, G, R in right:
+            Sg = matmul((S, G, A.unit), p)
+            if not np.array_equal(matmul((S, R), p),
+                                  matmul((A.lmat(Sg), S), p)):
+                fails.append(RelationFailure("star reverses products", name))
         return fails
 
     def eigenprojection_failures(self) -> list[str]:
@@ -742,13 +773,84 @@ class CellModule:
         return self.dim - self.gram_rank
 
 
+def _family_sources(images: KLRImages, i_lam: dict) -> tuple:
+    """The generator images a cellular family is built from: e(i^lam) for
+    each shape (None where the carrier drops the class), then every
+    psi_r."""
+    return tuple(images.E.get(i) for i in i_lam.values()) + \
+        tuple(images.PSI.values())
+
+
+@dataclass
+class CellularFamily:
+    """The one-column family of a weighting theta, before it is known to
+    be a basis: column j of ``matrix`` is m_{S,T} times the unit for the
+    j-th pair (lam, S, T) of ``index``, where m_{S,T} is the star of the
+    crossing word of d(S), then e(i^lam), then the crossing word of d(T).
+    A class the carrier drops has e(i^lam) = 0 there, so its pairs give
+    zero columns.  ``rank`` is the rank of ``matrix`` and ``inv`` its
+    inverse when the family is a basis of the carrier (else None).
+    ``sources`` are the generator images it was built from."""
+    shapes: list
+    i_lam: dict
+    std: dict
+    index: list
+    column: dict
+    word: dict
+    matrix: np.ndarray
+    rank: int
+    inv: np.ndarray | None
+    sources: tuple
+
+    @property
+    def swapped(self) -> list[int]:
+        """The column of (T, S) for the pair (S, T) of each column."""
+        return [self.column[(T, S)] for _, S, T in self.index]
+
+    def built_from(self, images: KLRImages) -> bool:
+        """Whether ``images`` still holds the matrices it was built from."""
+        now = _family_sources(images, self.i_lam)
+        return len(now) == len(self.sources) and \
+            all(a is b for a, b in zip(now, self.sources))
+
+
+def cellular_family(algebra: BlobAlgebra, images: KLRImages,
+                    theta) -> CellularFamily:
+    """The one-column family of ``theta`` in the carrier of ``images``,
+    with its rank and inverse from one :func:`rank_and_inverse`."""
+    A, p = algebra, algebra.p
+    n, l, mc = A.params.n, A.params.l, A.params.mc
+    shapes = comb.one_column_shapes(n, l)
+    i_lam = {lam: comb.i_lambda(lam, mc) for lam in shapes}
+    std = {lam: comb.std_tableaux(lam) for lam in shapes}
+    index = [(lam, S, T) for lam in shapes for S in std[lam] for T in std[lam]]
+    word = {S: comb.official_word(comb.d_perm(S, theta))
+            for lam in shapes for S in std[lam]}
+    # m_{S,T} times the unit, as a chain of matrix-vector products
+    PSI, zero = images.PSI, np.zeros_like(A.identity)
+    matrix = np.array(
+        [matmul([PSI[r] for r in reversed(word[S])]
+                + [images.E.get(i_lam[lam], zero)]
+                + [PSI[r] for r in word[T]] + [A.unit], p)
+         for lam, S, T in index], dtype=np.int64).T
+    r, inv = rank_and_inverse(matrix, p)
+    return CellularFamily(
+        shapes=shapes, i_lam=i_lam, std=std, index=index,
+        column={(S, T): j for j, (_, S, T) in enumerate(index)}, word=word,
+        matrix=matrix, rank=r, inv=inv,
+        sources=_family_sources(images, i_lam))
+
+
 class CellularBasis:
     """The homogeneous basis ``m_{S,T}`` of B, indexed by pairs of standard
     tableaux of a common one-column shape: the star of the crossing word of
     d(S), the class idempotent of the shape's maximal residue sequence, and
     the crossing word of d(T).  ``below[i, j]`` says that the shape of
     pair i of ``index`` is not strictly above that of pair j, so the cell
-    order keeps a coefficient at (i, j); ``residues[S]`` is i^S."""
+    order keeps a coefficient at (i, j); ``residues[S]`` is i^S.
+
+    At the zero weighting the family is :meth:`KLRImages.family`, the
+    one the anti-involution of the quotient is read off."""
 
     def __init__(self, algebra: BlobAlgebra, images: KLRImages,
                  theta=None):
@@ -756,33 +858,22 @@ class CellularBasis:
         self.images = images
         params = A.params
         self.params = params
-        p = A.p
-        l, n = params.l, params.n
+        l = params.l
         self.theta = comb.theta_zero(l) if theta is None else theta
         self.mc = params.mc
-        self.shapes = comb.one_column_shapes(n, l)
-        self.i_lam = {lam: comb.i_lambda(lam, self.mc)
-                      for lam in self.shapes}
-        self.std = {lam: comb.std_tableaux(lam) for lam in self.shapes}
-        self.t_lam = {lam: comb.t_lambda(lam, self.theta)
-                      for lam in self.shapes}
-        self.index = [(lam, S, T) for lam in self.shapes
-                      for S in self.std[lam] for T in self.std[lam]]
-        self.column = {(S, T): j for j, (_, S, T) in enumerate(self.index)}
-        self.word = {S: comb.official_word(comb.d_perm(S, self.theta))
-                     for lam in self.shapes for S in self.std[lam]}
-        # m_{S,T} times the unit, as a chain of matrix-vector products
-        PSI = images.PSI
-        self.matrix = np.array(
-            [matmul([PSI[r] for r in reversed(self.word[S])]
-                    + [images.E[self.i_lam[lam]]]
-                    + [PSI[r] for r in self.word[T]] + [A.unit], p)
-             for lam, S, T in self.index], dtype=np.int64).T
-        r, self._inv = rank_and_inverse(self.matrix, p)
-        if len(self.index) != A.dim or r != A.dim:
+        if tuple(self.theta) == comb.theta_zero(l):
+            fam = images.family()
+        else:
+            fam = cellular_family(A, images, self.theta)
+        self.shapes, self.i_lam, self.std = fam.shapes, fam.i_lam, fam.std
+        self.index, self.column, self.word = fam.index, fam.column, fam.word
+        self.matrix, self._inv = fam.matrix, fam.inv
+        if len(self.index) != A.dim or fam.rank != A.dim:
             raise ValueError(
                 f"cellular family of size {len(self.index)} has rank "
-                f"{r}, expected {A.dim}")
+                f"{fam.rank}, expected {A.dim}")
+        self.t_lam = {lam: comb.t_lambda(lam, self.theta)
+                      for lam in self.shapes}
         # strictly-dominating shape comparisons, for the cell order
         self._above = {
             lam: {mu for mu in self.shapes

@@ -196,6 +196,83 @@ class TestRelationSuite:
             raise fails[0]
 
 
+STAR_RELATIONS = {"anti-involution exists", "star is an involution",
+                  "star fixes the generators", "star reverses products"}
+
+
+def _sigma_report(images, sigma) -> list[tuple]:
+    """The certificate's failures for ``sigma`` put in place of the
+    anti-involution of a copy of ``images``."""
+    tampered = copy.copy(images)
+    tampered._sigma = sigma
+    return [(f.relation, f.witness) for f in tampered._sigma_failures()]
+
+
+class TestAntiInvolution:
+    """sigma from the cellular family, and the exact certificate that
+    reverses products generator by generator."""
+
+    @pytest.mark.parametrize("n,l", SCALES)
+    def test_family_sigma_equals_span_search(self, built, n, l):
+        _, _, images, _ = built[(n, l)]
+        assert images.sigma.tobytes() == images._span_sigma().tobytes()
+
+    @pytest.mark.parametrize("n,l", [(3, 2), (3, 3)])
+    def test_no_span_search_in_the_quotient(self, monkeypatch, n, l):
+        def spy(self):
+            raise AssertionError("span search entered")
+        monkeypatch.setattr(B.KLRImages, "_span_sigma", spy)
+        A = B.build_blob(H.default_params(n, l))
+        images = B.KLRImages(A)
+        assert images.relation_failures() == []
+        basis = B.build_cellular_basis(A, images)
+        assert basis.matrix is images.family().matrix
+
+    def test_span_search_serves_the_unquotiented_algebra(self, monkeypatch):
+        calls = []
+        span = B.KLRImages._span_sigma
+        monkeypatch.setattr(B.KLRImages, "_span_sigma",
+                            lambda self: calls.append(1) or span(self))
+        images = B.KLRImages(B.BlobAlgebra(H.default_params(2, 2),
+                                           quotient=False))
+        assert images.relation_failures(blob_defining=False) == []
+        assert calls == [1]
+
+    def test_rank_deficient_family_reports_as_before(self, built):
+        # zeroed crossings: the copy's family, built from the old
+        # crossings, is rebuilt and is no basis, so sigma falls back to
+        # the span search, whose words no longer span
+        _, A, images, _ = built[(2, 2)]
+        broken = copy.copy(images)
+        broken.PSI = {r: np.zeros_like(A.identity) for r in images.PSI}
+        broken._sigma = None
+        assert broken.family() is not images.family()
+        assert broken.family().rank < A.dim
+        assert [(f.relation, f.witness) for f in broken._sigma_failures()] \
+            == [("anti-involution exists",
+                 "generator images do not span the algebra")]
+
+    @pytest.mark.parametrize("n,l", SCALES)
+    def test_hecke_star_does_not_fix_the_crossings(self, built, n, l):
+        # the star of H reverses products and fixes e(i) and y_k, but not
+        # psi_r: only the generator check fails, at every crossing
+        _, A, images, _ = built[(n, l)]
+        assert _sigma_report(images, A.star) == [
+            ("star fixes the generators", f"psi_{r}") for r in images.PSI]
+
+    @pytest.mark.parametrize("n,l", SCALES)
+    def test_swapped_columns_break_the_certificate(self, built, n, l):
+        _, A, images, _ = built[(n, l)]
+        S = images.sigma.copy()
+        S[:, [0, 1]] = S[:, [1, 0]]
+        got = _sigma_report(images, S)
+        assert {rel for rel, _ in got} <= STAR_RELATIONS
+        assert ("star is an involution", "sigma") in got
+        gens = [f"T_{i}" for i in A.T] + ["L_1"]
+        assert [w for rel, w in got if rel == "star reverses products"] \
+            == ["1"] + gens
+
+
 def dense_relation_failures(images, blob_defining):
     """The relation suite on the dense matrices, one full product per
     factor: the reference that the block suite is compared against."""

@@ -286,19 +286,41 @@ class TestTrace:
         assert report["mode"] == "exact" and report["zero"]
 
 
-def test_commands_do_not_import_scipy():
-    # scipy serves only the generic oracle of the tests; a fresh process
-    # running the commands must not load it
-    script = (
-        "import contextlib, io, sys\n"
-        "from blobcell import cli\n"
-        "for cmd in ('verify', 'cell', 'basis', 'dims'):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main([cmd, '--n', '2', '--l', '2']) == 0, cmd\n"
-        "assert 'scipy' not in sys.modules\n")
+def _run_fresh(script: str) -> None:
+    """Run a script in a fresh interpreter that imports from ``src``."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_commands_do_not_import_scipy():
+    # scipy serves only the generic oracle of the tests; a fresh process
+    # running the commands must not load it
+    _run_fresh(
+        "import contextlib, io, sys\n"
+        "from blobcell import cli\n"
+        "for cmd in ('verify', 'cell', 'basis', 'dims'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main([cmd, '--n', '2', '--l', '2']) == 0, cmd\n"
+        "assert 'scipy' not in sys.modules\n")
+
+
+def test_certificates_do_not_import_numpy_random():
+    # the star certificates are exact, with no sampled pairs, so neither
+    # verify nor a certified pipeline pass loads numpy.random
+    _run_fresh(
+        "import contextlib, io, sys\n"
+        "from blobcell import blob as B, cli, hecke as H\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--n', '2', '--l', '2']) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "A = B.build_blob(H.default_params(2, 2))\n"
+        "images = B.klr_images(A)\n"
+        "basis = B.build_cellular_basis(A, images)\n"
+        "assert B.check_cellularity(A, basis) == []\n"
+        "assert B.check_jm(A, basis, B.jm_images(A, images)) == []\n"
+        "B.cell_modules(A, basis)\n"
+        "assert 'numpy.random' not in sys.modules\n")

@@ -52,6 +52,11 @@ def test_kept_classes_are_the_nonzero_ones(built, nonzero_classes):
     assert len(images.E) == 13 < len(images.classes) == 46
 
 
+def test_family_sigma_equals_span_search(built):
+    _, _, images, _ = built
+    assert images.sigma.tobytes() == images._span_sigma().tobytes()
+
+
 def test_relations(built):
     _, _, images, _ = built
     assert images.relation_failures() == []

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -120,6 +121,22 @@ class TestRegularRep:
     @pytest.mark.parametrize("pa", [P22, P32, P23], ids=["22", "32", "23"])
     def test_relation_suite(self, pa):
         assert H.RegularRep(pa).relation_failures() == []
+
+    @pytest.mark.parametrize("pa", [P22, P32, P23], ids=["22", "32", "23"])
+    def test_star_certificate_names_the_generators(self, pa):
+        # a star with two columns swapped fails the exact certificate at
+        # every generator, and at 1 when the unit's column moves; only the
+        # involution check may fail besides
+        reg = copy.copy(H.regular_rep(pa))
+        gens = [f"T_{i}" for i in reg.T] + ["L_1"]
+        a, b = [j for j in range(reg.dim) if j != reg.id_index][-2:]
+        for j, k in ((reg.id_index, a), (a, b)):
+            reg.star_mat = H.regular_rep(pa).star_mat.copy()
+            reg.star_mat[:, [j, k]] = reg.star_mat[:, [k, j]]
+            want = ["1"] * (j == reg.id_index) + gens
+            fails = reg.relation_failures()
+            assert [f for f in fails if f != "star is an involution"] == [
+                f"star anti-multiplicativity on {g}" for g in want]
 
     def test_dimension(self):
         assert H.RegularRep(P32).dim == 48
