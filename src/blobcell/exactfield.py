@@ -12,6 +12,8 @@ anywhere.  The pieces provided here are
   with entries in [0, p), reduced mod p after every product,
 * ``SeriesOperator`` -- a sparse operator with truncated power series
   entries, the Murphy engine's L_k at t = q + s,
+* ``poly_matmul`` -- the product of two sparse matrices over F_p[t] in
+  coordinate form, from which ``RegularRep`` builds t^(k-1) L_k,
 * mod-p linear algebra on numpy int64 matrices (``rank``, ``rref``,
   ``nullspace``, ``invert_matrix``, ``rank_and_inverse``) with
   deterministic pivot choice, and
@@ -26,7 +28,8 @@ product of D-wide factors plus one reduced addend; the generic Murphy
 oracle's chunked layer sums keep to it too, and
 ``HeckeParams.validate_exact`` rejects a p that breaks it at D = dim H.
 ``SeriesOperator`` reduces by its own bound, ``series_terms(p)``, which
-every such p meets.  An accepted p is below 2^32, so a
+every such p meets, and ``poly_matmul`` reduces each product before it
+sums.  An accepted p is below 2^32, so a
 cumulative sum of w reduced values stays below w 2^32.
 """
 
@@ -492,6 +495,49 @@ class SeriesOperator:
         out = np.zeros((self.dim, K), dtype=np.int64)
         out[self.rows] = np.add.reduceat(S, self.starts, axis=1).T % p
         return out
+
+
+def poly_matmul(A: tuple, B: tuple, p: int) -> tuple[np.ndarray, ...]:
+    """The product A B of two sparse matrices over F_p[t], each given as
+    coordinate arrays (degree a, row i, column j, value in [1, p)): the
+    coefficient of t^a at (i, j).  Returns the same form, with the
+    positions unique, the zero entries dropped and the arrays sorted by
+    (degree, row, column).
+
+    The entries are joined on the inner index; each joined pair adds its
+    degrees and multiplies its values.  Bound: a product of two values in
+    [0, p) is at most (p - 1)^2 <= ``product_bound(1, p)``, which fits in
+    int64 for every p that ``HeckeParams.validate_exact`` admits.  Each
+    product is reduced before the sums, so a sum of m terms stays below
+    m p; m is at most the number of products formed, and a count with
+    m (p - 1) past 2^63 - 1 is refused."""
+    adeg, arow, acol, aval = A
+    bdeg, brow, bcol, bval = B
+    order = np.argsort(brow, kind="stable")
+    bdeg, brow, bcol, bval = (x[order] for x in (bdeg, brow, bcol, bval))
+    starts = np.searchsorted(brow, acol, side="left")
+    counts = np.searchsorted(brow, acol, side="right") - starts
+    total = int(counts.sum())
+    if (p - 1) ** 2 > INT64_MAX or total * (p - 1) > INT64_MAX:
+        raise ValueError(f"p = {p} is too large for an exact int64 sum of "
+                         f"{total} products")
+    if not total:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+    ia = np.repeat(np.arange(len(acol)), counts)
+    ends = np.cumsum(counts)
+    ib = np.repeat(starts - (ends - counts), counts) + np.arange(total)
+    rows, cols = arow[ia], bcol[ib]
+    nrows, ncols = int(rows.max()) + 1, int(cols.max()) + 1
+    key = ((adeg[ia] + bdeg[ib]) * nrows + rows) * ncols + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    vals = aval[ia[order]] * bval[ib[order]] % p
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sums = np.add.reduceat(vals, first) % p
+    keep = sums != 0
+    rest, cols = np.divmod(key[first][keep], ncols)
+    deg, rows = np.divmod(rest, nrows)
+    return deg, rows, cols, sums[keep]
 
 
 def matmul(factors: Sequence[np.ndarray], p: int) -> np.ndarray:

@@ -7,14 +7,18 @@
   is exact rewriting (``NormalForm``).  This is the one rewriting model.
   ``RegularRep`` is its specialization at a primitive e-th root of unity
   q: dense matrices mod p whose entries are the rewriting's polynomial
-  entries evaluated at t = q.  L_k is read from the numerator arrays of
-  t^{k-1} L_k, which ``RegularRep`` computes once and shares with the
-  Murphy engine.
+  entries evaluated at t = q.  Only T_i, L_1 and the star are rewritten
+  key by key; the numerator arrays of t^{k-1} L_k come from the
+  Jucys-Murphy recursion t^k L_{k+1} = T_k (t^{k-1} L_k) T_k, as sparse
+  products over F_p[t] (``exactfield.poly_matmul``), and ``RegularRep``
+  shares them with the Murphy engine.
 
 * A *seminormal* block model over F_p(t): one block per multipartition of
   n, with basis indexed by standard tableaux, the L_k acting diagonally
   through contents and the T_r acting through the classical two-term
-  formulas.
+  formulas, held as a numerator matrix over F_p[t] and one denominator.
+  Its relations are checked with the denominators cleared, as polynomial
+  identities.
 
 On top of these sit the tableau idempotents F_S (product formula), the
 residue-class idempotents E_[i] = sum of F_S over one residue class, and
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb as binomial, factorial, gcd
 
 import numpy as np
@@ -47,8 +51,8 @@ import numpy as np
 from . import combinatorics as comb
 from .exactfield import (INT64_MAX, PoleAtSpecialization, Poly, RatFunc,
                          SeriesOperator, cyclic_subgroup, has_order,
-                         is_prime, matmul, nullspace, product_bound,
-                         root_of_unity)
+                         is_prime, matmul, nullspace, poly_matmul,
+                         product_bound, root_of_unity)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +307,10 @@ class NormalForm:
         """Left multiply by t^{k-1} L_k = T_{k-1}...T_1 L_1 T_1...T_{k-1}.
 
         Denominator-free: polynomial inputs give polynomial outputs.  Its
-        numerator arrays on the basis are :attr:`RegularRep.entries`."""
+        numerator arrays on the basis equal :attr:`RegularRep.entries`,
+        which are formed from the same recursion on operator arrays, not
+        by this rewriting; this is the generic model's operation and the
+        tests' reference for them."""
         for i in range(k - 1, 0, -1):
             el = self.lmul_t(i, el)
         el = self.lmul_l1(el)
@@ -362,12 +369,17 @@ class RegularRep:
     so right multiplication by a generator g is x -> (g x*)*.
 
     T_i and ``star_mat`` are the polynomial entries of the generic
-    rewriting evaluated at q.  ``entries[k]`` holds the numerator of
-    t^{k-1} L_k (:meth:`NormalForm.lmul_l_unnorm`) as coordinate arrays
-    (degree a, row i, column j, value), the coefficient of t^a in row i of
-    the image of basis element j; L_k is q^{1-k} sum_a q^a A_a.  The
+    rewriting evaluated at q, one basis key at a time.  ``entries[k]``
+    holds the numerator of t^{k-1} L_k (:meth:`NormalForm.lmul_l_unnorm`)
+    as coordinate arrays (degree a, row i, column j, value), the
+    coefficient of t^a in row i of the image of basis element j; L_k is
+    q^{1-k} sum_a q^a A_a.  Only ``entries[1]``
+    (L_1) is rewritten key by key; the others follow from the
+    Jucys-Murphy recursion L_{k+1} = t^{-1} T_k L_k T_k as
+    ``entries[k+1]`` = T_k ``entries[k]`` T_k, two sparse products over
+    F_p[t] (:func:`~.exactfield.poly_matmul`).  The
     :class:`MurphyEngine` of the same parameters expands its factors from
-    these arrays, so L_k is rewritten once per algebra."""
+    these arrays, so L_k is formed once per algebra."""
 
     def __init__(self, params: HeckeParams):
         params.validate_exact()
@@ -377,10 +389,14 @@ class RegularRep:
         self.dim = nf.dim
         self.p = p
         self.id_index = nf.index[nf.identity_key]
-        self.entries = {k: self._entries(nf.lmul_l_unnorm, k)
-                        for k in range(1, params.n + 1)}
-        self.T = {i: self._at_q(self._entries(nf.lmul_t, i))
-                  for i in range(1, params.n)}
+        t_entries = {i: self._entries(nf.lmul_t, i)
+                     for i in range(1, params.n)}
+        # t^k L_(k+1) = T_k (t^(k-1) L_k) T_k
+        self.entries = {1: self._entries(nf.lmul_l1)}
+        for k in range(1, params.n):
+            self.entries[k + 1] = poly_matmul(
+                poly_matmul(t_entries[k], self.entries[k], p), t_entries[k], p)
+        self.T = {i: self._at_q(t_entries[i]) for i in t_entries}
         self.L = {k: self._at_q(self.entries[k]) * pow(q, 1 - k, p) % p
                   for k in self.entries}
         self.star_mat = self._at_q(self._entries(nf.star))
@@ -523,9 +539,8 @@ class RegularRep:
         for i in range(1, n - 1):
             check(f"braid T_{i} T_{i+1} T_{i}", (T[i], T[i + 1], T[i]),
                   (T[i + 1], T[i], T[i + 1]))
-        for r in L:
-            for s in L:
-                check(f"commuting L_{r} L_{s}", (L[r], L[s]), (L[s], L[r]))
+        for r, s in combinations(L, 2):
+            check(f"commuting L_{r} L_{s}", (L[r], L[s]), (L[s], L[r]))
         for r in T:
             check(f"T_{r} L_{r} = L_{r+1}(T_{r} - q + 1)", (T[r], L[r]),
                   (L[r + 1], (T[r] - q * I + I) % p))
@@ -566,19 +581,35 @@ class DegenerateContents(Exception):
     pass
 
 
+def _poly_product(one: Poly, factors) -> Poly:
+    out = one
+    for f in factors:
+        out = out * f
+    return out
+
+
 @dataclass
 class Block:
     shape: tuple
     std: list
     index: dict
     contents: list  # contents[s][k-1] = integer exponent of t
-    tmats: dict     # i -> d x d list of lists of RatFunc
+    nums: dict      # i -> d x d list of lists of Poly, the numerator N_i
+    dens: dict      # i -> Poly, the denominator d_i: T_i = N_i / d_i
 
 
 class SeminormalModel:
     """One block per multipartition; rows/columns indexed by standard
     tableaux; matrices record right multiplication, so that the map
-    into the direct sum of matrix blocks is an algebra homomorphism."""
+    into the direct sum of matrix blocks is an algebra homomorphism.
+
+    Each block holds T_i over F_p(t) as a numerator matrix N_i over F_p[t]
+    and one denominator d_i != 0, T_i = N_i / d_i.  The two-term formulas
+    divide by (t^(c_T) - t^(c_S))^2 for a pair S, T = S s_i; taken apart
+    from its power of t this is (t^m - 1)^2, m = |c_T - c_S|, and d_i is
+    the product of (t^m - 1)^2 over the distances m of the block's pairs.
+    :meth:`relation_failures` checks every relation with these
+    denominators cleared, as polynomial identities."""
 
     def __init__(self, params: HeckeParams):
         params.validate()
@@ -602,108 +633,129 @@ class SeminormalModel:
                         f"content vector collision at shape {lam}")
                 seen_contents.add(vec)
                 contents.append(vec)
-            tmats = {}
+            nums, dens = {}, {}
             for i in range(1, n):
-                d = len(std)
-                M = [[self.zero] * d for _ in range(d)]
-                for s, S in enumerate(std):
-                    T = comb.apply_simple(S, i)
-                    cs = tpow(p, contents[s][i - 1])
-                    ct = tpow(p, comb.hat_content(comb.node_map(S)[i + 1], mc))
-                    qq = tpow(p, 1)  # the generic parameter itself
-                    if comb.is_standard(T):
-                        tt = idx[T]
-                        # the common diagonal coefficient
-                        diag = (qq - self.one) * ct / (ct - cs)
-                        M[s][s] = M[s][s] + diag
-                        if comb.tableau_strictly_dominates(S, T, theta):
-                            M[s][tt] = M[s][tt] + self.one
-                        else:
-                            off = ((qq * cs - ct) * (cs - qq * ct)
-                                   / ((ct - cs) * (ct - cs)))
-                            M[s][tt] = M[s][tt] + off
-                    else:
-                        ni = comb.node_map(S)[i]
-                        nj = comb.node_map(S)[i + 1]
-                        if ni[0] == nj[0] and ni[2] == nj[2]:  # same row
-                            M[s][s] = M[s][s] + qq
-                        else:  # same column
-                            M[s][s] = M[s][s] - self.one
-                tmats[i] = M
-            self.blocks[lam] = Block(lam, std, idx, contents, tmats)
+                nums[i], dens[i] = self._two_term(std, idx, contents, i,
+                                                  theta)
+            self.blocks[lam] = Block(lam, std, idx, contents, nums, dens)
         self.csets = content_sets(params)
+
+    def _two_term(self, std, idx, contents, i: int, theta):
+        """(N_i, d_i) of one block.  For S with c = c_S(i), c' = c_S(i+1)
+        and T = S s_i standard, put x = t^(c - m0), y = t^(c' - m0) with
+        m0 = min(c, c'), so that (y - x)^2 = (t^m - 1)^2, m = |c - c'|.
+        Then T_i has diagonal entry (t - 1) y / (y - x) at S, and entry 1
+        at (S, T) when S dominates T, (t x - y)(x - t y) / (y - x)^2
+        otherwise; with T not standard, the entry at S is t (same row) or
+        -1 (same column)."""
+        p = self.params.p
+        t = Poly.monomial(p, 1, 1)
+        one = Poly.const(p, 1)
+        square = {}
+        for s, S in enumerate(std):
+            if comb.is_standard(comb.apply_simple(S, i)):
+                m = abs(contents[s][i] - contents[s][i - 1])
+                f = Poly.monomial(p, 1, m) - one
+                square[m] = f * f
+        den = _poly_product(one, square.values())
+        cofactor = {m: _poly_product(one, (f for m2, f in square.items()
+                                           if m2 != m))
+                    for m in square}
+        d = len(std)
+        N = [[Poly(p, ())] * d for _ in range(d)]
+        for s, S in enumerate(std):
+            T = comb.apply_simple(S, i)
+            c, c2 = contents[s][i - 1], contents[s][i]
+            if comb.is_standard(T):
+                m0 = min(c, c2)
+                x = Poly.monomial(p, 1, c - m0)
+                y = Poly.monomial(p, 1, c2 - m0)
+                cof = cofactor[abs(c - c2)]
+                N[s][s] = (t - one) * y * (y - x) * cof
+                N[s][idx[T]] = (
+                    den if comb.tableau_strictly_dominates(S, T, theta)
+                    else (t * x - y) * (x - t * y) * cof)
+            else:
+                ni, nj = comb.node_map(S)[i], comb.node_map(S)[i + 1]
+                same_row = ni[0] == nj[0] and ni[2] == nj[2]
+                N[s][s] = t * den if same_row else -den
+        return N, den
 
     # -- structural checks ---------------------------------------------------
 
-    def _mat_mul(self, A, B):
+    @staticmethod
+    def _mat_mul(A, B):
+        """The product of two square matrices of Polys."""
         d = len(A)
-        zero = self.zero
+        zero = Poly(A[0][0].p, ())
         out = [[zero] * d for _ in range(d)]
         for i in range(d):
+            rowO = out[i]
             for k in range(d):
                 a = A[i][k]
                 if a.is_zero():
                     continue
                 rowB = B[k]
-                rowO = out[i]
                 for j in range(d):
                     if not rowB[j].is_zero():
                         rowO[j] = rowO[j] + a * rowB[j]
         return out
 
-    def _mat_eq(self, A, B) -> bool:
-        return all((A[i][j] - B[i][j]).is_zero()
-                   for i in range(len(A)) for j in range(len(A)))
+    @staticmethod
+    def _scaled(c, A):
+        return [[c * x for x in row] for row in A]
 
-    def _ldiag(self, block: Block, k: int):
-        p = self.params.p
-        return [tpow(p, block.contents[s][k - 1]) for s in range(len(block.std))]
+    @staticmethod
+    def _plus_diag(A, c):
+        """A + c I."""
+        return [[x + c if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(A)]
 
     def relation_failures(self) -> list[str]:
-        p, q, n = self.params.p, self.params.q, self.params.n
+        """The defining relations in every block, each with its
+        denominators cleared (N_i = d_i T_i, L_k shifted by t^sh so that
+        every exponent is nonnegative), as identities over F_p[t]:
+
+        * quadratic: (N_i + d_i)(N_i - t d_i) = 0,
+        * braid: d_(i+1) N_i N_(i+1) N_i = d_i N_(i+1) N_i N_(i+1),
+        * commuting: N_i N_j = N_j N_i for |i - j| > 1,
+        * mixed: N_r L_r = L_(r+1) (N_r + (1 - t) d_r),
+        * cyclotomic: prod_j (L_1 - t^(hat_kappa_j)) = 0.
+
+        Each is the relation of the T_i = N_i / d_i multiplied by a power
+        of t and a product of the d_i, which are nonzero in F_p[t], so it
+        holds exactly when the relation does.  Nothing is divided."""
+        p, n = self.params.p, self.params.n
+        t = Poly.monomial(p, 1, 1)
+        one = Poly.const(p, 1)
         fails = []
         for lam, b in self.blocks.items():
+            N, den = b.nums, b.dens
             d = len(b.std)
-            zero = [[self.zero] * d for _ in range(d)]
-            ident = [[self.one if i == j else self.zero
-                      for j in range(d)] for i in range(d)]
-            qr = tpow(p, 1)
-
-            def smul(c, A):
-                return [[c * x for x in row] for row in A]
-
-            def madd(A, B):
-                return [[A[i][j] + B[i][j] for j in range(d)] for i in range(d)]
-
             for i in range(1, n):
-                Ti = b.tmats[i]
-                lhs = self._mat_mul(madd(Ti, ident),
-                                    madd(Ti, smul(-qr, ident)))
-                if not self._mat_eq(lhs, zero):
+                lhs = self._mat_mul(self._plus_diag(N[i], den[i]),
+                                    self._plus_diag(N[i], -(t * den[i])))
+                if any(not x.is_zero() for row in lhs for x in row):
                     fails.append(f"quadratic T_{i} in block {lam}")
             for i in range(1, n - 1):
-                lhs = self._mat_mul(self._mat_mul(b.tmats[i], b.tmats[i + 1]),
-                                    b.tmats[i])
-                rhs = self._mat_mul(self._mat_mul(b.tmats[i + 1], b.tmats[i]),
-                                    b.tmats[i + 1])
-                if not self._mat_eq(lhs, rhs):
+                lhs = self._mat_mul(self._mat_mul(N[i], N[i + 1]), N[i])
+                rhs = self._mat_mul(self._mat_mul(N[i + 1], N[i]), N[i + 1])
+                if (self._scaled(den[i + 1], lhs)
+                        != self._scaled(den[i], rhs)):
                     fails.append(f"braid T_{i} in block {lam}")
             for i in range(1, n):
                 for j in range(i + 2, n):
-                    lhs = self._mat_mul(b.tmats[i], b.tmats[j])
-                    rhs = self._mat_mul(b.tmats[j], b.tmats[i])
-                    if not self._mat_eq(lhs, rhs):
+                    if (self._mat_mul(N[i], N[j])
+                            != self._mat_mul(N[j], N[i])):
                         fails.append(f"commuting T_{i} T_{j} in block {lam}")
             # T_r L_r = L_{r+1} (T_r - q + 1) on diagonal L action
+            sh = max(0, -min(min(c) for c in b.contents))
+            L = {k: [Poly.monomial(p, 1, c[k - 1] + sh) for c in b.contents]
+                 for k in range(1, n + 1)}
             for r in range(1, n):
-                Lr = self._ldiag(b, r)
-                Lr1 = self._ldiag(b, r + 1)
-                Tr = b.tmats[r]
-                lhs = [[Tr[i][j] * Lr[j] for j in range(d)] for i in range(d)]
-                rhs = [[Lr1[i] * (Tr[i][j] + (self.one - qr)
-                                  * (self.one if i == j else self.zero))
-                        for j in range(d)] for i in range(d)]
-                if not self._mat_eq(lhs, rhs):
+                rhs = self._plus_diag(N[r], (one - t) * den[r])
+                if any(N[r][i][j] * L[r][j] != L[r + 1][i] * rhs[i][j]
+                       for i in range(d) for j in range(d)):
                     fails.append(f"mixed relation T_{r} L_{r} in block {lam}")
             # cyclotomic relation on L_1
             for s in range(d):
@@ -778,9 +830,11 @@ def content_sets(params: HeckeParams) -> list[list[int]]:
 
 def generic_normal_form(params: HeckeParams) -> NormalForm:
     """Normal-form model over F_p(t) with q-hat = t and Q_j =
-    t^{hat_kappa_j}.  ``RegularRep`` holds one, specializes it at t = q,
-    and keeps its rewriting of t^{k-1} L_k as ``entries``, from which L_k
-    and the Murphy engine's factors are read."""
+    t^{hat_kappa_j}.  ``RegularRep`` holds one and specializes it at
+    t = q: it rewrites T_i, L_1 and the star key by key and forms
+    t^{k-1} L_k, kept as ``entries``, by the Jucys-Murphy recursion on
+    their arrays; L_k and the Murphy engine's factors are read from
+    these."""
     return NormalForm(params.n, params.l, params.p, params.hat_kappa)
 
 

@@ -11,7 +11,7 @@ from blobcell.exactfield import (INT64_MAX, NoRoot, PoleAtSpecialization,
                                  Poly, RatFunc, RowSpace, SeriesOperator,
                                  cyclic_subgroup, has_order, invert_matrix,
                                  is_prime, mat_pow, matmul, nullspace,
-                                 product_bound, rank, rank_and_inverse,
+                                 poly_matmul, product_bound, rank, rank_and_inverse,
                                  root_of_unity, rref, series_terms)
 
 P = 11
@@ -369,6 +369,45 @@ class TestSeriesOperator:
             SeriesOperator(2, np.zeros(1, dtype=np.int64),
                            np.zeros(1, dtype=np.int64),
                            np.ones((1, 1), dtype=np.int64), 2 ** 33 + 1)
+
+
+def poly_matmul_reference(A, B, p):
+    """{(degree, row, column): value} of A B on Python integers, entry
+    pair by entry pair."""
+    out: dict = {}
+    for a, i, k, x in zip(*(v.tolist() for v in A)):
+        for b, k2, j, y in zip(*(v.tolist() for v in B)):
+            if k == k2:
+                out[(a + b, i, j)] = (out.get((a + b, i, j), 0) + x * y) % p
+    return {key: v for key, v in out.items() if v}
+
+
+class TestPolyMatmul:
+    @pytest.mark.parametrize("p", [2, 11, 438353261, 2147483647])
+    def test_product_is_exact(self, p):
+        # duplicate positions in the inputs, cancelling sums, and rows of
+        # B that no column of A reaches
+        for trial in range(4):
+            A = [rng.integers(0, 4, 30), rng.integers(0, 6, 30),
+                 rng.integers(0, 5, 30), rng.integers(1, p, 30)]
+            B = [rng.integers(0, 3, 25), rng.integers(0, 7, 25),
+                 rng.integers(0, 6, 25), rng.integers(1, p, 25)]
+            if trial == 0:
+                A[3][:] = 1
+                B[3][:] = p - 1
+            got = poly_matmul(A, B, p)
+            assert all(v.dtype == np.int64 for v in got)
+            keys = list(zip(*(v.tolist() for v in got[:3])))
+            assert keys == sorted(set(keys))
+            assert dict(zip(keys, got[3].tolist())) == \
+                poly_matmul_reference(A, B, p)
+
+    def test_empty_and_too_large(self):
+        one = [np.array([0]), np.array([0]), np.array([1]), np.array([1])]
+        far = [np.array([0]), np.array([2]), np.array([0]), np.array([1])]
+        assert [len(v) for v in poly_matmul(one, far, 11)] == [0] * 4
+        with pytest.raises(ValueError, match="too large"):
+            poly_matmul(one, one, 2 ** 33 + 1)
 
 
 def test_products_stay_in_the_kernel():

@@ -159,12 +159,153 @@ class TestRegularRep:
                 assert np.array_equal(reg.L[k][:, j],
                                       reg.coefficients(col)), (k, key)
 
+    @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (2, 3), (3, 3),
+                                     (4, 2)])
+    def test_entries_follow_the_recursion(self, n, l):
+        # the arrays composed as T_k entries[k] T_k, against the generic
+        # rewriting of t^{k-1} L_k key by key
+        reg = H.regular_rep(H.default_params(n, l))
+        for k in reg.entries:
+            assert entry_set(reg.entries[k]) == entry_set(
+                reg._entries(reg.nf.lmul_l_unnorm, k)), k
+
+    def test_entries_at_the_largest_admitted_prime(self):
+        # the largest p = 1 mod 5 within the product bound at dim H = 48
+        # (the next, 438353281, is refused): the composed products and
+        # sums stay exact
+        pa = H.default_params(3, 2, p=438353261, q=166042506)
+        pa.validate_exact()
+        with pytest.raises(ValueError, match="product bound"):
+            H.default_params(3, 2, p=438353281).validate_exact()
+        reg = H.RegularRep(pa)
+        for k in reg.entries:
+            assert entry_set(reg.entries[k]) == entry_set(
+                reg._entries(reg.nf.lmul_l_unnorm, k)), k
+
+    def test_construction_does_not_rewrite_l_k(self, monkeypatch):
+        calls = []
+        orig = H.NormalForm.lmul_l_unnorm
+
+        def spy(self, k, el):
+            calls.append(k)
+            return orig(self, k, el)
+        monkeypatch.setattr(H.NormalForm, "lmul_l_unnorm", spy)
+        reg = H.RegularRep(P32)
+        assert calls == [] and sorted(reg.entries) == [1, 2, 3]
+
+    def test_each_commuting_l_pair_is_checked_once(self):
+        # L_2 replaced by T_1, which commutes with L_3 but not with L_1:
+        # (1, 2) fails once, and no pair is named as (s, r) or (r, r)
+        reg = copy.copy(H.regular_rep(P32))
+        reg.L = dict(reg.L)
+        reg.L[2] = reg.T[1]
+        fails = [f for f in reg.relation_failures()
+                 if f.startswith("commuting L_")]
+        assert fails == ["commuting L_1 L_2"]
+
     def test_regular_rep_is_faithful(self):
         # matrix_of is injective: an element is recovered from its
         # column at the identity, so the matrix determines the element
         reg = H.RegularRep(P22)
         M = reg.matrix_of(reg.unit_vector())
         assert np.array_equal(M, reg.identity())
+
+
+def entry_set(entries) -> set:
+    """Coordinate arrays as a set of (degree, row, column, value)."""
+    return set(zip(*(v.tolist() for v in entries)))
+
+
+def two_term_ratfuncs(sm, lam, i):
+    """T_i of block lam over F_p(t) from the two-term formulas, on
+    canonical RatFuncs: the diagonal (t - 1) t^c' / (t^c' - t^c) and the
+    entry (t t^c - t^c')(t^c - t t^c') / (t^c' - t^c)^2 or 1 at (S, S s_i),
+    with c = c_S(i), c' = c_S(i+1); t or -1 when S s_i is not standard."""
+    p = sm.params.p
+    b = sm.blocks[lam]
+    theta = C.theta_sep(sm.params.l, sm.params.n)
+    one, t = RatFunc.const(p, 1), H.tpow(p, 1)
+    d = len(b.std)
+    M = [[RatFunc.const(p, 0)] * d for _ in range(d)]
+    for s, S in enumerate(b.std):
+        T = C.apply_simple(S, i)
+        cs = H.tpow(p, b.contents[s][i - 1])
+        ct = H.tpow(p, b.contents[s][i])
+        if C.is_standard(T):
+            M[s][s] = M[s][s] + (t - one) * ct / (ct - cs)
+            if C.tableau_strictly_dominates(S, T, theta):
+                off = one
+            else:
+                off = (t * cs - ct) * (cs - t * ct) / ((ct - cs) * (ct - cs))
+            M[s][b.index[T]] = M[s][b.index[T]] + off
+        else:
+            ni, nj = C.node_map(S)[i], C.node_map(S)[i + 1]
+            same_row = ni[0] == nj[0] and ni[2] == nj[2]
+            M[s][s] = M[s][s] + (t if same_row else -one)
+    return M
+
+
+def block_ratfuncs(sm, b):
+    """i -> T_i = N_i / d_i of block b as canonical RatFuncs."""
+    return {i: [[RatFunc.make(x, b.dens[i]) for x in row]
+                for row in b.nums[i]] for i in b.nums}
+
+
+def ratfunc_relation_failures(sm) -> list[str]:
+    """The seminormal relation suite on T_i = N_i / d_i over F_p(t),
+    dividing in every product: the reference for the denominator-free
+    suite of ``SeminormalModel.relation_failures``."""
+    p, n = sm.params.p, sm.params.n
+    zero, one, qr = RatFunc.const(p, 0), RatFunc.const(p, 1), H.tpow(p, 1)
+
+    def mul(A, B):
+        d = len(A)
+        return [[sum((A[i][k] * B[k][j] for k in range(d)), zero)
+                 for j in range(d)] for i in range(d)]
+
+    def eq(A, B):
+        return all((x - y).is_zero() for ra, rb in zip(A, B)
+                   for x, y in zip(ra, rb))
+
+    fails = []
+    for lam, b in sm.blocks.items():
+        d = len(b.std)
+        T = block_ratfuncs(sm, b)
+        ident = [[one if i == j else zero for j in range(d)]
+                 for i in range(d)]
+        zeros = [[zero] * d for _ in range(d)]
+
+        def plus(A, c):
+            return [[A[i][j] + c * ident[i][j] for j in range(d)]
+                    for i in range(d)]
+
+        for i in range(1, n):
+            if not eq(mul(plus(T[i], one), plus(T[i], -qr)), zeros):
+                fails.append(f"quadratic T_{i} in block {lam}")
+        for i in range(1, n - 1):
+            if not eq(mul(mul(T[i], T[i + 1]), T[i]),
+                      mul(mul(T[i + 1], T[i]), T[i + 1])):
+                fails.append(f"braid T_{i} in block {lam}")
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                if not eq(mul(T[i], T[j]), mul(T[j], T[i])):
+                    fails.append(f"commuting T_{i} T_{j} in block {lam}")
+        for r in range(1, n):
+            Lr = [H.tpow(p, c[r - 1]) for c in b.contents]
+            Lr1 = [H.tpow(p, c[r]) for c in b.contents]
+            lhs = [[T[r][i][j] * Lr[j] for j in range(d)] for i in range(d)]
+            rhs = [[Lr1[i] * x for x in row]
+                   for i, row in enumerate(plus(T[r], one - qr))]
+            if not eq(lhs, rhs):
+                fails.append(f"mixed relation T_{r} L_{r} in block {lam}")
+        for s in range(d):
+            val = one
+            for kj in sm.params.hat_kappa:
+                val = val * (H.tpow(p, b.contents[s][0]) - H.tpow(p, kj))
+            if not val.is_zero():
+                fails.append(f"cyclotomic L_1 in block {lam}")
+                break
+    return fails
 
 
 def per_factor_eigenvalue(sm, S, U):
@@ -198,6 +339,47 @@ class TestSeminormal:
     @pytest.mark.parametrize("pa", [P22, P32, P23], ids=["22", "32", "23"])
     def test_relation_suite(self, pa):
         assert H.SeminormalModel(pa).relation_failures() == []
+
+    @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_numerators_match_the_two_term_formulas(self, n, l):
+        sm = H.SeminormalModel(H.default_params(n, l))
+        for lam, b in sm.blocks.items():
+            assert block_ratfuncs(sm, b) == {
+                i: two_term_ratfuncs(sm, lam, i) for i in b.nums}, lam
+
+    @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_cleared_suite_matches_ratfunc_reference(self, n, l):
+        sm = H.SeminormalModel(H.default_params(n, l))
+        assert sm.relation_failures() == ratfunc_relation_failures(sm) == []
+
+    @pytest.mark.parametrize("what", ["numerator", "denominator"])
+    def test_perturbations_are_named_like_the_reference(self, what):
+        # one entry of one block's N_1, or its d_1, moved by one: both
+        # suites report the same failures under the same names
+        sm = H.SeminormalModel(P32)
+        lam = next(lam for lam, b in sm.blocks.items() if len(b.std) > 1)
+        b = sm.blocks[lam]
+        one = Poly.const(P32.p, 1)
+        if what == "numerator":
+            b.nums[1] = [list(row) for row in b.nums[1]]
+            b.nums[1][0][0] = b.nums[1][0][0] + one
+        else:
+            b.dens[1] = b.dens[1] + one
+        fails = sm.relation_failures()
+        assert f"quadratic T_1 in block {lam}" in fails
+        assert fails == ratfunc_relation_failures(sm)
+
+    def test_cleared_suite_takes_no_gcd(self, monkeypatch):
+        sm = H.SeminormalModel(P32)
+        calls = []
+        orig = Poly.gcd
+
+        def counted(self, other):
+            calls.append(1)
+            return orig(self, other)
+        monkeypatch.setattr(Poly, "gcd", counted)
+        assert sm.relation_failures() == []
+        assert calls == []
 
     @pytest.mark.parametrize("pa", [P32, P23], ids=["32", "23"])
     def test_eigenvalue_skips_unit_factors(self, pa):
