@@ -213,10 +213,11 @@ def _carried_classes(algebra: BlobAlgebra, classes: dict) -> set:
     sequences of standard tableaux of one-column shapes.
 
     In B this is certified, not assumed.  The class idempotents of H are
-    orthogonal and add up to 1, and :meth:`KLRImages._adapted_basis` and
-    :meth:`KLRImages._projection_failures` check that the kept ones add up
-    to 1 in B.  So the other classes add up to 0 in B, and each of them
-    is 0 there: by orthogonality it is its own product with that sum."""
+    orthogonal and add up to 1; :meth:`KLRImages._adapted_basis` checks
+    that the images of the kept ones fill B, and
+    :meth:`KLRImages.relation_failures` that they add up to 1 there.  So
+    the other classes add up to 0 in B, and each of them is 0 there: by
+    orthogonality it is its own product with that sum."""
     if not algebra.is_quotient:
         return set(classes)
     n, l = algebra.params.n, algebra.params.l
@@ -239,12 +240,13 @@ class KLRImages:
     keeps each summand and psi_r maps e(i)A into e(s_r i)A.  The columns
     of ``C`` are bases of the images of the E[i], stacked in the order of
     ``E``; ``blocks[i]`` is the slice of the d_i columns of summand i.
-    The construction certifies that C^-1 E[i] C is the projection P_i
-    onto block i and that C^-1 L_k C is block-diagonal (raising
-    :class:`RelationFailure` otherwise).  Then y_k is one d_i x d_i block
-    per class, psi_r e(i) is one column block, and the only inverses
-    taken are of C and of d_i x d_i normalizers.  The dense ``Y`` and
-    ``PSI`` are assembled once from the blocks.
+    The construction certifies that C^-1 L_k C is block-diagonal
+    (raising :class:`RelationFailure` otherwise); that C^-1 E[i] C is the
+    projection P_i onto block i is certified once, by
+    :meth:`relation_failures`, which every certified path runs.  Then y_k
+    is one d_i x d_i block per class, psi_r e(i) is one column block, and
+    the only inverses taken are of C and of d_i x d_i normalizers.  The
+    dense ``Y`` and ``PSI`` are assembled once from the blocks.
 
     :meth:`relation_failures` conjugates the held ``E``, ``Y`` and
     ``PSI`` by C and checks the relations block by block.  Conjugation by
@@ -265,21 +267,17 @@ class KLRImages:
         classes = class_partition(params)
         self.classes = classes
         self.E: dict = {}
-        index = A.reg.nf.index
         for iseq in sorted(_carried_classes(A, classes)):
-            v = np.zeros(A.reg.dim, dtype=np.int64)
-            for key, c in class_idempotent_vector(params,
-                                                  classes[iseq]).items():
-                v[index[key]] = c
+            v = A.reg.coefficients(class_idempotent_vector(params,
+                                                           classes[iseq]))
             # a class is zero in A exactly when its quotient vector is
             if matmul((A.quotient_map, v), p).any():
                 self.E[iseq] = A.push(v)
         self.C, self.blocks = self._adapted_basis()
-        fails = self._projection_failures()
-        if fails:
-            raise fails[0]
-        # the certificate gives E[i] C = C P_i, which makes C invertible:
-        # a relation among its columns, times E[i], is one among block i's
+        # C is square; the certificate of relation_failures, E[i] C =
+        # C P_i, makes it invertible (a relation among its columns, times
+        # E[i], is one among block i's), and invert_matrix raises
+        # ValueError where it is not
         self._Cinv = invert_matrix(self.C, p)
         Lt = {k: self._adapt(A.L[k]) for k in A.L}
         for k, X in Lt.items():

@@ -235,6 +235,16 @@ def _suite_jm(build, cellular_basis) -> list[str]:
     return list(B.check_jm(A, basis, B.jm_images(A, images)))
 
 
+def _oracle_invariant(images, k: int, shape, res) -> bool:
+    """Whether the straightened terms ``res`` of y_k e(i^shape) evaluate
+    in the generator images to Y_k E[i^shape]."""
+    lhs = xf.matmul(
+        (images.Y[k], images.E[comb.i_lambda(shape, images.params.mc)]),
+        images.p)
+    return bool((lhs == K.evaluate_sum([w for w, _ in res.terms],
+                                       images)).all())
+
+
 def _suite_rewrite(params: H.HeckeParams, build, oracle: bool) -> list[str]:
     mc = params.mc
     n, l = params.n, params.l
@@ -248,7 +258,6 @@ def _suite_rewrite(params: H.HeckeParams, build, oracle: bool) -> list[str]:
     mumax = comb.mu_max(n, l)
     theta = comb.theta_zero(l)
     for shape in comb.one_column_shapes(n, l):
-        ilam = comb.i_lambda(shape, mc)
         for k in range(1, n + 1):
             try:
                 res = K.straighten_dot(k, shape, mc)
@@ -257,12 +266,10 @@ def _suite_rewrite(params: H.HeckeParams, build, oracle: bool) -> list[str]:
                 continue
             if shape == mumax and not res.zero:
                 fails.append(f"y_{k} e(i^max) did not straighten to zero")
-            if images is not None:
-                lhs = xf.matmul((images.Y[k], images.E[ilam]), params.p)
-                rhs = K.evaluate_sum([w for w, _ in res.terms], images)
-                if not (lhs == rhs).all():
-                    fails.append(f"straighten_dot({k}, {shape}) is not "
-                                 "oracle-invariant")
+            if images is not None and \
+                    not _oracle_invariant(images, k, shape, res):
+                fails.append(f"straighten_dot({k}, {shape}) is not "
+                             "oracle-invariant")
             for _, mus in res.terms:
                 for mu in mus:
                     if not comb.strictly_dominates(mu, shape, theta):
@@ -347,13 +354,9 @@ def cmd_trace(cfg: RunConfig, k: int) -> dict:
     shape = comb.mu_max(cfg.n, cfg.l)
     symbolic = not cfg.oracle or cfg.n > 4
     res = K.straighten_dot(k, shape, mc, symbolic=symbolic)
-    if not symbolic:
-        _, images = _certified_build(params)
-        lhs = xf.matmul((images.Y[k], images.E[comb.i_lambda(shape, mc)]),
-                        params.p)
-        rhs = K.evaluate_sum([w for w, _ in res.terms], images)
-        if not (lhs == rhs).all():
-            raise RuntimeError("trace is not oracle-invariant")
+    if not symbolic and \
+            not _oracle_invariant(_certified_build(params)[1], k, shape, res):
+        raise RuntimeError("trace is not oracle-invariant")
     report = _header(cfg, params)
     report.update({
         "k": k,

@@ -400,7 +400,6 @@ class RegularRep:
         self.L = {k: self._at_q(self.entries[k]) * pow(q, 1 - k, p) % p
                   for k in self.entries}
         self.star_mat = self._at_q(self._entries(nf.star))
-        self._word_cache: dict = {}
 
     def _entries(self, op, *args) -> tuple[np.ndarray, ...]:
         """The polynomial operator ``op(*args, el)`` of the generic normal
@@ -436,26 +435,12 @@ class RegularRep:
         v[self.id_index] = 1
         return v
 
-    def t_word_matrix(self, word: tuple[int, ...]) -> np.ndarray:
-        if word not in self._word_cache:
-            self._word_cache[word] = (matmul([self.T[i] for i in word], self.p)
-                                      if word else self.identity())
-        return self._word_cache[word]
-
-    def matrix_of(self, el: dict) -> np.ndarray:
+    def matrix_of(self, el) -> np.ndarray:
         """Left-multiplication matrix of an element given as a dict or a
-        coefficient vector on the normal-form basis, as a sum of dense
-        D x D chain products.  The tests' dense oracle: the program
+        coefficient vector on the normal-form basis: its :meth:`product`
+        with the identity matrix.  The tests' dense oracle: the program
         multiplies with :meth:`product` and the generator matrices."""
-        if isinstance(el, np.ndarray):
-            el = {self.nf.basis[j]: int(el[j]) for j in np.nonzero(el)[0]}
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for (a, w), c in el.items():
-            mats = [self.L[k] for k in range(1, self.params.n + 1)
-                    for _ in range(a[k - 1])]
-            mats.append(self.t_word_matrix(comb.official_word(w)))
-            out = (out + c * matmul(mats, self.p)) % self.p
-        return out
+        return self.product(self.coefficients(el), self.identity())
 
     @cached_property
     def spanning_tree(self) -> list[tuple[int, int, str, int]]:
@@ -602,6 +587,8 @@ class SeminormalModel:
     """One block per multipartition; rows/columns indexed by standard
     tableaux; matrices record right multiplication, so that the map
     into the direct sum of matrix blocks is an algebra homomorphism.
+    The tableaux and their contents are those of
+    :func:`tableau_contents`, grouped by shape.
 
     Each block holds T_i over F_p(t) as a numerator matrix N_i over F_p[t]
     and one denominator d_i != 0, T_i = N_i / d_i.  The two-term formulas
@@ -617,22 +604,15 @@ class SeminormalModel:
         p, n, l = params.p, params.n, params.l
         self.zero = RatFunc.const(p, 0)
         self.one = RatFunc.const(p, 1)
-        mc = params.mc
         theta = comb.theta_sep(l, n)
+        table = tableau_contents(params)
+        by_shape: dict = {}
+        for t in table:
+            by_shape.setdefault(comb.shape_of(t), []).append(t)
         self.blocks: dict = {}
-        seen_contents = set()
-        for lam in comb.all_multipartitions(n, l):
-            std = comb.std_tableaux(lam)
+        for lam, std in by_shape.items():
             idx = {t: s for s, t in enumerate(std)}
-            contents = []
-            for t in std:
-                nm = comb.node_map(t)
-                vec = tuple(comb.hat_content(nm[k], mc) for k in range(1, n + 1))
-                if vec in seen_contents:
-                    raise DegenerateContents(
-                        f"content vector collision at shape {lam}")
-                seen_contents.add(vec)
-                contents.append(vec)
+            contents = [table[t] for t in std]
             nums, dens = {}, {}
             for i in range(1, n):
                 nums[i], dens[i] = self._two_term(std, idx, contents, i,
@@ -816,16 +796,30 @@ def standard_tableaux_all(n: int, l: int) -> list:
     return out
 
 
+@lru_cache(maxsize=8)
+def tableau_contents(params: HeckeParams) -> dict:
+    """Standard tableau T of size n -> its hat-content vector (c_T(1),
+    ..., c_T(n)), in :func:`standard_tableaux_all` order: the one table
+    the seminormal model, the Murphy product formula and the residue
+    classes read.  Raises DegenerateContents when two tableaux share a
+    vector.  The dict is shared; callers must not change it."""
+    mc = params.mc
+    table = {}
+    for T in standard_tableaux_all(params.n, params.l):
+        nm = comb.node_map(T)
+        table[T] = tuple(comb.hat_content(nm[k], mc)
+                         for k in range(1, params.n + 1))
+    if len(set(table.values())) != len(table):
+        raise DegenerateContents("content vectors do not separate "
+                                 "standard tableaux")
+    return table
+
+
 def content_sets(params: HeckeParams) -> list[list[int]]:
     """C(k): every integral content an entry k can have in a standard
     tableau of any multipartition of n."""
-    mc = params.mc
-    sets: list[set] = [set() for _ in range(params.n)]
-    for t in standard_tableaux_all(params.n, params.l):
-        nm = comb.node_map(t)
-        for k in range(1, params.n + 1):
-            sets[k - 1].add(comb.hat_content(nm[k], mc))
-    return [sorted(s) for s in sets]
+    vecs = tableau_contents(params).values()
+    return [sorted({c[k] for c in vecs}) for k in range(params.n)]
 
 
 def generic_normal_form(params: HeckeParams) -> NormalForm:
@@ -922,7 +916,9 @@ class MurphyEngine:
     form ``nf`` and the numerator arrays ``entries`` from the cached
     :func:`regular_rep` of the same parameters, the arrays from which
     ``RegularRep.L`` is evaluated, and builds each path's operators from
-    them on first use.  Tableaux sharing an initial segment
+    them on first use.  Its tableaux ``tabs``, their contents
+    ``content_of`` and the content sets ``csets`` are read from the
+    cached :func:`tableau_contents`.  Tableaux sharing an initial segment
     of contents share the corresponding partial products through one
     prefix-tree walk, :meth:`_walk`, which takes the factor step as a
     parameter.  Two steps use it.
@@ -954,17 +950,9 @@ class MurphyEngine:
         self.params = params
         self.p = params.p
         self.nf, self.entries = reg.nf, reg.entries
+        self.content_of = tableau_contents(params)
+        self.tabs = list(self.content_of)
         self.csets = content_sets(params)
-        self.tabs = standard_tableaux_all(params.n, params.l)
-        mc = params.mc
-        self.content_of = {}
-        for T in self.tabs:
-            nm = comb.node_map(T)
-            self.content_of[T] = tuple(comb.hat_content(nm[k], mc)
-                                       for k in range(1, params.n + 1))
-        if len(set(self.content_of.values())) != len(self.tabs):
-            raise DegenerateContents("content vectors do not separate "
-                                     "standard tableaux")
         # pole order at t = q of each product formula: the sum of the
         # s-adic valuations of its denominators
         val = cache(lambda d: shifted_binomial(params.q, d, self.p)[0])
@@ -1357,11 +1345,11 @@ def murphy_engine(params: HeckeParams) -> MurphyEngine:
 
 
 def class_partition(params: HeckeParams) -> dict:
-    """Standard tableaux of size n grouped by residue sequence mod e."""
-    mc = params.mc
+    """Standard tableaux of size n grouped by residue sequence, the
+    hat-contents mod e."""
     classes: dict = {}
-    for t in standard_tableaux_all(params.n, params.l):
-        classes.setdefault(comb.residue_seq(t, mc), []).append(t)
+    for t, c in tableau_contents(params).items():
+        classes.setdefault(tuple(x % params.e for x in c), []).append(t)
     return classes
 
 
@@ -1442,8 +1430,7 @@ def e2_idempotents(params: HeckeParams) -> list[dict]:
             raise ValueError("eigenvalue system vector does not square "
                              "into its own line")
         vb = pow(int(beta), -1, p) * v % p
-        vb_dict = {reg.nf.basis[i]: int(vb[i]) for i in np.nonzero(vb)[0]}
-        if vb_dict != va:
+        if not np.array_equal(vb, reg.coefficients(va)):
             raise ValueError(f"the two constructions of the rank-one "
                              f"idempotent disagree at component {j}")
         out.append(va)

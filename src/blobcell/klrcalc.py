@@ -211,13 +211,13 @@ class RewriteTrace:
     def add(self, rule: str, position: int, before: str, after: str):
         self.steps.append(TraceStep(rule, position, before, after))
 
-    def to_json(self, **kwargs) -> str:
+    def to_json(self) -> str:
         return json.dumps({
             "steps": [{"rule": s.rule, "position": s.position,
                        "before": s.before, "after": s.after}
                       for s in self.steps],
             "terminal": list(self.terminal),
-        }, **kwargs)
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +437,14 @@ class _Straightener:
     by the triple identity, until a start relation kills the branch or
     the sequence factors through a dominating shape class."""
 
-    def __init__(self, mc: comb.Multicharge, shape=None, symbolic=False,
-                 rows: tuple = ()):
+    def __init__(self, mc: comb.Multicharge, shape=None, symbolic=False):
         self.mc = mc
         self.e = mc.e
         self.l = mc.l
         self.kappa = set(mc.kappa)
         self.shape = shape
         self.symbolic = symbolic
-        self.rows = rows if rows else (
-            _row_pattern(shape) if shape is not None else ())
+        self.rows = _row_pattern(shape) if shape is not None else ()
         self.trace = RewriteTrace()
         self.terms: list = []
         self._classes: dict = {}
@@ -665,14 +663,14 @@ def straighten_dot(k: int, shape, mc: comb.Multicharge,
     return StraightenResult(eng.terms, eng.trace)
 
 
-def idempotent_vanishes(seq: Sequence[int], mc: comb.Multicharge,
-                        rows: tuple = ()) -> Optional[RewriteTrace]:
+def idempotent_vanishes(seq: Sequence[int],
+                        mc: comb.Multicharge) -> Optional[RewriteTrace]:
     """Symbolic proof that ``e(seq) = 0``, driving the last residue
     leftwards; returns the trace, or ``None`` when ``seq`` is the class
     of a one-column shape (hence nonzero).  Raises
     :class:`NotProvablyZero` on sequences it cannot discharge."""
     seq = tuple(x % mc.e for x in seq)
-    eng = _Straightener(mc, symbolic=True, rows=rows)
+    eng = _Straightener(mc, symbolic=True)
     if eng.class_shapes(seq):
         return None
     eng.run(_State(1, (), seq, len(seq), False, ()))

@@ -422,6 +422,21 @@ class TestAdaptedCoordinates:
         assert len(B.KLRImages(A).E) == len(calls) == 7
         assert len(images.classes) == 16
 
+    def test_one_projection_certificate_per_pass(self, built, monkeypatch):
+        # the constructor leaves the certificate to relation_failures
+        _, A, _, _ = built[(3, 2)]
+        calls = []
+        certify = B.KLRImages._projection_failures
+
+        def counted(self):
+            calls.append(self)
+            return certify(self)
+
+        monkeypatch.setattr(B.KLRImages, "_projection_failures", counted)
+        images = B.KLRImages(A)
+        assert not images.relation_failures()
+        assert len(calls) == 1
+
     def test_dropped_class_breaks_the_sum(self, built, monkeypatch):
         # the kept set is certified: without one of its classes the
         # images of the e(i) no longer add up to 1

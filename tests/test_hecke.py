@@ -566,6 +566,22 @@ class TestMurphyIdempotents:
         B.KLRImages(B.build_blob(H.default_params(3, 2)))
         assert calls == {"divmod": 0, "gcd": 0}
 
+    def test_tableaux_walked_once_per_parameter_set(self, monkeypatch):
+        # the algebra and its two-string subalgebra each walk their
+        # standard tableaux once, into the shared content table
+        calls = []
+        walk = H.standard_tableaux_all
+
+        def counted(n, l):
+            calls.append((n, l))
+            return walk(n, l)
+        monkeypatch.setattr(H, "standard_tableaux_all", counted)
+        for cached in (H.regular_rep, H.murphy_engine, H.tableau_contents):
+            cached.cache_clear()
+        B.KLRImages(B.build_blob(P32))
+        assert sorted(calls) == [(2, 2), (3, 2)]
+        assert H.murphy_engine(P32).content_of is H.tableau_contents(P32)
+
     def test_engine_shares_the_rewriting(self):
         # t^{k-1} L_k is rewritten once, by RegularRep, for both layers
         H.regular_rep.cache_clear()
