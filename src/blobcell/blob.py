@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import combinatorics as comb
+# rref is bound here as well: perfbench/smoke.py checks that the tracer
+# restores it in this module
 from .exactfield import (RowSpace, invert_matrix, mat_pow, matmul,
                          nullspace, rank, rank_and_inverse, rref)
-from .hecke import (HeckeParams, RegularRep, class_partition,
-                    class_idempotent_vector, e2_idempotents,
-                    embed_two_string, regular_rep)
+from .hecke import (HeckeParams, RegularRep, e2_idempotents,
+                    embed_two_string, regular_rep, weight_spaces)
 
 official_word = comb.official_word
 
@@ -207,42 +208,30 @@ def build_blob(params: HeckeParams) -> "BlobAlgebra":
 # ---------------------------------------------------------------------------
 
 
-def _carried_classes(algebra: BlobAlgebra, classes: dict) -> set:
-    """The residue classes whose idempotents can be nonzero in the
-    carrier: every class in H itself, and in the quotient B the residue
-    sequences of standard tableaux of one-column shapes.
-
-    In B this is certified, not assumed.  The class idempotents of H are
-    orthogonal and add up to 1; :meth:`KLRImages._adapted_basis` checks
-    that the images of the kept ones fill B, and
-    :meth:`KLRImages.relation_failures` that they add up to 1 there.  So
-    the other classes add up to 0 in B, and each of them is 0 there: by
-    orthogonality it is its own product with that sum."""
-    if not algebra.is_quotient:
-        return set(classes)
-    n, l = algebra.params.n, algebra.params.l
-    return {comb.residue_seq(T, algebra.params.mc)
-            for lam in comb.one_column_shapes(n, l)
-            for T in comb.std_tableaux(lam)}
-
-
 class KLRImages:
     """Images of the quiver-Hecke generators inside the given algebra.
 
-    ``E[i]`` (for realized residue sequences i) are the specialized class
-    idempotents; ``Y[k]`` are the nilpotent parts of the Jucys-Murphy
-    elements; ``PSI[r]`` are the intertwiners, normalized so that the
-    complete defining relation suite holds.  All are square matrices
-    acting on the coordinate basis of the carrier algebra.
+    ``E[i]`` (for realized residue sequences i) are the weight
+    idempotents: the projections onto the joint generalized eigenspaces
+    of the images of L_1, ..., L_n at (q^(i_1), ..., q^(i_n)), which is
+    how the Brundan-Kleshchev isomorphism defines e(i); ``Y[k]`` are the
+    nilpotent parts of the Jucys-Murphy elements; ``PSI[r]`` are the
+    intertwiners, normalized so that the complete defining relation suite
+    holds.  All are square matrices acting on the coordinate basis of the
+    carrier algebra.
 
     **Adapted coordinates.**  Every generator respects the weight-space
     decomposition A = sum_i e(i)A: e(i) projects onto its summand, y_k
     keeps each summand and psi_r maps e(i)A into e(s_r i)A.  The columns
-    of ``C`` are bases of the images of the E[i], stacked in the order of
-    ``E``; ``blocks[i]`` is the slice of the d_i columns of summand i.
-    The construction certifies that C^-1 L_k C is block-diagonal
-    (raising :class:`RelationFailure` otherwise); that C^-1 E[i] C is the
-    projection P_i onto block i is certified once, by
+    of ``C`` are the bases of the nonzero weight spaces that
+    :func:`~.hecke.weight_spaces` splits off, in the order of ``E``;
+    ``blocks[i]`` is the slice of the d_i columns of summand i, and E[i]
+    is C[:, block i] C^-1[block i, :].  Weights that are not powers of q
+    leave the blocks short of the dimension, which raises "sum of e(i) =
+    1".  In B only the residue sequences of one-column tableaux have
+    nonzero weight spaces.  The construction certifies that C^-1 L_k C
+    is block-diagonal (raising :class:`RelationFailure` otherwise); that
+    C^-1 E[i] C is the projection P_i onto block i is certified once, by
     :meth:`relation_failures`, which every certified path runs.  Then y_k
     is one d_i x d_i block per class, psi_r e(i) is one column block, and
     the only inverses taken are of C and of d_i x d_i normalizers.  The
@@ -264,21 +253,15 @@ class KLRImages:
         self.params = params
         p, q, n = A.p, A.q, params.n
         self.p, self.q, self.e, self.n = p, q, A.e, n
-        classes = class_partition(params)
-        self.classes = classes
-        self.E: dict = {}
-        for iseq in sorted(_carried_classes(A, classes)):
-            v = A.reg.coefficients(class_idempotent_vector(params,
-                                                           classes[iseq]))
-            # a class is zero in A exactly when its quotient vector is
-            if matmul((A.quotient_map, v), p).any():
-                self.E[iseq] = A.push(v)
-        self.C, self.blocks = self._adapted_basis()
-        # C is square; the certificate of relation_failures, E[i] C =
-        # C P_i, makes it invertible (a relation among its columns, times
-        # E[i], is one among block i's), and invert_matrix raises
-        # ValueError where it is not
+        self.C, self.blocks = weight_spaces(A.L, params)
+        if self.C.shape[1] != A.dim:
+            raise RelationFailure(
+                "sum of e(i) = 1", f"the images of the e(i) have "
+                f"{self.C.shape[1]} dimensions, not {A.dim}")
+        # the weight spaces are independent, so the square C is invertible
         self._Cinv = invert_matrix(self.C, p)
+        self.E = {i: matmul((self.C[:, sl], self._Cinv[sl]), p)
+                  for i, sl in self.blocks.items()}
         Lt = {k: self._adapt(A.L[k]) for k in A.L}
         for k, X in Lt.items():
             for iseq in self.blocks:
@@ -299,22 +282,6 @@ class KLRImages:
         self._sigma = None
 
     # -- adapted coordinates -------------------------------------------------
-
-    def _adapted_basis(self) -> tuple[np.ndarray, dict]:
-        """C, whose column blocks are bases of the images of the E[i], and
-        the slice of each block."""
-        p, dim = self.p, self.algebra.dim
-        cols, blocks, start = [], {}, 0
-        for iseq, Ei in self.E.items():
-            R, piv = rref(Ei.T, p)
-            cols.append(R[:len(piv)])
-            blocks[iseq] = slice(start, start + len(piv))
-            start += len(piv)
-        if start != dim:
-            raise RelationFailure(
-                "sum of e(i) = 1",
-                f"the images of the e(i) have {start} dimensions, not {dim}")
-        return np.vstack(cols).T, blocks
 
     def _adapt(self, X: np.ndarray) -> np.ndarray:
         """C^-1 X C."""
@@ -819,7 +786,9 @@ def cellular_family(algebra: BlobAlgebra, images: KLRImages,
     A, p = algebra, algebra.p
     n, l, mc = A.params.n, A.params.l, A.params.mc
     shapes = comb.one_column_shapes(n, l)
-    i_lam = {lam: comb.i_lambda(lam, mc) for lam in shapes}
+    # i^lam is read off the same t^lam_theta as the d(S)
+    i_lam = {lam: comb.residue_seq(comb.t_lambda(lam, theta), mc)
+             for lam in shapes}
     std = {lam: comb.std_tableaux(lam) for lam in shapes}
     index = [(lam, S, T) for lam in shapes for S in std[lam] for T in std[lam]]
     word = {S: comb.official_word(comb.d_perm(S, theta))
@@ -842,8 +811,8 @@ def cellular_family(algebra: BlobAlgebra, images: KLRImages,
 class CellularBasis:
     """The homogeneous basis ``m_{S,T}`` of B, indexed by pairs of standard
     tableaux of a common one-column shape: the star of the crossing word of
-    d(S), the class idempotent of the shape's maximal residue sequence, and
-    the crossing word of d(T).  ``below[i, j]`` says that the shape of
+    d(S), the idempotent e(i^lam) of the residue sequence of t^lam_theta,
+    and the crossing word of d(T), where t^lam_theta d(S) = S.  ``below[i, j]`` says that the shape of
     pair i of ``index`` is not strictly above that of pair j, so the cell
     order keeps a coefficient at (i, j); ``residues[S]`` is i^S.
 

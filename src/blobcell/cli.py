@@ -13,8 +13,9 @@ A run builds the quotient algebra, its quiver-Hecke generator images and
 its cellular basis at most once: the suites of ``verify`` share one lazy
 build, and ``basis``, ``cell`` and ``trace`` go through one helper.
 
-Reports are JSON (deterministic modulo the timestamp field); matrices can
-be written as CSV.  Parameters come from flags or a plain ``key=value``
+Reports are JSON (deterministic modulo the timestamp field); ``basis``
+can also write its matrix as CSV, and the other commands refuse a ``.csv``
+output path.  Parameters come from flags or a plain ``key=value``
 config file, with the level presets as defaults.
 """
 
@@ -256,7 +257,6 @@ def _suite_rewrite(params: H.HeckeParams, build, oracle: bool) -> list[str]:
             fails += _uncertified(relation_fails)
             images = None
     mumax = comb.mu_max(n, l)
-    theta = comb.theta_zero(l)
     for shape in comb.one_column_shapes(n, l):
         for k in range(1, n + 1):
             try:
@@ -270,12 +270,6 @@ def _suite_rewrite(params: H.HeckeParams, build, oracle: bool) -> list[str]:
                     not _oracle_invariant(images, k, shape, res):
                 fails.append(f"straighten_dot({k}, {shape}) is not "
                              "oracle-invariant")
-            for _, mus in res.terms:
-                for mu in mus:
-                    if not comb.strictly_dominates(mu, shape, theta):
-                        fails.append(f"straighten_dot({k}, {shape}): "
-                                     f"terminal shape {mu} does not "
-                                     "strictly dominate")
     return fails
 
 
@@ -390,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="integral multicharge, e.g. '0,22,44,67'")
         sp.add_argument("--theta", help="weighting, e.g. '0,0'")
         sp.add_argument("--config", help="key=value config file")
-        sp.add_argument("--out", help="output path (JSON; .csv for matrices)")
+        sp.add_argument("--out", help="output path (JSON; .csv for the basis "
+                        "matrix)")
         sp.add_argument("--oracle", choices=("on", "off"), default=None,
                         help="certify against the matrix representation")
 
@@ -410,6 +405,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
+        if (cfg.out or "").endswith(".csv") and args.command != "basis":
+            raise ValueError(f"--out {cfg.out}: only basis writes a CSV "
+                             f"matrix; {args.command} writes JSON")
         if args.command == "dims":
             report, code = cmd_dims(cfg), 0
         elif args.command == "verify":
@@ -423,8 +421,8 @@ def main(argv=None) -> int:
     except (ValueError, K.NotProvablyZero, B.RelationFailure) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    # a .csv out path receives the matrix artifact; the report then
-    # stays on stdout
+    # a .csv out path of basis receives the matrix artifact; the report
+    # then stays on stdout
     emit(report, None if (cfg.out or "").endswith(".csv") else cfg.out)
     return code
 

@@ -10,13 +10,14 @@ anywhere.  The pieces provided here are
   denominator) form, with pole-aware specialization,
 * the matrix kernel ``matmul``/``mat_pow``: products of int64 matrices
   with entries in [0, p), reduced mod p after every product,
-* ``SeriesOperator`` -- a sparse operator with truncated power series
-  entries, the Murphy engine's L_k at t = q + s,
 * ``poly_matmul`` -- the product of two sparse matrices over F_p[t] in
   coordinate form, from which ``RegularRep`` builds t^(k-1) L_k,
 * mod-p linear algebra on numpy int64 matrices (``rank``, ``rref``,
   ``nullspace``, ``invert_matrix``, ``rank_and_inverse``) with
-  deterministic pivot choice, and
+  deterministic pivot choice,
+* ``joint_eigenspaces`` -- the joint generalized eigenspaces of commuting
+  matrices at labelled eigenvalues in F_p, from which the weight
+  idempotents e(i) are built, and
 * ``RowSpace`` -- an incremental reduced echelon form, used to close
   two-sided ideals a block of new vectors at a time and to certify
   spanning ranks.
@@ -27,10 +28,8 @@ reduction an int64 entry is then at most ``product_bound(D, p)``, one
 product of D-wide factors plus one reduced addend; the generic Murphy
 oracle's chunked layer sums keep to it too, and
 ``HeckeParams.validate_exact`` rejects a p that breaks it at D = dim H.
-``SeriesOperator`` reduces by its own bound, ``series_terms(p)``, which
-every such p meets, and ``poly_matmul`` reduces each product before it
-sums.  An accepted p is below 2^32, so a
-cumulative sum of w reduced values stays below w 2^32.
+``poly_matmul`` reduces each product before it sums.  An accepted p is
+below 2^32, so a cumulative sum of w reduced values stays below w 2^32.
 """
 
 from __future__ import annotations
@@ -423,80 +422,6 @@ def product_bound(D: int, p: int) -> int:
     return D * (p - 1) ** 2 + p - 1
 
 
-def series_terms(p: int) -> int:
-    """Most products of two values in [0, p) that can be added to one
-    value in [0, p) within int64: the m with m (p - 1)^2 + p - 1 at most
-    2^63 - 1.  ``product_bound(D, p)`` fits exactly when D <= m, so
-    every p that ``HeckeParams.validate_exact`` admits gives m >= dim H."""
-    return (INT64_MAX - (p - 1)) // (p - 1) ** 2
-
-
-class SeriesOperator:
-    """A sparse dim x dim operator whose entries are power series in s
-    truncated mod s^K, sum_b s^b B_b, over F_p.
-
-    Built from coordinate arrays: row, column and the K coefficients of
-    each entry (duplicate positions are added, the sums reduced mod p and
-    all-zero entries dropped); the pattern is kept sorted by row.
-    :meth:`apply` is one gather, K(K+1)/2 vector multiply-adds and one
-    ``np.add.reduceat`` over the rows.
-
-    Bound: a row of the result sums at most K r products of two values
-    in [0, p), r the most entries in one row.  When K r is at most
-    ``series_terms(p)`` that sum fits in int64 and is reduced once.
-    Otherwise each entry's series product, at most K such products, is
-    reduced after every ``series_terms(p)`` of them and once more before
-    the row sums, which then add at most dim values in [0, p).  So no
-    int64 value passes ``series_terms(p) (p - 1)^2 + p - 1`` <= 2^63 - 1.
-    That needs series_terms(p) >= 1, which every p that
-    ``HeckeParams.validate_exact`` admits meets; a larger p is refused."""
-
-    def __init__(self, dim: int, rows: np.ndarray, cols: np.ndarray,
-                 coeffs: np.ndarray, p: int):
-        """``coeffs[b]`` holds the s^b coefficients of the entries
-        (rows[j], cols[j]), in [0, p)."""
-        self.terms = series_terms(p)
-        if self.terms < 1:
-            raise ValueError(f"p = {p} is too large for exact int64 "
-                             f"series products")
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        K = coeffs.shape[0]
-        self.dim, self.p, self.K = dim, p, K
-        pos, at = np.unique(np.asarray(rows, dtype=np.int64) * dim + cols,
-                            return_inverse=True)
-        C = np.zeros((K, len(pos)), dtype=np.int64)
-        for b in range(K):
-            np.add.at(C[b], at, coeffs[b])
-        C %= p
-        keep = C.any(axis=0)
-        pos, self.coeffs = pos[keep], C[:, keep]
-        rows, self.cols = np.divmod(pos, dim)
-        self.rows, self.starts, counts = np.unique(
-            rows, return_index=True, return_counts=True)
-        # whether a whole row sum of unreduced series products fits
-        self._row_sums_fit = K * counts.max(initial=0) <= self.terms
-
-    def apply(self, V: np.ndarray) -> np.ndarray:
-        """sum_b s^b B_b V mod s^K for a dim x K array V of series
-        coefficients in [0, p); returns a dim x K array in [0, p)."""
-        p, K, C = self.p, self.K, self.coeffs
-        G = np.take(V.T, self.cols, axis=1)
-        S = np.empty_like(C)
-        tmp = np.empty(C.shape[1], dtype=np.int64)
-        for j in range(K):
-            acc = S[j]
-            np.multiply(C[0], G[j], out=acc)
-            for b in range(1, j + 1):
-                if b % self.terms == 0:
-                    acc %= p
-                acc += np.multiply(C[b], G[j - b], out=tmp)
-        if not self._row_sums_fit:
-            S %= p
-        out = np.zeros((self.dim, K), dtype=np.int64)
-        out[self.rows] = np.add.reduceat(S, self.starts, axis=1).T % p
-        return out
-
-
 def poly_matmul(A: tuple, B: tuple, p: int) -> tuple[np.ndarray, ...]:
     """The product A B of two sparse matrices over F_p[t], each given as
     coordinate arrays (degree a, row i, column j, value in [1, p)): the
@@ -637,6 +562,48 @@ def invert_matrix(M: np.ndarray, p: int) -> np.ndarray:
     if inv is None:
         raise ValueError("matrix is singular mod p")
     return inv
+
+
+def joint_eigenspaces(ops: Sequence[np.ndarray], labels: dict[int, int],
+                      p: int) -> dict[tuple, np.ndarray]:
+    """The nonzero joint generalized eigenspaces of commuting square
+    matrices ``ops`` (entries in [0, p)) at the eigenvalues in ``labels``
+    {c: label}: {label tuple: basis}, sorted by label tuple, the k-th
+    label naming the eigenvalue of ``ops[k]``.  Each basis V is in
+    reduced column echelon form, V[pivots] = I, so it depends only on
+    the space.  Eigenvalues outside ``labels`` get no space; the widths
+    then add up to less than the dimension.
+
+    The pieces start as the whole space and are split by one operator at
+    a time.  A piece V is stable under every operator L, so L V = V M
+    with M = (L V)[pivots].  Take D = M^(p^m) with p^m >= dim V.  In
+    characteristic p, (S + N)^(p^m) = S^(p^m) for the commuting
+    semisimple and nilpotent parts of M, and Frobenius fixes exactly the
+    elements of F_p, so for c in F_p the generalized eigenspace of M at
+    c is ker(D - c).  The kernels are taken at each labelled c until
+    they fill the piece."""
+    dim = ops[0].shape[0]
+    power = p
+    while power < dim:
+        power *= p
+    pieces = {(): (np.eye(dim, dtype=np.int64), np.arange(dim))}
+    for L in ops:
+        split = {}
+        for key, (V, piv) in pieces.items():
+            D = mat_pow(matmul((L, V), p)[piv], power, p)
+            I = np.eye(len(piv), dtype=np.int64)
+            width = 0
+            for c, label in labels.items():
+                if width == len(piv):
+                    break
+                # W in reduced row echelon form keeps V W^T reduced,
+                # with pivots piv[pivots of W]
+                W, wpiv = rref(nullspace(D - c * I, p), p)
+                if wpiv:
+                    split[key + (label,)] = (matmul((V, W.T), p), piv[wpiv])
+                    width += len(wpiv)
+        pieces = split
+    return {key: V for key, (V, _) in sorted(pieces.items())}
 
 
 class RowSpace:

@@ -20,38 +20,36 @@
   Its relations are checked with the denominators cleared, as polynomial
   identities.
 
-On top of these sit the tableau idempotents F_S (product formula), the
-residue-class idempotents E_[i] = sum of F_S over one residue class, and
-the rank-one idempotents of the two-row/two-string subalgebra used to
-present the blob quotient.
+On top of these sit the weight idempotents e(i), the projections onto the
+joint generalized eigenspaces of L_1, ..., L_n at (q^(i_1), ..., q^(i_n))
+(Brundan-Kleshchev), split off by :func:`~.exactfield.joint_eigenspaces`;
+the tableau idempotents F_S of the product formula and their residue-class
+sums E_[i] over F_p(t), which specialize at t = q to the e(i); and the
+rank-one idempotents of the two-row/two-string subalgebra used to present
+the blob quotient.
 
-Each F_S has a pole at t = q; E_[i] does not, and the pipeline needs only
-its value there.  ``class_idempotent_vector`` computes that value directly
-in truncated Laurent series in s = t - q: the leaves of the product
-formula are carried to the exact precision the s^0 term needs, added, and
-certified pole-free by checking that every term of negative order
-cancels (``PoleAtSpecialization`` otherwise).  Its L_k are
-:class:`~.exactfield.SeriesOperator` instances, so the pipeline needs only
-numpy.  The same idempotents over F_p(t) (``MurphyEngine.murphy_vectors``,
-``class_vector``, ``class_vectors``) are kept as the generic oracle that
-the tests compare against; the pipeline does not use them.  Only that
-oracle needs scipy (its sparse degree layers, ``MurphyEngine.ops``), and
-imports it on first use.
+``class_idempotent_vector`` reads e(i) 1 in H off one cached eigenspace
+decomposition of the L_k of :func:`regular_rep` (:func:`weight_units`).
+The product formula is kept only as the generic oracle over F_p(t)
+(``MurphyEngine.murphy_vectors``, ``class_vector``, ``class_vectors``)
+that the tests compare against: each F_S has a pole at t = q that cancels
+in E_[i].  Only that oracle needs scipy (its sparse degree layers,
+``MurphyEngine.ops``), and imports it on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
-from math import comb as binomial, factorial, gcd
+from math import factorial, gcd
 
 import numpy as np
 
 from . import combinatorics as comb
-from .exactfield import (INT64_MAX, PoleAtSpecialization, Poly, RatFunc,
-                         SeriesOperator, cyclic_subgroup, has_order,
-                         is_prime, matmul, nullspace, poly_matmul,
+from .exactfield import (INT64_MAX, Poly, RatFunc, cyclic_subgroup,
+                         has_order, invert_matrix, is_prime,
+                         joint_eigenspaces, matmul, nullspace, poly_matmul,
                          product_bound, root_of_unity)
 
 
@@ -858,92 +856,29 @@ def _mul_by_binomial(vec: np.ndarray, d: int, p: int) -> np.ndarray:
     return out % p
 
 
-# -- truncated power series in s = t - q: coefficient lists mod s^K --------
-
-
-def shifted_binomial(q: int, d: int, p: int) -> tuple[int, list[int]]:
-    """t^d - 1 at t = q + s as s^v u(s) over F_p, returned as (v, the
-    coefficients of u), with u(0) != 0 (d >= 1).  The valuation v is the
-    multiplicity of the root q of t^d - 1, read off the coefficients: 0
-    unless the order e of q divides d, and p^a when it does and p^a
-    exactly divides d, since then t^d - 1 = (t^(d/p^a) - 1)^(p^a)."""
-    c = _series_pow(q, d, d + 1, p)
-    c[0] = (c[0] - 1) % p
-    v = next(j for j, x in enumerate(c) if x)
-    return v, c[v:]
-
-
-def _series_pow(q: int, m: int, K: int, p: int) -> list[int]:
-    """(q + s)^m mod s^K over F_p, for any integer m."""
-    def choose(j):  # the binomial coefficient m choose j, any sign of m
-        return (binomial(m, j) if m >= 0
-                else (-1) ** j * binomial(j - m - 1, j))
-    return [choose(j) * pow(q, m - j, p) % p for j in range(K)]
-
-
-def _series_mul(a: list[int], b: list[int], K: int, p: int) -> list[int]:
-    """a b mod s^K over F_p."""
-    return [sum(a[i] * b[j - i] for i in range(j + 1)
-                if i < len(a) and j - i < len(b)) % p for j in range(K)]
-
-
-def _series_inv(u: list[int], K: int, p: int) -> list[int]:
-    """1 / u mod s^K over F_p, for u(0) != 0 given to K terms."""
-    inv0 = pow(u[0], -1, p)
-    w = [inv0]
-    for j in range(1, K):
-        acc = sum(u[i] * w[j - i] for i in range(1, j + 1))
-        w.append(-acc * inv0 % p)
-    return w
-
-
-def _toeplitz(c: list[int], K: int) -> np.ndarray:
-    """The K x K matrix of multiplication by the series c on coefficient
-    rows: (V @ T)[:, j] = sum over i <= j of V[:, i] c[j - i]."""
-    T = np.zeros((K, K), dtype=np.int64)
-    for i in range(K):
-        T[i, i:] = c[:K - i]
-    return T
-
-
 class MurphyEngine:
-    """The product-formula idempotents F_T = prod_k prod_{c != c_T(k)}
-    (L_k - t^c) / (t^{c_T(k)} - t^c) and their residue-class sums
-    E_[i] = sum of F_T, in normal-form coordinates.
+    """The generic oracle over F_p(t): the product-formula idempotents
+    F_T = prod_k prod_{c != c_T(k)} (L_k - t^c) / (t^{c_T(k)} - t^c) and
+    their residue-class sums E_[i] = sum of F_T, in normal-form
+    coordinates (:meth:`murphy_vectors`, :meth:`class_vector`,
+    :meth:`class_vectors`).  The tests compare the weight idempotents of
+    :func:`class_idempotent_vector` against these specialized at t = q;
+    the pipeline does not use them.
 
     The n operators t^{k-1} L_k have polynomial entries in the generic
     normal form.  The engine does not rewrite them: it takes the normal
     form ``nf`` and the numerator arrays ``entries`` from the cached
     :func:`regular_rep` of the same parameters, the arrays from which
-    ``RegularRep.L`` is evaluated, and builds each path's operators from
-    them on first use.  Its tableaux ``tabs``, their contents
-    ``content_of`` and the content sets ``csets`` are read from the
-    cached :func:`tableau_contents`.  Tableaux sharing an initial segment
-    of contents share the corresponding partial products through one
-    prefix-tree walk, :meth:`_walk`, which takes the factor step as a
-    parameter.  Two steps use it.
-
-    * The series path, :meth:`class_value`: E_[i] at t = q, which is all
-      the pipeline needs.  With s = t - q every vector is a dim x K
-      integer array of the coefficients of s^0, ..., s^(K-1), together
-      with a pole order N, so that it stands for s^(-N) times that
-      truncated series.  L_k becomes the :class:`SeriesOperator` sum_b
-      s^b B_b of its s-coefficient matrices (:meth:`_series_layers`,
-      numpy only), and a factor step multiplies by the series inverse of
-      the unit part of its denominator and adds the denominator's
-      s-adic valuation to N.  Each F_T has a pole at q; the class sum
-      does not, and the integrality certificate is that every term of
-      negative order in the sum vanishes.  No polynomial in t is formed
-      and nothing is divided.
-    * The generic oracle over F_p(t), :meth:`murphy_vectors`,
-      :meth:`class_vector` and :meth:`class_vectors`: a vector is a dense
-      int64 matrix with one column per power of t and a power-of-t
-      offset, denominator-free until the leaves, which are reduced by
-      exact division against the factored denominator.  Its operators
-      are scipy sparse matrices indexed by coefficient degree
-      (:attr:`ops`, built and scipy imported on first use).  The
-      acceptance criteria on the generic idempotents and the tests of
-      the series path use it; the pipeline does not."""
+    ``RegularRep.L`` is evaluated, and builds its operators from them on
+    first use: scipy sparse matrices indexed by coefficient degree
+    (:attr:`ops`, scipy imported then).  Its tableaux ``tabs``, their
+    contents ``content_of`` and the content sets ``csets`` are read from
+    the cached :func:`tableau_contents`.  Tableaux sharing an initial
+    segment of contents share the corresponding partial products through
+    one prefix-tree walk, :meth:`_walk`.  A vector is a dense int64
+    matrix with one column per power of t and a power-of-t offset,
+    denominator-free until the leaves, which are reduced by exact
+    division against the factored denominator."""
 
     def __init__(self, params: HeckeParams):
         reg = regular_rep(params)
@@ -953,19 +888,9 @@ class MurphyEngine:
         self.content_of = tableau_contents(params)
         self.tabs = list(self.content_of)
         self.csets = content_sets(params)
-        # pole order at t = q of each product formula: the sum of the
-        # s-adic valuations of its denominators
-        val = cache(lambda d: shifted_binomial(params.q, d, self.p)[0])
-        self.pole_order = {
-            T: sum(val(abs(cT[k] - c)) for k in range(params.n)
-                   for c in self.csets[k] if c != cT[k])
-            for T, cT in self.content_of.items()}
-        self.K = 1 + max(self.pole_order.values())
         self._powcache: dict[int, np.ndarray] = {}
         self._rootcache: dict[int, tuple] = {}
         self._dencache: dict = {}
-        self._laycache: dict = {}
-        self._stepcache: dict = {}
 
     @cached_property
     def ops(self) -> dict:
@@ -1190,90 +1115,6 @@ class MurphyEngine:
         unit[self.nf.index[self.nf.identity_key], 0] = 1
         return unit
 
-    # -- the series path at t = q ------------------------------------------
-
-    def _series_layers(self, k: int, K: int) -> SeriesOperator:
-        """L_k = t^{-(k-1)} sum_a A_a t^a at t = q + s, as the operator
-        sum_b s^b B_b truncated mod s^K, cached; its pattern is that of
-        ``entries[k]`` and entry (i, j) of B_b is the s^b coefficient of
-        the (i, j) entry of L_k."""
-        B = self._laycache.get((k, K))
-        if B is None:
-            p, q = self.p, self.params.q
-            deg, rows, cols, vals = self.entries[k]
-            # coef[a, b]: the coefficient of s^b in (q + s)^(a - k + 1)
-            coef = np.array([_series_pow(q, a - k + 1, K, p)
-                             for a in range(int(deg.max()) + 1)],
-                            dtype=np.int64)
-            B = SeriesOperator(len(self.nf.basis), rows, cols,
-                               vals * coef[deg].T % p, p)
-            self._laycache[(k, K)] = B
-        return B
-
-    def _step_scalars(self, ck: int, c: int) -> tuple:
-        """The scalar part of the factor (L_k - t^c) / (t^ck - t^c) at
-        t = q + s, cached: (Toeplitz matrix of 1/u, Toeplitz matrix of
-        t^c / u, v), where the denominator is s^v u with u(0) != 0, to
-        the engine's largest truncation order.  The denominator is
-        +-t^min (t^d - 1) with d = |ck - c|, and v is the valuation of
-        t^d - 1 at q (:func:`shifted_binomial`)."""
-        hit = self._stepcache.get((ck, c))
-        if hit is None:
-            p, q, K = self.p, self.params.q, self.K
-            v, unit = shifted_binomial(q, abs(ck - c), p)
-            den = _series_mul(_series_pow(q, min(ck, c), K, p), unit, K, p)
-            if ck < c:
-                den = [-x % p for x in den]
-            inv = _series_inv(den, K, p)
-            hit = (_toeplitz(inv, K),
-                   _toeplitz(_series_mul(_series_pow(q, c, K, p), inv, K, p),
-                             K),
-                   v)
-            self._stepcache[(ck, c)] = hit
-        return hit
-
-    def _series_step(self, V: np.ndarray, k: int, ck: int,
-                     c: int) -> tuple[np.ndarray, int]:
-        """The step of the series path: V -> (L_k - t^c) V / u mod s^K,
-        where t^ck - t^c = s^v u; returns the new array and the pole
-        order increment v."""
-        p, K = self.p, V.shape[1]
-        inv, c_inv, v = self._step_scalars(ck, c)
-        LV = self._series_layers(k, K).apply(V)
-        W = (matmul((LV, inv[:K, :K]), p)
-             - matmul((V, c_inv[:K, :K]), p)) % p
-        return W, v
-
-    def class_value(self, tabs) -> dict:
-        """E_[i] = sum of F_T over the tableaux ``tabs`` of one residue
-        class, at t = q: {basis key: coefficient in [1, p)}.
-
-        The leaves of the prefix tree are carried as truncated Laurent
-        series in s = t - q to order K = 1 + the largest pole order of
-        the class, which is the exact precision of the s^0 term.  They
-        are aligned by pole order and added; every term of negative order
-        must cancel, otherwise PoleAtSpecialization is raised naming the
-        class, a basis key and the order.  The s^0 column is the value."""
-        p, dim = self.p, len(self.nf.basis)
-        K = 1 + max(self.pole_order[T] for T in tabs)
-        leaves: dict = {}
-        self._walk(list(tabs), 1, self._unit(K), 0, self._series_step,
-                   lambda T, V, N: (V, N), leaves)
-        top = K - 1
-        acc = np.zeros((dim, K), dtype=np.int64)
-        for V, N in leaves.values():
-            acc[:, top - N:] += V[:, :N + 1]
-        acc %= p
-        bad = np.argwhere(acc[:, :top])
-        if len(bad):
-            i, j = bad[0]
-            seq = comb.residue_seq(tabs[0], self.params.mc)
-            raise PoleAtSpecialization(
-                f"class {seq}: coordinate {self.nf.basis[i]} has a "
-                f"nonzero term of order s^{j - top} at t = q")
-        return {self.nf.basis[i]: int(acc[i, top])
-                for i in np.flatnonzero(acc[:, top])}
-
     # -- the generic oracle over F_p(t) ------------------------------------
 
     def murphy_vectors(self, tabs=None) -> dict:
@@ -1353,12 +1194,48 @@ def class_partition(params: HeckeParams) -> dict:
     return classes
 
 
+def weight_spaces(L: dict, params: HeckeParams) -> tuple[np.ndarray, dict]:
+    """C, whose column blocks are bases of the nonzero joint generalized
+    eigenspaces of the commuting matrices L[1], ..., L[n] at (q^(i_1),
+    ..., q^(i_n)), stacked in the order of the residue sequences i, and
+    the slice of each i's block.  C has fewer columns than rows when some
+    eigenvalue is not a power of q."""
+    labels = {pow(params.q, r, params.p): r for r in range(params.e)}
+    spaces = joint_eigenspaces([L[k] for k in sorted(L)], labels, params.p)
+    blocks, start = {}, 0
+    for i, V in spaces.items():
+        blocks[i] = slice(start, start + V.shape[1])
+        start = blocks[i].stop
+    return np.hstack(list(spaces.values())), blocks
+
+
+@lru_cache(maxsize=8)
+def weight_units(params: HeckeParams) -> dict:
+    """Residue sequence i -> coefficient vector of e(i) = e(i) 1 in
+    :func:`regular_rep`, for each nonzero weight idempotent: e(i) is
+    C[:, block i] C^-1[block i, :] for the C of :func:`weight_spaces`.
+    Raises ValueError when the weight spaces do not fill H."""
+    reg = regular_rep(params)
+    C, blocks = weight_spaces(reg.L, params)
+    if C.shape[1] != reg.dim:
+        raise ValueError(f"the weight spaces of H have {C.shape[1]} "
+                         f"dimensions, not {reg.dim}")
+    unit = invert_matrix(C, params.p)[:, reg.id_index]
+    return {i: matmul((C[:, sl], unit[sl]), params.p)
+            for i, sl in blocks.items()}
+
+
 def class_idempotent_vector(params: HeckeParams, tabs) -> dict:
-    """E_[i] = sum of F_T over the class ``tabs``, at t = q, in
-    normal-form coordinates over F_p: :meth:`MurphyEngine.class_value` of
-    the cached engine at ``params``.  Raises PoleAtSpecialization if the
-    sum has a pole at q."""
-    return murphy_engine(params).class_value(tabs)
+    """The weight idempotent e(i) of the residue class ``tabs`` (read off
+    its first tableau) in normal-form coordinates over F_p, {basis key:
+    coefficient in [1, p)}, from the cached :func:`weight_units`.  It is
+    E_[i] = sum of F_T over the class at t = q, which the tests check
+    against :meth:`MurphyEngine.class_vector`."""
+    i = tuple(c % params.e for c in tableau_contents(params)[tabs[0]])
+    v = weight_units(params).get(i)
+    basis = regular_rep(params).nf.basis
+    return {} if v is None else {basis[j]: int(v[j])
+                                 for j in np.flatnonzero(v)}
 
 
 def specialize_vector(vec: dict, params: HeckeParams) -> dict:
@@ -1387,9 +1264,11 @@ def e2_idempotents(params: HeckeParams) -> list[dict]:
     subalgebra projecting onto its one-dimensional module with
     L_1, L_2, T_1 eigenvalues q^{kappa_j}, q^{kappa_j + 1}, q.
 
-    Computed two independent ways -- specializing the generic class
-    idempotent, and solving the eigenvalue system in the regular
-    representation of the two-string algebra -- and cross-checked.
+    Computed two independent ways and cross-checked: (a) the weight
+    idempotent of (L_1, L_2) at (q^{kappa_j}, q^{kappa_j + 1}), whose
+    residue class is the one row tableau of component j, and (b) the
+    solution of the eigenvalue system of L_1, L_2 and T_1 = q in the
+    regular representation of the two-string algebra.
     Returned as dicts on the two-string normal-form basis; the keys
     embed verbatim into any larger normal-form basis by appending
     zero exponents and fixed points."""
@@ -1404,7 +1283,7 @@ def e2_idempotents(params: HeckeParams) -> list[dict]:
     for j in range(params.l):
         kj = p2.mc.kappa[j]
         # route (a): the class of the row tableau of component j is a
-        # singleton; specialize its class idempotent
+        # singleton; take its weight idempotent
         key = (kj % e, (kj + 1) % e)
         tabs = classes[key]
         if len(tabs) != 1:

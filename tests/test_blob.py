@@ -373,8 +373,7 @@ class TestAdaptedCoordinates:
             for k, Yk in images.Y.items():
                 assert not images._leaves_block(images._adapt(Yk), iseq)
 
-    def test_small_inversions_and_one_push_per_nonzero_class(
-            self, built, monkeypatch):
+    def test_small_inversions_and_no_push(self, built, monkeypatch):
         _, A, _, _ = built[(3, 2)]
         sizes, pushes = [], []
         invert, push = B.invert_matrix, B.BlobAlgebra.push
@@ -393,34 +392,37 @@ class TestAdaptedCoordinates:
         largest = max(sl.stop - sl.start for sl in images.blocks.values())
         assert sizes.count(A.dim) == 1
         assert max(x for x in sizes if x != A.dim) <= largest < A.dim
-        assert len(pushes) == len(images.E) < len(images.classes)
+        # E[i] comes from C and C^-1, not from an element of H
+        assert pushes == []
 
     def test_kept_classes_are_the_nonzero_ones(self, built, built_full,
                                                nonzero_classes):
-        # B computes only the one-column classes; H computes them all
+        # B has weight spaces only for the one-column classes, H for all
         for n, l in SCALES:
-            _, A, images, _ = built[(n, l)]
+            params, A, images, _ = built[(n, l)]
             assert set(images.E) == nonzero_classes(A), (n, l)
             _, A_full, full = built_full[(n, l)]
             assert set(full.E) == nonzero_classes(A_full) == \
-                set(full.classes), (n, l)
+                set(H.class_partition(params)), (n, l)
 
     def test_kept_classes_at_three_strings_level_three(self, nonzero_classes):
         A = B.build_blob(H.default_params(3, 3))
         assert set(B.KLRImages(A).E) == nonzero_classes(A)
 
     def test_idempotents_only_for_kept_classes(self, built, monkeypatch):
-        _, A, images, _ = built[(3, 2)]
+        # 7 of the 16 classes of H have a weight space in B, and no class
+        # idempotent of H is formed to find them
+        params, A, _, _ = built[(3, 2)]
         calls = []
-        murphy = B.class_idempotent_vector
+        murphy = H.class_idempotent_vector
 
         def counted(params, tabs):
             calls.append(tabs)
             return murphy(params, tabs)
 
-        monkeypatch.setattr(B, "class_idempotent_vector", counted)
-        assert len(B.KLRImages(A).E) == len(calls) == 7
-        assert len(images.classes) == 16
+        monkeypatch.setattr(H, "class_idempotent_vector", counted)
+        assert len(B.KLRImages(A).E) == 7 and calls == []
+        assert len(H.class_partition(params)) == 16
 
     def test_one_projection_certificate_per_pass(self, built, monkeypatch):
         # the constructor leaves the certificate to relation_failures
@@ -438,15 +440,19 @@ class TestAdaptedCoordinates:
         assert len(calls) == 1
 
     def test_dropped_class_breaks_the_sum(self, built, monkeypatch):
-        # the kept set is certified: without one of its classes the
-        # images of the e(i) no longer add up to 1
-        _, A, _, _ = built[(3, 2)]
-        carried = B._carried_classes
-        monkeypatch.setattr(B, "_carried_classes",
-                            lambda *args: set(sorted(carried(*args))[1:]))
+        # the kept set is certified: without one of its weight spaces
+        # the images of the e(i) no longer add up to 1
+        _, A, images, _ = built[(3, 2)]
+        first = next(iter(images.blocks.values()))
+        split = H.joint_eigenspaces
+        monkeypatch.setattr(H, "joint_eigenspaces", lambda *args: dict(
+            list(split(*args).items())[1:]))
         with pytest.raises(B.RelationFailure) as err:
             B.KLRImages(A)
         assert err.value.relation == "sum of e(i) = 1"
+        assert err.value.witness == (
+            f"the images of the e(i) have {A.dim - first.stop} dimensions, "
+            f"not {A.dim}")
 
     @pytest.mark.parametrize("name,key,relation", [
         ("E", (0, 2, 4), "e(i) is the block projection"),
@@ -475,6 +481,22 @@ class TestAdaptedCoordinates:
                              images.blocks[iseq].start)
             fails = _failures(images)
             assert fails and fails == dense_relation_failures(images, True)
+
+
+class TestWeightIdempotents:
+    @pytest.mark.parametrize("n,l", SCALES)
+    def test_equal_the_specialized_product_formula(self, built, built_full,
+                                                   n, l):
+        # each E[i] is the push of the F_p(t) class sum E_[i] at t = q,
+        # in B and in H; the classes B drops push to zero there
+        params = built[(n, l)][0]
+        eng = H.murphy_engine(params)
+        for A, images in (built[(n, l)][1:3], built_full[(n, l)][1:]):
+            for iseq, tabs in H.class_partition(params).items():
+                want = A.push(H.specialize_vector(eng.class_vector(tabs),
+                                                  params))
+                got = images.E.get(iseq, np.zeros_like(want))
+                assert np.array_equal(got, want), (A.is_quotient, iseq)
 
 
 class TestJucysMurphy:
@@ -868,16 +890,24 @@ class TestCellularBasisMatrices:
         assert B.check_jm(A, basis, jm) == per_vector_jm(A, basis, jm) == []
         assert assert_modules_match(A, basis) is None
 
-    @pytest.mark.parametrize("n,l,theta,count", [
-        ((2, 2, (0, 1), 16)), ((2, 3, (0, 3, 1), 32))])
-    def test_other_weightings(self, built, n, l, theta, count):
-        _, A, images, _ = built[(n, l)]
+    @pytest.mark.parametrize("n,l,theta", [
+        (2, 2, (0, 1)), (2, 3, (0, 3, 1)), (2, 3, (0, 0, 1)), (3, 2, (1, 0)),
+        (3, 2, (0, 1))])
+    def test_other_weightings(self, built, n, l, theta):
+        # i^lam and d(S) are read off the same t^lam_theta: each family
+        # is a basis, with the Gram ranks of the zero weighting, and JM
+        # triangularity holds
+        _, A, images, basis0 = built[(n, l)]
         basis = B.build_cellular_basis(A, images, theta)
+        assert [m.gram_rank for m in B.cell_modules(A, basis)] == \
+            [m.gram_rank for m in B.cell_modules(A, basis0)]
         jm = B.jm_images(A, images)
         got = B.check_jm(A, basis, jm)
-        assert len(got) == count and got == per_vector_jm(A, basis, jm)
+        assert got == per_vector_jm(A, basis, jm) == []
+        assert basis.i_lam == {lam: C.residue_seq(tl, basis.mc)
+                               for lam, tl in basis.t_lam.items()}
         assert B.check_cellularity(A, basis) == \
-            per_vector_cellularity(A, basis)
+            per_vector_cellularity(A, basis) == []
         assert_modules_match(A, basis)
 
     def test_images_changed_after_the_basis(self, built):

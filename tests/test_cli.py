@@ -65,6 +65,14 @@ class TestRejectedInput:
         (["cell", "--n", "0", "--l", "2"], "at least one string"),
         (["trace", "--n", "0", "--l", "2", "--k", "1"], "at least one string"),
         (["verify", "--n", "-1", "--l", "2"], "at least one string"),
+        (["cell", "--n", "2", "--l", "2", "--out", "r.csv"],
+         "only basis writes a CSV matrix"),
+        (["dims", "--n", "2", "--l", "2", "--out", "r.csv"],
+         "only basis writes a CSV matrix"),
+        (["verify", "--n", "2", "--l", "2", "--out", "r.csv"],
+         "only basis writes a CSV matrix"),
+        (["trace", "--n", "2", "--l", "2", "--k", "1", "--out", "r.csv"],
+         "only basis writes a CSV matrix"),
     ])
     def test_exits_two_with_message(self, argv, message, capsys):
         code, out, err = run(argv, capsys)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blobcell.exactfield import (INT64_MAX, NoRoot, PoleAtSpecialization,
-                                 Poly, RatFunc, RowSpace, SeriesOperator,
-                                 cyclic_subgroup, has_order, invert_matrix,
-                                 is_prime, mat_pow, matmul, nullspace,
-                                 poly_matmul, product_bound, rank, rank_and_inverse,
-                                 root_of_unity, rref, series_terms)
+                                 Poly, RatFunc, RowSpace, cyclic_subgroup,
+                                 has_order, invert_matrix, is_prime,
+                                 joint_eigenspaces, mat_pow, matmul,
+                                 nullspace, poly_matmul, product_bound, rank,
+                                 rank_and_inverse, root_of_unity, rref)
 
 P = 11
 
@@ -326,49 +326,60 @@ class TestLinalg:
         assert np.array_equal(rs.reduce(w), w)
 
 
-def series_reference(dim, rows, cols, coeffs, V, p):
-    """sum_b s^b B_b V mod s^K on Python integers, entry by entry."""
-    K = V.shape[1]
-    out = [[0] * K for _ in range(dim)]
-    for e, (i, c) in enumerate(zip(rows.tolist(), cols.tolist())):
-        for j in range(K):
-            out[i][j] += sum(int(coeffs[b, e]) * int(V[c, j - b])
-                             for b in range(j + 1))
-    return [[x % p for x in row] for row in out]
+def blocks_on_basis(spec, p):
+    """Commuting X, Y in block-diagonal form: a block (a, b, d) is a I + N
+    and b I + 2 N for the d x d nilpotent shift N, a block (None, d) the
+    companion matrix of an irreducible x^2 - d beside the identity."""
+    dim = sum(2 if s[0] is None else s[2] for s in spec)
+    X = np.zeros((dim, dim), dtype=np.int64)
+    Y = np.zeros_like(X)
+    at = 0
+    for s in spec:
+        if s[0] is None:
+            X[at:at + 2, at:at + 2] = [[0, s[1]], [1, 0]]
+            Y[at:at + 2, at:at + 2] = np.eye(2, dtype=np.int64)
+            at += 2
+            continue
+        a, b, d = s
+        N = np.eye(d, k=1, dtype=np.int64)
+        X[at:at + d, at:at + d] = (a * np.eye(d, dtype=np.int64) + N) % p
+        Y[at:at + d, at:at + d] = (b * np.eye(d, dtype=np.int64) + 2 * N) % p
+        at += d
+    return X, Y
 
 
-class TestSeriesOperator:
-    @pytest.mark.parametrize("p", [11, 438353261, 2147483647])
-    @pytest.mark.parametrize("K", [1, 2, 5])
-    def test_apply_is_exact(self, p, K):
-        # duplicate positions, empty rows and, at p = 2^31 - 1, where
-        # series_terms(p) = 2, reductions inside the series products
-        dim, nnz = 9, 40
-        rows = rng.integers(0, dim - 2, size=nnz)
-        cols = rng.integers(0, dim, size=nnz)
-        coeffs = rng.integers(0, p, size=(K, nnz))
-        coeffs[:, :3] = 0
-        op = SeriesOperator(dim, rows, cols, coeffs, p)
-        assert list(op.rows) == sorted(set(op.rows.tolist()))
-        assert op.coeffs.any(axis=0).all()
-        for _ in range(3):
-            V = rng.integers(0, p, size=(dim, K))
-            got = op.apply(V)
-            assert got.tolist() == series_reference(dim, rows, cols, coeffs,
-                                                    V, p)
-        assert got[dim - 2:].tolist() == [[0] * K] * 2
-
-    def test_series_terms(self):
-        for p in (2, 11, 438353261, 2147483647):
-            m = series_terms(p)
-            assert m * (p - 1) ** 2 + p - 1 <= INT64_MAX
-            assert (m + 1) * (p - 1) ** 2 + p - 1 > INT64_MAX
-            assert product_bound(m, p) <= INT64_MAX < product_bound(m + 1, p)
-        assert series_terms(2147483647) == 2
-        with pytest.raises(ValueError, match="too large"):
-            SeriesOperator(2, np.zeros(1, dtype=np.int64),
-                           np.zeros(1, dtype=np.int64),
-                           np.ones((1, 1), dtype=np.int64), 2 ** 33 + 1)
+class TestJointEigenspaces:
+    def test_splits_a_conjugated_block_form(self):
+        # Jordan blocks, a repeated joint eigenvalue, an F_p eigenvalue
+        # outside the labels and an irreducible quadratic block; the
+        # spaces are the reduced column echelon forms of the blocks'
+        # columns in the conjugating basis
+        p = 11
+        spec = [(3, 1, 3), (1, 3, 2), (None, 2), (3, 1, 1), (3, 9, 2),
+                (5, 1, 1), (1, 1, 1)]
+        X0, Y0 = blocks_on_basis(spec, p)
+        dim = len(X0)
+        while True:
+            Pm = rng.integers(0, p, size=(dim, dim))
+            if rank(Pm, p) == dim:
+                break
+        Pinv = invert_matrix(Pm, p)
+        X, Y = (matmul((Pm, M, Pinv), p) for M in (X0, Y0))
+        labels = {1: 0, 3: 1, 9: 2}
+        want: dict = {}
+        at = 0
+        for s in spec:
+            d = 2 if s[0] is None else s[2]
+            if s[0] in labels and s[1] in labels:
+                key = (labels[s[0]], labels[s[1]])
+                want[key] = want.get(key, []) + list(range(at, at + d))
+            at += d
+        got = joint_eigenspaces([X, Y], labels, p)
+        assert list(got) == sorted(want) == [(0, 0), (0, 1), (1, 0), (1, 2)]
+        for key, cols in want.items():
+            R, piv = rref(Pm[:, cols].T, p)
+            assert np.array_equal(got[key], R[:len(piv)].T), key
+        assert sum(V.shape[1] for V in got.values()) == dim - 3
 
 
 def poly_matmul_reference(A, B, p):

@@ -47,9 +47,9 @@ def test_sign_sensitive_classes_are_realized(built, full):
 
 
 def test_kept_classes_are_the_nonzero_ones(built, nonzero_classes):
-    _, A, images, _ = built
+    params, A, images, _ = built
     assert set(images.E) == nonzero_classes(A)
-    assert len(images.E) == 13 < len(images.classes) == 46
+    assert len(images.E) == 13 < len(H.class_partition(params)) == 46
 
 
 def test_family_sigma_equals_span_search(built):

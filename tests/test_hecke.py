@@ -522,34 +522,13 @@ class TestMurphyIdempotents:
     @pytest.mark.parametrize("n,l,p", [(2, 2, 11), (2, 2, 31), (3, 2, 11),
                                        (3, 2, 31), (2, 3, 29), (2, 3, 43)])
     def test_series_value_matches_generic_oracle(self, n, l, p):
-        # the truncated-series value at t = q against the F_p(t) class
-        # sum specialized at q, on every class
+        # the weight idempotent at t = q against the F_p(t) class sum
+        # specialized at q, on every class
         pa = H.default_params(n, l, p=p)
         eng = H.murphy_engine(pa)
         for key, tabs in H.class_partition(pa).items():
             assert H.class_idempotent_vector(pa, tabs) == \
                 H.specialize_vector(eng.class_vector(tabs), pa), key
-
-    def test_series_certificate_detects_pole(self):
-        # one tableau of a non-singleton class keeps its pole at t = q:
-        # the negative-order terms of its series do not vanish
-        pa = P32
-        tabs = next(ts for _, ts in sorted(H.class_partition(pa).items())
-                    if len(ts) > 1)
-        assert H.murphy_engine(pa).pole_order[tabs[0]] > 0
-        with pytest.raises(PoleAtSpecialization, match="order s\\^-"):
-            H.class_idempotent_vector(pa, tabs[:1])
-
-    def test_binomial_valuation_counts_multiplicity(self):
-        # t^55 - 1 = (t^5 - 1)^11 over F_11: the root q of order 5 has
-        # multiplicity 11, which "e | d" alone would count as 1
-        pa = H.default_params(2, 2, e=5, p=11)
-        q, p = pa.q, pa.p
-        for d in range(1, 3 * 55):
-            f = Poly.monomial(p, 1, d) - Poly.const(p, 1)
-            v, unit = H.shifted_binomial(q, d, p)
-            assert v == f.valuation_at(q) and unit[0], d
-        assert H.shifted_binomial(q, 55, p)[0] == 11
 
     def test_pipeline_makes_no_polynomial_division(self, monkeypatch):
         # the class idempotents of the pipeline never divide in F_p[t]
@@ -561,14 +540,16 @@ class TestMurphyIdempotents:
                 calls[name] += 1
                 return orig(self, other)
             monkeypatch.setattr(Poly, name, counted)
-        H.regular_rep.cache_clear()
-        H.murphy_engine.cache_clear()
+        for cached in (H.regular_rep, H.murphy_engine, H.weight_units):
+            cached.cache_clear()
         B.KLRImages(B.build_blob(H.default_params(3, 2)))
         assert calls == {"divmod": 0, "gcd": 0}
 
     def test_tableaux_walked_once_per_parameter_set(self, monkeypatch):
         # the algebra and its two-string subalgebra each walk their
-        # standard tableaux once, into the shared content table
+        # standard tableaux once, into the shared content table that the
+        # weight idempotents, the seminormal model, the residue classes
+        # and the Murphy engine read
         calls = []
         walk = H.standard_tableaux_all
 
@@ -576,11 +557,16 @@ class TestMurphyIdempotents:
             calls.append((n, l))
             return walk(n, l)
         monkeypatch.setattr(H, "standard_tableaux_all", counted)
-        for cached in (H.regular_rep, H.murphy_engine, H.tableau_contents):
+        for cached in (H.regular_rep, H.murphy_engine, H.tableau_contents,
+                       H.weight_units):
             cached.cache_clear()
         B.KLRImages(B.build_blob(P32))
+        assert calls == [(2, 2)]
+        H.SeminormalModel(P32)
+        H.class_partition(P32)
+        eng = H.murphy_engine(P32)
         assert sorted(calls) == [(2, 2), (3, 2)]
-        assert H.murphy_engine(P32).content_of is H.tableau_contents(P32)
+        assert eng.content_of is H.tableau_contents(P32)
 
     def test_engine_shares_the_rewriting(self):
         # t^{k-1} L_k is rewritten once, by RegularRep, for both layers
@@ -602,41 +588,6 @@ class TestMurphyIdempotents:
             want = {x: f.valuation_at(x) for x in range(1, p)}
             assert sorted(roots) == [x for x, v in want.items() if v], d
             assert all(want[x] == mult for x in roots), d
-
-    @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (2, 3), (3, 3),
-                                     (4, 2)])
-    def test_series_operator_matches_stacked_scipy_product(self, n, l):
-        # every (k, K) the series path builds, against the scipy form it
-        # replaced: the CSR stack [B_0; ...; B_(K-1)] times V, then the
-        # shift-and-add of the blocks
-        from scipy import sparse
-        pa = H.default_params(n, l)
-        eng = H.murphy_engine(pa)
-        for tabs in H.class_partition(pa).values():
-            eng.class_value(tabs)
-        p, q, dim = pa.p, pa.q, len(eng.nf.basis)
-        rng = np.random.default_rng(n * 10 + l)
-        assert eng._laycache
-        for k, K in eng._laycache:
-            deg, rows, cols, vals = eng.entries[k]
-            coef = np.array([H._series_pow(q, a - k + 1, K, p)
-                             for a in range(int(deg.max()) + 1)],
-                            dtype=np.int64)
-            w = vals[:, None] * coef[deg] % p
-            stack = sparse.csr_matrix(
-                (w.T.ravel(), (np.concatenate([rows + b * dim
-                                               for b in range(K)]),
-                               np.tile(cols, K))),
-                shape=(K * dim, dim), dtype=np.int64)
-            stack.sum_duplicates()
-            stack.data %= p
-            V = rng.integers(0, p, size=(dim, K))
-            P = stack @ V % p
-            want = P[:dim].copy()
-            for b in range(1, K):
-                want[:, b:] += P[b * dim:(b + 1) * dim, :K - b]
-            assert np.array_equal(eng._series_layers(k, K).apply(V),
-                                  want % p), (k, K)
 
     def test_generic_oracle_layers_are_built_on_first_use(self):
         eng = H.MurphyEngine(P32)
