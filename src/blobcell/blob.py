@@ -11,11 +11,11 @@ generalized blob algebra B.  This module
 * realizes the quiver-Hecke generators ``e(i)``, ``y_k``, ``psi_r`` inside
   B -- or, for comparison, inside H itself -- and verifies the complete
   defining relation suite (:class:`KLRImages`, :func:`klr_images`),
-* constructs the homogeneous cellular basis ``m_{S,T}`` indexed by pairs of
-  standard one-column tableaux (:class:`CellularBasis`,
-  :func:`build_cellular_basis`) and machine-checks cellularity, the
-  Jucys-Murphy triangularity, the grading, and the cell-module/Gram-matrix
-  structure.
+* builds the one-column family ``m_{S,T}`` indexed by pairs of standard
+  one-column tableaux (:class:`CellularBasis`), certifies it as a
+  homogeneous cellular basis (:func:`build_cellular_basis`) and
+  machine-checks cellularity, the Jucys-Murphy triangularity, the grading,
+  and the cell-module/Gram-matrix structure.
 
 All arithmetic is exact, over the prime field F_p fixed by the parameters.
 """
@@ -33,8 +33,6 @@ from .exactfield import (RowSpace, invert_matrix, mat_pow, matmul,
                          nullspace, rank, rank_and_inverse, rref)
 from .hecke import (HeckeParams, RegularRep, e2_idempotents,
                     embed_two_string, regular_rep, weight_spaces)
-
-official_word = comb.official_word
 
 
 class RelationFailure(Exception):
@@ -334,12 +332,11 @@ class KLRImages:
         Sg = matmul((A.star, g), p)
         return G if np.array_equal(Sg, g) else A.lmat(Sg)
 
-    def family(self) -> CellularFamily:
-        """The one-column family of the zero weighting in the carrier,
-        built on first use and again once E or PSI holds other matrices."""
-        if self._family is None or not self._family.built_from(self):
-            self._family = cellular_family(
-                self.algebra, self, comb.theta_zero(self.params.l))
+    def family(self) -> CellularBasis:
+        """The one-column family of the zero weighting in the carrier, as
+        an uncertified :class:`CellularBasis`, built on first use."""
+        if self._family is None:
+            self._family = CellularBasis(self.algebra, self)
         return self._family
 
     @property
@@ -347,17 +344,17 @@ class KLRImages:
         """Matrix of the anti-involution that fixes e(i), y_k, psi_r.
 
         In the quotient it is the cellular one: the linear map m_{S,T} ->
-        m_{T,S} on the one-column family of the zero weighting (Graham-
-        Lehrer; Hu-Mathas for the quiver-Hecke case), M[:, swapped] M^-1
-        for the family matrix M, whenever the family is a basis.  In H
+        m_{T,S} on :meth:`family` (Graham-Lehrer; Hu-Mathas for the
+        quiver-Hecke case), M[:, swapped] M^-1 for its matrix M and the
+        inverse it keeps whenever it is a basis.  In H
         itself, where the family does not span, or when it is not a basis,
         it comes from :meth:`_span_sigma`.  Either way it is certified by
         :meth:`_sigma_failures`: an involution, fixing every generator,
         and reversing every product."""
         if self._sigma is None:
             fam = self.family() if self.algebra.is_quotient else None
-            if fam is not None and fam.inv is not None:
-                self._sigma = matmul((fam.matrix[:, fam.swapped], fam.inv),
+            if fam is not None and fam._inv is not None:
+                self._sigma = matmul((fam.matrix[:, fam.swapped], fam._inv),
                                      self.p)
             else:
                 self._sigma = self._span_sigma()
@@ -519,8 +516,9 @@ class KLRImages:
             check("y_1 e(i) = 0", [(1, (Y[1],))], [], iseq, (iseq,))
         for k in Y:
             for m in Y:
-                check("y_k y_m commute", [(1, (Y[k], Y[m]))],
-                      [(1, (Y[m], Y[k]))], (k, m))
+                if k < m:
+                    check("y_k y_m commute", [(1, (Y[k], Y[m]))],
+                          [(1, (Y[m], Y[k]))], (k, m))
             for iseq in self.E:
                 if self._leaves_block(Yt[k], iseq):
                     fails.append(RelationFailure("y_k e(i) = e(i) y_k",
@@ -531,7 +529,7 @@ class KLRImages:
         fails += self._sigma_failures()
         for r, Pr in P.items():
             for s, Ps in P.items():
-                if abs(r - s) > 1:
+                if s > r + 1:
                     check("distant psi commute", [(1, (Pr, Ps))],
                           [(1, (Ps, Pr))], (r, s))
             for k in Y:
@@ -707,7 +705,7 @@ def jm_images(algebra: BlobAlgebra, images: KLRImages) -> dict:
         jm[k] = M
     for k in jm:
         for m in jm:
-            if not np.array_equal(matmul((jm[k], jm[m]), p),
+            if k < m and not np.array_equal(matmul((jm[k], jm[m]), p),
                                   matmul((jm[m], jm[k]), p)):
                 raise ValueError(f"Jucys-Murphy elements {k}, {m} do not "
                                  f"commute")
@@ -738,119 +736,67 @@ class CellModule:
         return self.dim - self.gram_rank
 
 
-def _family_sources(images: KLRImages, i_lam: dict) -> tuple:
-    """The generator images a cellular family is built from: e(i^lam) for
-    each shape (None where the carrier drops the class), then every
-    psi_r."""
-    return tuple(images.E.get(i) for i in i_lam.values()) + \
-        tuple(images.PSI.values())
-
-
-@dataclass
-class CellularFamily:
-    """The one-column family of a weighting theta, before it is known to
-    be a basis: column j of ``matrix`` is m_{S,T} times the unit for the
-    j-th pair (lam, S, T) of ``index``, where m_{S,T} is the star of the
-    crossing word of d(S), then e(i^lam), then the crossing word of d(T).
-    A class the carrier drops has e(i^lam) = 0 there, so its pairs give
-    zero columns.  ``rank`` is the rank of ``matrix`` and ``inv`` its
-    inverse when the family is a basis of the carrier (else None).
-    ``sources`` are the generator images it was built from."""
-    shapes: list
-    i_lam: dict
-    std: dict
-    index: list
-    column: dict
-    word: dict
-    matrix: np.ndarray
-    rank: int
-    inv: np.ndarray | None
-    sources: tuple
-
-    @property
-    def swapped(self) -> list[int]:
-        """The column of (T, S) for the pair (S, T) of each column."""
-        return [self.column[(T, S)] for _, S, T in self.index]
-
-    def built_from(self, images: KLRImages) -> bool:
-        """Whether ``images`` still holds the matrices it was built from."""
-        now = _family_sources(images, self.i_lam)
-        return len(now) == len(self.sources) and \
-            all(a is b for a, b in zip(now, self.sources))
-
-
-def cellular_family(algebra: BlobAlgebra, images: KLRImages,
-                    theta) -> CellularFamily:
-    """The one-column family of ``theta`` in the carrier of ``images``,
-    with its rank and inverse from one :func:`rank_and_inverse`."""
-    A, p = algebra, algebra.p
-    n, l, mc = A.params.n, A.params.l, A.params.mc
-    shapes = comb.one_column_shapes(n, l)
-    # i^lam is read off the same t^lam_theta as the d(S)
-    i_lam = {lam: comb.residue_seq(comb.t_lambda(lam, theta), mc)
-             for lam in shapes}
-    std = {lam: comb.std_tableaux(lam) for lam in shapes}
-    index = [(lam, S, T) for lam in shapes for S in std[lam] for T in std[lam]]
-    word = {S: comb.official_word(comb.d_perm(S, theta))
-            for lam in shapes for S in std[lam]}
-    # m_{S,T} times the unit, as a chain of matrix-vector products
-    PSI, zero = images.PSI, np.zeros_like(A.identity)
-    matrix = np.array(
-        [matmul([PSI[r] for r in reversed(word[S])]
-                + [images.E.get(i_lam[lam], zero)]
-                + [PSI[r] for r in word[T]] + [A.unit], p)
-         for lam, S, T in index], dtype=np.int64).T
-    r, inv = rank_and_inverse(matrix, p)
-    return CellularFamily(
-        shapes=shapes, i_lam=i_lam, std=std, index=index,
-        column={(S, T): j for j, (_, S, T) in enumerate(index)}, word=word,
-        matrix=matrix, rank=r, inv=inv,
-        sources=_family_sources(images, i_lam))
-
-
 class CellularBasis:
-    """The homogeneous basis ``m_{S,T}`` of B, indexed by pairs of standard
-    tableaux of a common one-column shape: the star of the crossing word of
-    d(S), the idempotent e(i^lam) of the residue sequence of t^lam_theta,
-    and the crossing word of d(T), where t^lam_theta d(S) = S.  ``below[i, j]`` says that the shape of
-    pair i of ``index`` is not strictly above that of pair j, so the cell
-    order keeps a coefficient at (i, j); ``residues[S]`` is i^S.
+    """The one-column family ``m_{S,T}`` of a weighting theta (zero by
+    default) in the carrier of ``images``, indexed by pairs of standard
+    tableaux of a common one-column shape: the star of the crossing word
+    of d(S), the idempotent e(i^lam) of the residue sequence of
+    t^lam_theta, and the crossing word of d(T), where t^lam_theta d(S) =
+    S.  Column j of ``matrix`` is m_{S,T} times the unit for the j-th pair
+    (lam, S, T) of ``index``; a class the carrier drops has e(i^lam) = 0
+    there, so its pairs give zero columns.  ``rank`` is the rank of
+    ``matrix`` and ``_inv`` its inverse when the family is a basis of the
+    carrier (else None).  ``below[i, j]`` says that the shape of pair i is
+    not strictly above that of pair j, so the cell order keeps a
+    coefficient at (i, j); ``residues[S]`` is i^S.
 
-    At the zero weighting the family is :meth:`KLRImages.family`, the
-    one the anti-involution of the quotient is read off."""
+    The constructor certifies nothing: :func:`build_cellular_basis` does.
+    At the zero weighting the family is :meth:`KLRImages.family`, the one
+    the anti-involution of the quotient is read off."""
 
     def __init__(self, algebra: BlobAlgebra, images: KLRImages,
                  theta=None):
         self.algebra = A = algebra
         self.images = images
-        params = A.params
-        self.params = params
-        l = params.l
+        self.params = params = A.params
+        p, l = A.p, params.l
         self.theta = comb.theta_zero(l) if theta is None else theta
-        self.mc = params.mc
-        if tuple(self.theta) == comb.theta_zero(l):
-            fam = images.family()
-        else:
-            fam = cellular_family(A, images, self.theta)
-        self.shapes, self.i_lam, self.std = fam.shapes, fam.i_lam, fam.std
-        self.index, self.column, self.word = fam.index, fam.column, fam.word
-        self.matrix, self._inv = fam.matrix, fam.inv
-        if len(self.index) != A.dim or fam.rank != A.dim:
-            raise ValueError(
-                f"cellular family of size {len(self.index)} has rank "
-                f"{fam.rank}, expected {A.dim}")
-        self.t_lam = {lam: comb.t_lambda(lam, self.theta)
-                      for lam in self.shapes}
+        self.mc = mc = params.mc
+        self.shapes = shapes = comb.one_column_shapes(params.n, l)
+        self.t_lam = {lam: comb.t_lambda(lam, self.theta) for lam in shapes}
+        # i^lam is read off the same t^lam_theta as the d(S)
+        self.i_lam = {lam: comb.residue_seq(t, mc)
+                      for lam, t in self.t_lam.items()}
+        self.std = std = {lam: comb.std_tableaux(lam) for lam in shapes}
+        self.index = index = [(lam, S, T) for lam in shapes
+                              for S in std[lam] for T in std[lam]]
+        self.column = {(S, T): j for j, (_, S, T) in enumerate(index)}
+        self.word = word = {
+            S: comb.official_word(comb.d_perm(S, self.theta))
+            for lam in shapes for S in std[lam]}
+        # m_{S,T} times the unit, as a chain of matrix-vector products
+        PSI, zero = images.PSI, np.zeros_like(A.identity)
+        self.matrix = np.array(
+            [matmul([PSI[r] for r in reversed(word[S])]
+                    + [images.E.get(self.i_lam[lam], zero)]
+                    + [PSI[r] for r in word[T]] + [A.unit], p)
+             for lam, S, T in index], dtype=np.int64).T
+        self.rank, self._inv = rank_and_inverse(self.matrix, p)
         # strictly-dominating shape comparisons, for the cell order
         self._above = {
-            lam: {mu for mu in self.shapes
+            lam: {mu for mu in shapes
                   if comb.strictly_dominates(mu, lam, self.theta)}
-            for lam in self.shapes}
-        lams = [lam for lam, _, _ in self.index]
+            for lam in shapes}
+        lams = [lam for lam, _, _ in index]
         self.below = np.array([[mu not in self._above[lam] for lam in lams]
                                for mu in lams])
-        self.residues = {S: comb.residue_seq(S, self.mc)
-                         for lam in self.shapes for S in self.std[lam]}
+        self.residues = {S: comb.residue_seq(S, mc)
+                         for lam in shapes for S in std[lam]}
+
+    @property
+    def swapped(self) -> list[int]:
+        """The column of (T, S) for the pair (S, T) of each column."""
+        return [self.column[(T, S)] for _, S, T in self.index]
 
     def vector(self, S, T) -> np.ndarray:
         return self.matrix[:, self.column[(S, T)]]
@@ -874,18 +820,25 @@ class CellularBasis:
 def build_cellular_basis(algebra: BlobAlgebra, images: KLRImages,
                          theta=None) -> CellularBasis:
     """Construct and certify the cellular basis: full rank, star-symmetry,
-    and the maximal-pair normalization m_{T^lam, T^lam} = e(i^lam)."""
-    basis = CellularBasis(algebra, images, theta)
+    and the maximal-pair normalization m_{T^lam, T^lam} = e(i^lam).  At
+    the zero weighting the basis is :meth:`KLRImages.family`."""
     A, p = algebra, algebra.p
+    if theta is None or tuple(theta) == comb.theta_zero(A.params.l):
+        basis = images.family()
+    else:
+        basis = CellularBasis(A, images, theta)
+    if len(basis.index) != A.dim or basis.rank != A.dim:
+        raise ValueError(
+            f"cellular family of size {len(basis.index)} has rank "
+            f"{basis.rank}, expected {A.dim}")
     for lam in basis.shapes:
         tl = basis.t_lam[lam]
         want = matmul((images.E[basis.i_lam[lam]], A.unit), p)
         if not np.array_equal(basis.vector(tl, tl), want):
             raise ValueError(f"maximal pair at shape {lam} is not the "
                              f"class idempotent")
-    swapped = [basis.column[(T, S)] for _, S, T in basis.index]
     bad = (matmul((images.sigma, basis.matrix), p)
-           != basis.matrix[:, swapped]).any(axis=0)
+           != basis.matrix[:, basis.swapped]).any(axis=0)
     if bad.any():
         raise ValueError(f"star does not swap the pair at "
                          f"{basis.index[bad.argmax()][0]}")

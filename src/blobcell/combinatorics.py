@@ -677,23 +677,35 @@ def i_lambda(shape: Shape, mc: Multicharge) -> tuple[int, ...]:
     return residue_seq(t_lambda(shape, theta_zero(len(shape))), mc)
 
 
-def is_strongly_adjacency_free(mc: Multicharge, n: int) -> bool:
-    """The four conditions: lifted gaps at least n; residues pairwise
-    non-adjacent mod e; first residue not equal to last residue plus 2;
-    residues strictly increasing."""
+def multicharge_violation(mc: Multicharge, n: int) -> str | None:
+    """The message naming the first of the four conditions that ``mc``
+    violates at n strings, or None: i) lifted gaps at least n; ii)
+    residues pairwise non-adjacent mod e; iii) first residue not equal to
+    last residue plus 2; iv) residues strictly increasing."""
     hk, e, kap = mc.hat_kappa, mc.e, mc.kappa
     l = len(hk)
-    if any(hk[i + 1] - hk[i] < n for i in range(l - 1)):
-        return False
+    for i in range(l - 1):
+        if hk[i + 1] - hk[i] < n:
+            return ("multicharge condition i) violated: consecutive entries "
+                    f"{hk[i]}, {hk[i + 1]} differ by less than n = {n}")
     for i in range(l):
         for j in range(l):
             if i != j and (kap[i] - kap[j]) % e in (0, 1, e - 1):
-                return False
+                return ("multicharge condition ii) violated: residues "
+                        f"{kap[i]}, {kap[j]} are equal or adjacent mod e")
     if l >= 1 and kap[0] % e == (kap[-1] + 2) % e:
-        return False
+        return ("multicharge condition iii) violated: first residue equals "
+                "last + 2 mod e")
     if any(kap[i] >= kap[i + 1] for i in range(l - 1)):
-        return False
-    return True
+        return ("multicharge condition iv) violated: residues not strictly "
+                "increasing")
+    return None
+
+
+def is_strongly_adjacency_free(mc: Multicharge, n: int) -> bool:
+    """Whether ``mc`` meets the four conditions of
+    :func:`multicharge_violation` at n strings."""
+    return multicharge_violation(mc, n) is None
 
 
 # ---------------------------------------------------------------------------

@@ -89,29 +89,9 @@ class HeckeParams:
 
     def validate(self) -> None:
         """Raise ValueError naming the violated multicharge condition."""
-        mc = self.mc
-        kap = mc.kappa
-        for i in range(self.l - 1):
-            if self.hat_kappa[i + 1] - self.hat_kappa[i] < self.n:
-                raise ValueError(
-                    "multicharge condition i) violated: consecutive entries "
-                    f"{self.hat_kappa[i]}, {self.hat_kappa[i + 1]} differ by less than n = {self.n}"
-                )
-        for i in range(self.l):
-            for j in range(self.l):
-                if i != j and (kap[i] - kap[j]) % self.e in (0, 1, self.e - 1):
-                    raise ValueError(
-                        "multicharge condition ii) violated: residues "
-                        f"{kap[i]}, {kap[j]} are equal or adjacent mod e"
-                    )
-        if self.l > 1 and kap[0] % self.e == (kap[-1] + 2) % self.e:
-            raise ValueError(
-                "multicharge condition iii) violated: first residue equals last + 2 mod e"
-            )
-        if any(kap[i] >= kap[i + 1] for i in range(self.l - 1)):
-            raise ValueError(
-                "multicharge condition iv) violated: residues not strictly increasing"
-            )
+        msg = comb.multicharge_violation(self.mc, self.n)
+        if msg is not None:
+            raise ValueError(msg)
 
     def validate_exact(self) -> None:
         """:meth:`validate`, and reject a p too large for exact int64

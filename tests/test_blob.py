@@ -239,18 +239,37 @@ class TestAntiInvolution:
         assert calls == [1]
 
     def test_rank_deficient_family_reports_as_before(self, built):
-        # zeroed crossings: the copy's family, built from the old
-        # crossings, is rebuilt and is no basis, so sigma falls back to
-        # the span search, whose words no longer span
+        # zeroed crossings: the copy's family, reset with its sigma, is
+        # rebuilt and is no basis, so sigma falls back to the span search,
+        # whose words no longer span
         _, A, images, _ = built[(2, 2)]
         broken = copy.copy(images)
         broken.PSI = {r: np.zeros_like(A.identity) for r in images.PSI}
         broken._sigma = None
+        broken._family = None
         assert broken.family() is not images.family()
         assert broken.family().rank < A.dim
         assert [(f.relation, f.witness) for f in broken._sigma_failures()] \
             == [("anti-involution exists",
                  "generator images do not span the algebra")]
+
+    def test_one_family_per_images(self, monkeypatch):
+        # sigma, family() and the basis at the zero weighting share one
+        # CellularBasis, built once
+        made = []
+        init = B.CellularBasis.__init__
+        monkeypatch.setattr(B.CellularBasis, "__init__",
+                            lambda self, *a: made.append(1) or init(self, *a))
+        A = B.build_blob(H.default_params(2, 2))
+        images = B.KLRImages(A)
+        assert images.relation_failures() == []
+        fam = images.family()
+        assert images.family() is fam
+        assert B.build_cellular_basis(A, images) is fam
+        assert B.build_cellular_basis(A, images, (0, 0)) is fam
+        assert len(made) == 1
+        assert B.build_cellular_basis(A, images, (0, 1)) is not fam
+        assert len(made) == 2
 
     @pytest.mark.parametrize("n,l", SCALES)
     def test_hecke_star_does_not_fix_the_crossings(self, built, n, l):
@@ -302,14 +321,15 @@ def dense_relation_failures(images, blob_defining):
     check("sum of e(i) = 1", (total,), (I,), "all")
     for k in Y:
         for m in Y:
-            check("y_k y_m commute", (Y[k], Y[m]), (Y[m], Y[k]), (k, m))
+            if k < m:
+                check("y_k y_m commute", (Y[k], Y[m]), (Y[m], Y[k]), (k, m))
         for iseq, Ei in E.items():
             check("y_k e(i) = e(i) y_k", (Y[k], Ei), (Ei, Y[k]), (k, iseq))
         check("y_k nilpotent", (mat_pow(Y[k], len(I) + 1, p),), (zero,), k)
     fails += [(f.relation, f.witness) for f in images._sigma_failures()]
     for r, P in images.PSI.items():
         for s, Ps in images.PSI.items():
-            if abs(r - s) > 1:
+            if s > r + 1:
                 check("distant psi commute", (P, Ps), (Ps, P), (r, s))
         for k in Y:
             if k not in (r, r + 1):
@@ -482,6 +502,17 @@ class TestAdaptedCoordinates:
             fails = _failures(images)
             assert fails and fails == dense_relation_failures(images, True)
 
+    def test_non_commuting_dots_are_reported_once(self, built):
+        # y_2 changed inside the one block on which y_3 is not zero: the
+        # pair (2, 3) fails, and only in that order
+        _, A, _, _ = built[(3, 2)]
+        images = B.KLRImages(A)
+        sl = max(images.blocks.values(), key=lambda b: b.stop - b.start)
+        _tamper_in_block(images, "Y", 2, sl.start, sl.start)
+        fails = _failures(images)
+        assert [w for rel, w in fails if rel == "y_k y_m commute"] == [(2, 3)]
+        assert fails == dense_relation_failures(images, True)
+
 
 class TestWeightIdempotents:
     @pytest.mark.parametrize("n,l", SCALES)
@@ -590,13 +621,13 @@ class TestCellularBasis:
                               v % A.p)
 
     def test_rank_deficiency_aborts(self, built):
-        # zeroed crossing images collapse the family; the constructor
-        # must refuse to certify it
+        # zeroed crossing images collapse the family; the certificate
+        # must refuse it
         _, A, images, _ = built[(2, 2)]
         broken = B.KLRImages(A)
         broken.PSI = {r: np.zeros_like(A.identity) for r in broken.PSI}
         with pytest.raises(ValueError, match="rank"):
-            B.CellularBasis(A, broken)
+            B.build_cellular_basis(A, broken)
 
     def test_degrees_match_tableau_degrees(self, built):
         params, _, _, basis = built[(3, 2)]
@@ -617,11 +648,11 @@ class TestCellularBasis:
 
 class TestOfficialWords:
     def test_identity_word(self):
-        assert B.official_word(C.perm_identity(3)) == ()
+        assert C.official_word(C.perm_identity(3)) == ()
 
     def test_lengths_s4(self):
         for w in __import__("itertools").permutations(range(1, 5)):
-            assert len(B.official_word(w)) == C.perm_length(w)
+            assert len(C.official_word(w)) == C.perm_length(w)
 
     def test_psi_of_identity(self, built):
         _, A, images, _ = built[(2, 2)]

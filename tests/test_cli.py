@@ -73,6 +73,8 @@ class TestRejectedInput:
          "only basis writes a CSV matrix"),
         (["trace", "--n", "2", "--l", "2", "--k", "1", "--out", "r.csv"],
          "only basis writes a CSV matrix"),
+        (["verify", "--n", "2", "--l", "1", "--e", "2", "--p", "3",
+          "--kappa-hat", "0"], "multicharge condition iii)"),
     ])
     def test_exits_two_with_message(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
