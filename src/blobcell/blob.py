@@ -9,8 +9,10 @@ generalized blob algebra B.  This module
 * builds B as an explicit quotient of the regular representation
   (:class:`BlobAlgebra`, :func:`build_blob`),
 * realizes the quiver-Hecke generators ``e(i)``, ``y_k``, ``psi_r`` inside
-  B -- or, for comparison, inside H itself -- and verifies the complete
-  defining relation suite (:class:`KLRImages`, :func:`klr_images`),
+  B -- or, for comparison, inside H itself -- with the anti-involution
+  sigma that fixes them, built the same way in both by one walk of the
+  basis tree of H, and verifies the complete defining relation suite
+  (:class:`KLRImages`, :func:`klr_images`),
 * builds the one-column family ``m_{S,T}`` indexed by pairs of standard
   one-column tableaux (:class:`CellularBasis`), certifies it as a
   homogeneous cellular basis (:func:`build_cellular_basis`) and
@@ -60,18 +62,22 @@ def one_column_dimension(n: int, l: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _times_basis(reg: RegularRep, carrier, u: np.ndarray) -> np.ndarray:
-    """Columns u L^a T_w for every basis key (a, w) of H, where u is a
-    reduced vector of the :class:`BlobAlgebra` ``carrier`` (a quotient of
-    H, or H itself with ``quotient=False``), whose ``RT``, ``RL`` are
-    right multiplication by the generators.  The products follow
-    ``reg.spanning_tree``: one matrix-vector product per key."""
-    p = reg.p
+def _times_basis(carrier, ops: dict, u: np.ndarray) -> np.ndarray:
+    """Columns X(b) for the basis elements b of the :class:`BlobAlgebra`
+    ``carrier``, for the linear map X with X(1) = u and X(b g) =
+    ops[kind][i] X(b) for every generator g = T_i (kind "T") or L_i (kind
+    "L").  The keys of H are reached along ``reg.spanning_tree``, as
+    b = parent * g, one matrix-vector product per key; the columns kept
+    are those of the non-pivot keys, the carrier's basis.  With right
+    multiplication by g it gives u b (:meth:`BlobAlgebra.push`), with left
+    multiplication by sigma(g) and u = 1 it gives sigma(b)
+    (:attr:`KLRImages.sigma`)."""
+    reg = carrier.reg
     cols = np.zeros((len(u), reg.dim), dtype=np.int64)
     cols[:, reg.id_index] = u
-    for j, parent, name, i in reg.spanning_tree:
-        cols[:, j] = matmul((getattr(carrier, name)[i], cols[:, parent]), p)
-    return cols
+    for j, parent, kind, i in reg.spanning_tree:
+        cols[:, j] = matmul((ops[kind][i], cols[:, parent]), reg.p)
+    return cols[:, carrier._nonpiv]
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +189,10 @@ class BlobAlgebra:
         is u times the j-th quotient basis element, the image of the j-th
         non-pivot key, for the quotient vector u of the element.  The
         products are taken in the quotient itself, along the spanning tree
-        of the basis of H."""
+        of the basis of H: :func:`_times_basis` with right multiplication
+        by the generators."""
         u = matmul((self.quotient_map, self.reg.coefficients(el)), self.p)
-        return _times_basis(self.reg, self, u)[:, self._nonpiv]
+        return _times_basis(self, {"T": self.RT, "L": self.RL}, u)
 
     def lmat(self, v: np.ndarray) -> np.ndarray:
         """Left-multiplication matrix of the element with reduced quotient
@@ -243,7 +250,14 @@ class KLRImages:
     to block s_r i) is certified first.  Where it holds, every product
     in a relation, restricted to a column block, passes through one
     block per factor, so the block checks report the same failures with
-    the same witnesses as dense products would."""
+    the same witnesses as dense products would.
+
+    **The anti-involution.**  :attr:`sigma` fixes e(i), y_k and psi_r.
+    :meth:`_psi` keeps the blocks of Q_r(i) and P_r(i) in T_r e(i) =
+    psi_r Q_r(i) e(i) - P_r(i) e(i), so sigma(T_r) is known in closed
+    form in either carrier, and sigma is filled along the basis tree of H.
+    :meth:`_sigma_failures`, which :meth:`relation_failures` runs,
+    certifies it."""
 
     def __init__(self, algebra: BlobAlgebra):
         self.algebra = A = algebra
@@ -275,8 +289,9 @@ class KLRImages:
                 Yt[sl, sl] = (np.eye(sl.stop - sl.start, dtype=np.int64)
                               - c * self._L[k][iseq]) % p
             self.Y[k] = self._dense(Yt)
-        self.PSI = {r: self._psi(r) for r in range(1, n)}
-        self._family = None
+        self.PSI, self._QP = {}, {}
+        for r in range(1, n):
+            self.PSI[r], self._QP[r] = self._psi(r)
         self._sigma = None
 
     # -- adapted coordinates -------------------------------------------------
@@ -320,109 +335,39 @@ class KLRImages:
         row[:, sl] = 0
         return bool(col.any() or row.any())
 
-    # -- the anti-involution fixing the generator images ------------------
-
-    def _star_left(self, G: np.ndarray) -> np.ndarray:
-        """Left-multiplication matrix of S(g), where g is the element with
-        left-multiplication matrix G and S the Hecke-side anti-involution
-        (used here purely as linear algebra): G itself when S(g) = g, as
-        for e(i) and y_k.  Right multiplication by g is x -> S(S(g) S(x))."""
-        A, p = self.algebra, self.p
-        g = matmul((G, A.unit), p)
-        Sg = matmul((A.star, g), p)
-        return G if np.array_equal(Sg, g) else A.lmat(Sg)
-
-    def family(self) -> CellularBasis:
-        """The one-column family of the zero weighting in the carrier, as
-        an uncertified :class:`CellularBasis`, built on first use."""
-        if self._family is None:
-            self._family = CellularBasis(self.algebra, self)
-        return self._family
-
-    @property
-    def sigma(self) -> np.ndarray:
-        """Matrix of the anti-involution that fixes e(i), y_k, psi_r.
-
-        In the quotient it is the cellular one: the linear map m_{S,T} ->
-        m_{T,S} on :meth:`family` (Graham-Lehrer; Hu-Mathas for the
-        quiver-Hecke case), M[:, swapped] M^-1 for its matrix M and the
-        inverse it keeps whenever it is a basis.  In H
-        itself, where the family does not span, or when it is not a basis,
-        it comes from :meth:`_span_sigma`.  Either way it is certified by
-        :meth:`_sigma_failures`: an involution, fixing every generator,
-        and reversing every product."""
-        if self._sigma is None:
-            fam = self.family() if self.algebra.is_quotient else None
-            if fam is not None and fam._inv is not None:
-                self._sigma = matmul((fam.matrix[:, fam.swapped], fam._inv),
-                                     self.p)
-            else:
-                self._sigma = self._span_sigma()
-        return self._sigma
-
-    def _span_sigma(self) -> np.ndarray:
-        """The anti-involution from words in the generator images: span
-        the algebra with words, and send each word to its reversal, which
-        is its star image.  Raises ValueError if the words do not span."""
-        A, p = self.algebra, self.p
-        gens = [G for _, G in _named_generators(self)]
-        lefts = [self._star_left(G) for G in gens]
-        space = RowSpace(A.dim, p)
-        space.add(A.unit)
-        cols, rcols = [A.unit], [A.unit]
-        frontier = [(A.unit, A.unit)]
-        while len(cols) < A.dim and frontier:
-            nxt = []
-            for v, vr in frontier:
-                for G, SG in zip(gens, lefts):
-                    w = matmul((G, v), p)
-                    if not space.add(w):
-                        continue
-                    # the reversed word: vr g = S(S(g) S(vr))
-                    wr = matmul((A.star, SG, A.star, vr), p)
-                    cols.append(w)
-                    rcols.append(wr)
-                    nxt.append((w, wr))
-                    if len(cols) == A.dim:
-                        break
-                if len(cols) == A.dim:
-                    break
-            frontier = nxt
-        if len(cols) < A.dim:
-            raise ValueError("generator images do not span the algebra")
-        W = np.array(cols, dtype=np.int64).T
-        Wr = np.array(rcols, dtype=np.int64).T
-        return matmul((Wr, invert_matrix(W, p)), p)
-
     # -- the crossings, column block by column block ------------------------
 
-    def _psi(self, r: int) -> np.ndarray:
-        """psi_r, whose adapted column block i is psi_r e(i): an
-        intertwiner against the inverse of a d_i x d_i normalizer."""
+    def _psi(self, r: int) -> tuple[np.ndarray, dict]:
+        """psi_r, whose adapted column block i is psi_r e(i), and {i: the
+        d_i x d_i blocks of Q_r(i) and P_r(i)} for :attr:`sigma`.  On
+        block i, T_r e(i) = psi_r Q_r(i) e(i) - P_r(i) e(i)
+        (Brundan-Kleshchev, Invent. Math. 2009, section 4), where the
+        normalizer Q_r(i) and the correction P_r(i) are functions of L_r
+        and L_(r+1) on the block; psi_r e(i) is (T_r + P_r(i)) e(i)
+        against the inverse of the block of Q_r(i)."""
         p, q, e = self.p, self.q, self.e
         Tt = self._adapt(self.algebra.T[r])
         Pt = np.zeros_like(Tt)
+        QP = {}
         for iseq, sl in self.blocks.items():
             x, z = self._L[r][iseq], self._L[r + 1][iseq]
             ir, ir1 = iseq[r - 1], iseq[r]
             if ir == ir1:
                 # same residue i on both strands: (T_r + 1) against
-                # Brundan-Kleshchev's Q_r(i) = 1 - q + q y_{r+1} - y_r
-                # (Invent. Math. 2009, section 4), which is
-                # q^-i (L_r - q L_{r+1}) on the block since y_k = 1 -
-                # q^-i L_k there.  Its negative would flip psi_r e(i) and
-                # break the dot relations, which fix psi_r on equal
+                # Brundan-Kleshchev's Q_r(i) = 1 - q + q y_{r+1} - y_r,
+                # which is q^-i (L_r - q L_{r+1}) on the block since y_k =
+                # 1 - q^-i L_k there.  Its negative would flip psi_r e(i)
+                # and break the dot relations, which fix psi_r on equal
                 # residues as f -> (f - s_r f) / (y_{r+1} - y_r) in the
                 # polynomial representation.
-                U = Tt[:, sl].copy()
-                U[sl] = (U[sl] + np.eye(sl.stop - sl.start,
-                                        dtype=np.int64)) % p
+                P = np.eye(sl.stop - sl.start, dtype=np.int64)
                 N = pow(q, -ir, p) * ((x - q * z) % p) % p
             else:
-                # distinct residues: intertwiner against a case normalizer
+                # distinct residues: P_r(i) = (1 - q) L_{r+1} (L_{r+1} -
+                # L_r)^-1 on the block, and one normalizer per case of
+                # i_{r+1} - i_r
                 inv = invert_matrix((z - x) % p, p)
-                U = Tt[:, sl].copy()
-                U[sl] = (U[sl] - matmul(((q - 1) * z % p, inv), p)) % p
+                P = matmul(((1 - q) % p * z % p, inv), p)
                 d = (ir1 - ir) % e
                 if d == 1:
                     N = matmul(((x - q * z) % p, inv), p)
@@ -430,8 +375,40 @@ class KLRImages:
                     N = pow(q, ir, p) * invert_matrix((x - z) % p, p) % p
                 else:
                     N = matmul(((q * x - z) % p, inv), p)
+            U = Tt[:, sl].copy()
+            U[sl] = (U[sl] + P) % p
             Pt[:, sl] = matmul((U, invert_matrix(N, p)), p)
-        return self._dense(Pt)
+            QP[iseq] = (N, P)
+        return self._dense(Pt), QP
+
+    # -- the anti-involution fixing the generator images ------------------
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Matrix of the anti-involution that fixes e(i), y_k and psi_r,
+        the cellular one (m_{S,T} -> m_{T,S}; Graham-Lehrer, Hu-Mathas for
+        the quiver-Hecke case), built the same way in B and in H.
+
+        It fixes each L_k, a combination of the e(i) and y_k.  By
+        :meth:`_psi` it sends T_r to sum_i e(i) Q_r(i) psi_r - P_r(i) e(i),
+        whose adapted rows of block i are the block of Q_r(i) times row
+        block i of psi_r, less the block of P_r(i) in column block i.  So
+        sigma(1) = 1 and sigma(b g) = sigma(g) sigma(b) fill its columns
+        along the basis tree (:func:`_times_basis`).  This assumes that
+        sigma exists; :meth:`_sigma_failures` certifies the result: an
+        involution, fixing every generator, and reversing every product."""
+        if self._sigma is None:
+            A, p, Cinv = self.algebra, self.p, self._Cinv
+            left = {}
+            for r, QP in self._QP.items():
+                X = matmul((Cinv, self.PSI[r]), p)
+                for iseq, (N, P) in QP.items():
+                    sl = self.blocks[iseq]
+                    X[sl] = (matmul((N, X[sl]), p)
+                             - matmul((P, Cinv[sl]), p)) % p
+                left[r] = matmul((self.C, X), p)
+            self._sigma = _times_basis(A, {"T": left, "L": A.L}, A.unit)
+        return self._sigma
 
     def psi_of(self, word) -> np.ndarray:
         """Product of crossing images along a word, in order."""
@@ -595,12 +572,8 @@ class KLRImages:
         word y in these generators, sigma(x y) = sigma(y) sigma(x), and
         they generate the algebra, so this holds for all x and y.  A
         failure names the generator."""
-        A, p = self.algebra, self.p
+        A, p, S = self.algebra, self.p, self.sigma
         fails = []
-        try:
-            S = self.sigma
-        except ValueError as exc:
-            return [RelationFailure("anti-involution exists", str(exc))]
         if not np.array_equal(matmul((S, S), p), A.identity):
             fails.append(RelationFailure("star is an involution", "sigma"))
         fails += [RelationFailure("star fixes the generators", name)
@@ -750,9 +723,9 @@ class CellularBasis:
     not strictly above that of pair j, so the cell order keeps a
     coefficient at (i, j); ``residues[S]`` is i^S.
 
-    The constructor certifies nothing: :func:`build_cellular_basis` does.
-    At the zero weighting the family is :meth:`KLRImages.family`, the one
-    the anti-involution of the quotient is read off."""
+    The constructor certifies nothing: :func:`build_cellular_basis` does,
+    against the anti-involution :attr:`KLRImages.sigma`, which is built
+    without the family."""
 
     def __init__(self, algebra: BlobAlgebra, images: KLRImages,
                  theta=None):
@@ -819,14 +792,11 @@ class CellularBasis:
 
 def build_cellular_basis(algebra: BlobAlgebra, images: KLRImages,
                          theta=None) -> CellularBasis:
-    """Construct and certify the cellular basis: full rank, star-symmetry,
-    and the maximal-pair normalization m_{T^lam, T^lam} = e(i^lam).  At
-    the zero weighting the basis is :meth:`KLRImages.family`."""
+    """Construct and certify the cellular basis: full rank, the
+    maximal-pair normalization m_{T^lam, T^lam} = e(i^lam), and
+    star-symmetry: :attr:`KLRImages.sigma` swaps m_{S,T} and m_{T,S}."""
     A, p = algebra, algebra.p
-    if theta is None or tuple(theta) == comb.theta_zero(A.params.l):
-        basis = images.family()
-    else:
-        basis = CellularBasis(A, images, theta)
+    basis = CellularBasis(A, images, theta)
     if len(basis.index) != A.dim or basis.rank != A.dim:
         raise ValueError(
             f"cellular family of size {len(basis.index)} has rank "

@@ -19,8 +19,7 @@ anywhere.  The pieces provided here are
   matrices at labelled eigenvalues in F_p, from which the weight
   idempotents e(i) are built, and
 * ``RowSpace`` -- an incremental reduced echelon form, used to close
-  two-sided ideals a block of new vectors at a time and to certify
-  spanning ranks.
+  two-sided ideals a block of new vectors at a time.
 
 The kernel does not reduce its inputs: callers keep stored matrices in
 [0, p) and reduce a linear combination where they form it.  Before a
@@ -614,8 +613,7 @@ class RowSpace:
     spanned.  ``extend`` absorbs a block of vectors at once: the block is
     reduced against the held rows in one kernel product, only the residual
     is row-reduced, and the held rows are cleared at its pivots.  Used to
-    close two-sided ideals under multiplication and to certify ranks of
-    spanning sets without materializing huge matrices.
+    close two-sided ideals under multiplication.
     """
 
     def __init__(self, dim: int, p: int):
@@ -630,9 +628,6 @@ class RowSpace:
         if not len(self._piv):
             return X
         return (X - matmul((X[:, self._piv], self._R), self.p)) % self.p
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        return self._residual(_as_modp(v, self.p)[None, :])[0]
 
     def extend(self, block: np.ndarray) -> np.ndarray:
         """Insert the rows of ``block``; returns the rows this absorbed, in
@@ -653,19 +648,12 @@ class RowSpace:
         self._piv = pivots[order]
         return N
 
-    def add(self, v: np.ndarray) -> bool:
-        """Insert v; returns True if it enlarged the space."""
-        return len(self.extend(v)) > 0
-
     @property
     def pivots(self) -> list[int]:
         return self._piv.tolist()
 
     def rank(self) -> int:
         return len(self._piv)
-
-    def contains(self, v: np.ndarray) -> bool:
-        return not np.any(self.reduce(v))
 
     def matrix(self) -> np.ndarray:
         return self._R.copy()

@@ -423,9 +423,9 @@ class RegularRep:
     @cached_property
     def spanning_tree(self) -> list[tuple[int, int, str, int]]:
         """The basis as a tree under right multiplication by generators:
-        one (index of key, index of its parent, "RT" or "RL", generator
-        index) per key but the identity, with key = parent * T_i or
-        parent * L_k, parents first."""
+        one (index of key, index of its parent, generator kind "T" or "L",
+        generator index) per key but the identity, with key = parent * T_i
+        or parent * L_k, parents first."""
         n, index = self.params.n, self.nf.index
         ident = comb.perm_identity(n)
         keys = sorted(self.nf.basis,
@@ -435,11 +435,11 @@ class RegularRep:
             if w != ident:
                 word = comb.official_word(w)
                 parent = (a, comb.perm_from_word(n, word[:-1]))
-                gen = ("RT", word[-1])
+                gen = ("T", word[-1])
             else:
                 k = next(j for j in range(n) if a[j])
                 parent = (a[:k] + (a[k] - 1,) + a[k + 1:], w)
-                gen = ("RL", k + 1)
+                gen = ("L", k + 1)
             tree.append((index[(a, w)], index[parent]) + gen)
         return tree
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blobcell import blob as B
 from blobcell import hecke as H
 from blobcell.exactfield import matmul
 
@@ -23,6 +24,18 @@ def _nonzero_classes(algebra) -> set:
     return out
 
 
+def _family_swap(algebra, images):
+    """The independent reference for the anti-involution of B: the swap
+    m_{S,T} -> m_{T,S} on the zero-weighting family, M[:, swapped] M^-1."""
+    fam = B.CellularBasis(algebra, images)
+    return matmul((fam.matrix[:, fam.swapped], fam._inv), algebra.p)
+
+
 @pytest.fixture(scope="session")
 def nonzero_classes():
     return _nonzero_classes
+
+
+@pytest.fixture(scope="session")
+def family_swap():
+    return _family_swap

@@ -196,8 +196,8 @@ class TestRelationSuite:
             raise fails[0]
 
 
-STAR_RELATIONS = {"anti-involution exists", "star is an involution",
-                  "star fixes the generators", "star reverses products"}
+STAR_RELATIONS = {"star is an involution", "star fixes the generators",
+                  "star reverses products"}
 
 
 def _sigma_report(images, sigma) -> list[tuple]:
@@ -208,68 +208,61 @@ def _sigma_report(images, sigma) -> list[tuple]:
     return [(f.relation, f.witness) for f in tampered._sigma_failures()]
 
 
+@pytest.fixture
+def bases_made(monkeypatch):
+    """A list that gains an entry for every CellularBasis built."""
+    made = []
+    init = B.CellularBasis.__init__
+    monkeypatch.setattr(B.CellularBasis, "__init__",
+                        lambda self, *a: made.append(1) or init(self, *a))
+    return made
+
+
 class TestAntiInvolution:
-    """sigma from the cellular family, and the exact certificate that
-    reverses products generator by generator."""
+    """sigma from one walk of the basis tree, in B and in H, and the exact
+    certificate that reverses products generator by generator."""
 
     @pytest.mark.parametrize("n,l", SCALES)
-    def test_family_sigma_equals_span_search(self, built, n, l):
-        _, _, images, _ = built[(n, l)]
-        assert images.sigma.tobytes() == images._span_sigma().tobytes()
+    def test_sigma_is_the_family_swap(self, built, family_swap, n, l):
+        _, A, images, _ = built[(n, l)]
+        assert images.sigma.tobytes() == family_swap(A, images).tobytes()
 
     @pytest.mark.parametrize("n,l", [(3, 2), (3, 3)])
-    def test_no_span_search_in_the_quotient(self, monkeypatch, n, l):
-        def spy(self):
-            raise AssertionError("span search entered")
-        monkeypatch.setattr(B.KLRImages, "_span_sigma", spy)
+    def test_quotient_sigma_builds_no_family(self, bases_made, n, l):
         A = B.build_blob(H.default_params(n, l))
         images = B.KLRImages(A)
         assert images.relation_failures() == []
-        basis = B.build_cellular_basis(A, images)
-        assert basis.matrix is images.family().matrix
+        assert bases_made == []
 
-    def test_span_search_serves_the_unquotiented_algebra(self, monkeypatch):
-        calls = []
-        span = B.KLRImages._span_sigma
-        monkeypatch.setattr(B.KLRImages, "_span_sigma",
-                            lambda self: calls.append(1) or span(self))
-        images = B.KLRImages(B.BlobAlgebra(H.default_params(2, 2),
-                                           quotient=False))
+    @pytest.mark.parametrize("n,l", [(2, 2), (3, 3)])
+    def test_unquotiented_sigma_is_certified(self, built_full, n, l):
+        # the same closed form and walk serve H itself
+        images = (built_full[(n, l)][2] if (n, l) in built_full else
+                  B.KLRImages(B.BlobAlgebra(H.default_params(n, l),
+                                            quotient=False)))
+        assert images._sigma_failures() == []
         assert images.relation_failures(blob_defining=False) == []
-        assert calls == [1]
 
-    def test_rank_deficient_family_reports_as_before(self, built):
-        # zeroed crossings: the copy's family, reset with its sigma, is
-        # rebuilt and is no basis, so sigma falls back to the span search,
-        # whose words no longer span
+    def test_zeroed_crossings_fail_by_name(self, built):
+        # sigma(T_r) is read off the held crossings: zeroed ones give a
+        # sigma that the certificate rejects by name, and nothing raises
         _, A, images, _ = built[(2, 2)]
         broken = copy.copy(images)
         broken.PSI = {r: np.zeros_like(A.identity) for r in images.PSI}
         broken._sigma = None
-        broken._family = None
-        assert broken.family() is not images.family()
-        assert broken.family().rank < A.dim
         assert [(f.relation, f.witness) for f in broken._sigma_failures()] \
-            == [("anti-involution exists",
-                 "generator images do not span the algebra")]
+            == [("star is an involution", "sigma"),
+                ("star reverses products", "T_1")]
 
-    def test_one_family_per_images(self, monkeypatch):
-        # sigma, family() and the basis at the zero weighting share one
-        # CellularBasis, built once
-        made = []
-        init = B.CellularBasis.__init__
-        monkeypatch.setattr(B.CellularBasis, "__init__",
-                            lambda self, *a: made.append(1) or init(self, *a))
+    def test_one_basis_per_call(self, bases_made):
         A = B.build_blob(H.default_params(2, 2))
         images = B.KLRImages(A)
         assert images.relation_failures() == []
-        fam = images.family()
-        assert images.family() is fam
-        assert B.build_cellular_basis(A, images) is fam
-        assert B.build_cellular_basis(A, images, (0, 0)) is fam
-        assert len(made) == 1
-        assert B.build_cellular_basis(A, images, (0, 1)) is not fam
-        assert len(made) == 2
+        first = B.build_cellular_basis(A, images)
+        assert len(bases_made) == 1
+        assert B.build_cellular_basis(A, images) is not first
+        assert B.build_cellular_basis(A, images, (0, 1)) is not first
+        assert len(bases_made) == 3
 
     @pytest.mark.parametrize("n,l", SCALES)
     def test_hecke_star_does_not_fix_the_crossings(self, built, n, l):
@@ -281,6 +274,7 @@ class TestAntiInvolution:
 
     @pytest.mark.parametrize("n,l", SCALES)
     def test_swapped_columns_break_the_certificate(self, built, n, l):
+        # both the certificate and the star check of the basis refuse it
         _, A, images, _ = built[(n, l)]
         S = images.sigma.copy()
         S[:, [0, 1]] = S[:, [1, 0]]
@@ -290,6 +284,10 @@ class TestAntiInvolution:
         gens = [f"T_{i}" for i in A.T] + ["L_1"]
         assert [w for rel, w in got if rel == "star reverses products"] \
             == ["1"] + gens
+        tampered = copy.copy(images)
+        tampered._sigma = S
+        with pytest.raises(ValueError, match="star does not swap the pair"):
+            B.build_cellular_basis(A, tampered)
 
 
 def dense_relation_failures(images, blob_defining):

@@ -248,10 +248,10 @@ class TestLinalg:
             M = rng.integers(0, P, size=(m, n))
             rs = RowSpace(int(n), P)
             for row in M:
-                rs.add(row)
+                rs.extend(row)
             assert rs.rank() == rank(M, P)
             for row in M:
-                assert rs.contains(row)
+                assert rs.extend(row).shape == (0, n)
 
     def test_rowspace_extend_matches_rref(self):
         # blocks drawn from a random subspace, so that most of them are
@@ -272,7 +272,7 @@ class TestLinalg:
                     N, rs.matrix()[[rs.pivots.index(c) for c in new]])
                 assert rs.extend(blk).shape == (0, n)
                 for row in blk:
-                    seq.add(row)
+                    seq.extend(row)
             R, piv = rref(np.vstack(blocks), P)
             assert rs.pivots == seq.pivots == piv == sorted(piv)
             assert np.array_equal(rs.matrix(), R[:len(piv)])
@@ -320,10 +320,10 @@ class TestLinalg:
         M = rng.integers(0, P, size=(5, 8))
         rs = RowSpace(8, P)
         for row in M:
-            rs.add(row)
-        v = rng.integers(0, P, size=8)
-        w = rs.reduce(v)
-        assert np.array_equal(rs.reduce(w), w)
+            rs.extend(row)
+        v = rng.integers(0, P, size=(1, 8))
+        w = rs._residual(v)
+        assert np.array_equal(rs._residual(w), w)
 
 
 def blocks_on_basis(spec, p):

@@ -52,9 +52,9 @@ def test_kept_classes_are_the_nonzero_ones(built, nonzero_classes):
     assert len(images.E) == 13 < len(H.class_partition(params)) == 46
 
 
-def test_family_sigma_equals_span_search(built):
-    _, _, images, _ = built
-    assert images.sigma.tobytes() == images._span_sigma().tobytes()
+def test_sigma_is_the_family_swap(built, family_swap):
+    _, A, images, _ = built
+    assert images.sigma.tobytes() == family_swap(A, images).tobytes()
 
 
 def test_relations(built):
