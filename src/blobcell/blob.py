@@ -19,19 +19,26 @@ generalized blob algebra B.  This module
   machine-checks cellularity, the Jucys-Murphy triangularity, the grading,
   and the cell-module/Gram-matrix structure.
 
-All arithmetic is exact, over the prime field F_p fixed by the parameters.
+After :class:`KLRImages`, every operator is held in the weight-space
+coordinates of B, where it is block-sparse, and the cellular layer takes
+one small product per block; dense matrices on the basis of B are formed
+only for the callers that need them.  All arithmetic is exact, over the
+prime field F_p fixed by the parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import combinatorics as comb
 # rref is bound here as well: perfbench/smoke.py checks that the tracer
 # restores it in this module
-from .exactfield import (RowSpace, invert_matrix, mat_pow, matmul,
+from .exactfield import (RowSpace, block_equal, block_lincomb, block_matmul,
+                         block_split, invert_matrix, mat_pow, matmul,
                          nullspace, rank, rank_and_inverse, rref)
 from .hecke import (HeckeParams, RegularRep, e2_idempotents,
                     embed_two_string, regular_rep, weight_spaces)
@@ -70,8 +77,8 @@ def _times_basis(carrier, ops: dict, u: np.ndarray) -> np.ndarray:
     b = parent * g, one matrix-vector product per key; the columns kept
     are those of the non-pivot keys, the carrier's basis.  With right
     multiplication by g it gives u b (:meth:`BlobAlgebra.push`), with left
-    multiplication by sigma(g) and u = 1 it gives sigma(b)
-    (:attr:`KLRImages.sigma`)."""
+    multiplication by sigma(g) and u = 1, all in weight-space
+    coordinates, it gives those of sigma(b) (:meth:`KLRImages._held_sigma`)."""
     reg = carrier.reg
     cols = np.zeros((len(u), reg.dim), dtype=np.int64)
     cols[:, reg.id_index] = u
@@ -213,51 +220,49 @@ def build_blob(params: HeckeParams) -> "BlobAlgebra":
 # ---------------------------------------------------------------------------
 
 
+def _leaves_block(X: dict, iseq) -> bool:
+    """Whether the block-sparse X has a block off the diagonal in the row
+    or the column block of class i, i.e. fails to commute with P_i."""
+    return any(j != i and iseq in (j, i) for j, i in X)
+
+
 class KLRImages:
-    """Images of the quiver-Hecke generators inside the given algebra.
+    """Images of the quiver-Hecke generators inside the given algebra,
+    held in its weight-space coordinates.
 
-    ``E[i]`` (for realized residue sequences i) are the weight
-    idempotents: the projections onto the joint generalized eigenspaces
-    of the images of L_1, ..., L_n at (q^(i_1), ..., q^(i_n)), which is
-    how the Brundan-Kleshchev isomorphism defines e(i); ``Y[k]`` are the
-    nilpotent parts of the Jucys-Murphy elements; ``PSI[r]`` are the
-    intertwiners, normalized so that the complete defining relation suite
-    holds.  All are square matrices acting on the coordinate basis of the
-    carrier algebra.
+    **Weight-space coordinates.**  The columns of ``C`` are the bases of
+    the nonzero joint generalized eigenspaces of the images of L_1, ...,
+    L_n at (q^(i_1), ..., q^(i_n)), which :func:`~.hecke.weight_spaces`
+    splits off; ``blocks[i]`` is the slice of the d_i columns of class i.
+    Weights that are not powers of q leave the blocks short of the
+    dimension, which raises "sum of e(i) = 1".  In B only the residue
+    sequences of one-column tableaux have nonzero weight spaces.
 
-    **Adapted coordinates.**  Every generator respects the weight-space
-    decomposition A = sum_i e(i)A: e(i) projects onto its summand, y_k
-    keeps each summand and psi_r maps e(i)A into e(s_r i)A.  The columns
-    of ``C`` are the bases of the nonzero weight spaces that
-    :func:`~.hecke.weight_spaces` splits off, in the order of ``E``;
-    ``blocks[i]`` is the slice of the d_i columns of summand i, and E[i]
-    is C[:, block i] C^-1[block i, :].  Weights that are not powers of q
-    leave the blocks short of the dimension, which raises "sum of e(i) =
-    1".  In B only the residue sequences of one-column tableaux have
-    nonzero weight spaces.  The construction certifies that C^-1 L_k C
-    is block-diagonal (raising :class:`RelationFailure` otherwise); that
-    C^-1 E[i] C is the projection P_i onto block i is certified once, by
-    :meth:`relation_failures`, which every certified path runs.  Then y_k
-    is one d_i x d_i block per class, psi_r e(i) is one column block, and
-    the only inverses taken are of C and of d_i x d_i normalizers.  The
-    dense ``Y`` and ``PSI`` are assembled once from the blocks.
-
-    :meth:`relation_failures` conjugates the held ``E``, ``Y`` and
-    ``PSI`` by C and checks the relations block by block.  Conjugation by
-    C is an algebra isomorphism, so a relation holds for the dense
-    matrices exactly when it holds for their conjugates.  The support
-    pattern (C^-1 E[i] C = P_i, y_k block-diagonal, psi_r taking block i
-    to block s_r i) is certified first.  Where it holds, every product
-    in a relation, restricted to a column block, passes through one
-    block per factor, so the block checks report the same failures with
-    the same witnesses as dense products would.
+    Every operator X is held as C^-1 X C in block-sparse form, {(row
+    block j, column block i): the nonzero d_j x d_i block}, so a changed
+    operator is still held exactly.  ``E[i]`` is the weight idempotent
+    e(i), the projection P_i onto block i, as the Brundan-Kleshchev
+    isomorphism defines it; ``L[k]`` and ``RL[k]`` are left and right
+    multiplication by L_k; ``Y[k]`` is y_k, the block 1 - q^(-i_k) L_k
+    on each class; ``PSI[r]`` is psi_r (:meth:`_psi`), taking block i to
+    block s_r i.  The only inverses taken are of C and of d_i x d_i
+    blocks.  The construction certifies that the L_k are block-diagonal
+    (raising :class:`RelationFailure` otherwise), and
+    :meth:`relation_failures` the rest of the pattern.  The matrices on
+    the carrier's basis, C X C^-1, are formed only at the boundary:
+    :meth:`dense` for one operator, :attr:`matrices` for the generators.
+    ``matrices`` and the adapted sigma are formed from E, Y, PSI and L on
+    first use and kept, so these must not be changed once either has been
+    read: a copy with the changed operators and neither form is a new
+    set of images.
 
     **The anti-involution.**  :attr:`sigma` fixes e(i), y_k and psi_r.
     :meth:`_psi` keeps the blocks of Q_r(i) and P_r(i) in T_r e(i) =
     psi_r Q_r(i) e(i) - P_r(i) e(i), so sigma(T_r) is known in closed
     form in either carrier, and sigma is filled along the basis tree of H.
-    :meth:`_sigma_failures`, which :meth:`relation_failures` runs,
-    certifies it."""
+    It maps e(i)A onto A e(i), so its adapted form (``_sigma``, built by
+    :meth:`_held_sigma`) is a dense matrix.  :meth:`_sigma_failures`,
+    which :meth:`relation_failures` runs, certifies it."""
 
     def __init__(self, algebra: BlobAlgebra):
         self.algebra = A = algebra
@@ -272,73 +277,92 @@ class KLRImages:
                 f"{self.C.shape[1]} dimensions, not {A.dim}")
         # the weight spaces are independent, so the square C is invertible
         self._Cinv = invert_matrix(self.C, p)
-        self.E = {i: matmul((self.C[:, sl], self._Cinv[sl]), p)
-                  for i, sl in self.blocks.items()}
-        Lt = {k: self._adapt(A.L[k]) for k in A.L}
-        for k, X in Lt.items():
+        self._unit = matmul((self._Cinv, A.unit), p)
+        self.identity = {(i, i): np.eye(sl.stop - sl.start, dtype=np.int64)
+                         for i, sl in self.blocks.items()}
+        self.E = {i: {(i, i): self.identity[i, i]} for i in self.blocks}
+        self.L = {k: self._adapt(X) for k, X in A.L.items()}
+        for k, X in self.L.items():
             for iseq in self.blocks:
-                if self._leaves_block(X, iseq):
+                if _leaves_block(X, iseq):
                     raise RelationFailure("y_k e(i) = e(i) y_k", (k, iseq))
-        self._L = {k: {iseq: X[sl, sl] for iseq, sl in self.blocks.items()}
-                   for k, X in Lt.items()}
-        self.Y = {}
-        for k in range(1, n + 1):
-            Yt = np.zeros_like(A.identity)
-            for iseq, sl in self.blocks.items():
-                c = pow(q, -iseq[k - 1], p)
-                Yt[sl, sl] = (np.eye(sl.stop - sl.start, dtype=np.int64)
-                              - c * self._L[k][iseq]) % p
-            self.Y[k] = self._dense(Yt)
+        self.Y = {k: block_lincomb([(1, self.identity)] + [
+            (-pow(q, -i[k - 1], p), {(i, i): self.L[k].get((i, i), 0)})
+            for i in self.blocks], p) for k in range(1, n + 1)}
         self.PSI, self._QP = {}, {}
         for r in range(1, n):
             self.PSI[r], self._QP[r] = self._psi(r)
         self._sigma = None
 
-    # -- adapted coordinates -------------------------------------------------
+    @cached_property
+    def RL(self) -> dict:
+        """The held right multiplications by the L_k, for :func:`check_jm`,
+        adapted on first use."""
+        return {k: self._adapt(X) for k, X in self.algebra.RL.items()}
 
-    def _adapt(self, X: np.ndarray) -> np.ndarray:
-        """C^-1 X C."""
-        return matmul((self._Cinv, X, self.C), self.p)
+    # -- weight-space coordinates --------------------------------------------
 
-    def _dense(self, Xt: np.ndarray) -> np.ndarray:
-        """C Xt C^-1, the matrix with adapted form Xt."""
-        return matmul((self.C, Xt, self._Cinv), self.p)
+    def _adapt(self, X: np.ndarray) -> dict:
+        """The held form of a dense matrix X: the nonzero blocks of
+        C^-1 X C."""
+        return block_split(matmul((self._Cinv, X, self.C), self.p),
+                           self.blocks, self.blocks)
+
+    def _assemble(self, X: dict) -> np.ndarray:
+        """The dense adapted matrix of the held X."""
+        out = np.zeros_like(self.algebra.identity)
+        for (j, i), M in X.items():
+            out[self.blocks[j], self.blocks[i]] = M
+        return out
+
+    def _apply(self, X: dict, v: np.ndarray) -> np.ndarray:
+        """X v for the held X and adapted coordinates v (a vector, or
+        columns); a block of v that is zero is skipped."""
+        p, out = self.p, np.zeros_like(v)
+        for (j, i), M in X.items():
+            vi, sj = v[self.blocks[i]], self.blocks[j]
+            if vi.any():
+                out[sj] = (out[sj] + matmul((M, vi), p)) % p
+        return out
+
+    def dense(self, X: dict) -> np.ndarray:
+        """C X C^-1, the matrix on the carrier's basis of the held X, one
+        product per block."""
+        p, C, Cinv = self.p, self.C, self._Cinv
+        out = np.zeros_like(self.algebra.identity)
+        for (j, i), M in X.items():
+            out = (out + matmul((C[:, self.blocks[j]], M,
+                                 Cinv[self.blocks[i]]), p)) % p
+        return out
+
+    @cached_property
+    def matrices(self) -> SimpleNamespace:
+        """``E``, ``Y`` and ``PSI`` as dense matrices on the carrier's
+        basis (:meth:`dense`), formed once, on first use: for the
+        rewriting oracle of :mod:`.klrcalc`, the CLI and the tests."""
+        return SimpleNamespace(**{name: {
+            key: self.dense(X) for key, X in getattr(self, name).items()}
+            for name in ("E", "Y", "PSI")})
 
     def _projection_failures(self) -> list[RelationFailure]:
-        """Certificate of C^-1 E[i] C = P_i for every i: each E[i] has
-        rank d_i and fixes the columns of block i, so its image is block i
-        and it is idempotent; and the E[i] add up to 1.  Idempotents that
-        add up to 1 with ranks adding up to the dimension are orthogonal.
-        This costs O(dim^3) in all, where checking E[i] C = C P_i costs
-        that per class."""
-        p, C = self.p, self.C
-        fails = []
-        total = np.zeros_like(C)
-        for iseq, Ei in self.E.items():
-            sl = self.blocks[iseq]
-            total = (total + Ei) % p
-            if rank(Ei, p) != sl.stop - sl.start or \
-                    not np.array_equal(matmul((Ei, C[:, sl]), p), C[:, sl]):
-                fails.append(RelationFailure("e(i) is the block projection",
-                                             iseq))
-        if not np.array_equal(total, self.algebra.identity):
+        """Certificate of C^-1 E[i] C = P_i for every i: each held E[i] is
+        the identity block of class i and nothing else, and the E[i] add
+        up to the held identity.  C^-1 C = I then makes the dense e(i) =
+        C P_i C^-1 orthogonal idempotents adding up to 1."""
+        p, I = self.p, self.identity
+        fails = [RelationFailure("e(i) is the block projection", i)
+                 for i, Ei in self.E.items()
+                 if not block_equal(Ei, {(i, i): I[i, i]}, p)]
+        total = block_lincomb([(1, Ei) for Ei in self.E.values()], p)
+        if not block_equal(total, I, p) or not np.array_equal(
+                matmul((self._Cinv, self.C), p), self.algebra.identity):
             fails.append(RelationFailure("sum of e(i) = 1", "all"))
         return fails
 
-    def _leaves_block(self, Xt: np.ndarray, iseq) -> bool:
-        """Whether the adapted matrix Xt has an entry outside the diagonal
-        block of class i in the row or the column block of i, i.e. whether
-        it fails to commute with P_i."""
-        sl = self.blocks[iseq]
-        col, row = Xt[:, sl].copy(), Xt[sl].copy()
-        col[sl] = 0
-        row[:, sl] = 0
-        return bool(col.any() or row.any())
-
     # -- the crossings, column block by column block ------------------------
 
-    def _psi(self, r: int) -> tuple[np.ndarray, dict]:
-        """psi_r, whose adapted column block i is psi_r e(i), and {i: the
+    def _psi(self, r: int) -> tuple[dict, dict]:
+        """The held psi_r, whose column block i is psi_r e(i), and {i: the
         d_i x d_i blocks of Q_r(i) and P_r(i)} for :attr:`sigma`.  On
         block i, T_r e(i) = psi_r Q_r(i) e(i) - P_r(i) e(i)
         (Brundan-Kleshchev, Invent. Math. 2009, section 4), where the
@@ -347,10 +371,9 @@ class KLRImages:
         against the inverse of the block of Q_r(i)."""
         p, q, e = self.p, self.q, self.e
         Tt = self._adapt(self.algebra.T[r])
-        Pt = np.zeros_like(Tt)
-        QP = {}
+        psi, QP = {}, {}
         for iseq, sl in self.blocks.items():
-            x, z = self._L[r][iseq], self._L[r + 1][iseq]
+            x, z = self.L[r][iseq, iseq], self.L[r + 1][iseq, iseq]
             ir, ir1 = iseq[r - 1], iseq[r]
             if ir == ir1:
                 # same residue i on both strands: (T_r + 1) against
@@ -375,44 +398,53 @@ class KLRImages:
                     N = pow(q, ir, p) * invert_matrix((x - z) % p, p) % p
                 else:
                     N = matmul(((q * x - z) % p, inv), p)
-            U = Tt[:, sl].copy()
-            U[sl] = (U[sl] + P) % p
-            Pt[:, sl] = matmul((U, invert_matrix(N, p)), p)
+            U = {(j, i): M for (j, i), M in Tt.items() if i == iseq}
+            U[iseq, iseq] = (Tt.get((iseq, iseq), 0) + P) % p
+            Ninv = invert_matrix(N, p)
+            psi.update({key: matmul((M, Ninv), p) for key, M in U.items()})
             QP[iseq] = (N, P)
-        return self._dense(Pt), QP
+        return {key: M for key, M in psi.items() if M.any()}, QP
 
     # -- the anti-involution fixing the generator images ------------------
 
-    @property
-    def sigma(self) -> np.ndarray:
-        """Matrix of the anti-involution that fixes e(i), y_k and psi_r,
-        the cellular one (m_{S,T} -> m_{T,S}; Graham-Lehrer, Hu-Mathas for
-        the quiver-Hecke case), built the same way in B and in H.
+    def _held_sigma(self) -> np.ndarray:
+        """The adapted form C^-1 sigma C of the anti-involution that fixes
+        e(i), y_k and psi_r, the cellular one (m_{S,T} -> m_{T,S};
+        Graham-Lehrer, Hu-Mathas for the quiver-Hecke case), built the
+        same way in B and in H.
 
         It fixes each L_k, a combination of the e(i) and y_k.  By
         :meth:`_psi` it sends T_r to sum_i e(i) Q_r(i) psi_r - P_r(i) e(i),
         whose adapted rows of block i are the block of Q_r(i) times row
         block i of psi_r, less the block of P_r(i) in column block i.  So
-        sigma(1) = 1 and sigma(b g) = sigma(g) sigma(b) fill its columns
-        along the basis tree (:func:`_times_basis`).  This assumes that
-        sigma exists; :meth:`_sigma_failures` certifies the result: an
-        involution, fixing every generator, and reversing every product."""
+        sigma(1) = 1 and sigma(b g) = sigma(g) sigma(b) fill the adapted
+        coordinates of its columns along the basis tree
+        (:func:`_times_basis`).  This assumes that sigma exists;
+        :meth:`_sigma_failures` certifies the result: an involution,
+        fixing every generator, and reversing every product."""
         if self._sigma is None:
-            A, p, Cinv = self.algebra, self.p, self._Cinv
+            p = self.p
             left = {}
             for r, QP in self._QP.items():
-                X = matmul((Cinv, self.PSI[r]), p)
-                for iseq, (N, P) in QP.items():
-                    sl = self.blocks[iseq]
-                    X[sl] = (matmul((N, X[sl]), p)
-                             - matmul((P, Cinv[sl]), p)) % p
-                left[r] = matmul((self.C, X), p)
-            self._sigma = _times_basis(A, {"T": left, "L": A.L}, A.unit)
+                X = block_lincomb(
+                    [(1, {(j, i): matmul((QP[j][0], M), p)
+                          for (j, i), M in self.PSI[r].items()}),
+                     (-1, {(i, i): P for i, (_, P) in QP.items()})], p)
+                left[r] = self._assemble(X)
+            L = {k: self._assemble(X) for k, X in self.L.items()}
+            cols = _times_basis(self.algebra, {"T": left, "L": L}, self._unit)
+            self._sigma = matmul((cols, self.C), p)
         return self._sigma
 
+    @property
+    def sigma(self) -> np.ndarray:
+        """The anti-involution of :meth:`_held_sigma` on the carrier's
+        basis."""
+        return matmul((self.C, self._held_sigma(), self._Cinv), self.p)
+
     def psi_of(self, word) -> np.ndarray:
-        """Product of crossing images along a word, in order."""
-        mats = [self.PSI[r] for r in word]
+        """Dense product of crossing images along a word, in order."""
+        mats = [self.matrices.PSI[r] for r in word]
         return matmul(mats, self.p) if mats else self.algebra.identity
 
     # -- relation suite ---------------------------------------------------
@@ -424,16 +456,19 @@ class KLRImages:
         quotient from the full quiver-Hecke algebra is included (defaults
         to the carrier being the quotient).
 
-        The checks run in the adapted coordinates of the class docstring.
-        The support pattern stands in for the relations it implies.
-        C^-1 e(i) C = P_i stands in for e(i) e(j) = delta_ij e(i) and
-        sum_i e(i) = 1; it fails as "e(i) is the block projection" at a
-        class i or as "sum of e(i) = 1".  y_k block-diagonal stands in for
-        y_k e(i) = e(i) y_k, and psi_r mapping block i into block s_r i
-        for psi_r e(i) = e(s_r i) psi_r; these fail under the names and
-        witnesses of those relations.  Every other relation is compared
-        column block by column block, each factor acting through the one
-        block its pattern allows."""
+        The checks run on the held forms.  Conjugation by C is an algebra
+        isomorphism, so a relation holds for the dense matrices exactly
+        when it holds for the held ones.  The support pattern stands in
+        for the relations it implies.  C^-1 e(i) C = P_i stands in for e(i)
+        e(j) = delta_ij e(i) and sum_i e(i) = 1; it fails as "e(i) is the
+        block projection" at a class i or as "sum of e(i) = 1".  y_k
+        block-diagonal stands in for y_k e(i) = e(i) y_k, and psi_r
+        mapping block i into block s_r i for psi_r e(i) = e(s_r i) psi_r;
+        these fail under the names and witnesses of those relations.
+        Every other relation is compared column block by column block,
+        each factor acting through the one block its pattern allows;
+        where the pattern holds, that gives the same failures with the
+        same witnesses as dense products would."""
         if blob_defining is None:
             blob_defining = self.algebra.is_quotient
         p, e, n = self.p, self.e, self.n
@@ -442,18 +477,13 @@ class KLRImages:
         fails: list[RelationFailure] = []
         eye = {i: np.eye(sl.stop - sl.start, dtype=np.int64)
                for i, sl in blocks.items()}
-        Yt = {k: self._adapt(X) for k, X in self.Y.items()}
-        Pt = {r: self._adapt(X) for r, X in self.PSI.items()}
-        # block operators: column block i -> (row block, matrix); a
-        # missing column block acts as zero
-        Y = {k: {i: (i, X[sl, sl]) for i, sl in blocks.items()}
-             for k, X in Yt.items()}
-        P: dict = {r: {} for r in Pt}
-        for r, X in Pt.items():
-            for i, sl in blocks.items():
-                j = comb.swap_entries(i, r)
-                if j in blocks:
-                    P[r][i] = (j, X[blocks[j], sl])
+        # block operators: column block i -> (row block, matrix) on the
+        # pattern; a missing column block acts as zero
+        Y = {k: {i: (i, M) for (j, i), M in X.items() if j == i}
+             for k, X in self.Y.items()}
+        P = {r: {i: (j, M) for (j, i), M in X.items()
+                 if j == comb.swap_entries(i, r)}
+             for r, X in self.PSI.items()}
 
         def value(terms, i) -> dict:
             """Column block i of a sum of scaled products of block
@@ -497,7 +527,7 @@ class KLRImages:
                     check("y_k y_m commute", [(1, (Y[k], Y[m]))],
                           [(1, (Y[m], Y[k]))], (k, m))
             for iseq in self.E:
-                if self._leaves_block(Yt[k], iseq):
+                if _leaves_block(self.Y[k], iseq):
                     fails.append(RelationFailure("y_k e(i) = e(i) y_k",
                                                  (k, iseq)))
             if any(mat_pow(M, M.shape[0], p).any()
@@ -513,12 +543,9 @@ class KLRImages:
                 if k not in (r, r + 1):
                     check("psi_r y_k commute", [(1, (Pr, Y[k]))],
                           [(1, (Y[k], Pr))], (r, k))
-            for iseq, sl in blocks.items():
+            for iseq in blocks:
                 j = comb.swap_entries(iseq, r)
-                col = Pt[r][:, sl].copy()
-                if j in blocks:
-                    col[blocks[j]] = 0
-                if col.any():
+                if any(i == iseq and t != j for t, i in self.PSI[r]):
                     fails.append(RelationFailure(
                         "psi_r e(i) = e(s_r i) psi_r", (r, iseq)))
                 ir, ir1 = iseq[r - 1], iseq[r]
@@ -576,10 +603,11 @@ class KLRImages:
         fails = []
         if not np.array_equal(matmul((S, S), p), A.identity):
             fails.append(RelationFailure("star is an involution", "sigma"))
+        images = [(name, matmul((self.C, self._apply(G, self._unit)), p))
+                  for name, G in _named_generators(self)]
         fails += [RelationFailure("star fixes the generators", name)
-                  for name, G in _named_generators(self)
-                  if not np.array_equal(matmul((S, G, A.unit), p),
-                                        matmul((G, A.unit), p))]
+                  for name, v in images
+                  if not np.array_equal(matmul((S, v), p), v)]
         if not np.array_equal(matmul((S, A.unit), p), A.unit):
             fails.append(RelationFailure("star reverses products", "1"))
         right = [(f"T_{i}", A.T[i], A.RT[i]) for i in A.T]
@@ -593,22 +621,41 @@ class KLRImages:
 
     def eigenprojection_failures(self) -> list[str]:
         """Cross-check: e(i) must be the projection onto the simultaneous
-        generalized eigenspace of (L_1..L_n) at (q^{i_1},..,q^{i_n})."""
+        generalized eigenspace of (L_1..L_n) at (q^{i_1},..,q^{i_n}).
+
+        The space of i is the kernel of (L_n - q^(i_n))^dim inside the
+        space of its prefix (i_1, ..., i_(n-1)), and so on down to L_1,
+        so each prefix's kernel is taken once, inside its parent's, and
+        the powers are shared."""
         A, p, q, n = self.algebra, self.p, self.q, self.n
         pows: dict = {}   # (k, c) -> (L_k - c)^dim, shared by the classes
-        spaces = {}
+        kernels: dict = {}   # prefix -> basis rows of its joint kernel
         for iseq in self.E:
-            keys = [(k, pow(q, iseq[k - 1], p)) for k in range(1, n + 1)]
-            for k, c in set(keys) - pows.keys():
-                pows[k, c] = mat_pow((A.L[k] - c * A.identity) % p, A.dim, p)
-            spaces[iseq] = nullspace(np.vstack([pows[kc] for kc in keys]), p)
+            for k in range(1, n + 1):
+                if iseq[:k] in kernels:
+                    continue
+                c = pow(q, iseq[k - 1], p)
+                if (k, c) not in pows:
+                    pows[k, c] = mat_pow((A.L[k] - c * A.identity) % p,
+                                         A.dim, p)
+                if k == 1:
+                    kernels[iseq[:1]] = nullspace(pows[k, c], p)
+                else:
+                    K = kernels[iseq[:k - 1]]
+                    coef = nullspace(matmul((pows[k, c], K.T), p), p)
+                    kernels[iseq[:k]] = matmul((coef, K), p)
+        spaces = {iseq: kernels[iseq] for iseq in self.E}
         fails = []
         if sum(V.shape[0] for V in spaces.values()) != A.dim:
             fails.append("generalized eigenspaces do not fill the algebra")
+        # e(i) V^T = V^T (or 0) exactly when E[i] W = W (or 0) for the
+        # adapted coordinates W = C^-1 V^T
+        adapted = {jseq: matmul((self._Cinv, V.T), p)
+                   for jseq, V in spaces.items()}
         for iseq, Ei in self.E.items():
-            for jseq, V in spaces.items():
-                got = matmul((Ei, V.T), p)
-                want = V.T if iseq == jseq else np.zeros_like(got)
+            for jseq, W in adapted.items():
+                got = self._apply(Ei, W)
+                want = W if iseq == jseq else np.zeros_like(got)
                 if not np.array_equal(got, want):
                     fails.append(f"e({iseq}) is not the projection onto "
                                  f"the eigenspace of {jseq}")
@@ -658,28 +705,28 @@ def klr_images(algebra: BlobAlgebra) -> KLRImages:
 
 
 def jm_images(algebra: BlobAlgebra, images: KLRImages) -> dict:
-    """The Jucys-Murphy elements, rebuilt from the generator images as
-    ``JM_k = (1 - y_k) sum_i q^{i_k} e(i)`` and cross-checked against the
-    quotient images of the L_k."""
-    A, p, q = algebra, algebra.p, algebra.q
-    I = A.identity
+    """The Jucys-Murphy elements, rebuilt from the held generator images
+    as ``JM_k = (1 - y_k) sum_i q^{i_k} e(i)`` and cross-checked against
+    the held images of the L_k; {k: held JM_k}."""
+    p, q = images.p, images.q
+    S = images._held_sigma()
     jm = {}
-    for k in range(1, A.params.n + 1):
-        M = np.zeros_like(I)
-        for iseq, Ei in images.E.items():
-            M = (M + pow(q, iseq[k - 1], p) * Ei) % p
-        M = matmul(((I - images.Y[k]) % p, M), p)
-        if not np.array_equal(M, A.L[k]):
+    for k in range(1, algebra.params.n + 1):
+        M = block_matmul((
+            block_lincomb([(1, images.identity), (-1, images.Y[k])], p),
+            block_lincomb([(pow(q, iseq[k - 1], p), Ei)
+                           for iseq, Ei in images.E.items()], p)), p)
+        if not block_equal(M, images.L[k], p):
             raise ValueError(f"rebuilt Jucys-Murphy element {k} differs "
                              f"from the image of L_{k}")
-        v = matmul((M, A.unit), p)
-        if not np.array_equal(matmul((images.sigma, v), p), v):
+        v = images._apply(M, images._unit)
+        if not np.array_equal(matmul((S, v), p), v):
             raise ValueError(f"Jucys-Murphy element {k} is not star-fixed")
         jm[k] = M
     for k in jm:
         for m in jm:
-            if k < m and not np.array_equal(matmul((jm[k], jm[m]), p),
-                                  matmul((jm[m], jm[k]), p)):
+            if k < m and not block_equal(block_matmul((jm[k], jm[m]), p),
+                                         block_matmul((jm[m], jm[k]), p), p):
                 raise ValueError(f"Jucys-Murphy elements {k}, {m} do not "
                                  f"commute")
     return jm
@@ -715,13 +762,21 @@ class CellularBasis:
     tableaux of a common one-column shape: the star of the crossing word
     of d(S), the idempotent e(i^lam) of the residue sequence of
     t^lam_theta, and the crossing word of d(T), where t^lam_theta d(S) =
-    S.  Column j of ``matrix`` is m_{S,T} times the unit for the j-th pair
-    (lam, S, T) of ``index``; a class the carrier drops has e(i^lam) = 0
-    there, so its pairs give zero columns.  ``rank`` is the rank of
-    ``matrix`` and ``_inv`` its inverse when the family is a basis of the
-    carrier (else None).  ``below[i, j]`` says that the shape of pair i is
-    not strictly above that of pair j, so the cell order keeps a
-    coefficient at (i, j); ``residues[S]`` is i^S.
+    S.  ``below[i, j]`` says that the shape of pair i is not strictly
+    above that of pair j, so the cell order keeps a coefficient at (i, j);
+    ``residues[S]`` is i^S.
+
+    **Held form.**  m_{S,T} lies in e(i^S)B, as psi_w e(i) = e(w i)
+    psi_w.  So the pairs are grouped by i^S (``members[g]``: the places
+    in ``index`` of the pairs of group g), and C^-1 (family), which
+    ``_adapted`` holds, is one square block per weight space when the
+    family is a basis (:meth:`_blocks`).  A class the carrier drops has
+    e(i^lam) = 0 there, so its pairs give zero columns.  ``rank`` is the
+    rank of the family and ``_inv``, when it is a basis (else None), the
+    inverse of each block, {(group, weight block): block}.  So
+    :meth:`coords` takes one small product per block.  ``matrix``,
+    column j the family's j-th pair of ``index`` on the carrier's basis,
+    is formed on first use.
 
     The constructor certifies nothing: :func:`build_cellular_basis` does,
     against the anti-involution :attr:`KLRImages.sigma`, which is built
@@ -747,14 +802,47 @@ class CellularBasis:
         self.word = word = {
             S: comb.official_word(comb.d_perm(S, self.theta))
             for lam in shapes for S in std[lam]}
-        # m_{S,T} times the unit, as a chain of matrix-vector products
-        PSI, zero = images.PSI, np.zeros_like(A.identity)
-        self.matrix = np.array(
-            [matmul([PSI[r] for r in reversed(word[S])]
-                    + [images.E.get(self.i_lam[lam], zero)]
-                    + [PSI[r] for r in word[T]] + [A.unit], p)
-             for lam, S, T in index], dtype=np.int64).T
-        self.rank, self._inv = rank_and_inverse(self.matrix, p)
+        self.residues = residues = {S: comb.residue_seq(S, mc)
+                                    for lam in shapes for S in std[lam]}
+        members: dict = {}
+        for j, (_, S, _) in enumerate(index):
+            members.setdefault(residues[S], []).append(j)
+        self.members = {g: np.array(js) for g, js in members.items()}
+        # the groups laid end to end, and the place of each pair there
+        order = np.concatenate(list(self.members.values()))
+        ends = np.cumsum([len(js) for js in members.values()])
+        self._slots = {g: slice(b - len(js), b)
+                       for (g, js), b in zip(members.items(), ends)}
+        self._place = np.argsort(order)
+        # C^-1 m_{S,T} 1 = psi_{d(S)}^* (e(i^lam) psi_{d(T)} C^-1 1): the
+        # bracket is one column per T, the crossings of d(S) act on all
+        cols = []
+        for lam in shapes:
+            heads = []
+            for T in std[lam]:
+                X = images.E.get(self.i_lam[lam], {})
+                for r in word[T]:
+                    X = block_matmul((X, images.PSI[r]), p)
+                heads.append(images._apply(X, images._unit))
+            for S in std[lam]:
+                V = np.array(heads).T
+                for r in word[S]:
+                    V = images._apply(images.PSI[r], V)
+                cols.append(V)
+        self._adapted = np.hstack(cols)
+        fam = block_split(self._adapted[:, order], images.blocks,
+                          self._slots)
+        # one elimination per group when the family is block-diagonal
+        self._inv = None
+        if any(i != g for i, g in fam):
+            self.rank = rank(self._adapted, p)
+        else:
+            found = {g: rank_and_inverse(fam.get(
+                (g, g), np.zeros((0, len(js)), dtype=np.int64)), p)
+                for g, js in members.items()}
+            self.rank = sum(r for r, _ in found.values())
+            if self.rank == A.dim == len(index):
+                self._inv = {(g, g): inv for g, (_, inv) in found.items()}
         # strictly-dominating shape comparisons, for the cell order
         self._above = {
             lam: {mu for mu in shapes
@@ -763,8 +851,27 @@ class CellularBasis:
         lams = [lam for lam, _, _ in index]
         self.below = np.array([[mu not in self._above[lam] for lam in lams]
                                for mu in lams])
-        self.residues = {S: comb.residue_seq(S, mc)
-                         for lam in shapes for S in std[lam]}
+
+    def _blocks(self) -> dict:
+        """The diagonal blocks {(g, g): block} of C^-1 (family), cut out of
+        ``_adapted``: all of it when the family is a basis."""
+        blocks = self.images.blocks
+        return {(g, g): self._adapted[blocks[g], js]
+                for g, js in self.members.items() if g in blocks}
+
+    def _pairs(self, X: dict, cols: dict, width: int) -> np.ndarray:
+        """The dense matrix of a block-sparse X whose row blocks are
+        groups, with its rows in the order of ``index`` and its column
+        block c at the columns ``cols[c]``."""
+        out = np.zeros((len(self.index), width), dtype=np.int64)
+        for (g, c), M in X.items():
+            out[self._slots[g], cols[c]] = M
+        return out[self._place]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The family on the carrier's basis, C times its adapted form."""
+        return matmul((self.images.C, self._adapted), self.algebra.p)
 
     @property
     def swapped(self) -> list[int]:
@@ -775,13 +882,17 @@ class CellularBasis:
         return self.matrix[:, self.column[(S, T)]]
 
     def expand(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients of a reduced vector on the cellular basis."""
-        return matmul((self._inv, v), self.algebra.p)
+        """Coefficients of a reduced vector (or of columns) on the cellular
+        basis, through the dense inverse C^-1 of the held one."""
+        inv = self._pairs(self._inv, self.images.blocks, len(v))
+        return matmul((inv, self.images._Cinv, v), self.algebra.p)
 
-    def coords(self, M: np.ndarray) -> np.ndarray:
-        """The operator M written on the cellular basis: column j holds
-        the coefficients of M m_j, for the j-th pair of ``index``."""
-        return self.expand(matmul((M, self.matrix), self.algebra.p))
+    def coords(self, M: dict) -> np.ndarray:
+        """The held operator M written on the cellular basis: column j
+        holds the coefficients of M m_j, for the j-th pair of ``index``;
+        one product per block."""
+        X = block_matmul((self._inv, M, self._blocks()), self.algebra.p)
+        return self._pairs(X, self._slots, len(self.index))[:, self._place]
 
     def degree(self, S, T) -> int:
         lam = comb.shape_of(S)
@@ -794,21 +905,31 @@ def build_cellular_basis(algebra: BlobAlgebra, images: KLRImages,
                          theta=None) -> CellularBasis:
     """Construct and certify the cellular basis: full rank, the
     maximal-pair normalization m_{T^lam, T^lam} = e(i^lam), and
-    star-symmetry: :attr:`KLRImages.sigma` swaps m_{S,T} and m_{T,S}."""
+    star-symmetry: :attr:`KLRImages.sigma` swaps m_{S,T} and m_{T,S}.
+    All three are read in the weight-space coordinates of ``images``,
+    where the family is one block per weight space."""
     A, p = algebra, algebra.p
     basis = CellularBasis(A, images, theta)
     if len(basis.index) != A.dim or basis.rank != A.dim:
         raise ValueError(
             f"cellular family of size {len(basis.index)} has rank "
             f"{basis.rank}, expected {A.dim}")
+    if basis._inv is None:
+        raise ValueError("cellular family leaves the weight spaces e(i^S)B")
+    fam = basis._adapted
     for lam in basis.shapes:
         tl = basis.t_lam[lam]
-        want = matmul((images.E[basis.i_lam[lam]], A.unit), p)
-        if not np.array_equal(basis.vector(tl, tl), want):
+        want = images._apply(images.E[basis.i_lam[lam]], images._unit)
+        if not np.array_equal(fam[:, basis.column[(tl, tl)]], want):
             raise ValueError(f"maximal pair at shape {lam} is not the "
                              f"class idempotent")
-    bad = (matmul((images.sigma, basis.matrix), p)
-           != basis.matrix[:, basis.swapped]).any(axis=0)
+    # sigma m = C (C^-1 sigma C) (C^-1 m): one narrow product per block
+    S, star = images._held_sigma(), np.zeros_like(fam)
+    for (i, g), M in basis._blocks().items():
+        js = basis.members[g]
+        star[:, js] = (star[:, js] + matmul(
+            (S[:, images.blocks[i]], M), p)) % p
+    bad = (star != fam[:, basis.swapped]).any(axis=0)
     if bad.any():
         raise ValueError(f"star does not swap the pair at "
                          f"{basis.index[bad.argmax()][0]}")
@@ -820,7 +941,8 @@ def build_cellular_basis(algebra: BlobAlgebra, images: KLRImages,
 # ---------------------------------------------------------------------------
 
 
-def _named_generators(images: KLRImages) -> list[tuple[str, np.ndarray]]:
+def _named_generators(images: KLRImages) -> list[tuple[str, dict]]:
+    """(name, held image) of every generator e(i), y_k, psi_r."""
     out = [(f"e({iseq})", Ei) for iseq, Ei in images.E.items()]
     out += [(f"y_{k}", images.Y[k]) for k in images.Y]
     out += [(f"psi_{r}", images.PSI[r]) for r in images.PSI]
@@ -890,13 +1012,14 @@ def check_jm(algebra: BlobAlgebra, basis: CellularBasis, jm: dict
     acting on the right of m_{S,T}, JM_k has diagonal coefficient
     q^{residue of k in T} and otherwise moves T strictly up in dominance
     (modulo strictly dominating shapes); symmetrically on the left for S.
-    Column j of ``coords`` of ``RL[k]`` and ``L[k]`` is read at its nonzero
-    and its diagonal entries, on rows of shapes not strictly above."""
-    A, p, q = algebra, algebra.p, algebra.q
+    Column j of ``coords`` of the held ``RL[k]`` and ``L[k]`` is read at
+    its nonzero and its diagonal entries, on rows of shapes not strictly
+    above."""
+    images, p, q = basis.images, algebra.p, algebra.q
     report = []
     for k in jm:
-        sides = (("right", basis.coords(A.RL[k])),
-                 ("left", basis.coords(A.L[k])))
+        sides = (("right", basis.coords(images.RL[k])),
+                 ("left", basis.coords(images.L[k])))
         for j, (lam, S, T) in enumerate(basis.index):
             for side, X in sides:
                 moved, fixed = (T, S) if side == "right" else (S, T)
@@ -927,23 +1050,26 @@ def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
     at T = T^lam) and Gram matrices extracted from products of half-basis
     elements; raises on any coefficient outside the allowed support.  The
     images act by left multiplication, so m_{T^lam,S} m_{T,T^lam} is
-    e(i^lam) psi_{d(S)} applied to m_{T,T^lam}, for every T at once."""
+    e(i^lam) psi_{d(S)} applied to m_{T,T^lam}, for every T at once.
+    Each operator is written on the basis once (:meth:`CellularBasis.
+    coords`), and the action of every shape is read off it."""
     A, p = algebra, algebra.p
     images = basis.images
+    X = {name: basis.coords(M) for name, M in _named_generators(images)}
     out = []
     for lam in basis.shapes:
         std = basis.std[lam]
         tl = basis.t_lam[lam]
         col_tt = basis.column[(tl, tl)]
         top = [basis.column[(S, tl)] for S in std]
-        action = {name: basis.expand(matmul((M, basis.matrix[:, top]), p))[top]
-                  for name, M in _named_generators(images)}
+        action = {name: M[np.ix_(top, top)] for name, M in X.items()}
         stray = basis.below[:, col_tt] & (np.arange(A.dim) != col_tt)
-        Elam = images.E[basis.i_lam[lam]]
         gram = np.zeros((len(std), len(std)), dtype=np.int64)
         for a, S in enumerate(std):
-            chain = [Elam] + [images.PSI[r] for r in basis.word[S]]
-            c = basis.expand(matmul(chain + [basis.matrix[:, top]], p))
+            head = images.E[basis.i_lam[lam]]
+            for r in basis.word[S]:
+                head = block_matmul((head, images.PSI[r]), p)
+            c = basis.coords(head)[:, top]
             gram[a] = c[col_tt]
             bad = (c != 0) & stray[:, None]
             if bad.any():

@@ -240,7 +240,8 @@ def _oracle_invariant(images, k: int, shape, res) -> bool:
     """Whether the straightened terms ``res`` of y_k e(i^shape) evaluate
     in the generator images to Y_k E[i^shape]."""
     lhs = xf.matmul(
-        (images.Y[k], images.E[comb.i_lambda(shape, images.params.mc)]),
+        (images.matrices.Y[k],
+         images.matrices.E[comb.i_lambda(shape, images.params.mc)]),
         images.p)
     return bool((lhs == K.evaluate_sum([w for w, _ in res.terms],
                                        images)).all())

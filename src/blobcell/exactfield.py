@@ -9,7 +9,9 @@ anywhere.  The pieces provided here are
 * ``RatFunc`` -- rational functions over F_p in canonical (reduced, monic
   denominator) form, with pole-aware specialization,
 * the matrix kernel ``matmul``/``mat_pow``: products of int64 matrices
-  with entries in [0, p), reduced mod p after every product,
+  with entries in [0, p), reduced mod p after every product, and
+  ``block_split``, ``block_matmul``, ``block_lincomb`` and
+  ``block_equal``: the block-sparse form of a matrix and its arithmetic,
 * ``poly_matmul`` -- the product of two sparse matrices over F_p[t] in
   coordinate form, from which ``RegularRep`` builds t^(k-1) L_k,
 * mod-p linear algebra on numpy int64 matrices (``rank``, ``rref``,
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -475,6 +477,52 @@ def matmul(factors: Sequence[np.ndarray], p: int) -> np.ndarray:
     return out
 
 
+def block_matmul(factors: Sequence[dict], p: int) -> dict:
+    """Product of a chain of block-sparse matrices, each {(row block,
+    column block): matrix with entries in [0, p)}, a missing block being
+    zero, evaluated from the right.  Each block product is reduced before
+    it is added, and the blocks that come out zero are dropped."""
+    out = factors[-1]
+    for X in reversed(factors[:-1]):
+        by_col: dict = {}
+        for (j, k), M in X.items():
+            by_col.setdefault(k, []).append((j, M))
+        acc: dict = {}
+        for (k, i), N in out.items():
+            for j, M in by_col.get(k, ()):
+                P = M @ N % p
+                acc[j, i] = (acc[j, i] + P) % p if (j, i) in acc else P
+        out = {key: M for key, M in acc.items() if M.any()}
+    return out
+
+
+def block_split(X: np.ndarray, rows: dict, cols: dict) -> dict:
+    """The block-sparse form {(a, b): X[rows[a], cols[b]]} of a matrix X,
+    its nonzero blocks, for slices ``rows`` and ``cols`` that tile its
+    rows and its columns in order."""
+    r, c = list(rows), list(cols)
+    nonzero = np.add.reduceat(np.add.reduceat(
+        X != 0, [rows[a].start for a in r], axis=0),
+        [cols[b].start for b in c], axis=1)
+    return {(r[a], c[b]): X[rows[r[a]], cols[c[b]]]
+            for a, b in zip(*np.nonzero(nonzero))}
+
+
+def block_lincomb(terms, p: int) -> dict:
+    """sum of c X over the (c, X) of ``terms``, X block-sparse as in
+    :func:`block_matmul`; the zero blocks are dropped."""
+    out: dict = {}
+    for c, X in terms:
+        for key, M in X.items():
+            out[key] = (out.get(key, 0) + c * M) % p
+    return {key: M for key, M in out.items() if M.any()}
+
+
+def block_equal(X: dict, Y: dict, p: int) -> bool:
+    """Whether two block-sparse matrices are equal."""
+    return not block_lincomb([(1, X), (-1, Y)], p)
+
+
 def mat_pow(M: np.ndarray, k: int, p: int) -> np.ndarray:
     """M^k over F_p by repeated squaring (M with entries in [0, p))."""
     out = np.eye(M.shape[0], dtype=np.int64)
@@ -564,7 +612,8 @@ def invert_matrix(M: np.ndarray, p: int) -> np.ndarray:
 
 
 def joint_eigenspaces(ops: Sequence[np.ndarray], labels: dict[int, int],
-                      p: int) -> dict[tuple, np.ndarray]:
+                      p: int, expected: Collection[tuple]
+                      ) -> dict[tuple, np.ndarray]:
     """The nonzero joint generalized eigenspaces of commuting square
     matrices ``ops`` (entries in [0, p)) at the eigenvalues in ``labels``
     {c: label}: {label tuple: basis}, sorted by label tuple, the k-th
@@ -579,20 +628,26 @@ def joint_eigenspaces(ops: Sequence[np.ndarray], labels: dict[int, int],
     characteristic p, (S + N)^(p^m) = S^(p^m) for the commuting
     semisimple and nilpotent parts of M, and Frobenius fixes exactly the
     elements of F_p, so for c in F_p the generalized eigenspace of M at
-    c is ker(D - c).  The kernels are taken at each labelled c until
-    they fill the piece."""
+    c is ker(D - c), whichever such p^m is taken.  The kernels are taken
+    until they fill the piece: first at the labels that some tuple of
+    ``expected`` puts after the piece's key, then at the others.  Each
+    basis depends only on its space, so the order changes no result."""
     dim = ops[0].shape[0]
-    power = p
-    while power < dim:
-        power *= p
     pieces = {(): (np.eye(dim, dtype=np.int64), np.arange(dim))}
     for L in ops:
         split = {}
         for key, (V, piv) in pieces.items():
+            power = p
+            while power < len(piv):
+                power *= p
             D = mat_pow(matmul((L, V), p)[piv], power, p)
             I = np.eye(len(piv), dtype=np.int64)
+            likely = {s[len(key)] for s in expected
+                      if len(s) > len(key) and s[:len(key)] == key}
+            probes = sorted(labels.items(),
+                            key=lambda cl: cl[1] not in likely)
             width = 0
-            for c, label in labels.items():
+            for c, label in probes:
                 if width == len(piv):
                     break
                 # W in reduced row echelon form keeps V W^T reduced,

@@ -1179,9 +1179,12 @@ def weight_spaces(L: dict, params: HeckeParams) -> tuple[np.ndarray, dict]:
     eigenspaces of the commuting matrices L[1], ..., L[n] at (q^(i_1),
     ..., q^(i_n)), stacked in the order of the residue sequences i, and
     the slice of each i's block.  C has fewer columns than rows when some
-    eigenvalue is not a power of q."""
+    eigenvalue is not a power of q.  The residue sequences of the
+    standard tableaux (every weight of H and of its quotients is one) are
+    probed first."""
     labels = {pow(params.q, r, params.p): r for r in range(params.e)}
-    spaces = joint_eigenspaces([L[k] for k in sorted(L)], labels, params.p)
+    spaces = joint_eigenspaces([L[k] for k in sorted(L)], labels, params.p,
+                               class_partition(params))
     blocks, start = {}, 0
     for i, V in spaces.items():
         blocks[i] = slice(start, start + V.shape[1])

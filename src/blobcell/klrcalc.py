@@ -137,12 +137,12 @@ class DiagramWord:
 
     def evaluate(self, images) -> np.ndarray:
         """Matrix of the word in the faithful representation carried by a
-        :class:`blobcell.blob.KLRImages` instance."""
-        p = images.p
-        mats = [images.PSI[arg] if kind == "psi" else
-                images.Y[arg] if kind == "y" else images.E.get(tuple(arg))
+        :class:`blobcell.blob.KLRImages` instance, on the carrier's basis."""
+        p, gens = images.p, images.matrices
+        mats = [gens.PSI[arg] if kind == "psi" else
+                gens.Y[arg] if kind == "y" else gens.E.get(tuple(arg))
                 for kind, arg in self.tokens]
-        mats.append(images.E.get(self.ibot))
+        mats.append(gens.E.get(self.ibot))
         if any(M is None for M in mats):
             return np.zeros_like(images.algebra.identity)
         return self.coeff % p * matmul(mats, p) % p
@@ -752,8 +752,8 @@ def _garnir_oracle(S, G, mc, basis, theta, trace) -> GarnirResult:
     ilam = basis.i_lam[shape]
     wS = tuple(reversed(basis.word[S]))
     wG = comb.official_word(comb.d_perm(G, theta))
-    v = matmul((images.psi_of(wS), images.E[ilam], images.psi_of(wG),
-                A.unit), p)
+    v = matmul((images.psi_of(wS), images.matrices.E[ilam],
+                images.psi_of(wG), A.unit), p)
     coeffs = basis.expand(v)
     terms = []
     for idx, c in enumerate(coeffs):

@@ -5,7 +5,7 @@ import pytest
 
 from blobcell import blob as B
 from blobcell import hecke as H
-from blobcell.exactfield import matmul
+from blobcell.exactfield import invert_matrix, matmul
 
 
 def _nonzero_classes(algebra) -> set:
@@ -28,7 +28,8 @@ def _family_swap(algebra, images):
     """The independent reference for the anti-involution of B: the swap
     m_{S,T} -> m_{T,S} on the zero-weighting family, M[:, swapped] M^-1."""
     fam = B.CellularBasis(algebra, images)
-    return matmul((fam.matrix[:, fam.swapped], fam._inv), algebra.p)
+    return matmul((fam.matrix[:, fam.swapped],
+                   invert_matrix(fam.matrix, algebra.p)), algebra.p)
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,36 @@ import pytest
 from blobcell import blob as B
 from blobcell import combinatorics as C
 from blobcell import hecke as H
-from blobcell.exactfield import mat_pow, matmul, rank, rref
+from blobcell.exactfield import (block_equal, block_split, invert_matrix,
+                                 mat_pow, matmul, rank, rref)
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
+
+
+def tampered(images, **held):
+    """A copy of ``images`` with the named held operators replaced, and
+    with no dense matrices formed from the old ones.  An adapted sigma
+    already built is kept (unless ``_sigma`` is named), so the relation
+    suite checks the changed operators against the sigma of the old."""
+    out = copy.copy(images)
+    vars(out).pop("matrices", None)
+    for name, value in held.items():
+        setattr(out, name, value)
+    return out
+
+
+def adapted(images, X):
+    """C^-1 X C, the adapted form of a dense matrix X, as a dense matrix:
+    the form ``images._sigma`` holds."""
+    return matmul((images._Cinv, X, images.C), images.p)
+
+
+def held(images, X):
+    """The held form of a dense matrix X: the nonzero blocks of C^-1 X C,
+    cut out one by one."""
+    Xt, blocks = adapted(images, X), images.blocks
+    return {(j, i): Xt[sj, si] for j, sj in blocks.items()
+            for i, si in blocks.items() if Xt[sj, si].any()}
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +213,10 @@ class TestRelationSuite:
 
     def test_relation_failure_reported(self, built):
         _, A, _, _ = built[(2, 2)]
-        broken = B.KLRImages(A)
-        iseq = next(iter(broken.E))
-        broken.E[iseq] = (broken.E[iseq] + 1) % A.p
+        images = B.KLRImages(A)
+        iseq = next(iter(images.E))
+        broken = tampered(images, E={**images.E, iseq: held(
+            images, (images.dense(images.E[iseq]) + 1) % A.p)})
         fails = broken.relation_failures()
         assert fails and isinstance(fails[0], B.RelationFailure)
         assert fails[0].witness is not None
@@ -203,9 +231,8 @@ STAR_RELATIONS = {"star is an involution", "star fixes the generators",
 def _sigma_report(images, sigma) -> list[tuple]:
     """The certificate's failures for ``sigma`` put in place of the
     anti-involution of a copy of ``images``."""
-    tampered = copy.copy(images)
-    tampered._sigma = sigma
-    return [(f.relation, f.witness) for f in tampered._sigma_failures()]
+    changed = tampered(images, _sigma=adapted(images, sigma))
+    return [(f.relation, f.witness) for f in changed._sigma_failures()]
 
 
 @pytest.fixture
@@ -247,9 +274,8 @@ class TestAntiInvolution:
         # sigma(T_r) is read off the held crossings: zeroed ones give a
         # sigma that the certificate rejects by name, and nothing raises
         _, A, images, _ = built[(2, 2)]
-        broken = copy.copy(images)
-        broken.PSI = {r: np.zeros_like(A.identity) for r in images.PSI}
-        broken._sigma = None
+        broken = tampered(images, PSI={r: {} for r in images.PSI},
+                          _sigma=None)
         assert [(f.relation, f.witness) for f in broken._sigma_failures()] \
             == [("star is an involution", "sigma"),
                 ("star reverses products", "T_1")]
@@ -284,10 +310,9 @@ class TestAntiInvolution:
         gens = [f"T_{i}" for i in A.T] + ["L_1"]
         assert [w for rel, w in got if rel == "star reverses products"] \
             == ["1"] + gens
-        tampered = copy.copy(images)
-        tampered._sigma = S
         with pytest.raises(ValueError, match="star does not swap the pair"):
-            B.build_cellular_basis(A, tampered)
+            B.build_cellular_basis(
+                A, tampered(images, _sigma=adapted(images, S)))
 
 
 def dense_relation_failures(images, blob_defining):
@@ -296,7 +321,7 @@ def dense_relation_failures(images, blob_defining):
     p, e, n = images.p, images.e, images.n
     I = images.algebra.identity
     zero = np.zeros_like(I)
-    E, Y = images.E, images.Y
+    E, Y, PSI = images.matrices.E, images.matrices.Y, images.matrices.PSI
     kap = {k % e for k in images.params.mc.kappa}
     fails = []
 
@@ -325,8 +350,8 @@ def dense_relation_failures(images, blob_defining):
             check("y_k e(i) = e(i) y_k", (Y[k], Ei), (Ei, Y[k]), (k, iseq))
         check("y_k nilpotent", (mat_pow(Y[k], len(I) + 1, p),), (zero,), k)
     fails += [(f.relation, f.witness) for f in images._sigma_failures()]
-    for r, P in images.PSI.items():
-        for s, Ps in images.PSI.items():
+    for r, P in PSI.items():
+        for s, Ps in PSI.items():
             if s > r + 1:
                 check("distant psi commute", (P, Ps), (Ps, P), (r, s))
         for k in Y:
@@ -350,7 +375,7 @@ def dense_relation_failures(images, blob_defining):
                    ((Y[r] - Y[r + 1]) % p, Ei) if d == e - 1 else (Ei,))
             check("psi_r^2 e(i)", (P, P, Ei), rhs, (r, iseq))
     for r in range(1, n - 1):
-        P, Pn = images.PSI[r], images.PSI[r + 1]
+        P, Pn = PSI[r], PSI[r + 1]
         lhs = (matmul((P, Pn, P), p) - matmul((Pn, P, Pn), p)) % p
         for iseq, Ei in E.items():
             a, b, c = iseq[r - 1], iseq[r], iseq[r + 1]
@@ -365,11 +390,13 @@ def _failures(images):
 
 
 def _tamper_in_block(images, name, key, row, col):
-    """Add 1 at (row, col) of the adapted form of a generator image."""
-    mats = getattr(images, name)
-    Xt = images._adapt(mats[key])
+    """A copy of ``images`` with 1 added at (row, col) of the adapted form
+    of a generator image."""
+    ops = getattr(images, name)
+    Xt = images._assemble(ops[key])
     Xt[row, col] = (Xt[row, col] + 1) % images.p
-    mats[key] = images._dense(Xt)
+    return tampered(images, **{name: {**ops, key: held(
+        images, matmul((images.C, Xt, images._Cinv), images.p))}})
 
 
 class TestAdaptedCoordinates:
@@ -383,13 +410,14 @@ class TestAdaptedCoordinates:
 
     def test_generators_in_adapted_form(self, built):
         _, A, images, _ = built[(3, 2)]
-        for iseq, Ei in images.E.items():
+        for iseq, Ei in images.matrices.E.items():
             P = np.zeros_like(A.identity)
             sl = images.blocks[iseq]
             P[sl, sl] = np.eye(sl.stop - sl.start, dtype=np.int64)
-            assert np.array_equal(images._adapt(Ei), P)
-            for k, Yk in images.Y.items():
-                assert not images._leaves_block(images._adapt(Yk), iseq)
+            assert np.array_equal(adapted(images, Ei), P)
+            assert block_equal(held(images, Ei), images.E[iseq], A.p)
+            for k, Yk in images.matrices.Y.items():
+                assert not B._leaves_block(held(images, Yk), iseq)
 
     def test_small_inversions_and_no_push(self, built, monkeypatch):
         _, A, _, _ = built[(3, 2)]
@@ -480,9 +508,10 @@ class TestAdaptedCoordinates:
                                               relation):
         _, A, _, _ = built[(3, 2)]
         images = B.KLRImages(A)
-        mats = getattr(images, name)
-        mats[key] = mats[key].copy()
-        mats[key][0, 0] = (mats[key][0, 0] + 1) % A.p
+        ops = getattr(images, name)
+        X = images.dense(ops[key])
+        X[0, 0] = (X[0, 0] + 1) % A.p
+        ops[key] = held(images, X)
         fails = _failures(images)
         assert any(rel == relation and key in (w, w[0])
                    for rel, w in fails if isinstance(w, tuple))
@@ -495,8 +524,8 @@ class TestAdaptedCoordinates:
                         if C.swap_entries(i, 1) in images.blocks)
             target = iseq if name == "Y" else C.swap_entries(iseq, 1)
             row = images.blocks[target]
-            _tamper_in_block(images, name, key, row.start,
-                             images.blocks[iseq].start)
+            images = _tamper_in_block(images, name, key, row.start,
+                                      images.blocks[iseq].start)
             fails = _failures(images)
             assert fails and fails == dense_relation_failures(images, True)
 
@@ -506,7 +535,7 @@ class TestAdaptedCoordinates:
         _, A, _, _ = built[(3, 2)]
         images = B.KLRImages(A)
         sl = max(images.blocks.values(), key=lambda b: b.stop - b.start)
-        _tamper_in_block(images, "Y", 2, sl.start, sl.start)
+        images = _tamper_in_block(images, "Y", 2, sl.start, sl.start)
         fails = _failures(images)
         assert [w for rel, w in fails if rel == "y_k y_m commute"] == [(2, 3)]
         assert fails == dense_relation_failures(images, True)
@@ -524,7 +553,7 @@ class TestWeightIdempotents:
             for iseq, tabs in H.class_partition(params).items():
                 want = A.push(H.specialize_vector(eng.class_vector(tabs),
                                                   params))
-                got = images.E.get(iseq, np.zeros_like(want))
+                got = images.matrices.E.get(iseq, np.zeros_like(want))
                 assert np.array_equal(got, want), (A.is_quotient, iseq)
 
 
@@ -534,12 +563,12 @@ class TestJucysMurphy:
         _, A, images, _ = built[(n, l)]
         jm = B.jm_images(A, images)
         for k in jm:
-            assert np.array_equal(jm[k], A.L[k])
+            assert np.array_equal(images.dense(jm[k]), A.L[k])
 
     def test_nilpotent_part(self, built):
         _, A, images, _ = built[(3, 2)]
-        jm = B.jm_images(A, images)
-        for iseq, Ei in images.E.items():
+        jm = {k: images.dense(M) for k, M in B.jm_images(A, images).items()}
+        for iseq, Ei in images.matrices.E.items():
             for k in jm:
                 N = (jm[k] - pow(A.q, iseq[k - 1], A.p)
                      * A.identity) @ Ei % A.p
@@ -551,7 +580,7 @@ class TestJucysMurphy:
         _, A, images, _ = built[(2, 2)]
         jm = B.jm_images(A, images)
         rebuilt = pow(A.q, -1, A.p) * (A.T[1] @ A.L[1] @ A.T[1]) % A.p
-        assert np.array_equal(jm[2], rebuilt)
+        assert np.array_equal(images.dense(jm[2]), rebuilt)
 
     @pytest.mark.parametrize("n,l", SCALES)
     def test_triangular_action(self, built, n, l):
@@ -564,10 +593,10 @@ class TestJucysMurphy:
         # a zero action leaves every diagonal coefficient 0, never q^res
         _, A, images, basis = built[(2, 2)]
         jm = B.jm_images(A, images)
-        broken = copy.copy(A)
-        setattr(broken, side, {**getattr(A, side),
-                               k: np.zeros_like(getattr(A, side)[k])})
-        fails = B.check_jm(broken, basis, jm)
+        broken = copy.copy(basis)
+        broken.images = tampered(images, **{side: {**getattr(images, side),
+                                                   k: {}}})
+        fails = B.check_jm(A, broken, jm)
         assert fails and all("diagonal coefficient 0," in f for f in fails)
 
 
@@ -587,7 +616,7 @@ class TestCellularBasis:
             tl = basis.t_lam[lam]
             assert np.array_equal(
                 basis.vector(tl, tl),
-                images.E[basis.i_lam[lam]] @ A.unit % A.p)
+                images.matrices.E[basis.i_lam[lam]] @ A.unit % A.p)
 
     @pytest.mark.parametrize("n,l", SCALES)
     def test_star_symmetry(self, built, n, l):
@@ -623,7 +652,7 @@ class TestCellularBasis:
         # must refuse it
         _, A, images, _ = built[(2, 2)]
         broken = B.KLRImages(A)
-        broken.PSI = {r: np.zeros_like(A.identity) for r in broken.PSI}
+        broken.PSI = {r: {} for r in broken.PSI}
         with pytest.raises(ValueError, match="rank"):
             B.build_cellular_basis(A, broken)
 
@@ -665,7 +694,7 @@ class TestOfficialWords:
         theta = basis.theta
         # at this scale no realized residue sequence meets the braid
         # correction pattern, so the two products agree on the nose
-        for iseq, Ei in images.E.items():
+        for iseq, Ei in images.matrices.E.items():
             a, b, c = iseq
             correction = a == c and (b - a) % params.e in (1, params.e - 1)
             assert not correction
@@ -677,7 +706,8 @@ class TestOfficialWords:
                     continue
                 for S in basis.std[lam]:
                     mv = images.psi_of(tuple(reversed(basis.word[S]))) @ \
-                        images.E[basis.i_lam[lam]] @ images.psi_of(alt) @ \
+                        images.matrices.E[basis.i_lam[lam]] @ \
+                        images.psi_of(alt) @ \
                         A.unit % A.p
                     d = basis.expand((mv - basis.vector(S, T)) % A.p)
                     for idx in np.nonzero(d % A.p)[0]:
@@ -697,7 +727,7 @@ class TestCellularity:
         _, A, images, basis = built[(3, 2)]
         for lam in basis.shapes:
             tl = basis.t_lam[lam]
-            Ei = images.E[basis.i_lam[lam]]
+            Ei = images.matrices.E[basis.i_lam[lam]]
             for T in basis.std[lam]:
                 assert np.array_equal(Ei @ basis.vector(tl, T) % A.p,
                                       basis.vector(tl, T))
@@ -708,8 +738,8 @@ class TestCellularity:
         _, A, images, basis = built[(3, 2)]
         for lam in basis.shapes:
             tl = basis.t_lam[lam]
-            for k in images.Y:
-                c = basis.expand(images.Y[k] @ basis.vector(tl, tl) % A.p)
+            for k, Yk in images.matrices.Y.items():
+                c = basis.expand(Yk @ basis.vector(tl, tl) % A.p)
                 for idx in np.nonzero(c % A.p)[0]:
                     mu, _, _ = basis.index[idx]
                     assert mu in basis._above[lam]
@@ -745,7 +775,7 @@ class TestCellModules:
             above = basis._above[lam]
             for name, G in B._named_generators(images):
                 for j, S in enumerate(m.tableaux):
-                    v = G @ basis.vector(S, tl) % p
+                    v = images.dense(G) @ basis.vector(S, tl) % p
                     c = basis.expand(v)
                     for i, U in enumerate(m.tableaux):
                         assert c[basis.column[(U, tl)]] % p == \
@@ -757,10 +787,10 @@ class TestMaxShapeVanishing:
     def test_dots_kill_maximal_idempotent(self, built, n, l):
         params, A, images, _ = built[(n, l)]
         imax = C.i_lambda(C.mu_max(n, l), params.mc)
-        E = images.E[imax]
-        for k in images.Y:
-            assert not (images.Y[k] @ E % A.p).any()
-            assert not (E @ images.Y[k] % A.p).any()
+        E = images.matrices.E[imax]
+        for Yk in images.matrices.Y.values():
+            assert not (Yk @ E % A.p).any()
+            assert not (E @ Yk % A.p).any()
 
     def test_concatenation_vanishing(self, built):
         # appending a residue to the maximal sequence of size 2 gives a
@@ -786,7 +816,7 @@ def per_vector_cellularity(A, basis):
     followed by the grading lines of :func:`per_vector_grading`."""
     p, report = A.p, []
     for name, M in B._named_generators(basis.images):
-        X = basis.expand(matmul((M, basis.matrix), p))
+        X = basis.expand(matmul((basis.images.dense(M), basis.matrix), p))
         for lam in basis.shapes:
             std, tl = basis.std[lam], basis.t_lam[lam]
             above = basis._above[lam]
@@ -811,13 +841,13 @@ def per_vector_cellularity(A, basis):
 def per_vector_grading(A, basis):
     """The degree of every nonzero coefficient of every generator times
     every basis vector, with the residue sequence read per pair."""
-    p, e, images = A.p, basis.params.e, basis.images
+    p, e, gens = A.p, basis.params.e, basis.images.matrices
     degs = np.array([basis.degree(S, T) for _, S, T in basis.index])
-    elements = [(f"y_{k}", images.Y[k], lambda iS: 2) for k in images.Y]
-    elements += [(f"e({i})", Ei, lambda iS: 0) for i, Ei in images.E.items()]
-    elements += [(f"psi_{r}", images.PSI[r],
+    elements = [(f"y_{k}", Yk, lambda iS: 2) for k, Yk in gens.Y.items()]
+    elements += [(f"e({i})", Ei, lambda iS: 0) for i, Ei in gens.E.items()]
+    elements += [(f"psi_{r}", P,
                   lambda iS, r=r: C.psi_degree(iS[r - 1], iS[r], e))
-                 for r in images.PSI]
+                 for r, P in gens.PSI.items()]
     report = []
     for name, M, degree in elements:
         X = basis.expand(matmul((M, basis.matrix), p))
@@ -868,7 +898,8 @@ def per_vector_cell_modules(A, basis):
         std, tl = basis.std[lam], basis.t_lam[lam]
         col_tt = basis.column[(tl, tl)]
         top = [basis.column[(S, tl)] for S in std]
-        action = {name: basis.expand(matmul((M, basis.matrix[:, top]), p))[top]
+        action = {name: basis.expand(matmul((basis.images.dense(M),
+                                             basis.matrix[:, top]), p))[top]
                   for name, M in B._named_generators(basis.images)}
         gram = np.zeros((len(std), len(std)), dtype=np.int64)
         for a, S in enumerate(std):
@@ -903,6 +934,45 @@ def assert_modules_match(A, basis):
         assert all(m.action[k].tobytes() == action[k].tobytes()
                    for k in action)
     return None
+
+
+def changed_after_the_basis(images):
+    """A copy of ``images`` with three generators changed: y_2 gains an
+    idempotent, an idempotent gains y_1, and psi_2 gains y_3, which takes
+    it off its block pattern."""
+    p, gens = images.p, images.matrices
+    first = next(iter(images.E))
+    Y = {**images.Y, 2: held(images, (gens.Y[2] + gens.E[first]) % p)}
+    E = {**images.E, first: held(images, (gens.E[first] + gens.Y[1]) % p)}
+    PSI = {**images.PSI, 2: held(images, (gens.PSI[2] + gens.Y[3]) % p)}
+    return tampered(images, E=E, Y=Y, PSI=PSI)
+
+
+def changed_inverse(basis):
+    """The dense inverse of the family with the row of an (S, S) pair
+    increased by the row of (T^lam, T^lam), at the first shape with two
+    tableaux."""
+    inv = invert_matrix(basis.matrix, basis.algebra.p)
+    lam = next(lam for lam in basis.shapes if len(basis.std[lam]) >= 2)
+    tl = basis.t_lam[lam]
+    S = next(S for S in basis.std[lam] if S != tl)
+    i, j = basis.column[(S, S)], basis.column[(tl, tl)]
+    inv[i] = (inv[i] + inv[j]) % basis.algebra.p
+    return inv
+
+
+def held_inverse(basis, inv):
+    """The held form of a dense inverse of the family: the nonzero blocks
+    of inv C, rows grouped as the pairs and columns as the weight
+    spaces."""
+    images = basis.images
+    X = matmul((inv, images.C), images.p)
+    out = {}
+    for g, js in basis.members.items():
+        for i, sl in images.blocks.items():
+            if X[js, sl].any():
+                out[g, i] = X[js, sl]
+    return out
 
 
 class TestCellularBasisMatrices:
@@ -941,16 +1011,11 @@ class TestCellularBasisMatrices:
 
     def test_images_changed_after_the_basis(self, built):
         _, A, images, basis = built[(3, 2)]
-        p = A.p
-        changed = copy.copy(images)
-        changed.E, changed.Y = dict(images.E), dict(images.Y)
-        changed.PSI = dict(images.PSI)
-        first = next(iter(images.E))
-        changed.Y[2] = (images.Y[2] + images.E[first]) % p
-        changed.E[first] = (images.E[first] + images.Y[1]) % p
-        changed.PSI[2] = (images.PSI[2] + images.Y[3]) % p
         moved = copy.copy(basis)
-        moved.images = changed
+        moved.images = changed = changed_after_the_basis(images)
+        # the changed psi_2 leaves the block pattern
+        assert changed.PSI[2].keys() - {
+            (C.swap_entries(i, 2), i) for i in images.blocks}
         grading = B._grading_violations(A, moved)
         assert grading == per_vector_grading(A, moved)
         assert len(grading) == 4
@@ -965,13 +1030,8 @@ class TestCellularBasisMatrices:
         # the row of an (S, S) pair gains the row of (T^lam, T^lam), so an
         # expansion on (T^lam, T^lam) also lands on (S, S)
         _, A, images, basis = built[(n, l)]
-        lam = next(lam for lam in basis.shapes if len(basis.std[lam]) >= 2)
-        tl = basis.t_lam[lam]
-        S = next(S for S in basis.std[lam] if S != tl)
         moved = copy.copy(basis)
-        moved._inv = basis._inv.copy()
-        i, j = basis.column[(S, S)], basis.column[(tl, tl)]
-        moved._inv[i] = (moved._inv[i] + moved._inv[j]) % A.p
+        moved._inv = held_inverse(basis, changed_inverse(basis))
         assert "stray component" in assert_modules_match(A, moved)
         cells = B.check_cellularity(A, moved)
         assert cells and cells == per_vector_cellularity(A, moved)
@@ -984,7 +1044,224 @@ class TestCellularBasisMatrices:
         p, I = A.p, A.identity
         for k, M in B.jm_images(A, images).items():
             want = np.zeros_like(I)
-            for iseq, Ei in images.E.items():
-                N = matmul(((I - images.Y[k]) % p, Ei), p)
+            for iseq, Ei in images.matrices.E.items():
+                N = matmul(((I - images.matrices.Y[k]) % p, Ei), p)
                 want = (want + pow(A.q, iseq[k - 1], p) * N) % p
-            assert M.tobytes() == want.tobytes()
+            assert images.dense(M).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The dense routes the block path replaced, kept as references
+# ---------------------------------------------------------------------------
+
+
+def dense_coords(basis, inv, M):
+    """An operator M on the cellular basis by the dense route: the inverse
+    of the family times M times the family."""
+    return matmul((inv, M, basis.matrix), basis.algebra.p)
+
+
+def dense_projection_failures(images):
+    """The rank-based projection certificate: each dense E[i] has rank
+    d_i and fixes the columns of block i, and the E[i] add up to 1."""
+    p, C = images.p, images.C
+    fails, total = [], np.zeros_like(C)
+    for iseq, Ei in images.matrices.E.items():
+        sl = images.blocks[iseq]
+        total = (total + Ei) % p
+        if rank(Ei, p) != sl.stop - sl.start or \
+                not np.array_equal(matmul((Ei, C[:, sl]), p), C[:, sl]):
+            fails.append(("e(i) is the block projection", iseq))
+    if not np.array_equal(total, images.algebra.identity):
+        fails.append(("sum of e(i) = 1", "all"))
+    return fails
+
+
+def dense_jm_images(A, images):
+    """The Jucys-Murphy elements and their checks on the dense matrices."""
+    p, q, I = A.p, A.q, A.identity
+    gens, jm = images.matrices, {}
+    for k in range(1, A.params.n + 1):
+        M = np.zeros_like(I)
+        for iseq, Ei in gens.E.items():
+            M = (M + pow(q, iseq[k - 1], p) * Ei) % p
+        M = matmul(((I - gens.Y[k]) % p, M), p)
+        if not np.array_equal(M, A.L[k]):
+            raise ValueError(f"rebuilt Jucys-Murphy element {k} differs "
+                             f"from the image of L_{k}")
+        v = matmul((M, A.unit), p)
+        if not np.array_equal(matmul((images.sigma, v), p), v):
+            raise ValueError(f"Jucys-Murphy element {k} is not star-fixed")
+        jm[k] = M
+    for k in jm:
+        for m in jm:
+            if k < m and not np.array_equal(matmul((jm[k], jm[m]), p),
+                                            matmul((jm[m], jm[k]), p)):
+                raise ValueError(f"Jucys-Murphy elements {k}, {m} do not "
+                                 f"commute")
+    return jm
+
+
+@pytest.fixture(scope="module")
+def built33():
+    params = H.default_params(3, 3)
+    A = B.build_blob(params)
+    images = B.klr_images(A)
+    return params, A, images, B.build_cellular_basis(A, images)
+
+
+def _scale(built, built33, n, l):
+    return built33 if (n, l) == (3, 3) else built[(n, l)]
+
+
+def dense_operators(A, images):
+    """(name, dense matrix) of every generator and of L_k, RT_i, RL_k."""
+    out = [(name, images.dense(X)) for name, X in B._named_generators(images)]
+    out += [(f"L_{k}", X) for k, X in A.L.items()]
+    out += [(f"RT_{i}", X) for i, X in A.RT.items()]
+    out += [(f"RL_{k}", X) for k, X in A.RL.items()]
+    return out
+
+
+class TestBlockPath:
+    """The block path against the dense routes it replaced, byte for byte,
+    also on images and inverses that leave the block pattern."""
+
+    @pytest.mark.parametrize("n,l", SCALES + [(3, 3)])
+    def test_coords_and_expand(self, built, built33, n, l):
+        _, A, images, basis = _scale(built, built33, n, l)
+        inv = invert_matrix(basis.matrix, A.p)
+        for name, M in dense_operators(A, images):
+            assert basis.coords(held(images, M)).tobytes() == \
+                dense_coords(basis, inv, M).tobytes(), name
+        for k in A.L:
+            assert block_equal(images.L[k], held(images, A.L[k]), A.p)
+            assert block_equal(images.RL[k], held(images, A.RL[k]), A.p)
+        rng = np.random.default_rng(n + l)
+        for X in list(A.T.values()) + [
+                rng.integers(0, A.p, A.identity.shape)]:
+            assert block_equal(images._adapt(X), held(images, X), A.p)
+        for v in (A.unit, A.T[1], A.identity):
+            assert basis.expand(v).tobytes() == \
+                matmul((inv, v), A.p).tobytes()
+
+    def test_coords_of_changed_images(self, built):
+        _, A, images, basis = built[(3, 2)]
+        changed = changed_after_the_basis(images)
+        inv = invert_matrix(basis.matrix, A.p)
+        for name, X in B._named_generators(changed):
+            assert basis.coords(X).tobytes() == dense_coords(
+                basis, inv, changed.dense(X)).tobytes(), name
+
+    @pytest.mark.parametrize("n,l", [(3, 2), (2, 3)])
+    def test_changed_block_inverse(self, built, n, l):
+        _, A, images, basis = built[(n, l)]
+        inv = changed_inverse(basis)
+        moved = copy.copy(basis)
+        moved._inv = held_inverse(basis, inv)
+        assert any(g != i for g, i in moved._inv)
+        for name, M in dense_operators(A, images):
+            assert moved.coords(held(images, M)).tobytes() == \
+                dense_coords(basis, inv, M).tobytes(), name
+        assert moved.expand(A.identity).tobytes() == inv.tobytes()
+
+    @pytest.mark.parametrize("n,l", [(2, 2), (2, 3)])
+    def test_family_off_the_weight_spaces(self, built, n, l):
+        # psi_1 + 1 takes m_{S,T} out of e(i^S)B: the rank comes from the
+        # dense adapted family, and the certificate refuses the family
+        _, A, images, _ = built[(n, l)]
+        changed = tampered(images, PSI={**images.PSI, 1: held(
+            images, (images.matrices.PSI[1] + A.identity) % A.p)})
+        family = B.CellularBasis(A, changed)
+        order = np.concatenate(list(family.members.values()))
+        assert any(i != g for i, g in block_split(
+            family._adapted[:, order], images.blocks, family._slots))
+        assert family.rank == rank(family.matrix, A.p) and \
+            family._inv is None
+        with pytest.raises(ValueError, match="leaves the weight spaces"):
+            B.build_cellular_basis(A, changed)
+
+    @pytest.mark.parametrize("n,l", SCALES + [(3, 3)])
+    def test_projection_certificate(self, built, built33, n, l):
+        _, A, images, _ = _scale(built, built33, n, l)
+
+        def certificate(images):
+            return [(f.relation, f.witness)
+                    for f in images._projection_failures()]
+
+        assert certificate(images) == dense_projection_failures(images) == []
+        first, last = list(images.E)[0], list(images.E)[-1]
+        plus_one = (images.matrices.E[first] + 1) % A.p
+        for E in ({**images.E, first: held(images, plus_one)},
+                  {**images.E, first: images.E[last]}):
+            broken = tampered(images, E=E)
+            assert certificate(broken) == \
+                dense_projection_failures(broken) != []
+
+    @pytest.mark.parametrize("n,l", SCALES + [(3, 3)])
+    def test_jm_images(self, built, built33, n, l):
+        _, A, images, _ = _scale(built, built33, n, l)
+        want = dense_jm_images(A, images)
+        got = B.jm_images(A, images)
+        assert {k: images.dense(M).tobytes() for k, M in got.items()} == \
+            {k: M.tobytes() for k, M in want.items()}
+
+    def test_jm_images_of_changed_dots(self, built):
+        _, A, _, _ = built[(3, 2)]
+        images = B.KLRImages(A)
+        sl = max(images.blocks.values(), key=lambda b: b.stop - b.start)
+        images = _tamper_in_block(images, "Y", 2, sl.start, sl.start)
+        with pytest.raises(ValueError) as want:
+            dense_jm_images(A, images)
+        with pytest.raises(ValueError) as got:
+            B.jm_images(A, images)
+        assert str(got.value) == str(want.value)
+
+
+class TestNoDenseProducts:
+    """At (3,3), after the relation suite, the cellular layer forms no
+    product with two dimensions of size D and no elimination of D rows,
+    and the relation suite no rank of size D."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        calls = []
+        real = {name: getattr(B, name)
+                for name in ("matmul", "rank_and_inverse", "rank")}
+
+        def product(factors, p):
+            out = factors[-1]
+            for M in reversed(factors[:-1]):
+                width = out.shape[1] if out.ndim == 2 else 1
+                calls.append(("matmul", (*M.shape, width)))
+                out = real["matmul"]((M, out), p)
+            return out
+
+        def elimination(name):
+            def wrapped(M, p):
+                calls.append((name, M.shape))
+                return real[name](M, p)
+            return wrapped
+
+        monkeypatch.setattr(B, "matmul", product)
+        for name in ("rank_and_inverse", "rank"):
+            monkeypatch.setattr(B, name, elimination(name))
+        return calls
+
+    def test_cellular_layer(self, recorded):
+        A = B.build_blob(H.default_params(3, 3))
+        D = A.dim
+        images = B.KLRImages(A)
+        recorded.clear()
+        assert images.relation_failures() == []
+        assert not [c for c in recorded if c[0] == "rank" and c[1][0] >= D]
+        jm = B.jm_images(A, images)
+        images.RL  # the held RL_k, adapted on first use
+        recorded.clear()
+        basis = B.build_cellular_basis(A, images)
+        assert B.check_cellularity(A, basis) == []
+        assert B.check_jm(A, basis, jm) == []
+        B.cell_modules(A, basis)
+        assert recorded and all(
+            list(dims).count(D) < 2 if name == "matmul" else dims[0] < D
+            for name, dims in recorded)

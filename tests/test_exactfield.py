@@ -374,7 +374,7 @@ class TestJointEigenspaces:
                 key = (labels[s[0]], labels[s[1]])
                 want[key] = want.get(key, []) + list(range(at, at + d))
             at += d
-        got = joint_eigenspaces([X, Y], labels, p)
+        got = joint_eigenspaces([X, Y], labels, p, ())
         assert list(got) == sorted(want) == [(0, 0), (0, 1), (1, 0), (1, 2)]
         for key, cols in want.items():
             R, piv = rref(Pm[:, cols].T, p)

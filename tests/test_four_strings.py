@@ -120,4 +120,4 @@ def test_triple_resolution_sound(full):
         start = K._State(1, (), iseq, r + 2, False, ())
         words = [eng.word_of(st) for st in eng._triple(start, r)]
         assert np.array_equal(K.evaluate_sum(words, full),
-                              full.E[iseq]), (iseq, r)
+                              full.matrices.E[iseq]), (iseq, r)

@@ -548,8 +548,9 @@ class TestMurphyIdempotents:
     def test_tableaux_walked_once_per_parameter_set(self, monkeypatch):
         # the algebra and its two-string subalgebra each walk their
         # standard tableaux once, into the shared content table that the
-        # weight idempotents, the seminormal model, the residue classes
-        # and the Murphy engine read
+        # weight spaces (whose splitter probes the residue sequences
+        # first), the seminormal model, the residue classes and the
+        # Murphy engine read
         calls = []
         walk = H.standard_tableaux_all
 
@@ -561,7 +562,7 @@ class TestMurphyIdempotents:
                        H.weight_units):
             cached.cache_clear()
         B.KLRImages(B.build_blob(P32))
-        assert calls == [(2, 2)]
+        assert calls == [(2, 2), (3, 2)]
         H.SeminormalModel(P32)
         H.class_partition(P32)
         eng = H.murphy_engine(P32)

@@ -212,7 +212,7 @@ class TestStraightenDot:
                 ilam = C.i_lambda(shape, mc)
                 for k in range(1, n + 1):
                     res = K.straighten_dot(k, shape, mc)
-                    lhs = images.Y[k] @ images.E[ilam] % p
+                    lhs = images.matrices.Y[k] @ images.matrices.E[ilam] % p
                     rhs = K.evaluate_sum([w for w, _ in res.terms], images)
                     assert (lhs == rhs).all(), (n, l, shape, k)
                     for _, mus in res.terms:
@@ -368,7 +368,7 @@ class TestStraightenGarnir:
                     if res.zero:
                         zero += 1
                         v = (images.psi_of(tuple(reversed(basis.word[S])))
-                             @ images.E[basis.i_lam[shape]]
+                             @ images.matrices.E[basis.i_lam[shape]]
                              @ images.psi_of(C.official_word(
                                  C.d_perm(datum.tableau, theta)))
                              @ A.unit) % p
@@ -397,7 +397,7 @@ class TestStraightenGarnir:
                         continue
                     hits += 1
                     v = (images.psi_of(tuple(reversed(basis.word[S])))
-                         @ images.E[basis.i_lam[shape]]
+                         @ images.matrices.E[basis.i_lam[shape]]
                          @ images.psi_of(C.official_word(
                              C.d_perm(datum.tableau, theta)))
                          @ A.unit) % p
