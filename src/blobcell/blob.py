@@ -74,7 +74,7 @@ def _times_basis(carrier, ops: dict, u: np.ndarray) -> np.ndarray:
     ``carrier``, for the linear map X with X(1) = u and X(b g) =
     ops[kind][i] X(b) for every generator g = T_i (kind "T") or L_i (kind
     "L").  The keys of H are reached along ``reg.spanning_tree``, as
-    b = parent * g, one matrix-vector product per key; the columns kept
+    b = parent * g, one product per level and generator; the columns kept
     are those of the non-pivot keys, the carrier's basis.  With right
     multiplication by g it gives u b (:meth:`BlobAlgebra.push`), with left
     multiplication by sigma(g) and u = 1, all in weight-space
@@ -82,8 +82,8 @@ def _times_basis(carrier, ops: dict, u: np.ndarray) -> np.ndarray:
     reg = carrier.reg
     cols = np.zeros((len(u), reg.dim), dtype=np.int64)
     cols[:, reg.id_index] = u
-    for j, parent, kind, i in reg.spanning_tree:
-        cols[:, j] = matmul((ops[kind][i], cols[:, parent]), reg.p)
+    for kind, i, keys, parents in reg.spanning_tree:
+        cols[:, keys] = matmul((ops[kind][i], cols[:, parents]), reg.p)
     return cols[:, carrier._nonpiv]
 
 

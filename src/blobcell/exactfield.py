@@ -1,7 +1,20 @@
 """Exact arithmetic over prime fields F_p and the rational function field F_p(t).
 
-Everything downstream of this module is exact: no floating point appears
-anywhere.  The pieces provided here are
+Everything downstream of this module is exact.  Floating point appears in
+one place only, the float64 route of the dense product (``_product``),
+and there it computes exact integers:
+
+* it is taken only when every partial sum is an integer below 2^53,
+  ``float_bound(D, p) = D (p - 1)^2 < FLOAT_EXACT``, checked per product
+  for the inner width D, so the float sums are the int64 sums;
+* and only for a product large enough to pay for the casts, m D n >= 24^3
+  with at least 24 columns; matrix-vector products, small blocks and any
+  p past the bound stay on int64 ``@``;
+* it multiplies with ``np.einsum``, numpy's own SIMD loop, not with float
+  ``@``: that calls BLAS, whose worker threads cost more CPU time than
+  they save at these sizes.
+
+The pieces provided here are
 
 * ``root_of_unity(p, e)`` -- a primitive e'th root of unity in F_p, found
   in O(e) steps through ``cyclic_subgroup``, the subgroup of order e,
@@ -9,9 +22,10 @@ anywhere.  The pieces provided here are
 * ``RatFunc`` -- rational functions over F_p in canonical (reduced, monic
   denominator) form, with pole-aware specialization,
 * the matrix kernel ``matmul``/``mat_pow``: products of int64 matrices
-  with entries in [0, p), reduced mod p after every product, and
-  ``block_split``, ``block_matmul``, ``block_lincomb`` and
-  ``block_equal``: the block-sparse form of a matrix and its arithmetic,
+  with entries in [0, p), reduced mod p after every product, all through
+  ``_product``, and ``block_split``, ``block_matmul``, ``block_lincomb``
+  and ``block_equal``: the block-sparse form of a matrix and its
+  arithmetic,
 * ``poly_matmul`` -- the product of two sparse matrices over F_p[t] in
   coordinate form, from which ``RegularRep`` builds t^(k-1) L_k,
 * mod-p linear algebra on numpy int64 matrices (``rank``, ``rref``,
@@ -29,8 +43,10 @@ reduction an int64 entry is then at most ``product_bound(D, p)``, one
 product of D-wide factors plus one reduced addend; the generic Murphy
 oracle's chunked layer sums keep to it too, and
 ``HeckeParams.validate_exact`` rejects a p that breaks it at D = dim H.
-``poly_matmul`` reduces each product before it sums.  An accepted p is
-below 2^32, so a cumulative sum of w reduced values stays below w 2^32.
+``poly_matmul`` reduces each product before it sums, and the lazy
+``rref`` reduces as often as its count of unreduced updates requires.  An
+accepted p is below 2^32, so a cumulative sum of w reduced values stays
+below w 2^32.
 """
 
 from __future__ import annotations
@@ -466,6 +482,35 @@ def poly_matmul(A: tuple, B: tuple, p: int) -> tuple[np.ndarray, ...]:
     return deg, rows, cols, sums[keep]
 
 
+def float_bound(D: int, p: int) -> int:
+    """Largest magnitude in a product of two D-wide factors with entries in
+    (-p, p), D (p - 1)^2: every partial sum of :func:`_product`'s float
+    route is an integer of at most this size, exact in float64 while it
+    stays below ``FLOAT_EXACT``."""
+    return D * (p - 1) ** 2
+
+
+FLOAT_EXACT = 1 << 53
+# the smallest product worth the casts to float64 and back: m D n at
+# least 24^3, and at least 24 columns, the length of einsum's inner loop
+_FLOAT_MIN_WORK = 24 ** 3
+_FLOAT_MIN_COLS = 24
+
+
+def _product(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A B mod p for int64 factors with entries in (-p, p), B a matrix or
+    a vector; the result has entries in [0, p).  A large matrix product
+    within ``float_bound`` takes the float64 route of the module
+    docstring, the rest int64 ``@``, exact within ``product_bound``; both
+    give the same integers."""
+    if (B.ndim == 2 and B.shape[1] >= _FLOAT_MIN_COLS
+            and A.shape[0] * A.shape[1] * B.shape[1] >= _FLOAT_MIN_WORK
+            and float_bound(A.shape[1], p) < FLOAT_EXACT):
+        return np.einsum("ij,jk->ik", A.astype(np.float64),
+                         B.astype(np.float64)).astype(np.int64) % p
+    return A @ B % p
+
+
 def matmul(factors: Sequence[np.ndarray], p: int) -> np.ndarray:
     """Product of a chain of int64 matrices with entries in [0, p), the
     last of which may be a vector, reduced mod p after every product and
@@ -473,7 +518,7 @@ def matmul(factors: Sequence[np.ndarray], p: int) -> np.ndarray:
     matrix-vector products).  The inputs are not reduced again."""
     out = factors[-1]
     for M in reversed(factors[:-1]):
-        out = M @ out % p
+        out = _product(M, out, p)
     return out
 
 
@@ -490,7 +535,7 @@ def block_matmul(factors: Sequence[dict], p: int) -> dict:
         acc: dict = {}
         for (k, i), N in out.items():
             for j, M in by_col.get(k, ()):
-                P = M @ N % p
+                P = _product(M, N, p)
                 acc[j, i] = (acc[j, i] + P) % p if (j, i) in acc else P
         out = {key: M for key, M in acc.items() if M.any()}
     return out
@@ -524,14 +569,16 @@ def block_equal(X: dict, Y: dict, p: int) -> bool:
 
 
 def mat_pow(M: np.ndarray, k: int, p: int) -> np.ndarray:
-    """M^k over F_p by repeated squaring (M with entries in [0, p))."""
-    out = np.eye(M.shape[0], dtype=np.int64)
+    """M^k over F_p by repeated squaring (M with entries in [0, p)),
+    with no product by the identity and no square past the top bit."""
+    out = None
     while k:
         if k & 1:
-            out = out @ M % p
-        M = M @ M % p
+            out = M % p if out is None else _product(out, M, p)
         k >>= 1
-    return out
+        if k:
+            M = _product(M, M, p)
+    return np.eye(M.shape[0], dtype=np.int64) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -543,33 +590,59 @@ def _as_modp(M: np.ndarray, p: int) -> np.ndarray:
     return np.asarray(M, dtype=np.int64) % p
 
 
+# the most entries of a matrix that ``rref`` reduces at every step: on
+# these the per-step form costs fewer numpy calls than the lazy one
+_RREF_STEPWISE = 32 * 32
+
+
 def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p.
 
     Pivot choice is deterministic (first nonzero entry in the column), so
     repeated runs produce byte-identical results.  Returns (R, pivots).
-    """
-    A = _as_modp(M, p).copy()
+
+    A large matrix is reduced lazily.  The step at pivot column c updates
+    only the columns >= c, as the pivot row is zero before c.  It reduces
+    only the pivot column and the pivot row and subtracts products of at
+    most (p - 1)^2 from the rest; the whole matrix is reduced once in
+    ``every`` steps, as often as int64 requires (at every step for p
+    near 2^31).  A small matrix keeps the per-step form, which takes
+    fewer numpy calls.  Each entry stays congruent to the one of the
+    per-step form, so the pivots and the result are the same."""
+    A = _as_modp(M, p)
     rows, cols = A.shape
+    lazy = rows * cols > _RREF_STEPWISE
+    every = max(1, (INT64_MAX - p) // (p - 1) ** 2) if lazy else 1
     pivots: list[int] = []
-    r = 0
+    r = since = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        if since:
+            A[:, c] %= p
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = A[r] * inv % p
-        col = A[:, c].copy()
+        rest = A[:, c:] if lazy else A
+        row = rest[r]
+        if since:
+            row %= p
+        row *= pow(int(A[r, c]), -1, p)
+        row %= p
+        col = A[:, c, None].copy()
         col[r] = 0
-        A -= np.outer(col, A[r])
-        A %= p
+        rest -= col * row
+        since += 1
+        if since == every:
+            rest %= p
+            since = 0
         pivots.append(c)
         r += 1
+    if since:
+        A %= p
     return A, pivots
 
 
@@ -580,16 +653,17 @@ def rank(M: np.ndarray, p: int) -> int:
 
 
 def nullspace(M: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right nullspace over F_p, as rows of the result."""
-    A = _as_modp(M, p)
-    R, piv = rref(A, p)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in piv]
+    """Basis of the right nullspace over F_p, as rows of the result: one
+    row per free column f, 1 at f and minus column f of the reduced rows
+    at the pivots."""
+    R, piv = rref(M, p)
+    cols = R.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, c in enumerate(piv):
-            basis[k, c] = (-int(R[r, fc])) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, piv] = -R[:len(piv), free].T % p
     return basis
 
 

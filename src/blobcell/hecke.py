@@ -421,17 +421,20 @@ class RegularRep:
         return self.product(self.coefficients(el), self.identity())
 
     @cached_property
-    def spanning_tree(self) -> list[tuple[int, int, str, int]]:
-        """The basis as a tree under right multiplication by generators:
-        one (index of key, index of its parent, generator kind "T" or "L",
-        generator index) per key but the identity, with key = parent * T_i
-        or parent * L_k, parents first."""
+    def spanning_tree(self) -> list[tuple[str, int, np.ndarray, np.ndarray]]:
+        """The basis as a tree under right multiplication by generators,
+        one level at a time: (generator kind "T" or "L", generator index,
+        indices of keys, indices of their parents), with key = parent *
+        T_i or parent * L_k, by increasing depth sum(a) + length(w) of
+        the key L^a T_w, so that each parent sits at a lower level than
+        its keys."""
         n, index = self.params.n, self.nf.index
         ident = comb.perm_identity(n)
-        keys = sorted(self.nf.basis,
-                      key=lambda key: (comb.perm_length(key[1]), sum(key[0])))
-        tree = []
-        for a, w in keys[1:]:
+        levels: dict = {}
+        for a, w in self.nf.basis:
+            depth = sum(a) + comb.perm_length(w)
+            if not depth:
+                continue
             if w != ident:
                 word = comb.official_word(w)
                 parent = (a, comb.perm_from_word(n, word[:-1]))
@@ -440,8 +443,11 @@ class RegularRep:
                 k = next(j for j in range(n) if a[j])
                 parent = (a[:k] + (a[k] - 1,) + a[k + 1:], w)
                 gen = ("L", k + 1)
-            tree.append((index[(a, w)], index[parent]) + gen)
-        return tree
+            keys, parents = levels.setdefault((depth,) + gen, ([], []))
+            keys.append(index[(a, w)])
+            parents.append(index[parent])
+        return [(kind, i, np.array(keys), np.array(parents))
+                for (_, kind, i), (keys, parents) in sorted(levels.items())]
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Coefficient vector of x * y for reduced coefficient vectors x, y,

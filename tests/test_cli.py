@@ -320,17 +320,21 @@ def test_commands_do_not_import_scipy():
 
 def test_certificates_do_not_import_numpy_random():
     # the star certificates are exact, with no sampled pairs, so neither
-    # verify nor a certified pipeline pass loads numpy.random
+    # verify nor a certified pipeline pass loads numpy.random; nor does
+    # either load numpy.ma, whose first import (np.isin, np.setdiff1d)
+    # costs more than a small pass
     _run_fresh(
         "import contextlib, io, sys\n"
         "from blobcell import blob as B, cli, hecke as H\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['verify', '--n', '2', '--l', '2']) == 0\n"
         "assert 'numpy.random' not in sys.modules\n"
+        "assert 'numpy.ma' not in sys.modules\n"
         "A = B.build_blob(H.default_params(2, 2))\n"
         "images = B.klr_images(A)\n"
         "basis = B.build_cellular_basis(A, images)\n"
         "assert B.check_cellularity(A, basis) == []\n"
         "assert B.check_jm(A, basis, B.jm_images(A, images)) == []\n"
         "B.cell_modules(A, basis)\n"
-        "assert 'numpy.random' not in sys.modules\n")
+        "assert 'numpy.random' not in sys.modules\n"
+        "assert 'numpy.ma' not in sys.modules\n")

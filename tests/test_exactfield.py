@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blobcell.exactfield import (INT64_MAX, NoRoot, PoleAtSpecialization,
-                                 Poly, RatFunc, RowSpace, cyclic_subgroup,
-                                 has_order, invert_matrix, is_prime,
-                                 joint_eigenspaces, mat_pow, matmul,
-                                 nullspace, poly_matmul, product_bound, rank,
-                                 rank_and_inverse, root_of_unity, rref)
+from blobcell.exactfield import (FLOAT_EXACT, INT64_MAX, NoRoot,
+                                 PoleAtSpecialization, Poly, RatFunc,
+                                 RowSpace, block_matmul, cyclic_subgroup,
+                                 float_bound, has_order, invert_matrix,
+                                 is_prime, joint_eigenspaces, mat_pow,
+                                 matmul, nullspace, poly_matmul,
+                                 product_bound, rank, rank_and_inverse,
+                                 root_of_unity, rref)
 
 P = 11
 
@@ -25,6 +27,53 @@ def element_order(x: int, p: int) -> int:
         y = y * x % p
         k += 1
     return k
+
+
+def rref_per_step(M, p):
+    """Oracle: reduced row echelon form over F_p with the whole matrix
+    reduced after every pivot step."""
+    A = np.asarray(M, dtype=np.int64) % p
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        inv = pow(int(A[r, c]), -1, p)
+        A[r] = A[r] * inv % p
+        col = A[:, c].copy()
+        col[r] = 0
+        A -= np.outer(col, A[r])
+        A %= p
+        pivots.append(c)
+        r += 1
+    return A, pivots
+
+
+def nullspace_oracle(M, p):
+    """Oracle: the nullspace basis from ``rref_per_step``, entry by
+    entry."""
+    R, piv = rref_per_step(M, p)
+    cols = R.shape[1]
+    free = [c for c in range(cols) if c not in piv]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for r, c in enumerate(piv):
+            basis[k, c] = (-int(R[r, fc])) % p
+    return basis
+
+
+def exact_product(A, B, p):
+    """Oracle: A B mod p on Python integers."""
+    return (np.asarray(A).astype(object).dot(np.asarray(B).astype(object))
+            % p).astype(np.int64)
 
 
 def poly(coeffs, p=P):
@@ -421,6 +470,134 @@ class TestPolyMatmul:
             poly_matmul(one, one, 2 ** 33 + 1)
 
 
+def random_of_rank(m, n, r, p):
+    """A random m x n matrix of rank at most r over F_p."""
+    return exact_product(rng.integers(0, p, size=(m, r)),
+                         rng.integers(0, p, size=(r, n)), p)
+
+
+# p = 16777213 is the largest prime below 2^24: D (p - 1)^2 < 2^53
+# exactly for D <= 32
+P24, D24 = 16777213, 32
+
+
+class TestKernel:
+    @pytest.fixture
+    def einsum_calls(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+        monkeypatch.setattr(np, "einsum", spy)
+        return calls
+
+    def test_float_bound_is_tight(self):
+        assert float_bound(D24, P24) < FLOAT_EXACT
+        assert float_bound(D24 + 1, P24) > FLOAT_EXACT
+        assert float_bound(D24, P24 + 4) == FLOAT_EXACT
+
+    @pytest.mark.parametrize("D, route", [(D24, 1), (D24 + 1, 0)])
+    def test_products_at_the_float_bound(self, einsum_calls, D, route):
+        # entries near p - 1, so that past the bound the float sums would
+        # round; both sides must give the exact integers
+        p = P24
+        A = rng.integers(p - 1000, p, size=(40, D))
+        B = rng.integers(p - 1000, p, size=(D, 30))
+        want = exact_product(A, B, p)
+        assert np.array_equal(matmul((A, B), p), want)
+        assert np.array_equal(mat_pow(A[:D], 3, p),
+                              exact_product(A[:D], exact_product(
+                                  A[:D], A[:D], p), p))
+        assert len(einsum_calls) == 3 * route
+        assert block_matmul(({(0, 0): A}, {(0, 1): B}), p)[0, 1].tolist() \
+            == want.tolist()
+
+    def test_products_at_a_prime_near_2_to_31(self, einsum_calls):
+        # width 2 is the widest an int64 product admits at this p
+        p = 2147483647
+        assert product_bound(2, p) <= INT64_MAX < product_bound(3, p)
+        A = rng.integers(0, p, size=(150, 2))
+        B = rng.integers(0, p, size=(2, 120))
+        A[:3], B[:, :3] = p - 1, p - 1
+        assert np.array_equal(matmul((A, B), p), exact_product(A, B, p))
+        assert not einsum_calls
+
+    def test_small_and_narrow_products_stay_int64(self, einsum_calls):
+        p = 29
+        for m, D, n in [(20, 20, 20), (93, 93, 1), (93, 93, 8)]:
+            A = rng.integers(0, p, size=(m, D))
+            B = rng.integers(0, p, size=(D, n))
+            assert np.array_equal(matmul((A, B), p), exact_product(A, B, p))
+            assert np.array_equal(matmul((A, B[:, 0]), p),
+                                  exact_product(A, B[:, 0], p))
+        assert not einsum_calls
+
+    def test_a_3_3_sized_product_takes_the_float_route(self, einsum_calls):
+        # dim B = 93 and dim H = 162 at (3,3) with its preset p = 29
+        p = 29
+        A = rng.integers(0, p, size=(93, 162))
+        B = rng.integers(0, p, size=(162, 93))
+        got = matmul((A, B), p)
+        assert einsum_calls == ["ij,jk->ik"]
+        assert got.dtype == np.int64
+        assert np.array_equal(got, exact_product(A, B, p))
+
+    @pytest.mark.parametrize("p", [11, 1000003, 1073741789, 2147483647])
+    def test_elimination_matches_the_per_step_oracle(self, p):
+        # both sides of the size gate of the lazy form; at p near 2^30 it
+        # reduces the whole matrix once every few steps, near 2^31 at
+        # every step
+        for m, n in [(1, 1), (5, 9), (9, 5), (31, 33), (32, 33), (45, 60),
+                     (60, 45)]:
+            for r in {0, 1, min(m, n) // 2, min(m, n) - 1}:
+                M = random_of_rank(m, n, r, p) if r else \
+                    np.zeros((m, n), dtype=np.int64)
+                R, piv = rref(M, p)
+                want, want_piv = rref_per_step(M, p)
+                assert piv == want_piv and len(piv) <= max(r, 0)
+                assert R.dtype == np.int64
+                assert np.array_equal(R, want), (p, m, n, r)
+                assert np.array_equal(nullspace(M, p),
+                                      nullspace_oracle(M, p))
+                assert rank(M, p) == len(want_piv)
+
+    @pytest.mark.parametrize("p", [11, 1000003, 2147483647])
+    def test_inverse_matches_the_per_step_oracle(self, p):
+        for n in (1, 6, 31, 33, 50):
+            while True:
+                M = rng.integers(0, p, size=(n, n))
+                if rank(M, p) == n:
+                    break
+            R, _ = rref_per_step(np.hstack(
+                [M, np.eye(n, dtype=np.int64)]), p)
+            assert np.array_equal(invert_matrix(M, p), R[:, n:])
+            with pytest.raises(ValueError, match="singular"):
+                invert_matrix(random_of_rank(n + 1, n + 1, n, p), p)
+
+
+def _calls(tree: ast.AST):
+    """(called name, call node) of every call by attribute or name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            yield (f.attr if isinstance(f, ast.Attribute)
+                   else getattr(f, "id", None)), node
+
+
+def _float_types(tree: ast.AST) -> list[ast.AST]:
+    """The nodes that name a float type: ``float``, ``np.float64``, a
+    dtype string ``"float..."``."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("float")
+            or isinstance(node, ast.Name) and node.id == "float"
+            or isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.startswith("float")]
+
+
 def test_products_stay_in_the_kernel():
     # every dense product of these modules goes through exactfield.matmul,
     # which reduces after each product; a bare ``@`` would bypass the bound
@@ -431,3 +608,39 @@ def test_products_stay_in_the_kernel():
                  if isinstance(node, (ast.BinOp, ast.AugAssign))
                  and isinstance(node.op, ast.MatMult)]
         assert not lines, (name, lines)
+    # exactfield owns the 2^53 bound of the float route: no other module
+    # names a float type or calls einsum.  No module calls a product that
+    # routes to BLAS (dot, matmul, tensordot, vdot, inner, einsum with
+    # optimize); in exactfield a float array is only ever an argument of
+    # an einsum whose result is cast straight back to int64, so no ``@``
+    # meets a float operand
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = list(_calls(tree))
+        blas = [node.lineno for name, node in calls
+                if name in ("dot", "tensordot", "vdot", "inner")
+                or name == "matmul"
+                and getattr(node.func, "value", None) is not None
+                and getattr(node.func.value, "id", None) in ("np", "numpy")
+                or name == "einsum"
+                and any(k.arg == "optimize" for k in node.keywords)]
+        assert not blas, (path.name, blas)
+        if path.name != "exactfield.py":
+            einsum = [node.lineno for name, node in calls if name == "einsum"]
+            assert not einsum, (path.name, einsum)
+            floats = [node.lineno for node in _float_types(tree)]
+            assert not floats, (path.name, floats)
+    tree = ast.parse((src / "exactfield.py").read_text())
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    floats = _float_types(tree)
+    assert floats
+    for node in floats:
+        cast = parent[node]
+        assert isinstance(cast, ast.Call) and cast.args == [node] \
+            and cast.func.attr == "astype", node.lineno
+        einsum = parent[cast]
+        assert isinstance(einsum, ast.Call) and einsum.func.attr == "einsum"
+        back = parent[parent[einsum]]
+        assert isinstance(back, ast.Call) and back.func.attr == "astype"
+        assert back.args[0].attr == "int64", node.lineno

@@ -203,6 +203,28 @@ class TestRegularRep:
                  if f.startswith("commuting L_")]
         assert fails == ["commuting L_1 L_2"]
 
+    def test_spanning_tree_levels(self):
+        # every key but the identity once, each the product of a parent
+        # reached at a lower level with the level's generator
+        reg = H.regular_rep(P32)
+        n, index = reg.params.n, reg.nf.index
+        ident = C.perm_identity(n)
+        reached = {reg.id_index}
+        for kind, i, keys, parents in reg.spanning_tree:
+            assert reached.issuperset(parents.tolist())
+            assert reached.isdisjoint(keys.tolist())
+            gen = np.zeros(reg.dim, dtype=np.int64)
+            gen[index[((0,) * n, C.perm_from_word(n, [i]))] if kind == "T"
+                else index[(tuple(int(j == i - 1) for j in range(n)),
+                            ident)]] = 1
+            for key, parent in zip(keys, parents):
+                x = np.zeros(reg.dim, dtype=np.int64)
+                x[parent] = 1
+                y = reg.product(x, gen)
+                assert np.flatnonzero(y).tolist() == [key] and y[key] == 1
+            reached.update(keys.tolist())
+        assert reached == set(range(reg.dim))
+
     def test_regular_rep_is_faithful(self):
         # matrix_of is injective: an element is recovered from its
         # column at the identity, so the matrix determines the element
