@@ -29,7 +29,7 @@ prime field F_p fixed by the parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -248,7 +248,9 @@ class KLRImages:
     block s_r i.  The only inverses taken are of C and of d_i x d_i
     blocks.  The construction certifies that the L_k are block-diagonal
     (raising :class:`RelationFailure` otherwise), and
-    :meth:`relation_failures` the rest of the pattern.  The matrices on
+    :meth:`relation_failures` the presentation, whose residue cases it
+    reads, as :mod:`.klrcalc` does, off :func:`~.combinatorics.square_terms`
+    and :func:`~.combinatorics.braid_sign`.  The matrices on
     the carrier's basis, C X C^-1, are formed only at the boundary:
     :meth:`dense` for one operator, :attr:`matrices` for the generators.
     ``matrices`` and the adapted sigma are formed from E, Y, PSI and L on
@@ -449,143 +451,92 @@ class KLRImages:
 
     # -- relation suite ---------------------------------------------------
 
-    def relation_failures(self, blob_defining: bool | None = None
-                          ) -> list[RelationFailure]:
-        """Exact check of every defining relation; ``blob_defining``
-        controls whether the vanishing pattern that distinguishes the
-        quotient from the full quiver-Hecke algebra is included (defaults
-        to the carrier being the quotient).
+    def relation_failures(self) -> list[RelationFailure]:
+        """Exact check of every defining relation, with the vanishing
+        pattern that distinguishes the quotient from the full quiver-Hecke
+        algebra when the carrier is the quotient.
 
-        The checks run on the held forms.  Conjugation by C is an algebra
-        isomorphism, so a relation holds for the dense matrices exactly
-        when it holds for the held ones.  The support pattern stands in
-        for the relations it implies.  C^-1 e(i) C = P_i stands in for e(i)
-        e(j) = delta_ij e(i) and sum_i e(i) = 1; it fails as "e(i) is the
-        block projection" at a class i or as "sum of e(i) = 1".  y_k
-        block-diagonal stands in for y_k e(i) = e(i) y_k, and psi_r
-        mapping block i into block s_r i for psi_r e(i) = e(s_r i) psi_r;
-        these fail under the names and witnesses of those relations.
-        Every other relation is compared column block by column block,
-        each factor acting through the one block its pattern allows;
-        where the pattern holds, that gives the same failures with the
-        same witnesses as dense products would."""
-        if blob_defining is None:
-            blob_defining = self.algebra.is_quotient
+        The checks run on the held forms, conjugate by C to the dense
+        matrices.  C^-1 e(i) C = P_i stands in for e(i) e(j) = delta_ij
+        e(i) and sum_i e(i) = 1, and fails as "e(i) is the block
+        projection" at a class i or as "sum of e(i) = 1".  Then X e(i) = Z
+        e(i) for all i is one held identity X = Z, Z a sum against the e(i)
+        where the right side depends on i (``comb.square_terms``,
+        ``comb.braid_sign``), failing at the column blocks where X - Z is
+        not zero, as dense products would.  y_k e(i) = e(i) y_k fails where
+        y_k leaves row or column block i, psi_r e(i) = e(s_r i) psi_r where
+        column block i of psi_r leaves row block s_r i."""
         p, e, n = self.p, self.e, self.n
-        blocks = self.blocks
+        Y, PSI, blocks = self.Y, self.PSI, self.blocks
         kap = set(k % e for k in self.params.mc.kappa)
-        fails: list[RelationFailure] = []
-        eye = {i: np.eye(sl.stop - sl.start, dtype=np.int64)
-               for i, sl in blocks.items()}
-        # block operators: column block i -> (row block, matrix) on the
-        # pattern; a missing column block acts as zero
-        Y = {k: {i: (i, M) for (j, i), M in X.items() if j == i}
-             for k, X in self.Y.items()}
-        P = {r: {i: (j, M) for (j, i), M in X.items()
-                 if j == comb.swap_entries(i, r)}
-             for r, X in self.PSI.items()}
 
-        def value(terms, i) -> dict:
-            """Column block i of a sum of scaled products of block
-            operators, as {row block: nonzero matrix}."""
-            out: dict = {}
-            for c, chain in terms:
-                t, M = i, eye[i]
-                for op in reversed(chain):
-                    if t not in op:
-                        break
-                    t, Bm = op[t]
-                    M = matmul((Bm, M), p)
-                else:
-                    out[t] = (out.get(t, 0) + c * M) % p
-            return {t: M for t, M in out.items() if M.any()}
+        def broken(*terms) -> set:
+            """The column blocks of sum c (chain) that are not zero, over
+            the (c, chain of held operators) of ``terms``."""
+            return {i for _, i in block_lincomb(
+                [(c, block_matmul(chain, p)) for c, chain in terms], p)}
 
-        def check(name, lhs, rhs, witness, cols=blocks):
-            """Record a failure unless the two sums agree on every listed
-            column block."""
-            for i in cols:
-                a, b = value(lhs, i), value(rhs, i)
-                if a.keys() != b.keys() or \
-                        not all(np.array_equal(a[t], b[t]) for t in a):
-                    fails.append(RelationFailure(name, witness))
-                    return
+        def minus(right: dict) -> list:
+            """-sum_i sum c y_(k_1) ... y_(k_m) e(i) over the (c, (k_1, ...,
+            k_m)) of right[i], as terms of ``broken``: one per dot run."""
+            by_dots: dict = {}
+            for i, terms in right.items():
+                for c, dots in terms:
+                    by_dots.setdefault(dots, []).append(
+                        (c, {(i, i): self.identity[i, i]}))
+            return [(-1, tuple(Y[k] for k in dots) + (block_lincomb(X, p),))
+                    for dots, X in by_dots.items()]
 
-        fails += self._projection_failures()
+        fails = self._projection_failures()
+        killed = broken((1, (Y[1],)))
         for iseq in self.E:
             if iseq[0] % e not in kap:
                 fails.append(RelationFailure(
                     "e(i) = 0 for unsupported first residue", iseq))
-            if blob_defining and n >= 2 and \
+            if self.algebra.is_quotient and n >= 2 and \
                     iseq[1] % e == (iseq[0] + 1) % e:
                 fails.append(RelationFailure(
                     "e(i) = 0 for second residue one above the first",
                     iseq))
-            check("y_1 e(i) = 0", [(1, (Y[1],))], [], iseq, (iseq,))
+            if iseq in killed:
+                fails.append(RelationFailure("y_1 e(i) = 0", iseq))
         for k in Y:
-            for m in Y:
-                if k < m:
-                    check("y_k y_m commute", [(1, (Y[k], Y[m]))],
-                          [(1, (Y[m], Y[k]))], (k, m))
-            for iseq in self.E:
-                if _leaves_block(self.Y[k], iseq):
-                    fails.append(RelationFailure("y_k e(i) = e(i) y_k",
-                                                 (k, iseq)))
-            if any(mat_pow(M, M.shape[0], p).any()
-                   for _, M in Y[k].values()):
+            fails += [RelationFailure("y_k y_m commute", (k, m)) for m in Y
+                      if k < m and broken((1, (Y[k], Y[m])),
+                                          (-1, (Y[m], Y[k])))]
+            fails += [RelationFailure("y_k e(i) = e(i) y_k", (k, iseq))
+                      for iseq in self.E if _leaves_block(Y[k], iseq)]
+            power = Y[k]
+            for _ in range(self.algebra.dim.bit_length()):   # 2^m > dim
+                power = block_matmul((power, power), p)
+            if power:
                 fails.append(RelationFailure("y_k nilpotent", k))
         fails += self._sigma_failures()
-        for r, Pr in P.items():
-            for s, Ps in P.items():
-                if s > r + 1:
-                    check("distant psi commute", [(1, (Pr, Ps))],
-                          [(1, (Ps, Pr))], (r, s))
-            for k in Y:
-                if k not in (r, r + 1):
-                    check("psi_r y_k commute", [(1, (Pr, Y[k]))],
-                          [(1, (Y[k], Pr))], (r, k))
-            for iseq in blocks:
-                j = comb.swap_entries(iseq, r)
-                if any(i == iseq and t != j for t, i in self.PSI[r]):
-                    fails.append(RelationFailure(
-                        "psi_r e(i) = e(s_r i) psi_r", (r, iseq)))
-                ir, ir1 = iseq[r - 1], iseq[r]
-                delta = [(1, ())] if ir == ir1 else []
-                check("psi_r y_{r+1} e(i) = (y_r psi_r + delta) e(i)",
-                      [(1, (Pr, Y[r + 1]))], [(1, (Y[r], Pr))] + delta,
-                      (r, iseq), (iseq,))
-                check("y_{r+1} psi_r e(i) = (psi_r y_r + delta) e(i)",
-                      [(1, (Y[r + 1], Pr))], [(1, (Pr, Y[r]))] + delta,
-                      (r, iseq), (iseq,))
-                d = (ir1 - ir) % e
-                if ir == ir1:
-                    rhs = []
-                elif d == 1:
-                    rhs = [(1, (Y[r + 1],)), (-1, (Y[r],))]
-                elif d == e - 1:
-                    rhs = [(1, (Y[r],)), (-1, (Y[r + 1],))]
-                else:
-                    rhs = [(1, ())]
-                check("psi_r^2 e(i)", [(1, (Pr, Pr))], rhs, (r, iseq),
-                      (iseq,))
-        # braid correction: in the polynomial representation, the dot
-        # relations make psi_r act on equal residues as f -> (f - s_r f) /
-        # (y_{r+1} - y_r) and the quadratic relation fixes the product of
-        # the two crossings of an adjacent pair; composing them gives
-        # (psi_r psi_{r+1} psi_r - psi_{r+1} psi_r psi_{r+1}) e(i) = +e(i)
-        # at (a, a+1, a) and -e(i) at (a, a-1, a)
+        for r, Pr in PSI.items():
+            fails += [RelationFailure("distant psi commute", (r, s))
+                      for s, Ps in PSI.items()
+                      if s > r + 1 and broken((1, (Pr, Ps)), (-1, (Ps, Pr)))]
+            fails += [RelationFailure("psi_r y_k commute", (r, k)) for k in Y
+                      if k not in (r, r + 1) and
+                      broken((1, (Pr, Y[k])), (-1, (Y[k], Pr)))]
+            delta = minus({i: [(1, ())] for i in blocks if i[r - 1] == i[r]})
+            named = [
+                ("psi_r e(i) = e(s_r i) psi_r",
+                 {i for j, i in Pr if j != comb.swap_entries(i, r)}),
+                ("psi_r y_{r+1} e(i) = (y_r psi_r + delta) e(i)",
+                 broken((1, (Pr, Y[r + 1])), (-1, (Y[r], Pr)), *delta)),
+                ("y_{r+1} psi_r e(i) = (psi_r y_r + delta) e(i)",
+                 broken((1, (Y[r + 1], Pr)), (-1, (Pr, Y[r])), *delta)),
+                ("psi_r^2 e(i)", broken((1, (Pr, Pr)), *minus(
+                    {i: comb.square_terms(i, r, e) for i in blocks})))]
+            fails += [RelationFailure(name, (r, iseq)) for iseq in blocks
+                      for name, cols in named if iseq in cols]
         for r in range(1, n - 1):
-            Pr, Pn = P[r], P[r + 1]
-            for iseq in blocks:
-                a, b, c = iseq[r - 1], iseq[r], iseq[r + 1]
-                if a == c and b % e == (a + 1) % e:
-                    rhs = [(1, ())]
-                elif a == c and b % e == (a - 1) % e:
-                    rhs = [(-1, ())]
-                else:
-                    rhs = []
-                check("braid correction", [(1, (Pr, Pn, Pr)),
-                                           (-1, (Pn, Pr, Pn))],
-                      rhs, (r, iseq), (iseq,))
+            Pr, Pn = PSI[r], PSI[r + 1]
+            cols = broken((1, (Pr, Pn, Pr)), (-1, (Pn, Pr, Pn)), *minus(
+                {i: [(comb.braid_sign(i, r, e), ())] for i in blocks}))
+            fails += [RelationFailure("braid correction", (r, iseq))
+                      for iseq in blocks if iseq in cols]
         return fails
 
     def _sigma_failures(self) -> list[RelationFailure]:
@@ -669,26 +620,21 @@ class KLRImages:
         out = []
         for iseq in self.E:
             for r in range(1, self.n):
-                ir, ir1 = iseq[r - 1], iseq[r]
-                d = comb.psi_degree(ir, ir1, e)
+                d = comb.psi_degree(iseq[r - 1], iseq[r], e)
                 # dot-exchange: psi y' and y psi share degree d + 2; the
                 # correction term has degree 0 and appears iff residues match
-                if ir == ir1 and d + 2 != 0:
+                if iseq[r - 1] == iseq[r] and d + 2 != 0:
                     out.append(f"dot-exchange inhomogeneous at {iseq}, {r}")
-                # square: degree 2d must match the correction terms
-                dd = (ir1 - ir) % e
-                if dd in (1, e - 1) and 2 * d != 2:
-                    out.append(f"square inhomogeneous at {iseq}, {r}")
-                if ir != ir1 and dd not in (1, e - 1) and 2 * d != 0:
+                # square: degree 2d must be 2 per dot of every term
+                if any(len(dots) != d for _, dots in
+                       comb.square_terms(iseq, r, e)):
                     out.append(f"square inhomogeneous at {iseq}, {r}")
             for r in range(1, self.n - 1):
-                w1, w2 = (r, r + 1, r), (r + 1, r, r + 1)
-                d1 = comb.word_degree(iseq, w1, e)
-                d2 = comb.word_degree(iseq, w2, e)
+                d1, d2 = (comb.word_degree(iseq, w, e)
+                          for w in ((r, r + 1, r), (r + 1, r, r + 1)))
                 if d1 != d2:
                     out.append(f"braid inhomogeneous at {iseq}, {r}")
-                a, b, c = iseq[r - 1], iseq[r], iseq[r + 1]
-                if a == c and (b - a) % e in (1, e - 1) and d1 != 0:
+                if comb.braid_sign(iseq, r, e) and d1 != 0:
                     out.append(f"braid correction inhomogeneous at "
                                f"{iseq}, {r}")
         return out
@@ -756,6 +702,44 @@ class CellModule:
         return self.dim - self.gram_rank
 
 
+@lru_cache(maxsize=None)
+def _family_tables(n: int, l: int, theta: tuple, mc) -> SimpleNamespace:
+    """The tables of :class:`CellularBasis` that depend only on the scale,
+    the weighting and the multicharge, built once for each and shared by
+    every basis built with them, so no caller changes them.  The groups
+    (``members``) are laid end to end in ``_order``, at ``_slots``, and
+    ``_place`` inverts ``_order``."""
+    shapes = comb.one_column_shapes(n, l)
+    t_lam = {lam: comb.t_lambda(lam, theta) for lam in shapes}
+    std = {lam: comb.std_tableaux(lam) for lam in shapes}
+    index = [(lam, S, T) for lam in shapes for S in std[lam]
+             for T in std[lam]]
+    tabs = [S for lam in shapes for S in std[lam]]
+    residues = {S: comb.residue_seq(S, mc) for S in tabs}
+    members: dict = {}
+    for j, (_, S, _) in enumerate(index):
+        members.setdefault(residues[S], []).append(j)
+    order = np.concatenate(list(members.values()))
+    ends = np.cumsum([len(js) for js in members.values()])
+    # strictly-dominating shape comparisons, for the cell order
+    above = {lam: {mu for mu in shapes
+                   if comb.strictly_dominates(mu, lam, theta)}
+             for lam in shapes}
+    return SimpleNamespace(
+        shapes=shapes, t_lam=t_lam, std=std, index=index,
+        # i^lam is read off the same t^lam_theta as the d(S)
+        i_lam={lam: comb.residue_seq(t, mc) for lam, t in t_lam.items()},
+        column={(S, T): j for j, (_, S, T) in enumerate(index)},
+        word={S: comb.official_word(comb.d_perm(S, theta)) for S in tabs},
+        residues=residues,
+        members={g: np.array(js) for g, js in members.items()},
+        _order=order, _place=np.argsort(order),
+        _slots={g: slice(b - len(js), b)
+                for (g, js), b in zip(members.items(), ends)},
+        _above=above, below=np.array([[mu not in above[lam] for lam, *_ in
+                                       index] for mu, *_ in index]))
+
+
 class CellularBasis:
     """The one-column family ``m_{S,T}`` of a weighting theta (zero by
     default) in the carrier of ``images``, indexed by pairs of standard
@@ -789,48 +773,26 @@ class CellularBasis:
         self.params = params = A.params
         p, l = A.p, params.l
         self.theta = comb.theta_zero(l) if theta is None else theta
-        self.mc = mc = params.mc
-        self.shapes = shapes = comb.one_column_shapes(params.n, l)
-        self.t_lam = {lam: comb.t_lambda(lam, self.theta) for lam in shapes}
-        # i^lam is read off the same t^lam_theta as the d(S)
-        self.i_lam = {lam: comb.residue_seq(t, mc)
-                      for lam, t in self.t_lam.items()}
-        self.std = std = {lam: comb.std_tableaux(lam) for lam in shapes}
-        self.index = index = [(lam, S, T) for lam in shapes
-                              for S in std[lam] for T in std[lam]]
-        self.column = {(S, T): j for j, (_, S, T) in enumerate(index)}
-        self.word = word = {
-            S: comb.official_word(comb.d_perm(S, self.theta))
-            for lam in shapes for S in std[lam]}
-        self.residues = residues = {S: comb.residue_seq(S, mc)
-                                    for lam in shapes for S in std[lam]}
-        members: dict = {}
-        for j, (_, S, _) in enumerate(index):
-            members.setdefault(residues[S], []).append(j)
-        self.members = {g: np.array(js) for g, js in members.items()}
-        # the groups laid end to end, and the place of each pair there
-        order = np.concatenate(list(self.members.values()))
-        ends = np.cumsum([len(js) for js in members.values()])
-        self._slots = {g: slice(b - len(js), b)
-                       for (g, js), b in zip(members.items(), ends)}
-        self._place = np.argsort(order)
+        self.mc = params.mc
+        vars(self).update(vars(_family_tables(
+            params.n, l, tuple(self.theta), self.mc)))
         # C^-1 m_{S,T} 1 = psi_{d(S)}^* (e(i^lam) psi_{d(T)} C^-1 1): the
         # bracket is one column per T, the crossings of d(S) act on all
         cols = []
-        for lam in shapes:
+        for lam in self.shapes:
             heads = []
-            for T in std[lam]:
+            for T in self.std[lam]:
                 X = images.E.get(self.i_lam[lam], {})
-                for r in word[T]:
+                for r in self.word[T]:
                     X = block_matmul((X, images.PSI[r]), p)
                 heads.append(images._apply(X, images._unit))
-            for S in std[lam]:
+            for S in self.std[lam]:
                 V = np.array(heads).T
-                for r in word[S]:
+                for r in self.word[S]:
                     V = images._apply(images.PSI[r], V)
                 cols.append(V)
         self._adapted = np.hstack(cols)
-        fam = block_split(self._adapted[:, order], images.blocks,
+        fam = block_split(self._adapted[:, self._order], images.blocks,
                           self._slots)
         # one elimination per group when the family is block-diagonal
         self._inv = None
@@ -839,18 +801,10 @@ class CellularBasis:
         else:
             found = {g: rank_and_inverse(fam.get(
                 (g, g), np.zeros((0, len(js)), dtype=np.int64)), p)
-                for g, js in members.items()}
+                for g, js in self.members.items()}
             self.rank = sum(r for r, _ in found.values())
-            if self.rank == A.dim == len(index):
+            if self.rank == A.dim == len(self.index):
                 self._inv = {(g, g): inv for g, (_, inv) in found.items()}
-        # strictly-dominating shape comparisons, for the cell order
-        self._above = {
-            lam: {mu for mu in shapes
-                  if comb.strictly_dominates(mu, lam, self.theta)}
-            for lam in shapes}
-        lams = [lam for lam, _, _ in index]
-        self.below = np.array([[mu not in self._above[lam] for lam in lams]
-                               for mu in lams])
 
     def _blocks(self) -> dict:
         """The diagonal blocks {(g, g): block} of C^-1 (family), cut out of

@@ -82,13 +82,20 @@ def read_config_file(path: str) -> dict:
         raise ValueError(f"cannot read config file {path}: "
                          f"{ex.strerror}") from None
     out = {}
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, val = line.partition("=")
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise ValueError(f"config file {path}, line {number}: {line!r} "
+                             f"is not key = value")
         out[key.strip().replace("-", "_")] = val.strip()
     return out
+
+
+ON_OFF = {**dict.fromkeys(("on", "true", "yes", "1"), True),
+          **dict.fromkeys(("off", "false", "no", "0"), False)}
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -112,7 +119,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if isinstance(raw.get(key), str):
             raw[key] = _int_tuple(raw[key])
     if isinstance(raw.get("oracle"), str):
-        raw["oracle"] = raw["oracle"].lower() in ("on", "true", "1", "yes")
+        if raw["oracle"].lower() not in ON_OFF:
+            raise ValueError(f"oracle = {raw['oracle']!r}: choose one of "
+                             f"{', '.join(ON_OFF)}")
+        raw["oracle"] = ON_OFF[raw["oracle"].lower()]
     if "n" not in raw or "l" not in raw:
         raise ValueError("both n and l are required")
     raw.setdefault("suite", "all")

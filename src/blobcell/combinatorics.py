@@ -897,6 +897,31 @@ def psi_degree(i_r: int, i_r1: int, e: int) -> int:
     return 0
 
 
+def square_terms(i: Sequence[int], r: int, e: int) -> list[tuple]:
+    """psi_r^2 e(i) as (c, dots) terms c y_(k_1) ... y_(k_m) e(i), dots =
+    (k_1, ..., k_m): none on equal residues, (y_(r+1) - y_r) e(i) when
+    i_(r+1) = i_r + 1, (y_r - y_(r+1)) e(i) when i_(r+1) = i_r - 1, e(i)
+    when they are distant."""
+    d = (i[r] - i[r - 1]) % e
+    if d == 1:
+        return [(1, (r + 1,)), (-1, (r,))]
+    if d == e - 1:
+        return [(1, (r,)), (-1, (r + 1,))]
+    return [(1, ())] if d else []
+
+
+def braid_sign(i: Sequence[int], r: int, e: int) -> int:
+    """c in (psi_r psi_(r+1) psi_r - psi_(r+1) psi_r psi_(r+1)) e(i) =
+    c e(i): +1 at residues (a, a+1, a) in places r..r+2, -1 at (a, a-1, a),
+    else 0.  In the polynomial representation the dot relations make psi_r
+    act on equal residues as f -> (f - s_r f) / (y_(r+1) - y_r), and
+    :func:`square_terms` fixes the product of the two crossings of an
+    adjacent pair; composing them gives this sign."""
+    a, b, c = i[r - 1:r + 2]
+    d = (b - a) % e
+    return 0 if a != c or d not in (1, e - 1) else 1 if d == 1 else -1
+
+
 def word_degree(iseq: Sequence[int], word: Sequence[int], e: int) -> int:
     """Degree of e(iseq) followed by the crossings of `word`, letter by
     letter; `iseq` is the residue sequence on the left of the word."""

@@ -308,18 +308,9 @@ def local_rewrite(t: DiagramWord, rule: str, position: int,
         (k1, a1), (k2, a2) = tok(position), tok(position + 1)
         if k1 != "psi" or k2 != "psi" or a1 != a2:
             raise PatternMismatch("no repeated crossing here")
-        r = a1
-        s = prof[position + 2]
-        d = _adj(s[r], s[r - 1], e)
-        if d == 0:
-            return []
-        if d == 1:       # up a step: (y_{r+1} - y_r) e
-            return _rebuild(t, position, position + 2,
-                            [(1, (("y", r + 1),)), (-1, (("y", r),))])
-        if d == e - 1:   # down a step: (y_r - y_{r+1}) e
-            return _rebuild(t, position, position + 2,
-                            [(1, (("y", r),)), (-1, (("y", r + 1),))])
-        return _rebuild(t, position, position + 2, [(1, ())])
+        return _rebuild(t, position, position + 2, [
+            (c, tuple(("y", k) for k in dots))
+            for c, dots in comb.square_terms(prof[position + 2], a1, e)])
 
     if rule == "braid":
         need_mc()
@@ -330,17 +321,10 @@ def local_rewrite(t: DiagramWord, rule: str, position: int,
         if not (r1 == r3 and abs(r1 - r2) == 1):
             raise PatternMismatch("no braid pattern here")
         r = min(r1, r2)
-        s = prof[position + 3]
-        a, b, c = s[r - 1], s[r], s[r + 1]
-        # (psi_r psi_{r+1} psi_r - psi_{r+1} psi_r psi_{r+1}) e(i) is +e(i)
-        # at (a, a+1, a) and -e(i) at (a, a-1, a): the sign that the
-        # dot-crossing and crossing-square rules force (see
-        # blob.KLRImages.relation_failures)
-        alpha = 0
-        if a == c and _adj(b, a, e) == 1:
-            alpha = 1
-        elif a == c and _adj(b, a, e) == e - 1:
-            alpha = -1
+        # (psi_r psi_{r+1} psi_r - psi_{r+1} psi_r psi_{r+1}) e(i) = alpha
+        # e(i), the sign that the dot-crossing and crossing-square rules
+        # force (comb.braid_sign, which the relation suite reads too)
+        alpha = comb.braid_sign(prof[position + 3], r, e)
         if r1 < r2:   # psi_r psi_{r+1} psi_r = psi_{r+1} psi_r psi_{r+1} + alpha
             other = (("psi", r + 1), ("psi", r), ("psi", r + 1))
             return _rebuild(t, position, position + 3,

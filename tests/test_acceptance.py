@@ -55,7 +55,7 @@ def test_criterion_02_relation_suites(built):
         assert H.SeminormalModel(params).relation_failures() == []
         assert images.relation_failures() == []
         full = B.KLRImages(B.BlobAlgebra(params, quotient=False))
-        assert full.relation_failures(blob_defining=False) == []
+        assert full.relation_failures() == []
 
 
 def test_criterion_03_murphy_idempotents():

@@ -90,6 +90,17 @@ class TestRejectedInput:
         assert err.startswith("error: unknown config key foo")
         assert "known keys: n, l, e, p, q" in err
 
+    @pytest.mark.parametrize("text,message", [
+        ("n=2\nl=2\noracle = of\n", "oracle = 'of': choose one of on, "),
+        ("n=2\nl=2\noracle\n", "line 3: 'oracle' is not key = value"),
+        ("# scale\nn 2\nl=2\n", "line 2: 'n 2' is not key = value")])
+    def test_malformed_config_line(self, tmp_path, capsys, text, message):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        code, out, err = run(["verify", "--config", str(cfgfile)], capsys)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and message in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         path = tmp_path / "absent.cfg"
         code, out, err = run(["verify", "--config", str(path)], capsys)

@@ -446,3 +446,24 @@ class TestDegrees:
             for word in itertools.product((1, 2), repeat=n):
                 if C.perm_from_word(3, word) == w:
                     assert C.word_degree(iseq, word, mc.e) == target
+
+    @pytest.mark.parametrize("i,terms", [
+        ((1, 1), []),
+        ((1, 2), [(1, (2,)), (-1, (1,))]),
+        ((4, 0), [(1, (2,)), (-1, (1,))]),
+        ((2, 1), [(1, (1,)), (-1, (2,))]),
+        ((0, 4), [(1, (1,)), (-1, (2,))]),
+        ((1, 3), [(1, ())])])
+    def test_square_terms_are_homogeneous(self, i, terms):
+        # psi_1^2 e(i) at e = 5, each term of degree 2 deg(psi_1 e(i))
+        assert C.square_terms(i, 1, 5) == terms
+        assert all(len(dots) == C.psi_degree(*i, 5) for _, dots in terms)
+        assert C.square_terms((3,) + i, 2, 5) == [
+            (c, tuple(k + 1 for k in dots)) for c, dots in terms]
+
+    @pytest.mark.parametrize("i,sign", [
+        ((2, 3, 2), 1), ((4, 0, 4), 1), ((2, 1, 2), -1), ((0, 4, 0), -1),
+        ((2, 2, 2), 0), ((2, 4, 2), 0), ((2, 3, 1), 0), ((1, 3, 2), 0)])
+    def test_braid_sign(self, i, sign):
+        assert C.braid_sign(i, 1, 5) == sign
+        assert C.braid_sign((0,) + i, 2, 5) == sign
