@@ -29,7 +29,7 @@ prime field F_p fixed by the parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -702,44 +702,6 @@ class CellModule:
         return self.dim - self.gram_rank
 
 
-@lru_cache(maxsize=None)
-def _family_tables(n: int, l: int, theta: tuple, mc) -> SimpleNamespace:
-    """The tables of :class:`CellularBasis` that depend only on the scale,
-    the weighting and the multicharge, built once for each and shared by
-    every basis built with them, so no caller changes them.  The groups
-    (``members``) are laid end to end in ``_order``, at ``_slots``, and
-    ``_place`` inverts ``_order``."""
-    shapes = comb.one_column_shapes(n, l)
-    t_lam = {lam: comb.t_lambda(lam, theta) for lam in shapes}
-    std = {lam: comb.std_tableaux(lam) for lam in shapes}
-    index = [(lam, S, T) for lam in shapes for S in std[lam]
-             for T in std[lam]]
-    tabs = [S for lam in shapes for S in std[lam]]
-    residues = {S: comb.residue_seq(S, mc) for S in tabs}
-    members: dict = {}
-    for j, (_, S, _) in enumerate(index):
-        members.setdefault(residues[S], []).append(j)
-    order = np.concatenate(list(members.values()))
-    ends = np.cumsum([len(js) for js in members.values()])
-    # strictly-dominating shape comparisons, for the cell order
-    above = {lam: {mu for mu in shapes
-                   if comb.strictly_dominates(mu, lam, theta)}
-             for lam in shapes}
-    return SimpleNamespace(
-        shapes=shapes, t_lam=t_lam, std=std, index=index,
-        # i^lam is read off the same t^lam_theta as the d(S)
-        i_lam={lam: comb.residue_seq(t, mc) for lam, t in t_lam.items()},
-        column={(S, T): j for j, (_, S, T) in enumerate(index)},
-        word={S: comb.official_word(comb.d_perm(S, theta)) for S in tabs},
-        residues=residues,
-        members={g: np.array(js) for g, js in members.items()},
-        _order=order, _place=np.argsort(order),
-        _slots={g: slice(b - len(js), b)
-                for (g, js), b in zip(members.items(), ends)},
-        _above=above, below=np.array([[mu not in above[lam] for lam, *_ in
-                                       index] for mu, *_ in index]))
-
-
 class CellularBasis:
     """The one-column family ``m_{S,T}`` of a weighting theta (zero by
     default) in the carrier of ``images``, indexed by pairs of standard
@@ -773,26 +735,48 @@ class CellularBasis:
         self.params = params = A.params
         p, l = A.p, params.l
         self.theta = comb.theta_zero(l) if theta is None else theta
-        self.mc = params.mc
-        vars(self).update(vars(_family_tables(
-            params.n, l, tuple(self.theta), self.mc)))
+        self.mc = mc = params.mc
+        self.shapes = shapes = comb.one_column_shapes(params.n, l)
+        self.t_lam = {lam: comb.t_lambda(lam, self.theta) for lam in shapes}
+        # i^lam is read off the same t^lam_theta as the d(S)
+        self.i_lam = {lam: comb.residue_seq(t, mc)
+                      for lam, t in self.t_lam.items()}
+        self.std = std = {lam: comb.std_tableaux(lam) for lam in shapes}
+        self.index = index = [(lam, S, T) for lam in shapes
+                              for S in std[lam] for T in std[lam]]
+        self.column = {(S, T): j for j, (_, S, T) in enumerate(index)}
+        self.word = word = {
+            S: comb.official_word(comb.d_perm(S, self.theta))
+            for lam in shapes for S in std[lam]}
+        self.residues = residues = {S: comb.residue_seq(S, mc)
+                                    for lam in shapes for S in std[lam]}
+        members: dict = {}
+        for j, (_, S, _) in enumerate(index):
+            members.setdefault(residues[S], []).append(j)
+        self.members = {g: np.array(js) for g, js in members.items()}
+        # the groups laid end to end, and the place of each pair there
+        order = np.concatenate(list(self.members.values()))
+        ends = np.cumsum([len(js) for js in members.values()])
+        self._slots = {g: slice(b - len(js), b)
+                       for (g, js), b in zip(members.items(), ends)}
+        self._place = np.argsort(order)
         # C^-1 m_{S,T} 1 = psi_{d(S)}^* (e(i^lam) psi_{d(T)} C^-1 1): the
         # bracket is one column per T, the crossings of d(S) act on all
         cols = []
-        for lam in self.shapes:
+        for lam in shapes:
             heads = []
-            for T in self.std[lam]:
+            for T in std[lam]:
                 X = images.E.get(self.i_lam[lam], {})
-                for r in self.word[T]:
+                for r in word[T]:
                     X = block_matmul((X, images.PSI[r]), p)
                 heads.append(images._apply(X, images._unit))
-            for S in self.std[lam]:
+            for S in std[lam]:
                 V = np.array(heads).T
-                for r in self.word[S]:
+                for r in word[S]:
                     V = images._apply(images.PSI[r], V)
                 cols.append(V)
         self._adapted = np.hstack(cols)
-        fam = block_split(self._adapted[:, self._order], images.blocks,
+        fam = block_split(self._adapted[:, order], images.blocks,
                           self._slots)
         # one elimination per group when the family is block-diagonal
         self._inv = None
@@ -801,10 +785,18 @@ class CellularBasis:
         else:
             found = {g: rank_and_inverse(fam.get(
                 (g, g), np.zeros((0, len(js)), dtype=np.int64)), p)
-                for g, js in self.members.items()}
+                for g, js in members.items()}
             self.rank = sum(r for r, _ in found.values())
-            if self.rank == A.dim == len(self.index):
+            if self.rank == A.dim == len(index):
                 self._inv = {(g, g): inv for g, (_, inv) in found.items()}
+        # strictly-dominating shape comparisons, for the cell order
+        self._above = {
+            lam: {mu for mu in shapes
+                  if comb.strictly_dominates(mu, lam, self.theta)}
+            for lam in shapes}
+        lams = [lam for lam, _, _ in index]
+        self.below = np.array([[mu not in self._above[lam] for lam in lams]
+                               for mu in lams])
 
     def _blocks(self) -> dict:
         """The diagonal blocks {(g, g): block} of C^-1 (family), cut out of

@@ -549,17 +549,15 @@ class TestAdaptedCoordinates:
 
     @pytest.mark.parametrize("n,l", SCALES + [(3, 3)])
     def test_every_dot_and_crossing_tampering_matches_dense_suite(
-            self, built, n, l):
+            self, built, built33, n, l):
         # one entry changed at a time, inside a held block of each y_k and
         # psi_r and off their pattern: the held suite reports what dense
         # products do, names and witness order included.  At (3,3), where
         # one dense suite takes most of a second, one held block per
         # operator is changed, drawn at random.
         rng = np.random.default_rng(10 * n + l)
-        if (n, l) in built:
-            images = built[(n, l)][2]
-        else:
-            images = B.klr_images(B.build_blob(H.default_params(n, l)))
+        images = _scale(built, built33, n, l)[2]
+        sample = (n, l) == (3, 3)
         images._held_sigma()
         blocks = images.blocks
         for name in ("Y", "PSI"):
@@ -567,7 +565,7 @@ class TestAdaptedCoordinates:
                 off = [(j, i) for j in blocks for i in blocks
                        if (j, i) not in X]
                 inside = list(X)
-                if (n, l) not in built and inside:
+                if sample and inside:
                     inside = [inside[rng.integers(len(inside))]]
                 for j, i in inside + [off[rng.integers(len(off))]]:
                     row, col = (int(rng.integers(blocks[b].start,
