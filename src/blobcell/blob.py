@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -60,7 +59,7 @@ class RelationFailure(Exception):
 
 def one_column_dimension(n: int, l: int) -> int:
     """Sum of squared standard-tableau counts over one-column shapes."""
-    return sum(len(comb.std_tableaux(lam)) ** 2
+    return sum(comb.std_tableaux_count(lam) ** 2
                for lam in comb.one_column_shapes(n, l))
 
 
@@ -250,13 +249,12 @@ class KLRImages:
     (raising :class:`RelationFailure` otherwise), and
     :meth:`relation_failures` the presentation, whose residue cases it
     reads, as :mod:`.klrcalc` does, off :func:`~.combinatorics.square_terms`
-    and :func:`~.combinatorics.braid_sign`.  The matrices on
-    the carrier's basis, C X C^-1, are formed only at the boundary:
-    :meth:`dense` for one operator, :attr:`matrices` for the generators.
-    ``matrices`` and the adapted sigma are formed from E, Y, PSI and L on
-    first use and kept, so these must not be changed once either has been
-    read: a copy with the changed operators and neither form is a new
-    set of images.
+    and :func:`~.combinatorics.braid_sign`; :mod:`.klrcalc` evaluates
+    its words on the same held forms.  Only :meth:`dense` forms the matrix
+    C X C^-1 of a held X on the carrier's basis.  The adapted sigma is
+    formed from PSI and L on first use and kept, so these must not be
+    changed once it has been read: a copy with the changed operators and
+    no sigma is a new set of images.
 
     **The anti-involution.**  :attr:`sigma` fixes e(i), y_k and psi_r.
     :meth:`_psi` keeps the blocks of Q_r(i) and P_r(i) in T_r e(i) =
@@ -336,15 +334,6 @@ class KLRImages:
             out = (out + matmul((C[:, self.blocks[j]], M,
                                  Cinv[self.blocks[i]]), p)) % p
         return out
-
-    @cached_property
-    def matrices(self) -> SimpleNamespace:
-        """``E``, ``Y`` and ``PSI`` as dense matrices on the carrier's
-        basis (:meth:`dense`), formed once, on first use: for the
-        rewriting oracle of :mod:`.klrcalc`, the CLI and the tests."""
-        return SimpleNamespace(**{name: {
-            key: self.dense(X) for key, X in getattr(self, name).items()}
-            for name in ("E", "Y", "PSI")})
 
     def _projection_failures(self) -> list[RelationFailure]:
         """Certificate of C^-1 E[i] C = P_i for every i: each held E[i] is
@@ -443,11 +432,6 @@ class KLRImages:
         """The anti-involution of :meth:`_held_sigma` on the carrier's
         basis."""
         return matmul((self.C, self._held_sigma(), self._Cinv), self.p)
-
-    def psi_of(self, word) -> np.ndarray:
-        """Dense product of crossing images along a word, in order."""
-        mats = [self.matrices.PSI[r] for r in word]
-        return matmul(mats, self.p) if mats else self.algebra.identity
 
     # -- relation suite ---------------------------------------------------
 

@@ -62,11 +62,7 @@ class RunConfig:
                                 q=self.q, hat_kappa=self.kappa_hat)
 
     def weighting(self) -> tuple:
-        if self.theta is not None:
-            if len(self.theta) != self.l:
-                raise ValueError("weighting length differs from the level")
-            return tuple(self.theta)
-        return comb.theta_zero(self.l)
+        return comb.theta_zero(self.l) if self.theta is None else self.theta
 
 
 def _int_tuple(text: str) -> tuple:
@@ -125,6 +121,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raw["oracle"] = ON_OFF[raw["oracle"].lower()]
     if "n" not in raw or "l" not in raw:
         raise ValueError("both n and l are required")
+    if raw.get("theta") is not None and len(raw["theta"]) != raw["l"]:
+        raise ValueError("weighting length differs from the level")
     raw.setdefault("suite", "all")
     if raw["suite"] not in SUITES:
         raise ValueError(f"unknown suite {raw['suite']!r}; "
@@ -161,7 +159,7 @@ def cmd_dims(cfg: RunConfig) -> dict:
     (sum of squared standard-tableau counts) and the per-shape counts."""
     params = cfg.params() if cfg.n != 0 else None   # rejects n < 0
     shapes = comb.one_column_shapes(cfg.n, cfg.l)
-    counts = {lam: len(comb.std_tableaux(lam)) for lam in shapes}
+    counts = {lam: comb.std_tableaux_count(lam) for lam in shapes}
     report = _header(cfg, params)
     report.update({
         "dim_H": cfg.l ** cfg.n * math.factorial(cfg.n),
@@ -248,13 +246,12 @@ def _suite_jm(build, cellular_basis) -> list[str]:
 
 def _oracle_invariant(images, k: int, shape, res) -> bool:
     """Whether the straightened terms ``res`` of y_k e(i^shape) evaluate
-    in the generator images to Y_k E[i^shape]."""
-    lhs = xf.matmul(
-        (images.matrices.Y[k],
-         images.matrices.E[comb.i_lambda(shape, images.params.mc)]),
+    in the held generator images to the held Y_k E[i^shape]."""
+    lhs = xf.block_matmul(
+        (images.Y[k], images.E[comb.i_lambda(shape, images.params.mc)]),
         images.p)
-    return bool((lhs == K.evaluate_sum([w for w, _ in res.terms],
-                                       images)).all())
+    return xf.block_equal(
+        lhs, K.evaluate_sum([w for w, _ in res.terms], images), images.p)
 
 
 def _suite_rewrite(params: H.HeckeParams, build, oracle: bool) -> list[str]:
@@ -429,12 +426,16 @@ def main(argv=None) -> int:
             report, code = cmd_cell(cfg), 0
         else:
             report, code = cmd_trace(cfg, args.k), 0
+        # a .csv out path of basis receives the matrix artifact; the
+        # report then stays on stdout
+        emit(report, None if (cfg.out or "").endswith(".csv") else cfg.out)
     except (ValueError, K.NotProvablyZero, B.RelationFailure) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    # a .csv out path of basis receives the matrix artifact; the report
-    # then stays on stdout
-    emit(report, None if (cfg.out or "").endswith(".csv") else cfg.out)
+    except OSError as ex:   # past the config file, a run opens only --out
+        print(f"error: cannot write {ex.filename}: {ex.strerror}",
+              file=sys.stderr)
+        return 2
     return code
 
 

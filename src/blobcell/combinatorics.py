@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -402,6 +403,13 @@ def std_tableaux(shape: Shape) -> list[Tableau]:
             nm[n] = node
             out.append(tableau_from_map(shape, nm))
     return out
+
+
+def std_tableaux_count(shape: Shape) -> int:
+    """n! / (h_1! ... h_l!), the number of standard tableaux of a
+    one-column shape with column heights h_1, ..., h_l, without listing."""
+    return math.factorial(shape_size(shape)) // math.prod(
+        math.factorial(h) for h in column_heights(shape))
 
 
 def all_tableaux(shape: Shape) -> list[Tableau]:

@@ -14,9 +14,9 @@ straightening procedures:
 
 Every step of a run is recorded in a replayable :class:`RewriteTrace`.  At
 small scale each rule and each straightening run can be certified against
-the faithful matrix representation built in :mod:`blobcell.blob`; at
-large scale the same recursion runs purely symbolically, using
-concatenation to discharge branches by induction on the number of strings.
+the held generator images built in :mod:`blobcell.blob`; at large scale
+the same recursion runs purely symbolically, using concatenation to
+discharge branches by induction on the number of strings.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import combinatorics as comb
-from .exactfield import matmul
+from .exactfield import block_lincomb, block_matmul, matmul
 
 
 class PatternMismatch(Exception):
@@ -135,25 +133,23 @@ class DiagramWord:
         parts.append(f"e({','.join(map(str, self.ibot))})")
         return f"{self.coeff} * " + " ".join(parts)
 
-    def evaluate(self, images) -> np.ndarray:
-        """Matrix of the word in the faithful representation carried by a
-        :class:`blobcell.blob.KLRImages` instance, on the carrier's basis."""
-        p, gens = images.p, images.matrices
-        mats = [gens.PSI[arg] if kind == "psi" else
-                gens.Y[arg] if kind == "y" else gens.E.get(tuple(arg))
-                for kind, arg in self.tokens]
-        mats.append(gens.E.get(self.ibot))
-        if any(M is None for M in mats):
-            return np.zeros_like(images.algebra.identity)
-        return self.coeff % p * matmul(mats, p) % p
+    def evaluate(self, images) -> dict:
+        """The held operator of the word in the generator images of a
+        :class:`blobcell.blob.KLRImages` instance, block-sparse in their
+        weight-space coordinates; {} when the carrier drops a class the
+        word passes through."""
+        ops = [images.PSI[arg] if kind == "psi" else
+               images.Y[arg] if kind == "y" else images.E.get(tuple(arg))
+               for kind, arg in self.tokens]
+        ops.append(images.E.get(self.ibot))
+        if any(X is None for X in ops):
+            return {}
+        return block_lincomb([(self.coeff, block_matmul(ops, images.p))],
+                             images.p)
 
 
-def evaluate_sum(words: Sequence[DiagramWord], images) -> np.ndarray:
-    dim = images.algebra.dim
-    M = np.zeros((dim, dim), dtype=np.int64)
-    for w in words:
-        M = (M + w.evaluate(images)) % images.p
-    return M
+def evaluate_sum(words: Sequence[DiagramWord], images) -> dict:
+    return block_lincomb([(1, w.evaluate(images)) for w in words], images.p)
 
 
 def concatenate(t: DiagramWord, iota: int) -> DiagramWord:
@@ -729,16 +725,16 @@ def straighten_garnir(S, G, mc: comb.Multicharge, basis=None,
 
 
 def _garnir_oracle(S, G, mc, basis, theta, trace) -> GarnirResult:
-    A = basis.algebra
     images = basis.images
-    p = A.p
+    p = images.p
     shape = comb.shape_of(G)
     ilam = basis.i_lam[shape]
     wS = tuple(reversed(basis.word[S]))
     wG = comb.official_word(comb.d_perm(G, theta))
-    v = matmul((images.psi_of(wS), images.matrices.E[ilam],
-                images.psi_of(wG), A.unit), p)
-    coeffs = basis.expand(v)
+    X = block_matmul([images.PSI[r] for r in wS] + [images.E[ilam]] +
+                     [images.PSI[r] for r in wG], p)
+    coeffs = basis.expand(
+        matmul((images.C, images._apply(X, images._unit)), p))
     terms = []
     for idx, c in enumerate(coeffs):
         c = int(c)

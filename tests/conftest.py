@@ -1,5 +1,7 @@
 """Shared test references."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,20 @@ def _nonzero_classes(algebra) -> set:
         if matmul((algebra.quotient_map, v), p).any():
             out.add(iseq)
     return out
+
+
+def dense_generators(images) -> SimpleNamespace:
+    """``E``, ``Y`` and ``PSI`` of the held generator images as dense
+    matrices on the carrier's basis (:meth:`KLRImages.dense`), and
+    ``psi_of(word)``, the product of the crossings along a word, in order
+    (the identity for the empty word)."""
+    gens = SimpleNamespace(**{name: {
+        key: images.dense(X) for key, X in getattr(images, name).items()}
+        for name in ("E", "Y", "PSI")})
+    gens.psi_of = lambda word: matmul(
+        [gens.PSI[r] for r in word], images.p) if word else \
+        images.algebra.identity
+    return gens
 
 
 def _family_swap(algebra, images):

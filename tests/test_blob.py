@@ -3,26 +3,29 @@ quiver-Hecke generator images and the defining relation suite, the graded
 cellular basis, Jucys-Murphy triangularity, and cell modules."""
 
 import copy
+import functools
 
 import numpy as np
 import pytest
 
 from blobcell import blob as B
+from blobcell import cli
 from blobcell import combinatorics as C
+from blobcell import exactfield as xf
 from blobcell import hecke as H
 from blobcell.exactfield import (block_equal, block_split, invert_matrix,
                                  mat_pow, matmul, rank, rref)
+from conftest import dense_generators
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
 
 
 def tampered(images, **held):
-    """A copy of ``images`` with the named held operators replaced, and
-    with no dense matrices formed from the old ones.  An adapted sigma
-    already built is kept (unless ``_sigma`` is named), so the relation
-    suite checks the changed operators against the sigma of the old."""
+    """A copy of ``images`` with the named held operators replaced.  An
+    adapted sigma already built is kept (unless ``_sigma`` is named), so
+    the relation suite checks the changed operators against the sigma of
+    the old."""
     out = copy.copy(images)
-    vars(out).pop("matrices", None)
     for name, value in held.items():
         setattr(out, name, value)
     return out
@@ -329,7 +332,8 @@ def dense_relation_failures(images, blob_defining):
     p, e, n = images.p, images.e, images.n
     I = images.algebra.identity
     zero = np.zeros_like(I)
-    E, Y, PSI = images.matrices.E, images.matrices.Y, images.matrices.PSI
+    gens = dense_generators(images)
+    E, Y, PSI = gens.E, gens.Y, gens.PSI
     kap = {k % e for k in images.params.mc.kappa}
     fails = []
 
@@ -417,13 +421,14 @@ class TestAdaptedCoordinates:
 
     def test_generators_in_adapted_form(self, built):
         _, A, images, _ = built[(3, 2)]
-        for iseq, Ei in images.matrices.E.items():
+        gens = dense_generators(images)
+        for iseq, Ei in gens.E.items():
             P = np.zeros_like(A.identity)
             sl = images.blocks[iseq]
             P[sl, sl] = np.eye(sl.stop - sl.start, dtype=np.int64)
             assert np.array_equal(adapted(images, Ei), P)
             assert block_equal(held(images, Ei), images.E[iseq], A.p)
-            for k, Yk in images.matrices.Y.items():
+            for k, Yk in gens.Y.items():
                 assert not B._leaves_block(held(images, Yk), iseq)
 
     def test_small_inversions_and_no_push(self, built, monkeypatch):
@@ -587,10 +592,11 @@ class TestWeightIdempotents:
         params = built[(n, l)][0]
         eng = H.murphy_engine(params)
         for A, images in (built[(n, l)][1:3], built_full[(n, l)][1:]):
+            E = dense_generators(images).E
             for iseq, tabs in H.class_partition(params).items():
                 want = A.push(H.specialize_vector(eng.class_vector(tabs),
                                                   params))
-                got = images.matrices.E.get(iseq, np.zeros_like(want))
+                got = E.get(iseq, np.zeros_like(want))
                 assert np.array_equal(got, want), (A.is_quotient, iseq)
 
 
@@ -605,7 +611,7 @@ class TestJucysMurphy:
     def test_nilpotent_part(self, built):
         _, A, images, _ = built[(3, 2)]
         jm = {k: images.dense(M) for k, M in B.jm_images(A, images).items()}
-        for iseq, Ei in images.matrices.E.items():
+        for iseq, Ei in dense_generators(images).E.items():
             for k in jm:
                 N = (jm[k] - pow(A.q, iseq[k - 1], A.p)
                      * A.identity) @ Ei % A.p
@@ -649,11 +655,11 @@ class TestCellularBasis:
 
     def test_maximal_pair_is_idempotent(self, built):
         _, A, images, basis = built[(3, 2)]
+        E = dense_generators(images).E
         for lam in basis.shapes:
             tl = basis.t_lam[lam]
-            assert np.array_equal(
-                basis.vector(tl, tl),
-                images.matrices.E[basis.i_lam[lam]] @ A.unit % A.p)
+            assert np.array_equal(basis.vector(tl, tl),
+                                  E[basis.i_lam[lam]] @ A.unit % A.p)
 
     @pytest.mark.parametrize("n,l", SCALES)
     def test_star_symmetry(self, built, n, l):
@@ -718,33 +724,30 @@ class TestOfficialWords:
         for w in __import__("itertools").permutations(range(1, 5)):
             assert len(C.official_word(w)) == C.perm_length(w)
 
-    def test_psi_of_identity(self, built):
-        _, A, images, _ = built[(2, 2)]
-        assert np.array_equal(images.psi_of(()), A.identity)
-
     def test_alternate_reduced_word_support(self, built):
         # replacing the official word of d(T) by another reduced word of
         # the same permutation perturbs m_{S,T} only by basis pairs that
         # are strictly higher (in shape, or in either tableau)
         params, A, images, basis = built[(3, 2)]
+        gens = dense_generators(images)
         w0, alt = (1, 2, 1), (2, 1, 2)
         theta = basis.theta
         # at this scale no realized residue sequence meets the braid
         # correction pattern, so the two products agree on the nose
-        for iseq, Ei in images.matrices.E.items():
+        for iseq, Ei in gens.E.items():
             a, b, c = iseq
             correction = a == c and (b - a) % params.e in (1, params.e - 1)
             assert not correction
-            assert np.array_equal(images.psi_of(w0) @ Ei % A.p,
-                                  images.psi_of(alt) @ Ei % A.p)
+            assert np.array_equal(gens.psi_of(w0) @ Ei % A.p,
+                                  gens.psi_of(alt) @ Ei % A.p)
         for lam in basis.shapes:
             for T in basis.std[lam]:
                 if basis.word[T] != w0:
                     continue
                 for S in basis.std[lam]:
-                    mv = images.psi_of(tuple(reversed(basis.word[S]))) @ \
-                        images.matrices.E[basis.i_lam[lam]] @ \
-                        images.psi_of(alt) @ \
+                    mv = gens.psi_of(tuple(reversed(basis.word[S]))) @ \
+                        gens.E[basis.i_lam[lam]] @ \
+                        gens.psi_of(alt) @ \
                         A.unit % A.p
                     d = basis.expand((mv - basis.vector(S, T)) % A.p)
                     for idx in np.nonzero(d % A.p)[0]:
@@ -762,9 +765,10 @@ class TestCellularity:
 
     def test_idempotent_acts_as_delta(self, built):
         _, A, images, basis = built[(3, 2)]
+        E = dense_generators(images).E
         for lam in basis.shapes:
             tl = basis.t_lam[lam]
-            Ei = images.matrices.E[basis.i_lam[lam]]
+            Ei = E[basis.i_lam[lam]]
             for T in basis.std[lam]:
                 assert np.array_equal(Ei @ basis.vector(tl, T) % A.p,
                                       basis.vector(tl, T))
@@ -773,9 +777,10 @@ class TestCellularity:
         # a dot on the maximal pair is supported on strictly dominating
         # shapes only
         _, A, images, basis = built[(3, 2)]
+        Y = dense_generators(images).Y
         for lam in basis.shapes:
             tl = basis.t_lam[lam]
-            for k, Yk in images.matrices.Y.items():
+            for k, Yk in Y.items():
                 c = basis.expand(Yk @ basis.vector(tl, tl) % A.p)
                 for idx in np.nonzero(c % A.p)[0]:
                     mu, _, _ = basis.index[idx]
@@ -824,8 +829,9 @@ class TestMaxShapeVanishing:
     def test_dots_kill_maximal_idempotent(self, built, n, l):
         params, A, images, _ = built[(n, l)]
         imax = C.i_lambda(C.mu_max(n, l), params.mc)
-        E = images.matrices.E[imax]
-        for Yk in images.matrices.Y.values():
+        gens = dense_generators(images)
+        E = gens.E[imax]
+        for Yk in gens.Y.values():
             assert not (Yk @ E % A.p).any()
             assert not (E @ Yk % A.p).any()
 
@@ -878,7 +884,7 @@ def per_vector_cellularity(A, basis):
 def per_vector_grading(A, basis):
     """The degree of every nonzero coefficient of every generator times
     every basis vector, with the residue sequence read per pair."""
-    p, e, gens = A.p, basis.params.e, basis.images.matrices
+    p, e, gens = A.p, basis.params.e, dense_generators(basis.images)
     degs = np.array([basis.degree(S, T) for _, S, T in basis.index])
     elements = [(f"y_{k}", Yk, lambda iS: 2) for k, Yk in gens.Y.items()]
     elements += [(f"e({i})", Ei, lambda iS: 0) for i, Ei in gens.E.items()]
@@ -977,7 +983,7 @@ def changed_after_the_basis(images):
     """A copy of ``images`` with three generators changed: y_2 gains an
     idempotent, an idempotent gains y_1, and psi_2 gains y_3, which takes
     it off its block pattern."""
-    p, gens = images.p, images.matrices
+    p, gens = images.p, dense_generators(images)
     first = next(iter(images.E))
     Y = {**images.Y, 2: held(images, (gens.Y[2] + gens.E[first]) % p)}
     E = {**images.E, first: held(images, (gens.E[first] + gens.Y[1]) % p)}
@@ -1079,10 +1085,11 @@ class TestCellularBasisMatrices:
     def test_jm_images_equal_per_class_sum(self, built, n, l):
         _, A, images, _ = built[(n, l)]
         p, I = A.p, A.identity
+        gens = dense_generators(images)
         for k, M in B.jm_images(A, images).items():
             want = np.zeros_like(I)
-            for iseq, Ei in images.matrices.E.items():
-                N = matmul(((I - images.matrices.Y[k]) % p, Ei), p)
+            for iseq, Ei in gens.E.items():
+                N = matmul(((I - gens.Y[k]) % p, Ei), p)
                 want = (want + pow(A.q, iseq[k - 1], p) * N) % p
             assert images.dense(M).tobytes() == want.tobytes()
 
@@ -1103,7 +1110,7 @@ def dense_projection_failures(images):
     d_i and fixes the columns of block i, and the E[i] add up to 1."""
     p, C = images.p, images.C
     fails, total = [], np.zeros_like(C)
-    for iseq, Ei in images.matrices.E.items():
+    for iseq, Ei in dense_generators(images).E.items():
         sl = images.blocks[iseq]
         total = (total + Ei) % p
         if rank(Ei, p) != sl.stop - sl.start or \
@@ -1117,7 +1124,7 @@ def dense_projection_failures(images):
 def dense_jm_images(A, images):
     """The Jucys-Murphy elements and their checks on the dense matrices."""
     p, q, I = A.p, A.q, A.identity
-    gens, jm = images.matrices, {}
+    gens, jm = dense_generators(images), {}
     for k in range(1, A.params.n + 1):
         M = np.zeros_like(I)
         for iseq, Ei in gens.E.items():
@@ -1208,7 +1215,7 @@ class TestBlockPath:
         # dense adapted family, and the certificate refuses the family
         _, A, images, _ = built[(n, l)]
         changed = tampered(images, PSI={**images.PSI, 1: held(
-            images, (images.matrices.PSI[1] + A.identity) % A.p)})
+            images, (images.dense(images.PSI[1]) + A.identity) % A.p)})
         family = B.CellularBasis(A, changed)
         order = np.concatenate(list(family.members.values()))
         assert any(i != g for i, g in block_split(
@@ -1228,7 +1235,7 @@ class TestBlockPath:
 
         assert certificate(images) == dense_projection_failures(images) == []
         first, last = list(images.E)[0], list(images.E)[-1]
-        plus_one = (images.matrices.E[first] + 1) % A.p
+        plus_one = (images.dense(images.E[first]) + 1) % A.p
         for E in ({**images.E, first: held(images, plus_one)},
                   {**images.E, first: images.E[last]}):
             broken = tampered(images, E=E)
@@ -1256,9 +1263,10 @@ class TestBlockPath:
 
 
 class TestNoDenseProducts:
-    """At (3,3), after the relation suite, the cellular layer forms no
-    product with two dimensions of size D and no elimination of D rows,
-    and the relation suite no rank of size D."""
+    """At (3,3), after the relation suite, the cellular layer and the
+    rewrite oracle form no product with two dimensions of size D, the
+    cellular layer no elimination of D rows, and the relation suite no
+    rank of size D."""
 
     @pytest.fixture
     def recorded(self, monkeypatch):
@@ -1302,3 +1310,18 @@ class TestNoDenseProducts:
         assert recorded and all(
             list(dims).count(D) < 2 if name == "matmul" else dims[0] < D
             for name, dims in recorded)
+
+    def test_rewrite_oracle(self, monkeypatch):
+        params = H.default_params(3, 3)
+        build = functools.cache(functools.partial(cli._build, params))
+        A, _, relation_fails = build()
+        assert relation_fails == []
+        shapes, product = [], xf._product
+
+        def recorded(M, N, p):
+            shapes.append((*M.shape, N.shape[1] if N.ndim == 2 else 1))
+            return product(M, N, p)
+
+        monkeypatch.setattr(xf, "_product", recorded)
+        assert cli._suite_rewrite(params, build, True) == []
+        assert shapes and all(dims.count(A.dim) < 2 for dims in shapes)

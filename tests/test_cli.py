@@ -3,6 +3,7 @@ reports, verification suites and exit codes, artifact dumps, and the
 symbolic straightening trace."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -75,6 +76,10 @@ class TestRejectedInput:
          "only basis writes a CSV matrix"),
         (["verify", "--n", "2", "--l", "1", "--e", "2", "--p", "3",
           "--kappa-hat", "0"], "multicharge condition iii)"),
+        (["dims", "--n", "2", "--l", "2", "--theta", "0,0,0"],
+         "weighting length differs from the level"),
+        (["trace", "--n", "2", "--l", "2", "--k", "1", "--theta", "0,0,0"],
+         "weighting length differs from the level"),
     ])
     def test_exits_two_with_message(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
@@ -107,6 +112,15 @@ class TestRejectedInput:
         assert code == 2 and not out
         assert err.startswith(f"error: cannot read config file {path}")
 
+    @pytest.mark.parametrize("argv,name", [
+        (["verify", "--n", "2", "--l", "2"], "r.json"),
+        (["basis", "--n", "2", "--l", "2"], "m.csv")])
+    def test_unwritable_out(self, tmp_path, capsys, argv, name):
+        path = tmp_path / "absent" / name
+        code, out, err = run(argv + ["--out", str(path)], capsys)
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot write {path}: ")
+
     def test_negative_strings_in_dims(self, capsys):
         code, out, err = run(["dims", "--n", "-1", "--l", "2"], capsys)
         assert code == 2 and not out
@@ -131,6 +145,14 @@ class TestDims:
     def test_level_three(self, capsys):
         _, out, _ = run(["dims", "--n", "3", "--l", "3"], capsys)
         assert json.loads(out)["dim_B"] == 93
+
+    def test_thirty_strings_without_listing_tableaux(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(["dims", "--n", "30", "--l", "2"], capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert json.loads(out)["dim_B"] == math.comb(60, 30) == \
+            118264581564861424
 
     def test_deterministic_modulo_timestamp(self, capsys):
         _, out1, _ = run(["dims", "--n", "2", "--l", "2"], capsys)

@@ -253,6 +253,13 @@ class TestStdTableaux:
             assert len(set(tabs)) == expect
             assert all(C.is_standard(t) for t in tabs)
 
+    def test_count_without_listing(self):
+        for l in (1, 2, 3):
+            for n in range(7):
+                for lam in C.one_column_shapes(n, l):
+                    assert C.std_tableaux_count(lam) == \
+                        len(C.std_tableaux(lam)), lam
+
 
 class TestResidues:
     def test_n22_paper_sequence(self):

@@ -7,12 +7,12 @@ is made once for the module."""
 
 import itertools
 
-import numpy as np
 import pytest
 
 from blobcell import blob as B
 from blobcell import hecke as H
 from blobcell import klrcalc as K
+from blobcell.exactfield import block_equal
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,7 @@ def test_braid_and_dot_crossing_rewrites_sound(built):
                         if before is None:
                             before = w.evaluate(images)
                         after = K.evaluate_sum(out, images)
-                        assert np.array_equal(before, after), \
+                        assert block_equal(before, after, p), \
                             (iseq, tokens, rule, pos)
                         if any(len(x.tokens) < m for x in out):
                             corrected[rule] += 1
@@ -119,5 +119,5 @@ def test_triple_resolution_sound(full):
         eng.ibot = iseq
         start = K._State(1, (), iseq, r + 2, False, ())
         words = [eng.word_of(st) for st in eng._triple(start, r)]
-        assert np.array_equal(K.evaluate_sum(words, full),
-                              full.matrices.E[iseq]), (iseq, r)
+        assert block_equal(K.evaluate_sum(words, full), full.E[iseq],
+                           full.p), (iseq, r)
