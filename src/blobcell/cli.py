@@ -11,7 +11,10 @@ suites, and emit machine-readable artifacts:
 
 A run builds the quotient algebra, its quiver-Hecke generator images and
 its cellular basis at most once: the suites of ``verify`` share one lazy
-build, and ``basis``, ``cell`` and ``trace`` go through one helper.
+build, and ``basis`` and ``cell`` share one helper.
+
+``--oracle on`` (the default) certifies the symbolic straightenings of
+the ``rewrite`` suite and of ``trace`` against the matrix representation.
 
 Reports are JSON (deterministic modulo the timestamp field); ``basis``
 can also write its matrix as CSV, and the other commands refuse a ``.csv``
@@ -22,9 +25,11 @@ config file, with the level presets as defaults.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -175,15 +180,20 @@ def _build(params: H.HeckeParams) -> tuple:
     """The quotient algebra, its generator images and the relations
     those images fail (build_blob -> KLRImages -> relation_failures)."""
     A = B.build_blob(params)
-    images = B.KLRImages(A)
+    try:
+        images = B.KLRImages(A)
+    except B.RelationFailure as ex:   # the weight split is not certified
+        return A, None, [ex]
     return A, images, images.relation_failures()
 
 
-def _certified_build(params: H.HeckeParams) -> tuple:
-    """The quotient algebra and its certified generator images; raises
-    :class:`B.RelationFailure` on the first failing relation."""
+def _certified_basis(cfg: RunConfig) -> tuple:
+    """The parameters, the quotient algebra and its certified cellular
+    basis; raises :class:`B.RelationFailure` on the first failing relation."""
+    params = cfg.params()
     A = B.build_blob(params)
-    return A, B.klr_images(A)
+    return params, A, B.build_cellular_basis(A, B.klr_images(A),
+                                             cfg.weighting())
 
 
 def _uncertified(relation_fails: list) -> list[str]:
@@ -202,25 +212,19 @@ def _cellular_basis(build, theta) -> tuple:
         return None, [f"cellular basis construction failed: {ex}"]
 
 
-def _suite_hecke(params: H.HeckeParams, oracle: bool) -> list[str]:
-    fails = H.regular_rep(params).relation_failures()
-    sm = H.SeminormalModel(params)
-    fails += sm.relation_failures()
-    if oracle:
-        for lam in sm.blocks:
-            for S in sm.blocks[lam].std:
-                if not sm.murphy_is_matrix_unit(S):
-                    fails.append(f"Murphy element at {S} is not a "
-                                 "seminormal matrix unit")
-    return fails
+def _suite_hecke(params: H.HeckeParams) -> list[str]:
+    """The relations of H in its regular representation and seminormal
+    model.  Murphy's product formula is the seminormal matrix unit at
+    (S, S) by construction: c_U(k) lies in the content set C(k), so
+    ``murphy_eigenvalue(S, U)`` is zero at the first k with c_U(k) !=
+    c_S(k) and one at U = S, and ``tableau_contents`` raises unless the
+    contents separate the tableaux."""
+    return (H.regular_rep(params).relation_failures()
+            + H.SeminormalModel(params).relation_failures())
 
 
-def _suite_klr(build, oracle: bool) -> list[str]:
-    _, images, relation_fails = build()
-    fails = [str(f) for f in relation_fails]
-    if oracle:
-        fails += images.eigenprojection_failures()
-    return fails
+def _suite_klr(build) -> list[str]:
+    return [str(f) for f in build()[2]]
 
 
 def _suite_cellular(build, cellular_basis) -> list[str]:
@@ -241,7 +245,10 @@ def _suite_jm(build, cellular_basis) -> list[str]:
     if basis is None:
         return list(fails)
     A, images, _ = build()
-    return list(B.check_jm(A, basis, B.jm_images(A, images)))
+    try:
+        return list(B.check_jm(A, basis, B.jm_images(A, images)))
+    except ValueError as ex:
+        return [str(ex)]
 
 
 def _oracle_invariant(images, k: int, shape, res) -> bool:
@@ -255,15 +262,12 @@ def _oracle_invariant(images, k: int, shape, res) -> bool:
 
 
 def _suite_rewrite(params: H.HeckeParams, build, oracle: bool) -> list[str]:
-    mc = params.mc
-    n, l = params.n, params.l
-    fails = []
-    images = None
+    mc, n, l = params.mc, params.n, params.l
+    images, fails = None, []
     if oracle:
         _, images, relation_fails = build()
         if relation_fails:
-            fails += _uncertified(relation_fails)
-            images = None
+            images, fails = None, _uncertified(relation_fails)
     mumax = comb.mu_max(n, l)
     for shape in comb.one_column_shapes(n, l):
         for k in range(1, n + 1):
@@ -290,24 +294,17 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     wanted = SUITES[:-1] if cfg.suite == "all" else (cfg.suite,)
     build = functools.cache(functools.partial(_build, params))
     basis = functools.cache(functools.partial(_cellular_basis, build, theta))
+    run = {"hecke": lambda: _suite_hecke(params),
+           "klr": lambda: _suite_klr(build),
+           "cellular": lambda: _suite_cellular(build, basis),
+           "jm": lambda: _suite_jm(build, basis),
+           "rewrite": lambda: _suite_rewrite(params, build, cfg.oracle)}
     report = _header(cfg, params)
-    report["suites"] = {}
-    code = 0
+    report["suites"] = suites = {}
     for name in wanted:
-        if name == "hecke":
-            fails = _suite_hecke(params, cfg.oracle)
-        elif name == "klr":
-            fails = _suite_klr(build, cfg.oracle)
-        elif name == "cellular":
-            fails = _suite_cellular(build, basis)
-        elif name == "jm":
-            fails = _suite_jm(build, basis)
-        else:
-            fails = _suite_rewrite(params, build, cfg.oracle)
-        report["suites"][name] = {"passed": not fails,
-                                  "failures": fails}
-        if fails:
-            code = 1
+        fails = run[name]()
+        suites[name] = {"passed": not fails, "failures": fails}
+    code = int(any(s["failures"] for s in suites.values()))
     report["passed"] = code == 0
     return report, code
 
@@ -316,9 +313,7 @@ def cmd_basis(cfg: RunConfig) -> dict:
     """Dump the graded cellular basis: one coefficient vector per pair of
     standard tableaux; with --out ending in .csv the basis matrix is also
     written column by column."""
-    params = cfg.params()
-    A, images = _certified_build(params)
-    basis = B.build_cellular_basis(A, images, cfg.weighting())
+    params, A, basis = _certified_basis(cfg)
     report = _header(cfg, params)
     report["dim"] = A.dim
     report["vectors"] = [
@@ -333,9 +328,7 @@ def cmd_basis(cfg: RunConfig) -> dict:
 
 def cmd_cell(cfg: RunConfig) -> dict:
     """Cell-module table: dimension, Gram rank and radical per shape."""
-    params = cfg.params()
-    A, images = _certified_build(params)
-    basis = B.build_cellular_basis(A, images, cfg.weighting())
+    params, A, basis = _certified_basis(cfg)
     modules = B.cell_modules(A, basis)
     report = _header(cfg, params)
     report["modules"] = [
@@ -357,7 +350,8 @@ def cmd_trace(cfg: RunConfig, k: int) -> dict:
     symbolic = not cfg.oracle or cfg.n > 4
     res = K.straighten_dot(k, shape, mc, symbolic=symbolic)
     if not symbolic and \
-            not _oracle_invariant(_certified_build(params)[1], k, shape, res):
+            not _oracle_invariant(B.klr_images(B.build_blob(params)), k,
+                                  shape, res):
         raise RuntimeError("trace is not oracle-invariant")
     report = _header(cfg, params)
     report.update({
@@ -395,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output path (JSON; .csv for the basis "
                         "matrix)")
         sp.add_argument("--oracle", choices=("on", "off"), default=None,
-                        help="certify against the matrix representation")
+                        help="certify the rewrite suite and trace against "
+                        "the matrix representation")
 
     add_common(sub.add_parser("dims", help="dimension table"))
     spv = sub.add_parser("verify", help="run invariant suites")
@@ -416,6 +411,10 @@ def main(argv=None) -> int:
         if (cfg.out or "").endswith(".csv") and args.command != "basis":
             raise ValueError(f"--out {cfg.out}: only basis writes a CSV "
                              f"matrix; {args.command} writes JSON")
+        if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(
+                os.path.dirname(cfg.out) or ".")):   # fail before any work
+            why = errno.EISDIR if os.path.isdir(cfg.out) else errno.ENOENT
+            raise OSError(why, os.strerror(why), cfg.out)
         if args.command == "dims":
             report, code = cmd_dims(cfg), 0
         elif args.command == "verify":

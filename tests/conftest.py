@@ -7,7 +7,7 @@ import pytest
 
 from blobcell import blob as B
 from blobcell import hecke as H
-from blobcell.exactfield import invert_matrix, matmul
+from blobcell.exactfield import invert_matrix, mat_pow, matmul, rank
 
 
 def _nonzero_classes(algebra) -> set:
@@ -38,6 +38,32 @@ def dense_generators(images) -> SimpleNamespace:
         [gens.PSI[r] for r in word], images.p) if word else \
         images.algebra.identity
     return gens
+
+
+def weight_split_misses(algebra, images) -> list:
+    """The dense reference for the weight split: "rank" unless the columns
+    of C are independent, and (k, i) wherever (L_k - q^(i_k))^dim does not
+    kill block i of C.  With none, block i is the joint generalized
+    eigenspace of the L_k at q^i."""
+    A, p, C = algebra, algebra.p, images.C
+    out = [] if rank(C, p) == A.dim else ["rank"]
+    for k, L in A.L.items():
+        for iseq, sl in images.blocks.items():
+            N = mat_pow((L - pow(A.q, iseq[k - 1], p) * A.identity) % p,
+                        A.dim, p)
+            if matmul((N, C[:, sl]), p).any():
+                out.append((k, iseq))
+    return out
+
+
+def mixed_split(C, blocks, p):
+    """The weight split (C, blocks) with the first column of the first
+    block replaced by its sum with the first column of the second: C is
+    still invertible, but the first block is no longer a weight space."""
+    first, second = list(blocks.values())[:2]
+    C = C.copy()
+    C[:, first.start] = (C[:, first.start] + C[:, second.start]) % p
+    return C, blocks
 
 
 def _family_swap(algebra, images):

@@ -15,7 +15,7 @@ from blobcell import exactfield as xf
 from blobcell import hecke as H
 from blobcell.exactfield import (block_equal, block_split, invert_matrix,
                                  mat_pow, matmul, rank, rref)
-from conftest import dense_generators
+from conftest import dense_generators, mixed_split, weight_split_misses
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
 
@@ -196,9 +196,42 @@ class TestRelationSuite:
 
     @pytest.mark.parametrize("n,l", SCALES)
     def test_eigenspace_projections(self, built, built_full, n, l):
-        _, _, images, _ = built[(n, l)]
-        assert images.eigenprojection_failures() == []
-        assert built_full[(n, l)][2].eigenprojection_failures() == []
+        for A, images in (built[(n, l)][1:3], built_full[(n, l)][1:]):
+            assert weight_split_misses(A, images) == []
+
+    @pytest.mark.parametrize("n,l", SCALES)
+    def test_relabelled_split_fails_the_suite(self, built, monkeypatch, n, l):
+        # two weight spaces of one size with their labels swapped: the L_k
+        # stay block-diagonal, so only the eigenvalues tell them apart, and
+        # "y_k nilpotent" fails, unless a block of L_(r+1) - L_r that
+        # psi_r inverts is singular first
+        _, A, images, _ = built[(n, l)]
+        width = {i: sl.stop - sl.start for i, sl in images.blocks.items()}
+        pairs = [(i, j) for i in width for j in width
+                 if i < j and width[i] == width[j]]
+        assert pairs
+        for i, j in pairs:
+            swap = {i: j, j: i}
+            blocks = {swap.get(k, k): sl for k, sl in images.blocks.items()}
+            monkeypatch.setattr(B, "weight_spaces",
+                                lambda L, params: (images.C, blocks))
+            try:
+                fails = B.KLRImages(A).relation_failures()
+            except ValueError as ex:
+                assert str(ex) == "matrix is singular mod p", (i, j)
+                continue
+            assert "y_k nilpotent" in {f.relation for f in fails}, (i, j)
+
+    @pytest.mark.parametrize("n,l", SCALES)
+    def test_mixed_split_is_rejected(self, built, monkeypatch, n, l):
+        # a column mixed across two weight spaces leaves the first of
+        # them no longer stable under the L_k
+        _, A, images, _ = built[(n, l)]
+        monkeypatch.setattr(B, "weight_spaces", lambda L, params: mixed_split(
+            images.C, images.blocks, params.p))
+        with pytest.raises(B.RelationFailure) as err:
+            B.KLRImages(A)
+        assert err.value.relation == "y_k e(i) = e(i) y_k"
 
     @pytest.mark.parametrize("n,l", SCALES)
     def test_degree_table_homogeneous(self, built, n, l):

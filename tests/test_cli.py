@@ -14,6 +14,9 @@ import pytest
 
 from blobcell import blob as B
 from blobcell import cli
+from blobcell import exactfield as xf
+from blobcell import hecke as H
+from conftest import mixed_split
 
 
 def run(argv, capsys):
@@ -114,12 +117,19 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("argv,name", [
         (["verify", "--n", "2", "--l", "2"], "r.json"),
-        (["basis", "--n", "2", "--l", "2"], "m.csv")])
-    def test_unwritable_out(self, tmp_path, capsys, argv, name):
-        path = tmp_path / "absent" / name
+        (["basis", "--n", "2", "--l", "2"], "m.csv"),
+        (["verify", "--n", "2", "--l", "2"], "")])
+    def test_unwritable_out(self, tmp_path, monkeypatch, capsys, argv, name):
+        # a path in a missing directory, or (no name) a directory itself,
+        # is rejected before the algebra is built
+        def unexpected(params):
+            raise AssertionError("build_blob called")
+        monkeypatch.setattr(B, "build_blob", unexpected)
+        path = tmp_path / "absent" / name if name else tmp_path
+        reason = "No such file or directory" if name else "Is a directory"
         code, out, err = run(argv + ["--out", str(path)], capsys)
         assert code == 2 and not out
-        assert err.startswith(f"error: cannot write {path}: ")
+        assert err == f"error: cannot write {path}: {reason}\n"
 
     def test_negative_strings_in_dims(self, capsys):
         code, out, err = run(["dims", "--n", "-1", "--l", "2"], capsys)
@@ -267,6 +277,60 @@ class TestVerify:
         code, out, err = run(["basis", "--n", "2", "--l", "2"], capsys)
         assert code == 2 and not out
         assert err.startswith("error: relation injected fails")
+
+    def test_failing_jm_images_are_reported(self, monkeypatch, capsys):
+        def failing(*args):
+            raise ValueError("injected")
+        monkeypatch.setattr(B, "jm_images", failing)
+        code, out, _ = run(["verify", "--n", "2", "--l", "2"], capsys)
+        assert code == 1
+        suites = json.loads(out)["suites"]
+        assert suites["jm"]["failures"] == ["injected"]
+        assert all(suites[name]["passed"]
+                   for name in ("hecke", "klr", "cellular", "rewrite"))
+
+    def test_failing_weight_split_is_reported(self, monkeypatch, capsys):
+        split = B.weight_spaces
+        monkeypatch.setattr(B, "weight_spaces", lambda L, params: mixed_split(
+            *split(L, params), params.p))
+        code, out, _ = run(["verify", "--n", "2", "--l", "2"], capsys)
+        assert code == 1
+        suites = json.loads(out)["suites"]
+        assert suites["hecke"]["passed"]
+        [klr] = suites["klr"]["failures"]
+        assert klr.startswith("relation y_k e(i) = e(i) y_k fails")
+        for name in ("cellular", "jm", "rewrite"):
+            assert suites[name]["failures"] == [
+                "generator images fail 1 relations"], name
+
+    def test_oracle_rederives_nothing(self, monkeypatch, capsys):
+        # the oracle governs only the rewrite suite and trace: with it on,
+        # the klr suite makes no extra elimination, and the hecke suite
+        # does not run Murphy's product formula
+        calls = []
+        rref = xf.rref
+
+        def counted(M, p):
+            calls.append(M.shape)
+            return rref(M, p)
+        monkeypatch.setattr(xf, "rref", counted)
+        argv = ["verify", "--n", "3", "--l", "2", "--suite", "klr"]
+        run(argv, capsys)     # fills the caches kept per parameter set
+        made = {}
+        for oracle in ("on", "off"):
+            calls.clear()
+            code, _, _ = run(argv + ["--oracle", oracle], capsys)
+            assert code == 0
+            made[oracle] = len(calls)
+        assert made["on"] == made["off"] > 0
+
+        def unexpected(self, S):
+            raise AssertionError("murphy_is_matrix_unit called")
+        monkeypatch.setattr(H.SeminormalModel, "murphy_is_matrix_unit",
+                            unexpected)
+        code, out, _ = run(["verify", "--n", "3", "--l", "2", "--suite",
+                            "hecke", "--oracle", "on"], capsys)
+        assert code == 0 and json.loads(out)["passed"]
 
     def test_single_suite_selection(self, capsys):
         code, out, _ = run(["verify", "--n", "2", "--l", "2", "--suite",
