@@ -128,10 +128,8 @@ class BlobAlgebra:
     before and after passing to the quotient.
 
     Attributes: ``dim``; ``quotient_map`` (dim x dim_H matrix taking
-    H-coordinates to B-coordinates); generator image matrices ``T``, ``L``,
-    the anti-involution ``star`` and the star conjugates ``RT``, ``RL`` of
-    T and L, which are right multiplication by the generators (the star
-    fixes each generator and reverses products); the coordinate vector
+    H-coordinates to B-coordinates); the generator image matrices ``T``,
+    ``L`` (left multiplication, and no right one); the coordinate vector
     ``unit`` of the identity.  The ideal is certified stable under the
     star, L_1 and every T_i, so quotient matrices multiply as lifts do."""
 
@@ -178,9 +176,6 @@ class BlobAlgebra:
                     raise ValueError(f"ideal is not stable under {name}")
         self.T = {i: self._q(reg.T[i]) for i in reg.T}
         self.L = {k: self._q(reg.L[k]) for k in reg.L}
-        self.star = S = self._q(reg.star_mat)
-        self.RT = {i: matmul((S, X, S), p) for i, X in self.T.items()}
-        self.RL = {k: matmul((S, X, S), p) for k, X in self.L.items()}
         self.unit = matmul((Pi, reg.unit_vector()), p)
         self.identity = np.eye(self.dim, dtype=np.int64)
 
@@ -196,17 +191,14 @@ class BlobAlgebra:
         non-pivot key, for the quotient vector u of the element.  The
         products are taken in the quotient itself, along the spanning tree
         of the basis of H: :func:`_times_basis` with right multiplication
-        by the generators."""
-        u = matmul((self.quotient_map, self.reg.coefficients(el)), self.p)
-        return _times_basis(self, {"T": self.RT, "L": self.RL}, u)
-
-    def lmat(self, v: np.ndarray) -> np.ndarray:
-        """Left-multiplication matrix of the element with reduced quotient
-        coordinate vector v, through its lift to H: v placed at the
-        non-pivot coordinates."""
-        lift = np.zeros(self.reg.dim, dtype=np.int64)
-        lift[self._nonpiv] = v
-        return self.push(lift)
+        by the generators, the star conjugates S g S of the quotient star
+        S, formed on each call: the tests' reference; the pipeline forms
+        no right multiplication."""
+        p, S = self.p, self._q(self.reg.star_mat)
+        right = {kind: {i: matmul((S, X, S), p) for i, X in ops.items()}
+                 for kind, ops in (("T", self.T), ("L", self.L))}
+        u = matmul((self.quotient_map, self.reg.coefficients(el)), p)
+        return _times_basis(self, right, u)
 
 
 def build_blob(params: HeckeParams) -> "BlobAlgebra":
@@ -241,28 +233,29 @@ class KLRImages:
     block j, column block i): the nonzero d_j x d_i block}, so a changed
     operator is still held exactly.  ``E[i]`` is the weight idempotent
     e(i), the projection P_i onto block i, as the Brundan-Kleshchev
-    isomorphism defines it; ``L[k]`` and ``RL[k]`` are left and right
-    multiplication by L_k; ``Y[k]`` is y_k, the block 1 - q^(-i_k) L_k
-    on each class; ``PSI[r]`` is psi_r (:meth:`_psi`), taking block i to
-    block s_r i.  The only inverses taken are of C and of d_i x d_i
-    blocks.  The construction certifies that the L_k are block-diagonal
-    (raising :class:`RelationFailure` otherwise), and
-    :meth:`relation_failures` the presentation, whose residue cases it
-    reads, as :mod:`.klrcalc` does, off :func:`~.combinatorics.square_terms`
-    and :func:`~.combinatorics.braid_sign`; :mod:`.klrcalc` evaluates
-    its words on the same held forms.  Only :meth:`dense` forms the matrix
-    C X C^-1 of a held X on the carrier's basis.  The adapted sigma is
-    formed from PSI and L on first use and kept, so these must not be
-    changed once it has been read: a copy with the changed operators and
-    no sigma is a new set of images.
+    isomorphism defines it; ``T[r]`` and ``L[k]`` are left multiplication
+    by T_r and L_k, and :attr:`RL` right multiplication by L_k; ``Y[k]``
+    is y_k, the block 1 - q^(-i_k) L_k on each class; ``PSI[r]`` is psi_r
+    (:meth:`_psi`), taking block i to block s_r i.  The only inverses
+    taken are of C and of d_i x d_i blocks.  The construction certifies
+    that the L_k are block-diagonal (raising :class:`RelationFailure`
+    otherwise), and :meth:`relation_failures` the presentation, whose
+    residue cases it reads, as :mod:`.klrcalc` does, off ``square_terms``
+    and ``braid_sign`` of :mod:`.combinatorics`; :mod:`.klrcalc` evaluates
+    its words on the same held forms.  Only :meth:`dense` (C X C^-1 for a
+    held X) and :attr:`sigma`, for the tests, form matrices on the
+    carrier's basis.  The adapted sigma is formed from PSI and L on first
+    use and kept, so these must not be changed once it has been read: a
+    copy with the changed operators and no sigma is a new set of images.
 
-    **The anti-involution.**  :attr:`sigma` fixes e(i), y_k and psi_r.
+    **The anti-involution.**  sigma fixes e(i), y_k and psi_r.
     :meth:`_psi` keeps the blocks of Q_r(i) and P_r(i) in T_r e(i) =
     psi_r Q_r(i) e(i) - P_r(i) e(i), so sigma(T_r) is known in closed
     form in either carrier, and sigma is filled along the basis tree of H.
     It maps e(i)A onto A e(i), so its adapted form (``_sigma``, built by
     :meth:`_held_sigma`) is a dense matrix.  :meth:`_sigma_failures`,
-    which :meth:`relation_failures` runs, certifies it."""
+    which :meth:`relation_failures` runs, certifies it from left
+    multiplications, and :attr:`RL` is formed from it."""
 
     def __init__(self, algebra: BlobAlgebra):
         self.algebra = A = algebra
@@ -281,6 +274,7 @@ class KLRImages:
         self.identity = {(i, i): np.eye(sl.stop - sl.start, dtype=np.int64)
                          for i, sl in self.blocks.items()}
         self.E = {i: {(i, i): self.identity[i, i]} for i in self.blocks}
+        self.T = {r: self._adapt(X) for r, X in A.T.items()}
         self.L = {k: self._adapt(X) for k, X in A.L.items()}
         for k, X in self.L.items():
             for iseq in self.blocks:
@@ -296,9 +290,9 @@ class KLRImages:
 
     @cached_property
     def RL(self) -> dict:
-        """The held right multiplications by the L_k, for :func:`check_jm`,
-        adapted on first use."""
-        return {k: self._adapt(X) for k, X in self.algebra.RL.items()}
+        """The held right multiplications sigma L_k sigma by the L_k
+        (certified by :meth:`_sigma_failures`), formed on first use."""
+        return {k: self._star_conjugate(X) for k, X in self.L.items()}
 
     # -- weight-space coordinates --------------------------------------------
 
@@ -359,10 +353,17 @@ class KLRImages:
         (Brundan-Kleshchev, Invent. Math. 2009, section 4), where the
         normalizer Q_r(i) and the correction P_r(i) are functions of L_r
         and L_(r+1) on the block; psi_r e(i) is (T_r + P_r(i)) e(i)
-        against the inverse of the block of Q_r(i)."""
-        p, q, e = self.p, self.q, self.e
-        Tt = self._adapt(self.algebra.T[r])
+        against the inverse of the block of Q_r(i); a singular block (a
+        mislabelled split) raises "psi_r e(i) defined" at (r, i)."""
+        p, q, e, Tt = self.p, self.q, self.e, self.T[r]
         psi, QP = {}, {}
+
+        def inverse(M):
+            try:
+                return invert_matrix(M, p)
+            except ValueError:   # singular mod p
+                raise RelationFailure("psi_r e(i) defined", (r, iseq)) \
+                    from None
         for iseq, sl in self.blocks.items():
             x, z = self.L[r][iseq, iseq], self.L[r + 1][iseq, iseq]
             ir, ir1 = iseq[r - 1], iseq[r]
@@ -380,18 +381,18 @@ class KLRImages:
                 # distinct residues: P_r(i) = (1 - q) L_{r+1} (L_{r+1} -
                 # L_r)^-1 on the block, and one normalizer per case of
                 # i_{r+1} - i_r
-                inv = invert_matrix((z - x) % p, p)
+                inv = inverse((z - x) % p)
                 P = matmul(((1 - q) % p * z % p, inv), p)
                 d = (ir1 - ir) % e
                 if d == 1:
                     N = matmul(((x - q * z) % p, inv), p)
                 elif d == e - 1:
-                    N = pow(q, ir, p) * invert_matrix((x - z) % p, p) % p
+                    N = pow(q, ir, p) * inverse((x - z) % p) % p
                 else:
                     N = matmul(((q * x - z) % p, inv), p)
             U = {(j, i): M for (j, i), M in Tt.items() if i == iseq}
             U[iseq, iseq] = (Tt.get((iseq, iseq), 0) + P) % p
-            Ninv = invert_matrix(N, p)
+            Ninv = inverse(N)
             psi.update({key: matmul((M, Ninv), p) for key, M in U.items()})
             QP[iseq] = (N, P)
         return {key: M for key, M in psi.items() if M.any()}, QP
@@ -429,8 +430,6 @@ class KLRImages:
 
     @property
     def sigma(self) -> np.ndarray:
-        """The anti-involution of :meth:`_held_sigma` on the carrier's
-        basis."""
         return matmul((self.C, self._held_sigma(), self._Cinv), self.p)
 
     # -- relation suite ---------------------------------------------------
@@ -531,35 +530,37 @@ class KLRImages:
         return fails
 
     def _sigma_failures(self) -> list[RelationFailure]:
-        """Exact certificate of the anti-involution sigma: it squares to
-        the identity, fixes every generator image, and reverses products.
-
-        For the last, sigma(1) = 1 and sigma R_g = L_sigma(g) sigma for
-        g = T_i and L_1, where R_g is right multiplication by g (``RT``,
-        ``RL``) and L_x left multiplication by x: sigma(x g) =
-        sigma(g) sigma(x) for every x.  By induction on the length of a
-        word y in these generators, sigma(x y) = sigma(y) sigma(x), and
-        they generate the algebra, so this holds for all x and y.  A
-        failure names the generator."""
-        A, p, S = self.algebra, self.p, self.sigma
+        """Exact certificate of sigma on held operators: sigma^2 = 1, it
+        fixes each generator image, and it reverses products, as sigma(1)
+        = 1 and sigma L_g sigma commutes with L_h for g, h in {T_r, L_1}
+        (proof at :meth:`~.hecke.RegularRep.relation_failures`, L_x being
+        left multiplication by x).  A failure names g."""
+        p, S, one = self.p, self._held_sigma(), self._unit
         fails = []
-        if not np.array_equal(matmul((S, S), p), A.identity):
+        if not np.array_equal(matmul((S, S), p), self.algebra.identity):
             fails.append(RelationFailure("star is an involution", "sigma"))
-        images = [(name, matmul((self.C, self._apply(G, self._unit)), p))
+        images = [(name, self._apply(G, one))
                   for name, G in _named_generators(self)]
         fails += [RelationFailure("star fixes the generators", name)
                   for name, v in images
                   if not np.array_equal(matmul((S, v), p), v)]
-        if not np.array_equal(matmul((S, A.unit), p), A.unit):
+        if not np.array_equal(matmul((S, one), p), one):
             fails.append(RelationFailure("star reverses products", "1"))
-        right = [(f"T_{i}", A.T[i], A.RT[i]) for i in A.T]
-        right.append(("L_1", A.L[1], A.RL[1]))
-        for name, G, R in right:
-            Sg = matmul((S, G, A.unit), p)
-            if not np.array_equal(matmul((S, R), p),
-                                  matmul((A.lmat(Sg), S), p)):
+        gens = [(f"T_{r}", X) for r, X in self.T.items()]
+        gens.append(("L_1", self.L[1]))
+        for name, G in gens:
+            R = self._star_conjugate(G)
+            if any(not block_equal(block_matmul((R, X), p),
+                                   block_matmul((X, R), p), p)
+                   for _, X in gens):
                 fails.append(RelationFailure("star reverses products", name))
         return fails
+
+    def _star_conjugate(self, X: dict) -> dict:
+        """The held sigma X sigma of a held X."""
+        S = self._held_sigma()
+        return block_split(matmul((S, self._apply(X, S)), self.p),
+                           self.blocks, self.blocks)
 
     def degree_violations(self) -> list[str]:
         """Homogeneity of every defining relation under the degree table

@@ -66,6 +66,18 @@ def mixed_split(C, blocks, p):
     return C, blocks
 
 
+def star_conjugates(algebra) -> SimpleNamespace:
+    """The reference for right multiplication in the carrier: ``star``,
+    the star of H reduced by the quotient map, and the star conjugates
+    ``RT[i]`` = S T_i S and ``RL[k]`` = S L_k S formed with it, right
+    multiplication by T_i and L_k since the star fixes each generator and
+    reverses products."""
+    p, S = algebra.p, algebra._q(algebra.reg.star_mat)
+    return SimpleNamespace(star=S, **{name: {
+        i: matmul((S, X, S), p) for i, X in ops.items()}
+        for name, ops in (("RT", algebra.T), ("RL", algebra.L))})
+
+
 def _family_swap(algebra, images):
     """The independent reference for the anti-involution of B: the swap
     m_{S,T} -> m_{T,S} on the zero-weighting family, M[:, swapped] M^-1."""

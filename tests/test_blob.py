@@ -15,7 +15,8 @@ from blobcell import exactfield as xf
 from blobcell import hecke as H
 from blobcell.exactfield import (block_equal, block_split, invert_matrix,
                                  mat_pow, matmul, rank, rref)
-from conftest import dense_generators, mixed_split, weight_split_misses
+from conftest import (dense_generators, mixed_split, star_conjugates,
+                      weight_split_misses)
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
 
@@ -144,8 +145,7 @@ class TestQuotient:
             y = rng.integers(0, A.p, A.reg.dim)
             xy = A.reg.product(x, y)
             lhs = A.quotient_map @ xy % A.p
-            rhs = A.lmat(A.quotient_map @ x % A.p) @ \
-                (A.quotient_map @ y % A.p) % A.p
+            rhs = A.push(x) @ (A.quotient_map @ y % A.p) % A.p
             assert np.array_equal(lhs, rhs)
 
     def test_left_mult_matrix_matches_dict_route(self):
@@ -158,13 +158,16 @@ class TestQuotient:
 
     @pytest.mark.parametrize("n,l", SCALES)
     def test_right_mult_matches_lifted_star_conjugates(self, built, n, l):
-        # the quotient's RT, RL against the star conjugates formed at dim H
+        # the quotient's star conjugates against those formed at dim H
         _, A, _, _ = built[(n, l)]
         reg, p, S = A.reg, A.p, A.reg.star_mat
+        right = star_conjugates(A)
         for i in reg.T:
-            assert np.array_equal(A.RT[i], A._q(matmul((S, reg.T[i], S), p)))
+            assert np.array_equal(right.RT[i],
+                                  A._q(matmul((S, reg.T[i], S), p)))
         for k in reg.L:
-            assert np.array_equal(A.RL[k], A._q(matmul((S, reg.L[k], S), p)))
+            assert np.array_equal(right.RL[k],
+                                  A._q(matmul((S, reg.L[k], S), p)))
 
     def test_closure_rejects_seed_the_star_moves(self):
         reg = H.regular_rep(H.default_params(2, 2))
@@ -203,8 +206,8 @@ class TestRelationSuite:
     def test_relabelled_split_fails_the_suite(self, built, monkeypatch, n, l):
         # two weight spaces of one size with their labels swapped: the L_k
         # stay block-diagonal, so only the eigenvalues tell them apart, and
-        # "y_k nilpotent" fails, unless a block of L_(r+1) - L_r that
-        # psi_r inverts is singular first
+        # "y_k nilpotent" fails, unless a block that psi_r inverts is
+        # singular first, which is reported at one of the swapped labels
         _, A, images, _ = built[(n, l)]
         width = {i: sl.stop - sl.start for i, sl in images.blocks.items()}
         pairs = [(i, j) for i in width for j in width
@@ -217,8 +220,10 @@ class TestRelationSuite:
                                 lambda L, params: (images.C, blocks))
             try:
                 fails = B.KLRImages(A).relation_failures()
-            except ValueError as ex:
-                assert str(ex) == "matrix is singular mod p", (i, j)
+            except B.RelationFailure as ex:
+                assert ex.relation == "psi_r e(i) defined", (i, j)
+                assert ex.witness[0] in images.PSI, (i, j)
+                assert ex.witness[1] in (i, j), (i, j)
                 continue
             assert "y_k nilpotent" in {f.relation for f in fails}, (i, j)
 
@@ -322,7 +327,20 @@ class TestAntiInvolution:
                           _sigma=None)
         assert [(f.relation, f.witness) for f in broken._sigma_failures()] \
             == [("star is an involution", "sigma"),
-                ("star reverses products", "T_1")]
+                ("star reverses products", "T_1"),
+                ("star reverses products", "L_1")]
+
+    def test_certificate_and_jm_push_nothing(self, monkeypatch):
+        # sigma is certified, and RL formed, from held left multiplications
+        A = B.build_blob(H.default_params(3, 2))
+        images = B.KLRImages(A)
+
+        def unexpected(self, el):
+            raise AssertionError("push called")
+        monkeypatch.setattr(B.BlobAlgebra, "push", unexpected)
+        assert images.relation_failures() == []
+        jm = B.jm_images(A, images)
+        assert B.check_jm(A, B.build_cellular_basis(A, images), jm) == []
 
     def test_one_basis_per_call(self, bases_made):
         A = B.build_blob(H.default_params(2, 2))
@@ -339,7 +357,7 @@ class TestAntiInvolution:
         # the star of H reverses products and fixes e(i) and y_k, but not
         # psi_r: only the generator check fails, at every crossing
         _, A, images, _ = built[(n, l)]
-        assert _sigma_report(images, A.star) == [
+        assert _sigma_report(images, star_conjugates(A).star) == [
             ("star fixes the generators", f"psi_{r}") for r in images.PSI]
 
     @pytest.mark.parametrize("n,l", SCALES)
@@ -939,13 +957,15 @@ def per_vector_grading(A, basis):
 
 def per_vector_jm(A, basis, jm):
     """JM triangularity, expanding JM_k times one basis vector at a time
-    on either side."""
+    on either side, with right multiplication by the star conjugates."""
     p, q, theta, report = A.p, A.q, basis.theta, []
+    right = star_conjugates(A).RL
     for k in jm:
         for lam, S, T in basis.index:
             above, own = basis._above[lam], basis.column[(S, T)]
             for side, Mv, moved, fixed in (
-                    ("right", matmul((A.RL[k], basis.vector(S, T)), p), T, S),
+                    ("right", matmul((right[k], basis.vector(S, T)), p),
+                     T, S),
                     ("left", matmul((A.L[k], basis.vector(S, T)), p), S, T)):
                 c = basis.expand(Mv)
                 diag = pow(q, C.residue_seq(moved, basis.mc)[k - 1], p)
@@ -967,8 +987,9 @@ def per_vector_jm(A, basis, jm):
 
 def per_vector_cell_modules(A, basis):
     """(shape, action, Gram matrix, Gram rank) per shape, each Gram entry
-    from the left-multiplication matrix ``A.lmat`` of m_{T^lam,S} applied
-    to one m_{T,T^lam}; raises ValueError as ``cell_modules`` does."""
+    from the left-multiplication matrix (``A.push`` of its lift to H) of
+    m_{T^lam,S} applied to one m_{T,T^lam}; raises ValueError as
+    ``cell_modules`` does."""
     p, out = A.p, []
     for lam in basis.shapes:
         std, tl = basis.std[lam], basis.t_lam[lam]
@@ -979,7 +1000,9 @@ def per_vector_cell_modules(A, basis):
                   for name, M in B._named_generators(basis.images)}
         gram = np.zeros((len(std), len(std)), dtype=np.int64)
         for a, S in enumerate(std):
-            left = A.lmat(basis.vector(tl, S))
+            lift = np.zeros(A.reg.dim, dtype=np.int64)
+            lift[A._nonpiv] = basis.vector(tl, S)
+            left = A.push(lift)
             for b, T in enumerate(std):
                 c = basis.expand(matmul((left, basis.vector(T, tl)), p))
                 gram[a, b] = c[col_tt]
@@ -1194,9 +1217,10 @@ def _scale(built, built33, n, l):
 def dense_operators(A, images):
     """(name, dense matrix) of every generator and of L_k, RT_i, RL_k."""
     out = [(name, images.dense(X)) for name, X in B._named_generators(images)]
+    right = star_conjugates(A)
     out += [(f"L_{k}", X) for k, X in A.L.items()]
-    out += [(f"RT_{i}", X) for i, X in A.RT.items()]
-    out += [(f"RL_{k}", X) for k, X in A.RL.items()]
+    out += [(f"RT_{i}", X) for i, X in right.RT.items()]
+    out += [(f"RL_{k}", X) for k, X in right.RL.items()]
     return out
 
 
@@ -1211,9 +1235,10 @@ class TestBlockPath:
         for name, M in dense_operators(A, images):
             assert basis.coords(held(images, M)).tobytes() == \
                 dense_coords(basis, inv, M).tobytes(), name
+        right = star_conjugates(A).RL
         for k in A.L:
             assert block_equal(images.L[k], held(images, A.L[k]), A.p)
-            assert block_equal(images.RL[k], held(images, A.RL[k]), A.p)
+            assert block_equal(images.RL[k], held(images, right[k]), A.p)
         rng = np.random.default_rng(n + l)
         for X in list(A.T.values()) + [
                 rng.integers(0, A.p, A.identity.shape)]:
@@ -1299,7 +1324,7 @@ class TestNoDenseProducts:
     """At (3,3), after the relation suite, the cellular layer and the
     rewrite oracle form no product with two dimensions of size D, the
     cellular layer no elimination of D rows, and the relation suite no
-    rank of size D."""
+    rank of size D and at most six products of size D x D x D."""
 
     @pytest.fixture
     def recorded(self, monkeypatch):
@@ -1343,6 +1368,21 @@ class TestNoDenseProducts:
         assert recorded and all(
             list(dims).count(D) < 2 if name == "matmul" else dims[0] < D
             for name, dims in recorded)
+
+    def test_relation_suite_products(self, monkeypatch):
+        # C^-1 C, sigma's adapted form, sigma^2 and one star conjugate per
+        # generator T_1, T_2, L_1
+        A = B.build_blob(H.default_params(3, 3))
+        images = B.KLRImages(A)
+        shapes, product = [], xf._product
+
+        def recorded(M, N, p):
+            shapes.append((*M.shape, N.shape[1] if N.ndim == 2 else 1))
+            return product(M, N, p)
+
+        monkeypatch.setattr(xf, "_product", recorded)
+        assert images.relation_failures() == []
+        assert shapes.count((A.dim,) * 3) <= 6
 
     def test_rewrite_oracle(self, monkeypatch):
         params = H.default_params(3, 3)

@@ -303,6 +303,36 @@ class TestVerify:
             assert suites[name]["failures"] == [
                 "generator images fail 1 relations"], name
 
+    def test_relabelled_split_is_reported(self, monkeypatch, capsys):
+        # two weight spaces of one size with their labels swapped: every
+        # swap is a klr failure with a report, also where psi_r meets a
+        # singular block
+        params = H.default_params(3, 2)
+        C, blocks = B.weight_spaces(B.build_blob(params).L, params)
+        width = {i: sl.stop - sl.start for i, sl in blocks.items()}
+        seen = set()
+        for i in width:
+            for j in width:
+                if i < j and width[i] == width[j]:
+                    swap = {i: j, j: i}
+                    split = (C, {swap.get(k, k): sl
+                                 for k, sl in blocks.items()})
+                    monkeypatch.setattr(B, "weight_spaces",
+                                        lambda L, params: split)
+                    code, out, _ = run(["verify", "--n", "3", "--l", "2",
+                                        "--suite", "klr"], capsys)
+                    assert code == 1, (i, j)
+                    failures = json.loads(out)["suites"]["klr"]["failures"]
+                    assert failures, (i, j)
+                    seen.update(f.split(" fails")[0] for f in failures)
+        assert "relation psi_r e(i) defined" in seen
+
+    def test_hecke_suite_forms_no_right_multiplication(self, monkeypatch):
+        def unexpected(self, x, y):
+            raise AssertionError("product called")
+        monkeypatch.setattr(H.RegularRep, "product", unexpected)
+        assert cli._suite_hecke(H.default_params(3, 2)) == []
+
     def test_oracle_rederives_nothing(self, monkeypatch, capsys):
         # the oracle governs only the rewrite suite and trace: with it on,
         # the klr suite makes no extra elimination, and the hecke suite
