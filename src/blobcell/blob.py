@@ -234,10 +234,11 @@ class KLRImages:
     operator is still held exactly.  ``E[i]`` is the weight idempotent
     e(i), the projection P_i onto block i, as the Brundan-Kleshchev
     isomorphism defines it; ``T[r]`` and ``L[k]`` are left multiplication
-    by T_r and L_k, and :attr:`RL` right multiplication by L_k; ``Y[k]``
-    is y_k, the block 1 - q^(-i_k) L_k on each class; ``PSI[r]`` is psi_r
-    (:meth:`_psi`), taking block i to block s_r i.  The only inverses
-    taken are of C and of d_i x d_i blocks.  The construction certifies
+    by T_r and L_k (no right multiplication is held: the cellular layer
+    reads it off sigma); ``Y[k]`` is y_k, the block 1 - q^(-i_k) L_k on
+    each class; ``PSI[r]`` is psi_r (:meth:`_psi`), taking block i to
+    block s_r i.  The only inverses taken are of C and of d_i x d_i
+    blocks.  The construction certifies
     that the L_k are block-diagonal (raising :class:`RelationFailure`
     otherwise), and :meth:`relation_failures` the presentation, whose
     residue cases it reads, as :mod:`.klrcalc` does, off ``square_terms``
@@ -255,7 +256,7 @@ class KLRImages:
     It maps e(i)A onto A e(i), so its adapted form (``_sigma``, built by
     :meth:`_held_sigma`) is a dense matrix.  :meth:`_sigma_failures`,
     which :meth:`relation_failures` runs, certifies it from left
-    multiplications, and :attr:`RL` is formed from it."""
+    multiplications."""
 
     def __init__(self, algebra: BlobAlgebra):
         self.algebra = A = algebra
@@ -287,12 +288,6 @@ class KLRImages:
         for r in range(1, n):
             self.PSI[r], self._QP[r] = self._psi(r)
         self._sigma = None
-
-    @cached_property
-    def RL(self) -> dict:
-        """The held right multiplications sigma L_k sigma by the L_k
-        (certified by :meth:`_sigma_failures`), formed on first use."""
-        return {k: self._star_conjugate(X) for k, X in self.L.items()}
 
     # -- weight-space coordinates --------------------------------------------
 
@@ -549,18 +544,14 @@ class KLRImages:
         gens = [(f"T_{r}", X) for r, X in self.T.items()]
         gens.append(("L_1", self.L[1]))
         for name, G in gens:
-            R = self._star_conjugate(G)
+            # R = sigma G sigma, held
+            R = block_split(matmul((S, self._apply(G, S)), p), self.blocks,
+                            self.blocks)
             if any(not block_equal(block_matmul((R, X), p),
                                    block_matmul((X, R), p), p)
                    for _, X in gens):
                 fails.append(RelationFailure("star reverses products", name))
         return fails
-
-    def _star_conjugate(self, X: dict) -> dict:
-        """The held sigma X sigma of a held X."""
-        S = self._held_sigma()
-        return block_split(matmul((S, self._apply(X, S)), self.p),
-                           self.blocks, self.blocks)
 
     def degree_violations(self) -> list[str]:
         """Homogeneity of every defining relation under the degree table
@@ -908,14 +899,20 @@ def check_jm(algebra: BlobAlgebra, basis: CellularBasis, jm: dict
     acting on the right of m_{S,T}, JM_k has diagonal coefficient
     q^{residue of k in T} and otherwise moves T strictly up in dominance
     (modulo strictly dominating shapes); symmetrically on the left for S.
-    Column j of ``coords`` of the held ``RL[k]`` and ``L[k]`` is read at
-    its nonzero and its diagonal entries, on rows of shapes not strictly
-    above."""
-    images, p, q = basis.images, algebra.p, algebra.q
+
+    Each JM_k is written on the basis once, X = ``coords(jm[k])``, its
+    left action.  Its right action is X[sw, sw] for sw =
+    :attr:`CellularBasis.swapped`: sigma fixes L_k and reverses products
+    (:meth:`KLRImages._sigma_failures`) and swaps m_{S,T} and m_{T,S}
+    (:func:`build_cellular_basis`), so m_{S,T} L_k = sigma(L_k m_{T,S}),
+    whose coefficient on m_{U,V} is that of L_k m_{T,S} on m_{V,U}.
+    Column j of either is read at its nonzero and its diagonal entries,
+    on rows of shapes not strictly above."""
+    p, q, sw = algebra.p, algebra.q, basis.swapped
     report = []
-    for k in jm:
-        sides = (("right", basis.coords(images.RL[k])),
-                 ("left", basis.coords(images.L[k])))
+    for k, M in jm.items():
+        left = basis.coords(M)
+        sides = (("right", left[np.ix_(sw, sw)]), ("left", left))
         for j, (lam, S, T) in enumerate(basis.index):
             for side, X in sides:
                 moved, fixed = (T, S) if side == "right" else (S, T)
@@ -942,41 +939,35 @@ def check_jm(algebra: BlobAlgebra, basis: CellularBasis, jm: dict
 
 def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
                  ) -> list[CellModule]:
-    """Cell modules with generator action (coefficients r_{u,S,a} read off
-    at T = T^lam) and Gram matrices extracted from products of half-basis
-    elements; raises on any coefficient outside the allowed support.  The
-    images act by left multiplication, so m_{T^lam,S} m_{T,T^lam} is
-    e(i^lam) psi_{d(S)} applied to m_{T,T^lam}, for every T at once.
-    Each operator is written on the basis once (:meth:`CellularBasis.
-    coords`), and the action of every shape is read off it."""
-    A, p = algebra, algebra.p
-    images = basis.images
-    X = {name: basis.coords(M) for name, M in _named_generators(images)}
+    """Cell modules with the generator action rho(a) (the coefficients
+    r_{u,S,a} of a m_{S,T^lam} read off at T = T^lam) and Gram matrices.
+    Each generator is written on the basis once (:meth:`CellularBasis.
+    coords`), and the action of every shape is read off it.
+
+    Row S of the Gram matrix is row T^lam of rho(e(i^lam)) rho(psi_(r_1))
+    ... rho(psi_(r_m)), for the word r_1 ... r_m of d(S): m_{T^lam,S}
+    m_{T,T^lam} = e(i^lam) psi_{d(S)} m_{T,T^lam} has coefficient <S, T>
+    on m_{T^lam,T^lam}.  This reads a product in the cell module, so it
+    rests on rho being a representation modulo the pairs of shapes
+    strictly above lambda, which the r (x) 1 identity of
+    :func:`check_cellularity` gives: each generator keeps their span and
+    acts on the pairs of shape lambda as r_a (x) 1."""
+    p = algebra.p
+    X = {name: basis.coords(M) for name, M in _named_generators(basis.images)}
     out = []
     for lam in basis.shapes:
-        std = basis.std[lam]
-        tl = basis.t_lam[lam]
-        col_tt = basis.column[(tl, tl)]
+        std, tl = basis.std[lam], basis.t_lam[lam]
         top = [basis.column[(S, tl)] for S in std]
         action = {name: M[np.ix_(top, top)] for name, M in X.items()}
-        stray = basis.below[:, col_tt] & (np.arange(A.dim) != col_tt)
-        gram = np.zeros((len(std), len(std)), dtype=np.int64)
-        for a, S in enumerate(std):
-            head = images.E[basis.i_lam[lam]]
-            for r in basis.word[S]:
-                head = block_matmul((head, images.PSI[r]), p)
-            c = basis.coords(head)[:, top]
-            gram[a] = c[col_tt]
-            bad = (c != 0) & stray[:, None]
-            if bad.any():
-                _, U, V = basis.index[np.argwhere(bad.T)[0, 1]]
-                raise ValueError(f"half-basis product at shape {lam} has a "
-                                 f"stray component on ({U}, {V})")
+        e, t = action[f"e({basis.i_lam[lam]})"], std.index(tl)
+        gram = np.array([
+            matmul([e] + [action[f"psi_{r}"] for r in basis.word[S]], p)[t]
+            for S in std])
         if not np.array_equal(gram, gram.T):
             raise ValueError(f"Gram matrix at shape {lam} is not symmetric")
         out.append(CellModule(shape=lam, tableaux=std, action=action,
                               gram=gram, gram_rank=rank(gram, p)))
-    if sum(m.dim ** 2 for m in out) != A.dim:
+    if sum(m.dim ** 2 for m in out) != algebra.dim:
         raise ValueError("cell-module dimensions do not account for the "
                          "algebra dimension")
     return out

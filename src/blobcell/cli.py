@@ -126,6 +126,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raw["oracle"] = ON_OFF[raw["oracle"].lower()]
     if "n" not in raw or "l" not in raw:
         raise ValueError("both n and l are required")
+    if raw["l"] < 1:
+        raise ValueError(f"l = {raw['l']}: need at least one component")
     if raw.get("theta") is not None and len(raw["theta"]) != raw["l"]:
         raise ValueError("weighting length differs from the level")
     raw.setdefault("suite", "all")
@@ -208,7 +210,7 @@ def _cellular_basis(build, theta) -> tuple:
         return None, _uncertified(relation_fails)
     try:
         return B.build_cellular_basis(A, images, theta), []
-    except Exception as ex:          # construction is self-certifying
+    except ValueError as ex:   # what the construction's certificates raise
         return None, [f"cellular basis construction failed: {ex}"]
 
 
@@ -327,8 +329,12 @@ def cmd_basis(cfg: RunConfig) -> dict:
 
 
 def cmd_cell(cfg: RunConfig) -> dict:
-    """Cell-module table: dimension, Gram rank and radical per shape."""
+    """Cell-module table: dimension, Gram rank and radical per shape; raises
+    the first line of :func:`B.check_cellularity` on a basis that fails it."""
     params, A, basis = _certified_basis(cfg)
+    cells = B.check_cellularity(A, basis)
+    if cells:
+        raise ValueError(cells[0])
     modules = B.cell_modules(A, basis)
     report = _header(cfg, params)
     report["modules"] = [

@@ -104,9 +104,9 @@ def is_prime(p: int) -> bool:
 
 
 def has_order(x: int, e: int, p: int) -> bool:
-    """True when x has multiplicative order exactly e in F_p^*: x^e = 1
-    but x^(e/r) != 1 for each prime r | e, found by trial division."""
-    if x % p == 0 or pow(x, e, p) != 1:
+    """True when x has order exactly e >= 1 in F_p^*: x^e = 1 but
+    x^(e/r) != 1 for each prime r | e, found by trial division."""
+    if e < 1 or x % p == 0 or pow(x, e, p) != 1:
         return False
     m, r = e, 2
     while m > 1:

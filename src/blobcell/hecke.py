@@ -121,6 +121,8 @@ def default_params(n: int, l: int, e: int | None = None, p: int | None = None,
         e = preset.get("e")
     if e is None:
         raise ValueError(f"no preset for level {l}; pass e, p, hat_kappa explicitly")
+    if e < 1:
+        raise ValueError(f"e = {e}: need a quantum characteristic e >= 1")
     if p is None:
         p = preset.get("p")
         if p is None or (p - 1) % e:
@@ -136,8 +138,6 @@ def default_params(n: int, l: int, e: int | None = None, p: int | None = None,
         lo = 0
         for r in kap:
             k = r + e * max(0, -(-(lo - r) // e))
-            while k < lo:
-                k += e
             lift.append(k)
             lo = k + max(n, 1)
         hat_kappa = tuple(lift)

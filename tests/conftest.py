@@ -78,6 +78,33 @@ def star_conjugates(algebra) -> SimpleNamespace:
         for name, ops in (("RT", algebra.T), ("RL", algebra.L))})
 
 
+def changed_inverse(basis):
+    """The dense inverse of the family with the row of an (S, S) pair
+    increased by the row of (T^lam, T^lam), at the first shape with two
+    tableaux."""
+    inv = invert_matrix(basis.matrix, basis.algebra.p)
+    lam = next(lam for lam in basis.shapes if len(basis.std[lam]) >= 2)
+    tl = basis.t_lam[lam]
+    S = next(S for S in basis.std[lam] if S != tl)
+    i, j = basis.column[(S, S)], basis.column[(tl, tl)]
+    inv[i] = (inv[i] + inv[j]) % basis.algebra.p
+    return inv
+
+
+def held_inverse(basis, inv):
+    """The held form of a dense inverse of the family: the nonzero blocks
+    of inv C, rows grouped as the pairs and columns as the weight
+    spaces."""
+    images = basis.images
+    X = matmul((inv, images.C), images.p)
+    out = {}
+    for g, js in basis.members.items():
+        for i, sl in images.blocks.items():
+            if X[js, sl].any():
+                out[g, i] = X[js, sl]
+    return out
+
+
 def _family_swap(algebra, images):
     """The independent reference for the anti-involution of B: the swap
     m_{S,T} -> m_{T,S} on the zero-weighting family, M[:, swapped] M^-1."""

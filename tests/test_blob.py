@@ -15,8 +15,8 @@ from blobcell import exactfield as xf
 from blobcell import hecke as H
 from blobcell.exactfield import (block_equal, block_split, invert_matrix,
                                  mat_pow, matmul, rank, rref)
-from conftest import (dense_generators, mixed_split, star_conjugates,
-                      weight_split_misses)
+from conftest import (changed_inverse, dense_generators, held_inverse,
+                      mixed_split, star_conjugates, weight_split_misses)
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
 
@@ -331,7 +331,8 @@ class TestAntiInvolution:
                 ("star reverses products", "L_1")]
 
     def test_certificate_and_jm_push_nothing(self, monkeypatch):
-        # sigma is certified, and RL formed, from held left multiplications
+        # sigma is certified, and the JM elements checked on both sides,
+        # from held left multiplications
         A = B.build_blob(H.default_params(3, 2))
         images = B.KLRImages(A)
 
@@ -682,16 +683,27 @@ class TestJucysMurphy:
         jm = B.jm_images(A, images)
         assert B.check_jm(A, basis, jm) == []
 
-    @pytest.mark.parametrize("side,k", [("RL", 1), ("L", 2)])
-    def test_zeroed_action_fails(self, built, side, k):
-        # a zero action leaves every diagonal coefficient 0, never q^res
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_zeroed_action_fails(self, built, k):
+        # a zero JM_k leaves every diagonal coefficient 0, never q^res, on
+        # the left and, read through sigma, on the right
         _, A, images, basis = built[(2, 2)]
-        jm = B.jm_images(A, images)
-        broken = copy.copy(basis)
-        broken.images = tampered(images, **{side: {**getattr(images, side),
-                                                   k: {}}})
-        fails = B.check_jm(A, broken, jm)
+        jm = {**B.jm_images(A, images), k: {}}
+        fails = B.check_jm(A, basis, jm)
         assert fails and all("diagonal coefficient 0," in f for f in fails)
+        assert {f.split()[1] for f in fails} == {"left", "right"}
+
+    def test_changed_element_is_reported(self, built):
+        # check_jm reads the JM elements it is given: JM_2 replaced by JM_1
+        # (fixed by both stars) breaks the diagonal of JM_2 on both sides,
+        # as the per-vector reference finds
+        _, A, images, basis = built[(3, 2)]
+        jm = B.jm_images(A, images)
+        jm[2] = jm[1]
+        fails = B.check_jm(A, basis, jm)
+        assert fails == per_vector_jm(A, basis, jm)
+        assert fails and all(f.startswith("JM_2 ") for f in fails)
+        assert {f.split()[1] for f in fails} == {"left", "right"}
 
 
 class TestCellularBasis:
@@ -957,16 +969,18 @@ def per_vector_grading(A, basis):
 
 def per_vector_jm(A, basis, jm):
     """JM triangularity, expanding JM_k times one basis vector at a time
-    on either side, with right multiplication by the star conjugates."""
+    on either side, with right multiplication by the star conjugate S J S
+    of J = JM_k, for the star S of H, which fixes every L_k."""
     p, q, theta, report = A.p, A.q, basis.theta, []
-    right = star_conjugates(A).RL
-    for k in jm:
+    star = star_conjugates(A).star
+    for k, J in jm.items():
+        left = basis.images.dense(J)
+        right = matmul((star, left, star), p)
         for lam, S, T in basis.index:
             above, own = basis._above[lam], basis.column[(S, T)]
             for side, Mv, moved, fixed in (
-                    ("right", matmul((right[k], basis.vector(S, T)), p),
-                     T, S),
-                    ("left", matmul((A.L[k], basis.vector(S, T)), p), S, T)):
+                    ("right", matmul((right, basis.vector(S, T)), p), T, S),
+                    ("left", matmul((left, basis.vector(S, T)), p), S, T)):
                 c = basis.expand(Mv)
                 diag = pow(q, C.residue_seq(moved, basis.mc)[k - 1], p)
                 for idx, (mu, U, V) in enumerate(basis.index):
@@ -988,8 +1002,9 @@ def per_vector_jm(A, basis, jm):
 def per_vector_cell_modules(A, basis):
     """(shape, action, Gram matrix, Gram rank) per shape, each Gram entry
     from the left-multiplication matrix (``A.push`` of its lift to H) of
-    m_{T^lam,S} applied to one m_{T,T^lam}; raises ValueError as
-    ``cell_modules`` does."""
+    m_{T^lam,S} applied to one m_{T,T^lam}; raises ValueError on a product
+    with a component off m_{T^lam,T^lam} and the shapes strictly above,
+    which a cellular input never has."""
     p, out = A.p, []
     for lam in basis.shapes:
         std, tl = basis.std[lam], basis.t_lam[lam]
@@ -1017,13 +1032,7 @@ def per_vector_cell_modules(A, basis):
 
 
 def assert_modules_match(A, basis):
-    try:
-        ref = per_vector_cell_modules(A, basis)
-    except ValueError as ex:
-        with pytest.raises(ValueError) as got:
-            B.cell_modules(A, basis)
-        assert str(got.value) == str(ex)
-        return str(ex)
+    ref = per_vector_cell_modules(A, basis)
     mods = B.cell_modules(A, basis)
     assert len(mods) == len(ref)
     for m, (lam, action, gram, grank) in zip(mods, ref):
@@ -1032,7 +1041,6 @@ def assert_modules_match(A, basis):
         assert m.action.keys() == action.keys()
         assert all(m.action[k].tobytes() == action[k].tobytes()
                    for k in action)
-    return None
 
 
 def changed_after_the_basis(images):
@@ -1047,33 +1055,6 @@ def changed_after_the_basis(images):
     return tampered(images, E=E, Y=Y, PSI=PSI)
 
 
-def changed_inverse(basis):
-    """The dense inverse of the family with the row of an (S, S) pair
-    increased by the row of (T^lam, T^lam), at the first shape with two
-    tableaux."""
-    inv = invert_matrix(basis.matrix, basis.algebra.p)
-    lam = next(lam for lam in basis.shapes if len(basis.std[lam]) >= 2)
-    tl = basis.t_lam[lam]
-    S = next(S for S in basis.std[lam] if S != tl)
-    i, j = basis.column[(S, S)], basis.column[(tl, tl)]
-    inv[i] = (inv[i] + inv[j]) % basis.algebra.p
-    return inv
-
-
-def held_inverse(basis, inv):
-    """The held form of a dense inverse of the family: the nonzero blocks
-    of inv C, rows grouped as the pairs and columns as the weight
-    spaces."""
-    images = basis.images
-    X = matmul((inv, images.C), images.p)
-    out = {}
-    for g, js in basis.members.items():
-        for i, sl in images.blocks.items():
-            if X[js, sl].any():
-                out[g, i] = X[js, sl]
-    return out
-
-
 class TestCellularBasisMatrices:
     """The checks on the matrices of operators on the cellular basis give
     the reports of the per-vector references, in order."""
@@ -1086,7 +1067,7 @@ class TestCellularBasisMatrices:
             per_vector_cellularity(A, basis) == []
         assert B._grading_violations(A, basis) == []
         assert B.check_jm(A, basis, jm) == per_vector_jm(A, basis, jm) == []
-        assert assert_modules_match(A, basis) is None
+        assert_modules_match(A, basis)
 
     @pytest.mark.parametrize("n,l,theta", [
         (2, 2, (0, 1)), (2, 3, (0, 3, 1)), (2, 3, (0, 0, 1)), (3, 2, (1, 0)),
@@ -1131,7 +1112,8 @@ class TestCellularBasisMatrices:
         _, A, images, basis = built[(n, l)]
         moved = copy.copy(basis)
         moved._inv = held_inverse(basis, changed_inverse(basis))
-        assert "stray component" in assert_modules_match(A, moved)
+        with pytest.raises(ValueError, match="stray component"):
+            per_vector_cell_modules(A, moved)
         cells = B.check_cellularity(A, moved)
         assert cells and cells == per_vector_cellularity(A, moved)
         jm = B.jm_images(A, images)
@@ -1235,10 +1217,13 @@ class TestBlockPath:
         for name, M in dense_operators(A, images):
             assert basis.coords(held(images, M)).tobytes() == \
                 dense_coords(basis, inv, M).tobytes(), name
-        right = star_conjugates(A).RL
+        # right multiplication by L_k is left multiplication swapped by
+        # sigma, on the cellular basis
+        right, sw = star_conjugates(A).RL, basis.swapped
         for k in A.L:
             assert block_equal(images.L[k], held(images, A.L[k]), A.p)
-            assert block_equal(images.RL[k], held(images, right[k]), A.p)
+            assert basis.coords(held(images, right[k])).tobytes() == \
+                basis.coords(images.L[k])[np.ix_(sw, sw)].tobytes()
         rng = np.random.default_rng(n + l)
         for X in list(A.T.values()) + [
                 rng.integers(0, A.p, A.identity.shape)]:
@@ -1359,7 +1344,6 @@ class TestNoDenseProducts:
         assert images.relation_failures() == []
         assert not [c for c in recorded if c[0] == "rank" and c[1][0] >= D]
         jm = B.jm_images(A, images)
-        images.RL  # the held RL_k, adapted on first use
         recorded.clear()
         basis = B.build_cellular_basis(A, images)
         assert B.check_cellularity(A, basis) == []

@@ -16,7 +16,7 @@ from blobcell import blob as B
 from blobcell import cli
 from blobcell import exactfield as xf
 from blobcell import hecke as H
-from conftest import mixed_split
+from conftest import changed_inverse, held_inverse, mixed_split
 
 
 def run(argv, capsys):
@@ -83,6 +83,23 @@ class TestRejectedInput:
          "weighting length differs from the level"),
         (["trace", "--n", "2", "--l", "2", "--k", "1", "--theta", "0,0,0"],
          "weighting length differs from the level"),
+        (["dims", "--n", "0", "--l", "0"],
+         "l = 0: need at least one component"),
+        (["verify", "--n", "2", "--l", "0", "--e", "5", "--p", "11",
+          "--kappa-hat="], "l = 0: need at least one component"),
+        (["dims", "--n", "2", "--l", "-1"],
+         "l = -1: need at least one component"),
+        (["basis", "--n", "2", "--l", "-1"],
+         "l = -1: need at least one component"),
+        (["cell", "--n", "2", "--l", "0"],
+         "l = 0: need at least one component"),
+        (["trace", "--n", "2", "--l", "-1", "--k", "1"],
+         "l = -1: need at least one component"),
+        (["verify", "--n", "2", "--l", "2", "--e", "0"], "e = 0: "),
+        (["verify", "--n", "2", "--l", "2", "--e", "0", "--p", "11", "--q",
+          "1", "--kappa-hat", "0,5"], "e = 0: "),
+        (["verify", "--n", "2", "--l", "2", "--e", "-5", "--p", "11", "--q",
+          "3", "--kappa-hat", "0,5"], "e = -5: "),
     ])
     def test_exits_two_with_message(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
@@ -228,6 +245,15 @@ class TestVerify:
         for name in ("cellular", "jm"):
             assert suites[name]["failures"] == [
                 "cellular basis construction failed: injected"], name
+
+    def test_programming_error_is_not_a_failed_certificate(self,
+                                                            monkeypatch):
+        # only the certificates' ValueError becomes a suite failure
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+        monkeypatch.setattr(B, "build_cellular_basis", broken)
+        with pytest.raises(TypeError, match="injected"):
+            cli.main(["verify", "--n", "2", "--l", "2"])
 
     def test_large_prime_without_overflow(self, capsys):
         # at p = 100151 an unreduced chain of products passes 2^63
@@ -394,6 +420,24 @@ class TestArtifacts:
         assert report["dim_check"]
         assert len(report["modules"]) == 10
         assert sum(m["dim"] ** 2 for m in report["modules"]) == 93
+
+    def test_cell_refuses_a_non_cellular_basis(self, monkeypatch, capsys):
+        # a basis whose inverse moves the row of (S, S) passes its
+        # construction; cell runs check_cellularity before reading any Gram
+        # matrix and exits 2 with its first line
+        build = B.build_cellular_basis
+
+        def moved(A, images, theta=None):
+            basis = build(A, images, theta)
+            basis._inv = held_inverse(basis, changed_inverse(basis))
+            return basis
+
+        monkeypatch.setattr(B, "build_cellular_basis", moved)
+        code, out, err = run(["cell", "--n", "3", "--l", "2"], capsys)
+        A = B.build_blob(H.default_params(3, 2))
+        cells = B.check_cellularity(A, moved(A, B.klr_images(A)))
+        assert code == 2 and not out and cells
+        assert err == f"error: {cells[0]}\n"
 
     def test_report_written_to_file(self, tmp_path, capsys):
         path = tmp_path / "dims.json"

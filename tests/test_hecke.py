@@ -50,6 +50,14 @@ class TestParams:
             gaps = [b - a for a, b in zip(pa.hat_kappa, pa.hat_kappa[1:])]
             assert all(g >= pa.n for g in gaps)
 
+    @pytest.mark.parametrize("e", [0, -5])
+    def test_quantum_characteristic_below_one(self, e):
+        for fields in ({}, {"p": 11, "q": 1, "hat_kappa": (0, 5)}):
+            with pytest.raises(ValueError, match=f"e = {e}: "):
+                H.default_params(2, 2, e=e, **fields)
+        with pytest.raises(ValueError, match=f"order {e} mod 11"):
+            H.HeckeParams(n=2, l=2, e=e, p=11, q=1, hat_kappa=(0, 5))
+
     def test_override_multicharge(self):
         pa = H.default_params(2, 2, hat_kappa=(1, 8))
         assert pa.hat_kappa == (1, 8)
