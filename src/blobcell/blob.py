@@ -245,18 +245,16 @@ class KLRImages:
     and ``braid_sign`` of :mod:`.combinatorics`; :mod:`.klrcalc` evaluates
     its words on the same held forms.  Only :meth:`dense` (C X C^-1 for a
     held X) and :attr:`sigma`, for the tests, form matrices on the
-    carrier's basis.  The adapted sigma is formed from PSI and L on first
-    use and kept, so these must not be changed once it has been read: a
-    copy with the changed operators and no sigma is a new set of images.
+    carrier's basis; no attribute is set after the constructor.
 
     **The anti-involution.**  sigma fixes e(i), y_k and psi_r.
     :meth:`_psi` keeps the blocks of Q_r(i) and P_r(i) in T_r e(i) =
     psi_r Q_r(i) e(i) - P_r(i) e(i), so sigma(T_r) is known in closed
     form in either carrier, and sigma is filled along the basis tree of H.
-    It maps e(i)A onto A e(i), so its adapted form (``_sigma``, built by
-    :meth:`_held_sigma`) is a dense matrix.  :meth:`_sigma_failures`,
-    which :meth:`relation_failures` runs, certifies it from left
-    multiplications."""
+    It maps e(i)A onto A e(i), so its adapted form, formed on each call
+    of :meth:`_held_sigma`, is a dense matrix.  Only its certificate,
+    :meth:`_sigma_failures` in :meth:`relation_failures`, reads it; the
+    cellular layer relies on what that proves."""
 
     def __init__(self, algebra: BlobAlgebra):
         self.algebra = A = algebra
@@ -287,7 +285,6 @@ class KLRImages:
         self.PSI, self._QP = {}, {}
         for r in range(1, n):
             self.PSI[r], self._QP[r] = self._psi(r)
-        self._sigma = None
 
     # -- weight-space coordinates --------------------------------------------
 
@@ -409,19 +406,16 @@ class KLRImages:
         (:func:`_times_basis`).  This assumes that sigma exists;
         :meth:`_sigma_failures` certifies the result: an involution,
         fixing every generator, and reversing every product."""
-        if self._sigma is None:
-            p = self.p
-            left = {}
-            for r, QP in self._QP.items():
-                X = block_lincomb(
-                    [(1, {(j, i): matmul((QP[j][0], M), p)
-                          for (j, i), M in self.PSI[r].items()}),
-                     (-1, {(i, i): P for i, (_, P) in QP.items()})], p)
-                left[r] = self._assemble(X)
-            L = {k: self._assemble(X) for k, X in self.L.items()}
-            cols = _times_basis(self.algebra, {"T": left, "L": L}, self._unit)
-            self._sigma = matmul((cols, self.C), p)
-        return self._sigma
+        p, left = self.p, {}
+        for r, QP in self._QP.items():
+            X = block_lincomb(
+                [(1, {(j, i): matmul((QP[j][0], M), p)
+                      for (j, i), M in self.PSI[r].items()}),
+                 (-1, {(i, i): P for i, (_, P) in QP.items()})], p)
+            left[r] = self._assemble(X)
+        L = {k: self._assemble(X) for k, X in self.L.items()}
+        cols = _times_basis(self.algebra, {"T": left, "L": L}, self._unit)
+        return matmul((cols, self.C), p)
 
     @property
     def sigma(self) -> np.ndarray:
@@ -592,31 +586,19 @@ def klr_images(algebra: BlobAlgebra) -> KLRImages:
 
 
 def jm_images(algebra: BlobAlgebra, images: KLRImages) -> dict:
-    """The Jucys-Murphy elements, rebuilt from the held generator images
-    as ``JM_k = (1 - y_k) sum_i q^{i_k} e(i)`` and cross-checked against
-    the held images of the L_k; {k: held JM_k}."""
+    """{k: held JM_k = (1 - y_k) sum_i q^{i_k} e(i)}, Brundan-Kleshchev's
+    y_k read backwards, for ``images`` whose relation suite is empty.
+    JM_k is the image of L_k, as :class:`KLRImages` sets y_k = 1 -
+    q^(-i_k) L_k on each block and raises unless L_k is block-diagonal;
+    sigma fixes it, fixing e(i) and y_k and reversing products; and the
+    JM_k commute by the suite's "y_k y_m commute" and "y_k e(i) = e(i)
+    y_k"."""
     p, q = images.p, images.q
-    S = images._held_sigma()
-    jm = {}
-    for k in range(1, algebra.params.n + 1):
-        M = block_matmul((
-            block_lincomb([(1, images.identity), (-1, images.Y[k])], p),
-            block_lincomb([(pow(q, iseq[k - 1], p), Ei)
-                           for iseq, Ei in images.E.items()], p)), p)
-        if not block_equal(M, images.L[k], p):
-            raise ValueError(f"rebuilt Jucys-Murphy element {k} differs "
-                             f"from the image of L_{k}")
-        v = images._apply(M, images._unit)
-        if not np.array_equal(matmul((S, v), p), v):
-            raise ValueError(f"Jucys-Murphy element {k} is not star-fixed")
-        jm[k] = M
-    for k in jm:
-        for m in jm:
-            if k < m and not block_equal(block_matmul((jm[k], jm[m]), p),
-                                         block_matmul((jm[m], jm[k]), p), p):
-                raise ValueError(f"Jucys-Murphy elements {k}, {m} do not "
-                                 f"commute")
-    return jm
+    return {k: block_matmul((
+        block_lincomb([(1, images.identity), (-1, images.Y[k])], p),
+        block_lincomb([(pow(q, iseq[k - 1], p), Ei)
+                       for iseq, Ei in images.E.items()], p)), p)
+        for k in range(1, algebra.params.n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +647,8 @@ class CellularBasis:
     column j the family's j-th pair of ``index`` on the carrier's basis,
     is formed on first use.
 
-    The constructor certifies nothing: :func:`build_cellular_basis` does,
-    against the anti-involution :attr:`KLRImages.sigma`, which is built
-    without the family."""
+    The constructor certifies nothing: :func:`build_cellular_basis` checks
+    the rank, and the swap by sigma holds by construction."""
 
     def __init__(self, algebra: BlobAlgebra, images: KLRImages,
                  theta=None):
@@ -790,12 +771,14 @@ class CellularBasis:
 
 def build_cellular_basis(algebra: BlobAlgebra, images: KLRImages,
                          theta=None) -> CellularBasis:
-    """Construct and certify the cellular basis: full rank, the
-    maximal-pair normalization m_{T^lam, T^lam} = e(i^lam), and
-    star-symmetry: :attr:`KLRImages.sigma` swaps m_{S,T} and m_{T,S}.
-    All three are read in the weight-space coordinates of ``images``,
-    where the family is one block per weight space."""
-    A, p = algebra, algebra.p
+    """Construct the cellular basis for ``images`` whose relation suite is
+    empty, and certify it: dim B pairs of full rank, one block per weight
+    space.  The rest holds by construction.  sigma reverses products and
+    fixes e(i) and psi_r (:meth:`KLRImages._sigma_failures`), and
+    m_{S,T} = psi_{d(S)}^* e(i^lam) psi_{d(T)}, d(S) acting on the left
+    last letter first, so sigma(m_{S,T}) = m_{T,S}; and d(t^lam_theta) =
+    1, so m_{T^lam,T^lam} = e(i^lam)."""
+    A = algebra
     basis = CellularBasis(A, images, theta)
     if len(basis.index) != A.dim or basis.rank != A.dim:
         raise ValueError(
@@ -803,23 +786,6 @@ def build_cellular_basis(algebra: BlobAlgebra, images: KLRImages,
             f"{basis.rank}, expected {A.dim}")
     if basis._inv is None:
         raise ValueError("cellular family leaves the weight spaces e(i^S)B")
-    fam = basis._adapted
-    for lam in basis.shapes:
-        tl = basis.t_lam[lam]
-        want = images._apply(images.E[basis.i_lam[lam]], images._unit)
-        if not np.array_equal(fam[:, basis.column[(tl, tl)]], want):
-            raise ValueError(f"maximal pair at shape {lam} is not the "
-                             f"class idempotent")
-    # sigma m = C (C^-1 sigma C) (C^-1 m): one narrow product per block
-    S, star = images._held_sigma(), np.zeros_like(fam)
-    for (i, g), M in basis._blocks().items():
-        js = basis.members[g]
-        star[:, js] = (star[:, js] + matmul(
-            (S[:, images.blocks[i]], M), p)) % p
-    bad = (star != fam[:, basis.swapped]).any(axis=0)
-    if bad.any():
-        raise ValueError(f"star does not swap the pair at "
-                         f"{basis.index[bad.argmax()][0]}")
     return basis
 
 
@@ -899,15 +865,16 @@ def check_jm(algebra: BlobAlgebra, basis: CellularBasis, jm: dict
     acting on the right of m_{S,T}, JM_k has diagonal coefficient
     q^{residue of k in T} and otherwise moves T strictly up in dominance
     (modulo strictly dominating shapes); symmetrically on the left for S.
+    The images of ``basis`` must pass their relation suite.
 
     Each JM_k is written on the basis once, X = ``coords(jm[k])``, its
     left action.  Its right action is X[sw, sw] for sw =
     :attr:`CellularBasis.swapped`: sigma fixes L_k and reverses products
     (:meth:`KLRImages._sigma_failures`) and swaps m_{S,T} and m_{T,S}
-    (:func:`build_cellular_basis`), so m_{S,T} L_k = sigma(L_k m_{T,S}),
-    whose coefficient on m_{U,V} is that of L_k m_{T,S} on m_{V,U}.
-    Column j of either is read at its nonzero and its diagonal entries,
-    on rows of shapes not strictly above."""
+    (by construction, :func:`build_cellular_basis`), so m_{S,T} L_k =
+    sigma(L_k m_{T,S}), whose coefficient on m_{U,V} is that of L_k
+    m_{T,S} on m_{V,U}.  Column j of either is read at its nonzero and
+    its diagonal entries, on rows of shapes not strictly above."""
     p, q, sw = algebra.p, algebra.q, basis.swapped
     report = []
     for k, M in jm.items():
@@ -951,7 +918,9 @@ def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
     rests on rho being a representation modulo the pairs of shapes
     strictly above lambda, which the r (x) 1 identity of
     :func:`check_cellularity` gives: each generator keeps their span and
-    acts on the pairs of shape lambda as r_a (x) 1."""
+    acts on the pairs of shape lambda as r_a (x) 1.  The squared module
+    dimensions add up to dim B, one pair per dimension
+    (:func:`build_cellular_basis`)."""
     p = algebra.p
     X = {name: basis.coords(M) for name, M in _named_generators(basis.images)}
     out = []
@@ -967,7 +936,4 @@ def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
             raise ValueError(f"Gram matrix at shape {lam} is not symmetric")
         out.append(CellModule(shape=lam, tableaux=std, action=action,
                               gram=gram, gram_rank=rank(gram, p)))
-    if sum(m.dim ** 2 for m in out) != algebra.dim:
-        raise ValueError("cell-module dimensions do not account for the "
-                         "algebra dimension")
     return out

@@ -113,12 +113,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
-    for key in ("n", "l", "e", "p", "q"):
-        if key in raw and raw[key] is not None:
-            raw[key] = int(raw[key])
-    for key in ("kappa_hat", "theta"):
-        if isinstance(raw.get(key), str):
-            raw[key] = _int_tuple(raw[key])
+    for key in ("n", "l", "e", "p", "q", "kappa_hat", "theta"):
+        text, many = raw.get(key), key in ("kappa_hat", "theta")
+        if isinstance(text, str):   # a flag's integer is already parsed
+            try:
+                raw[key] = _int_tuple(text) if many else int(text)
+            except ValueError:
+                raise ValueError(f"{key} = {text!r}: expected "
+                                 f"{'integers' if many else 'an integer'}"
+                                 ) from None
     if isinstance(raw.get("oracle"), str):
         if raw["oracle"].lower() not in ON_OFF:
             raise ValueError(f"oracle = {raw['oracle']!r}: choose one of "
@@ -247,10 +250,7 @@ def _suite_jm(build, cellular_basis) -> list[str]:
     if basis is None:
         return list(fails)
     A, images, _ = build()
-    try:
-        return list(B.check_jm(A, basis, B.jm_images(A, images)))
-    except ValueError as ex:
-        return [str(ex)]
+    return list(B.check_jm(A, basis, B.jm_images(A, images)))
 
 
 def _oracle_invariant(images, k: int, shape, res) -> bool:

@@ -201,8 +201,19 @@ class TestPermutations:
                 assert C.bruhat_leq(u, w) == C.bruhat_leq_subword(u, w)
 
     def test_d_perm_identity(self):
-        lam = cols(2, 2)
-        assert C.d_perm(C.t_lambda(lam, TH0_2), TH0_2) == (1, 2, 3, 4)
+        # t^lam_theta has the empty crossing word, so the cellular basis
+        # element m_{T^lam,T^lam} is e(i^lam) itself
+        assert cols(2, 2) in C.one_column_shapes(4, 2)
+        others = {2: [(0, 1), (1, 0), (0, 7)],
+                  3: [(0, 3, 1), (0, 0, 1), (0, 2, 5)]}
+        for n in range(1, 6):
+            for l in range(1, 4):
+                for th in [C.theta_zero(l), C.theta_sep(l, n)] + \
+                        others.get(l, []):
+                    for lam in C.one_column_shapes(n, l):
+                        w = C.d_perm(C.t_lambda(lam, th), th)
+                        assert w == tuple(range(1, n + 1)), (lam, th)
+                        assert C.official_word(w) == (), (lam, th)
 
     def test_d_perm_recovers_tableau(self):
         lam = cols(2, 1, 1)
