@@ -218,12 +218,13 @@ def _cellular_basis(build, theta) -> tuple:
 
 
 def _suite_hecke(params: H.HeckeParams) -> list[str]:
-    """The relations of H in its regular representation and seminormal
-    model.  Murphy's product formula is the seminormal matrix unit at
-    (S, S) by construction: c_U(k) lies in the content set C(k), so
-    ``murphy_eigenvalue(S, U)`` is zero at the first k with c_U(k) !=
-    c_S(k) and one at U = S, and ``tableau_contents`` raises unless the
-    contents separate the tableaux."""
+    """The relations of H in its regular representation (the Ariki-Koike
+    presentation, each relation once, and the star certificate) and in
+    its seminormal model.  Murphy's product formula is the seminormal
+    matrix unit at (S, S) by construction: c_U(k) lies in the content set
+    C(k), so ``murphy_eigenvalue(S, U)`` is zero at the first k with
+    c_U(k) != c_S(k) and one at U = S, and ``tableau_contents`` raises
+    unless the contents separate the tableaux."""
     return (H.regular_rep(params).relation_failures()
             + H.SeminormalModel(params).relation_failures())
 
@@ -358,7 +359,7 @@ def cmd_trace(cfg: RunConfig, k: int) -> dict:
     if not symbolic and \
             not _oracle_invariant(B.klr_images(B.build_blob(params)), k,
                                   shape, res):
-        raise RuntimeError("trace is not oracle-invariant")
+        raise ValueError("trace is not oracle-invariant")
     report = _header(cfg, params)
     report.update({
         "k": k,

@@ -11,7 +11,9 @@
   key by key; the numerator arrays of t^{k-1} L_k come from the
   Jucys-Murphy recursion t^k L_{k+1} = T_k (t^{k-1} L_k) T_k, as sparse
   products over F_p[t] (``exactfield.poly_matmul``), and ``RegularRep``
-  shares them with the Murphy engine.
+  shares them with the Murphy engine.  ``RegularRep.relation_failures``
+  checks the Ariki-Koike presentation in T_0 = L_1, T_1, ..., T_(n-1),
+  each relation once, and certifies the star.
 
 * A *seminormal* block model over F_p(t): one block per multipartition of
   n, with basis indexed by standard tableaux, the L_k acting diagonally
@@ -26,7 +28,7 @@ joint generalized eigenspaces of L_1, ..., L_n at (q^(i_1), ..., q^(i_n))
 the tableau idempotents F_S of the product formula and their residue-class
 sums E_[i] over F_p(t), which specialize at t = q to the e(i); and the
 rank-one idempotents of the two-row/two-string subalgebra used to present
-the blob quotient.
+the blob quotient, each the weight idempotent of a singleton class.
 
 ``class_idempotent_vector`` reads e(i) 1 in H off one cached eigenspace
 decomposition of the L_k of :func:`regular_rep` (:func:`weight_units`).
@@ -39,6 +41,7 @@ in E_[i].  Only that oracle needs scipy (its sparse degree layers,
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
@@ -49,7 +52,7 @@ import numpy as np
 from . import combinatorics as comb
 from .exactfield import (INT64_MAX, Poly, RatFunc, cyclic_subgroup,
                          has_order, invert_matrix, is_prime,
-                         joint_eigenspaces, matmul, nullspace, poly_matmul,
+                         joint_eigenspaces, matmul, poly_matmul,
                          product_bound, root_of_unity)
 
 
@@ -95,7 +98,9 @@ class HeckeParams:
 
     def validate_exact(self) -> None:
         """:meth:`validate`, and reject a p too large for exact int64
-        matrices of size D = dim H = l^n n!."""
+        matrices of size D = dim H = l^n n!, or a D whose 2n dense int64
+        matrices (T_i, L_k and the star of :class:`RegularRep`) would not
+        fit in physical memory."""
         self.validate()
         D = self.l ** self.n * factorial(self.n)
         if product_bound(D, self.p) > INT64_MAX:
@@ -103,6 +108,14 @@ class HeckeParams:
                 f"p = {self.p} is too large for exact int64 products at "
                 f"dim H = {D}: the product bound D (p - 1)^2 + p - 1 "
                 f"exceeds 2^63 - 1")
+        need = 16 * self.n * D * D
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(
+                f"dim H = {D} is too large: the {2 * self.n} dense "
+                f"D x D int64 matrices of the regular representation take "
+                f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB "
+                f"of physical memory")
 
 
 _DEFAULTS = {
@@ -478,14 +491,33 @@ class RegularRep:
         return v
 
     def relation_failures(self) -> list[str]:
-        """Exact matrix checks of every defining relation, and an exact
-        certificate from left multiplications L_x (by x) alone that the
-        star S is an anti-involution fixing each g in G = {T_i, L_1}: S^2
-        = 1, S(1) = 1, S(g) = g, and R_g = S L_g S commutes with L_h for
-        all g, h in G.  As G generates H, R_g commutes with every L_x, so
-        R_g x = x R_g(1) = x S(g), and x = S(y) gives S(g y) = S(y) S(g);
-        by induction on the length of a word w in G, S(w y) = S(y) S(w),
-        for all y.  A failure names g."""
+        """Exact matrix checks of the Ariki-Koike presentation in T_0 =
+        L_1, T_1, ..., T_(n-1), each relation once: the quadratic
+        relations, the braid relations, T_i T_j = T_j T_i for i < j - 1,
+        L_r L_s = L_s L_r for r < s (what the weight split assumes; at
+        (1, 2) it is the type-B braid relation, as L_2 = q^-1 T_1 L_1
+        T_1), T_r L_1 = L_1 T_r for r >= 2 and the cyclotomic relation.
+
+        The other identities of the L_k hold by construction.
+        ``entries[k+1]`` is T_k ``entries[k]`` T_k over F_p[t], and
+        evaluation at q is a ring map, so L_(r+1) = q^-1 T_r L_r T_r.
+        With T_r^2 = (q - 1) T_r + q this gives T_r L_r = L_(r+1) (T_r - q
+        + 1).  T_r L_s = L_s T_r for r not in {s - 1, s} follows by
+        induction on s: s = 1 is checked, and for s >= 2, L_s = q^-1
+        T_(s-1) L_(s-1) T_(s-1).  For r not s - 2, T_r commutes with each
+        factor.  For r = s - 2, L_s = q^-2 T_(s-1) T_(s-2) L_(s-2) T_(s-2)
+        T_(s-1); the braid relation carries T_(s-2) past T_(s-1) T_(s-2)
+        as T_(s-1), which commutes with L_(s-2) by the induction.
+
+        Then an exact certificate from left multiplications L_x (by x)
+        alone that the star S is an anti-involution fixing each g in G =
+        {T_i, L_1}: S^2 = 1, S(1) = 1, S(g) = g, and R_g = S L_g S
+        commutes with L_h for all g, h in G.  As G generates H, R_g
+        commutes with every L_x, so R_g x = x R_g(1) = x S(g), and x =
+        S(y) gives S(g y) = S(y) S(g); by induction on the length of a
+        word w in G, S(w y) = S(y) S(w), for all y.  Each unordered pair
+        {g, h} is tested once: with S^2 = 1, conjugating [R_g, L_h] by S
+        gives -[R_h, L_g].  A failure names the pair's first g in G."""
         p, q, n = self.p, self.params.q, self.params.n
         I = self.identity()
         T, L, S = self.T, self.L, self.star_mat
@@ -500,24 +532,16 @@ class RegularRep:
         for i in T:
             check(f"quadratic T_{i}", ((T[i] + I) % p, (T[i] - q * I) % p),
                   zero)
-        for i in T:
-            for j in T:
-                if abs(i - j) > 1:
-                    check(f"commuting T_{i} T_{j}", (T[i], T[j]), (T[j], T[i]))
+        for i, j in combinations(T, 2):
+            if j > i + 1:
+                check(f"commuting T_{i} T_{j}", (T[i], T[j]), (T[j], T[i]))
         for i in range(1, n - 1):
             check(f"braid T_{i} T_{i+1} T_{i}", (T[i], T[i + 1], T[i]),
                   (T[i + 1], T[i], T[i + 1]))
         for r, s in combinations(L, 2):
             check(f"commuting L_{r} L_{s}", (L[r], L[s]), (L[s], L[r]))
-        for r in T:
-            check(f"T_{r} L_{r} = L_{r+1}(T_{r} - q + 1)", (T[r], L[r]),
-                  (L[r + 1], (T[r] - q * I + I) % p))
-            TLT = matmul((T[r], L[r], T[r]), p)
-            check(f"L_{r+1} = q^-1 T_{r} L_{r} T_{r}", (L[r + 1],),
-                  (pow(q, -1, p) * TLT % p,))
-            for s in L:
-                if abs(r - s) > 1 and s != r + 1:
-                    check(f"commuting T_{r} L_{s}", (T[r], L[s]), (L[s], T[r]))
+        for r in range(2, n):
+            check(f"commuting T_{r} L_1", (T[r], L[1]), (L[1], T[r]))
         check("cyclotomic relation for L_1",
               [(L[1] - pow(q, kj, p) * I) % p
                for kj in self.params.hat_kappa], zero)
@@ -525,11 +549,11 @@ class RegularRep:
         one = self.unit_vector()
         check("star anti-multiplicativity on 1", (S, one), (one,))
         gens = [(f"T_{i}", T[i]) for i in T] + [("L_1", L[1])]
-        for name, G in gens:
+        for a, (name, G) in enumerate(gens):
             g, R = G[:, self.id_index], matmul((S, G, S), p)
             if not np.array_equal(matmul((S, g), p), g) or any(
                     not np.array_equal(matmul((R, X), p), matmul((X, R), p))
-                    for _, X in gens):
+                    for _, X in gens[a:]):
                 fails.append(f"star anti-multiplicativity on {name}")
         return fails
 
@@ -1249,13 +1273,11 @@ def _two_string_params(params: HeckeParams) -> HeckeParams:
 def e2_idempotents(params: HeckeParams) -> list[dict]:
     """For each level component j, the idempotent of the two-string
     subalgebra projecting onto its one-dimensional module with
-    L_1, L_2, T_1 eigenvalues q^{kappa_j}, q^{kappa_j + 1}, q.
-
-    Computed two independent ways and cross-checked: (a) the weight
+    L_1, L_2, T_1 eigenvalues q^{kappa_j}, q^{kappa_j + 1}, q: the weight
     idempotent of (L_1, L_2) at (q^{kappa_j}, q^{kappa_j + 1}), whose
-    residue class is the one row tableau of component j, and (b) the
-    solution of the eigenvalue system of L_1, L_2 and T_1 = q in the
-    regular representation of the two-string algebra.
+    residue class is the one row tableau of component j.  The tests
+    compare it with the normalised solution of the eigenvalue system of
+    L_1, L_2 and T_1 in the regular representation.
     Returned as dicts on the two-string normal-form basis; the keys
     embed verbatim into any larger normal-form basis by appending
     zero exponents and fixed points."""
@@ -1263,43 +1285,15 @@ def e2_idempotents(params: HeckeParams) -> list[dict]:
         raise ValueError("needs n >= 2")
     p2 = _two_string_params(params)
     p2.validate()
-    p, q, e = p2.p, p2.q, p2.e
     classes = class_partition(p2)
-    reg = regular_rep(p2)
     out = []
-    for j in range(params.l):
-        kj = p2.mc.kappa[j]
-        # route (a): the class of the row tableau of component j is a
-        # singleton; take its weight idempotent
-        key = (kj % e, (kj + 1) % e)
+    for kj in p2.mc.kappa:
+        # the class of the component's row tableau must be a singleton
+        key = (kj % p2.e, (kj + 1) % p2.e)
         tabs = classes[key]
         if len(tabs) != 1:
             raise ValueError(f"class {key} is not a singleton; bad multicharge")
-        va = class_idempotent_vector(p2, tabs)
-        # route (b): eigenvalue system in the regular representation
-        I = reg.identity()
-        stack = np.vstack([
-            (reg.L[1] - pow(q, kj, p) * I) % p,
-            (reg.L[2] - pow(q, kj + 1, p) * I) % p,
-            (reg.T[1] - q * I) % p,
-        ])
-        ns = nullspace(stack, p)
-        if ns.shape[0] != 1:
-            raise ValueError(f"eigenvalue system solution space has "
-                             f"dimension {ns.shape[0]}, expected 1")
-        v = ns[0]
-        v2 = reg.product(v, v)
-        # v^2 = beta v on a one-dimensional block; normalize
-        pos = int(np.nonzero(v)[0][0])
-        beta = v2[pos] * pow(int(v[pos]), -1, p) % p
-        if not np.array_equal(v2, beta * v % p):
-            raise ValueError("eigenvalue system vector does not square "
-                             "into its own line")
-        vb = pow(int(beta), -1, p) * v % p
-        if not np.array_equal(vb, reg.coefficients(va)):
-            raise ValueError(f"the two constructions of the rank-one "
-                             f"idempotent disagree at component {j}")
-        out.append(va)
+        out.append(class_idempotent_vector(p2, tabs))
     return out
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from blobcell import blob as B
 from blobcell import hecke as H
-from blobcell.exactfield import invert_matrix, mat_pow, matmul, rank
+from blobcell.exactfield import (invert_matrix, mat_pow, matmul,
+                                 nullspace, rank)
 
 
 def _nonzero_classes(algebra) -> set:
@@ -23,6 +24,32 @@ def _nonzero_classes(algebra) -> set:
             v[index[key]] = c
         if matmul((algebra.quotient_map, v), p).any():
             out.add(iseq)
+    return out
+
+
+def eigenvalue_system_seeds(params) -> list:
+    """The reference for :func:`H.e2_idempotents`: for each component j,
+    the basis of the vectors v of the two-string regular representation
+    with L_1 v = q^(kappa_j) v, L_2 v = q^(kappa_j + 1) v and T_1 v = q v,
+    each scaled by 1 / beta for v^2 = beta v (None where v^2 is not on
+    the line of v)."""
+    p, q = params.p, params.q
+    reg = H.regular_rep(H.HeckeParams(n=2, l=params.l, e=params.e, p=p,
+                                      q=q, hat_kappa=params.hat_kappa))
+    I = reg.identity()
+    out = []
+    for kj in params.mc.kappa:
+        vectors = []
+        for v in nullspace(np.vstack([
+                (reg.L[1] - pow(q, kj, p) * I) % p,
+                (reg.L[2] - pow(q, kj + 1, p) * I) % p,
+                (reg.T[1] - q * I) % p]), p):
+            v2 = reg.product(v, v)
+            pos = np.flatnonzero(v)[0]
+            beta = int(v2[pos]) * pow(int(v[pos]), -1, p) % p
+            vectors.append(pow(beta, -1, p) * v % p if beta and
+                           np.array_equal(v2, beta * v % p) else None)
+        out.append(vectors)
     return out
 
 

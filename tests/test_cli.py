@@ -294,6 +294,22 @@ class TestVerify:
         assert code == 2 and not out
         assert "product bound" in err
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_dense_h_beyond_memory_rejected(self, monkeypatch, capsys, n):
+        # 2n dense int64 D x D matrices, D = 2^n n!: 204 GB at n = 6
+        def rewriting(*args):
+            raise AssertionError("rewriting started")
+        monkeypatch.setattr(H, "generic_normal_form", rewriting)
+        code, out, err = run(["verify", "--n", str(n), "--l", "2"], capsys)
+        assert code == 2 and not out
+        assert f"dim H = {2 ** n * math.factorial(n)} is too large" in err
+        assert "GB of physical memory" in err
+
+    def test_rewrite_suite_needs_no_dense_h(self, capsys):
+        code, out, _ = run(["verify", "--n", "6", "--l", "2", "--suite",
+                            "rewrite", "--oracle", "off"], capsys)
+        assert code == 0 and json.loads(out)["passed"]
+
     def test_relation_failure_is_reported(self, monkeypatch, capsys):
         def failing(self):
             return [B.RelationFailure("injected", (1, (0, 1)))]
@@ -460,6 +476,13 @@ class TestTrace:
         assert code == 0
         report = json.loads(out)
         assert report["mode"] == "exact" and report["zero"]
+
+    def test_oracle_failure_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_oracle_invariant", lambda *args: False)
+        code, out, err = run(["trace", "--n", "2", "--l", "2", "--k", "2",
+                              "--oracle", "on"], capsys)
+        assert code == 2 and not out
+        assert err == "error: trace is not oracle-invariant\n"
 
 
 def _run_fresh(script: str) -> None:

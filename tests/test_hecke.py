@@ -1,14 +1,17 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
 from blobcell import blob as B
 from blobcell import combinatorics as C
+from blobcell import exactfield as xf
 from blobcell import hecke as H
 from blobcell.exactfield import (PoleAtSpecialization, Poly, RatFunc,
                                  matmul)
+from conftest import eigenvalue_system_seeds
 
 P22 = H.default_params(2, 2)
 P32 = H.default_params(3, 2)
@@ -49,6 +52,10 @@ class TestParams:
                             for m in range(1, pa.e)))
             gaps = [b - a for a, b in zip(pa.hat_kappa, pa.hat_kappa[1:])]
             assert all(g >= pa.n for g in gaps)
+
+    def test_five_strings_fit_in_memory(self):
+        # the 10 dense matrices of dim H = 3840 take 1.2 GB
+        H.default_params(5, 2).validate_exact()
 
     @pytest.mark.parametrize("e", [0, -5])
     def test_quantum_characteristic_below_one(self, e):
@@ -210,6 +217,35 @@ class TestRegularRep:
         fails = [f for f in reg.relation_failures()
                  if f.startswith("commuting L_")]
         assert fails == ["commuting L_1 L_2"]
+
+    def test_t_r_l_1_is_checked_from_r_2(self):
+        # L_1 replaced by T_1, which commutes with no T_2
+        reg = copy.copy(H.regular_rep(P32))
+        reg.L = {**reg.L, 1: reg.T[1]}
+        assert "commuting T_2 L_1" in reg.relation_failures()
+
+    def test_each_commuting_t_pair_is_checked_once(self):
+        # T_3 replaced by T_2, which does not commute with T_1
+        reg = copy.copy(H.regular_rep(H.default_params(4, 2)))
+        reg.T = {**reg.T, 3: reg.T[2]}
+        fails = reg.relation_failures()
+        assert [f for f in fails if re.fullmatch(r"commuting T_\d T_\d", f)] \
+            == ["commuting T_1 T_3"]
+
+    def test_relation_suite_products(self, monkeypatch):
+        # at (3,3): 2 quadratic, 4 braid, 6 for the L pairs, 2 for T_2 L_1,
+        # 2 cyclotomic, 1 for S^2, and 2 per star conjugate S L_g S and
+        # per unordered pair {g, h} of T_1, T_2, L_1
+        reg = H.regular_rep(H.default_params(3, 3))
+        shapes, product = [], xf._product
+
+        def recorded(M, N, p):
+            shapes.append((*M.shape, N.shape[1] if N.ndim == 2 else 1))
+            return product(M, N, p)
+
+        monkeypatch.setattr(xf, "_product", recorded)
+        assert reg.relation_failures() == []
+        assert shapes.count((reg.dim,) * 3) <= 35
 
     def test_spanning_tree_levels(self):
         # every key but the identity once, each the product of a parent
@@ -636,10 +672,16 @@ class TestMurphyIdempotents:
 class TestTwoStringIdempotents:
     @pytest.mark.parametrize("pa", [P22, P23], ids=["l2", "l3"])
     def test_cross_checked_construction(self, pa):
-        # e2_idempotents internally verifies that the generic-
-        # specialization route and the eigenvalue-system route agree
-        es = H.e2_idempotents(pa)
-        assert len(es) == pa.l
+        # each weight idempotent spans the one-dimensional solution space
+        # of its eigenvalue system, normalised by v^2 = beta v
+        reg = H.regular_rep(H.HeckeParams(n=2, l=pa.l, e=pa.e, p=pa.p,
+                                          q=pa.q, hat_kappa=pa.hat_kappa))
+        seeds = H.e2_idempotents(pa)
+        refs = eigenvalue_system_seeds(pa)
+        assert len(seeds) == len(refs) == pa.l
+        for seed, vectors in zip(seeds, refs):
+            assert len(vectors) == 1
+            assert np.array_equal(vectors[0], reg.coefficients(seed))
 
     @pytest.mark.parametrize("pa", [P22, P23], ids=["l2", "l3"])
     def test_idempotent_orthogonal_family(self, pa):
