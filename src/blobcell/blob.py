@@ -340,7 +340,7 @@ class KLRImages:
 
     def _psi(self, r: int) -> tuple[dict, dict]:
         """The held psi_r, whose column block i is psi_r e(i), and {i: the
-        d_i x d_i blocks of Q_r(i) and P_r(i)} for :attr:`sigma`.  On
+        d_i x d_i blocks of Q_r(i) and P_r(i)} for :meth:`_held_sigma`.  On
         block i, T_r e(i) = psi_r Q_r(i) e(i) - P_r(i) e(i)
         (Brundan-Kleshchev, Invent. Math. 2009, section 4), where the
         normalizer Q_r(i) and the correction P_r(i) are functions of L_r
@@ -743,11 +743,6 @@ class CellularBasis:
         """The family on the carrier's basis, C times its adapted form."""
         return matmul((self.images.C, self._adapted), self.algebra.p)
 
-    @property
-    def swapped(self) -> list[int]:
-        """The column of (T, S) for the pair (S, T) of each column."""
-        return [self.column[(T, S)] for _, S, T in self.index]
-
     def vector(self, S, T) -> np.ndarray:
         return self.matrix[:, self.column[(S, T)]]
 
@@ -804,41 +799,6 @@ def _named_generators(images: KLRImages) -> list[tuple[str, dict]]:
     return out
 
 
-def _generator_lines(basis: CellularBasis) -> list[tuple]:
-    """(name, cellularity lines, grading lines) per generator a in the
-    grading report's order (y_k, e(i), psi_r), both read off the matrix X
-    of a on the cellular basis (see :func:`check_cellularity`)."""
-    images, e, index = basis.images, basis.params.e, basis.index
-    degs = np.array([basis.degree(S, T) for _, S, T in index])
-    # m_{S,T} lies in e(i^S) B, where psi_r has degree psi_degree(i^S)
-    table = [(f"y_{k}", M, degs + 2) for k, M in images.Y.items()]
-    table += [(f"e({i})", M, degs) for i, M in images.E.items()]
-    table += [(f"psi_{r}", M, degs + [comb.psi_degree(
-        *basis.residues[S][r - 1:r + 1], e) for _, S, _ in index])
-        for r, M in images.PSI.items()]
-    # W = r (x) 1: W[(U, V), (S, T)] = X[(U, T^lam), (S, T^lam)] when both
-    # pairs have shape lam and V = T, i.e. when their keys agree; else 0
-    top = [basis.column[(U, basis.t_lam[lam])] for lam, U, _ in index]
-    ids: dict = {}
-    key = np.array([ids.setdefault((lam, V), len(ids)) for lam, _, V in index])
-    out = []
-    for name, M, target in table:
-        X = basis.coords(M)
-        W = np.where(key[:, None] == key, X[np.ix_(top, top)], 0)
-        bad = (X != W) & basis.below
-        cells = []
-        for j in np.flatnonzero(bad.any(axis=0)):
-            i = bad[:, j].argmax()
-            cells.append(f"{name} at (S, T) = {index[j][1:]}: coefficient "
-                         f"on {index[i][1:]} is {X[i, j]}, expected {W[i, j]}")
-        bad = (X != 0) & (degs[:, None] != target)
-        grading = [f"{name}.m_({index[j][1]},{index[j][2]}) has a component "
-                   f"of degree {degs[i]}, expected {target[j]}"
-                   for j, i in zip(*np.nonzero(bad.T))]
-        out.append((name, cells, grading))
-    return out
-
-
 def check_cellularity(algebra: BlobAlgebra, basis: CellularBasis
                       ) -> list[str]:
     """Condition (ii) of cellularity, with exact coefficients, as a block
@@ -848,55 +808,77 @@ def check_cellularity(algebra: BlobAlgebra, basis: CellularBasis
     over T, and vanishes on the other rows of shapes not strictly above
     lambda.  A column breaking this is reported at its first such row.
     The same X gives the grading lines: every nonzero coefficient of
-    a m_{S,T} must have degree deg a + deg m_{S,T}."""
-    lines = _generator_lines(basis)
-    cells = {name: c for name, c, _ in lines}
-    return [line for name, _ in _named_generators(basis.images)
-            for line in cells[name]] + [line for *_, g in lines for line in g]
+    a m_{S,T} must have degree deg a + deg m_{S,T}.  The cellularity
+    lines of y_k and psi_r come before their grading lines.
+
+    Only y_k and psi_r are written on the basis.  E[i] is the identity
+    block of class i (:meth:`KLRImages._projection_failures`) and
+    ``_inv`` the exact blockwise inverse of a family block-diagonal by
+    weight (:func:`build_cellular_basis`), so the X of e(i) is the
+    diagonal selecting the pairs with i^S = i: 1 (x) 1 on each shape and
+    of degree 0, it gives no line."""
+    images, e, index = basis.images, basis.params.e, basis.index
+    degs = np.array([basis.degree(S, T) for _, S, T in index])
+    # m_{S,T} lies in e(i^S) B, where psi_r has degree psi_degree(i^S)
+    table = [(f"y_{k}", M, degs + 2) for k, M in images.Y.items()]
+    table += [(f"psi_{r}", M, degs + [comb.psi_degree(
+        *basis.residues[S][r - 1:r + 1], e) for _, S, _ in index])
+        for r, M in images.PSI.items()]
+    # W = r (x) 1: W[(U, V), (S, T)] = X[(U, T^lam), (S, T^lam)] when both
+    # pairs have shape lam and V = T, i.e. when their keys agree; else 0
+    top = [basis.column[(U, basis.t_lam[lam])] for lam, U, _ in index]
+    ids: dict = {}
+    key = np.array([ids.setdefault((lam, V), len(ids)) for lam, _, V in index])
+    cells, grading = [], []
+    for name, M, target in table:
+        X = basis.coords(M)
+        W = np.where(key[:, None] == key, X[np.ix_(top, top)], 0)
+        bad = (X != W) & basis.below
+        for j in np.flatnonzero(bad.any(axis=0)):
+            i = bad[:, j].argmax()
+            cells.append(f"{name} at (S, T) = {index[j][1:]}: coefficient "
+                         f"on {index[i][1:]} is {X[i, j]}, expected {W[i, j]}")
+        bad = (X != 0) & (degs[:, None] != target)
+        grading += [f"{name}.m_({index[j][1]},{index[j][2]}) has a component "
+                    f"of degree {degs[i]}, expected {target[j]}"
+                    for j, i in zip(*np.nonzero(bad.T))]
+    return cells + grading
 
 
 def check_jm(algebra: BlobAlgebra, basis: CellularBasis, jm: dict
              ) -> list[str]:
     """Triangularity of the Jucys-Murphy action on the cellular basis:
-    acting on the right of m_{S,T}, JM_k has diagonal coefficient
-    q^{residue of k in T} and otherwise moves T strictly up in dominance
-    (modulo strictly dominating shapes); symmetrically on the left for S.
-    The images of ``basis`` must pass their relation suite.
+    acting on the left of m_{S,T}, JM_k has diagonal coefficient
+    q^{residue of k in S} and otherwise moves S strictly up in dominance
+    (modulo strictly dominating shapes).  The images of ``basis`` must
+    pass their relation suite.  Each JM_k is written on the basis once,
+    X = ``coords(jm[k])``; column j is read at its nonzero and diagonal
+    entries, on rows of shapes not strictly above.
 
-    Each JM_k is written on the basis once, X = ``coords(jm[k])``, its
-    left action.  Its right action is X[sw, sw] for sw =
-    :attr:`CellularBasis.swapped`: sigma fixes L_k and reverses products
+    This covers the right action too: sigma fixes L_k, reverses products
     (:meth:`KLRImages._sigma_failures`) and swaps m_{S,T} and m_{T,S}
-    (by construction, :func:`build_cellular_basis`), so m_{S,T} L_k =
-    sigma(L_k m_{T,S}), whose coefficient on m_{U,V} is that of L_k
-    m_{T,S} on m_{V,U}.  Column j of either is read at its nonzero and
-    its diagonal entries, on rows of shapes not strictly above."""
-    p, q, sw = algebra.p, algebra.q, basis.swapped
+    (:func:`build_cellular_basis`), so m_{S,T} L_k = sigma(L_k m_{T,S})
+    has on m_{U,V} the coefficient of L_k m_{T,S} on m_{V,U}: the right
+    condition at (S, T) is the left one at (T, S)."""
+    p, q = algebra.p, algebra.q
     report = []
     for k, M in jm.items():
-        left = basis.coords(M)
-        sides = (("right", left[np.ix_(sw, sw)]), ("left", left))
+        X = basis.coords(M)
         for j, (lam, S, T) in enumerate(basis.index):
-            for side, X in sides:
-                moved, fixed = (T, S) if side == "right" else (S, T)
-                diag = pow(q, basis.residues[moved][k - 1], p)
-                # the diagonal coefficient is compared even when zero
-                seen = X[:, j] != 0
-                seen[j] = True
-                for i in np.flatnonzero(seen & basis.below[:, j]):
-                    mu, U, V = basis.index[i]
-                    Umoved, Ufixed = (V, U) if side == "right" else (U, V)
-                    if not (mu == lam and Ufixed == fixed and
-                            (Umoved == moved or
-                             comb.tableau_strictly_dominates(
-                                 Umoved, moved, basis.theta))):
-                        report.append(
-                            f"JM_{k} {side} on ({S}, {T}): stray "
-                            f"component on ({U}, {V})")
-                    elif Umoved == moved and X[i, j] != diag:
-                        report.append(
-                            f"JM_{k} {side} on ({S}, {T}): diagonal "
-                            f"coefficient {X[i, j]}, expected {diag}")
+            diag = pow(q, basis.residues[S][k - 1], p)
+            # the diagonal coefficient is compared even when zero
+            seen = X[:, j] != 0
+            seen[j] = True
+            for i in np.flatnonzero(seen & basis.below[:, j]):
+                mu, U, V = basis.index[i]
+                if not (mu == lam and V == T and (
+                        U == S or comb.tableau_strictly_dominates(
+                            U, S, basis.theta))):
+                    report.append(f"JM_{k} left on ({S}, {T}): stray "
+                                  f"component on ({U}, {V})")
+                elif U == S and X[i, j] != diag:
+                    report.append(f"JM_{k} left on ({S}, {T}): diagonal "
+                                  f"coefficient {X[i, j]}, expected {diag}")
     return report
 
 
@@ -904,8 +886,9 @@ def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
                  ) -> list[CellModule]:
     """Cell modules with the generator action rho(a) (the coefficients
     r_{u,S,a} of a m_{S,T^lam} read off at T = T^lam) and Gram matrices.
-    Each generator is written on the basis once (:meth:`CellularBasis.
-    coords`), and the action of every shape is read off it.
+    Each y_k and psi_r is written on the basis once (:meth:`CellularBasis.
+    coords`), and the action of every shape is read off it; rho(e(i))
+    selects the S with i^S = i (proof at :func:`check_cellularity`).
 
     Row S of the Gram matrix is row T^lam of rho(e(i^lam)) rho(psi_(r_1))
     ... rho(psi_(r_m)), for the word r_1 ... r_m of d(S): m_{T^lam,S}
@@ -914,22 +897,28 @@ def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
     rests on rho being a representation modulo the pairs of shapes
     strictly above lambda, which the r (x) 1 identity of
     :func:`check_cellularity` gives: each generator keeps their span and
-    acts on the pairs of shape lambda as r_a (x) 1.  The squared module
+    acts on the pairs of shape lambda as r_a (x) 1.  sigma, a certified
+    anti-involution swapping m_{U,V} and m_{V,U}, takes m_{T^lam,S}
+    m_{T,T^lam} = <S, T> m_{T^lam,T^lam} (modulo higher shapes) to
+    <T, S> = <S, T>, so the Gram matrix is symmetric.  The squared module
     dimensions add up to dim B, one pair per dimension
     (:func:`build_cellular_basis`)."""
-    p = algebra.p
-    X = {name: basis.coords(M) for name, M in _named_generators(basis.images)}
+    p, images = algebra.p, basis.images
+    # the y_k and psi_r, after the e(i) in _named_generators
+    X = {name: basis.coords(M)
+         for name, M in _named_generators(images)[len(images.E):]}
     out = []
     for lam in basis.shapes:
         std, tl = basis.std[lam], basis.t_lam[lam]
         top = [basis.column[(S, tl)] for S in std]
-        action = {name: M[np.ix_(top, top)] for name, M in X.items()}
+        res = [basis.residues[S] for S in std]
+        action = {f"e({i})": np.diag([r == i for r in res]).astype(np.int64)
+                  for i in images.E}
+        action.update({name: M[np.ix_(top, top)] for name, M in X.items()})
         e, t = action[f"e({basis.i_lam[lam]})"], std.index(tl)
         gram = np.array([
             matmul([e] + [action[f"psi_{r}"] for r in basis.word[S]], p)[t]
             for S in std])
-        if not np.array_equal(gram, gram.T):
-            raise ValueError(f"Gram matrix at shape {lam} is not symmetric")
         out.append(CellModule(shape=lam, tableaux=std, action=action,
                               gram=gram, gram_rank=rank(gram, p)))
     return out

@@ -132,11 +132,16 @@ def held_inverse(basis, inv):
     return out
 
 
+def swapped_columns(basis) -> list:
+    """The column of (T, S) for the pair (S, T) of each column."""
+    return [basis.column[(T, S)] for _, S, T in basis.index]
+
+
 def _family_swap(algebra, images):
     """The independent reference for the anti-involution of B: the swap
     m_{S,T} -> m_{T,S} on the zero-weighting family, M[:, swapped] M^-1."""
     fam = B.CellularBasis(algebra, images)
-    return matmul((fam.matrix[:, fam.swapped],
+    return matmul((fam.matrix[:, swapped_columns(fam)],
                    invert_matrix(fam.matrix, algebra.p)), algebra.p)
 
 

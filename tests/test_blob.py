@@ -2,8 +2,10 @@
 quiver-Hecke generator images and the defining relation suite, the graded
 cellular basis, Jucys-Murphy triangularity, and cell modules."""
 
+import ast
 import copy
 import functools
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from blobcell import hecke as H
 from blobcell.exactfield import (block_equal, block_split, invert_matrix,
                                  mat_pow, matmul, rank, rref)
 from conftest import (changed_inverse, dense_generators, held_inverse,
-                      mixed_split, star_conjugates, weight_split_misses)
+                      mixed_split, star_conjugates, swapped_columns,
+                      weight_split_misses)
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
 
@@ -697,25 +700,55 @@ class TestJucysMurphy:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_zeroed_action_fails(self, built, k):
-        # a zero JM_k leaves every diagonal coefficient 0, never q^res, on
-        # the left and, read through sigma, on the right
+        # a zero JM_k leaves every diagonal coefficient 0, never q^res; the
+        # left action is checked, and it is the per-vector left report
         _, A, images, basis = built[(2, 2)]
         jm = {**B.jm_images(A, images), k: {}}
         fails = B.check_jm(A, basis, jm)
         assert fails and all("diagonal coefficient 0," in f for f in fails)
-        assert {f.split()[1] for f in fails} == {"left", "right"}
+        assert fails == sided(per_vector_jm(A, basis, jm), "left")
 
     def test_changed_element_is_reported(self, built):
         # check_jm reads the JM elements it is given: JM_2 replaced by JM_1
-        # (fixed by both stars) breaks the diagonal of JM_2 on both sides,
-        # as the per-vector reference finds
+        # (fixed by both stars) breaks the diagonal of JM_2, as the left
+        # lines of the per-vector reference find
         _, A, images, basis = built[(3, 2)]
         jm = B.jm_images(A, images)
         jm[2] = jm[1]
         fails = B.check_jm(A, basis, jm)
-        assert fails == per_vector_jm(A, basis, jm)
-        assert fails and all(f.startswith("JM_2 ") for f in fails)
-        assert {f.split()[1] for f in fails} == {"left", "right"}
+        assert fails == sided(per_vector_jm(A, basis, jm), "left")
+        assert fails and all(f.startswith("JM_2 left ") for f in fails)
+
+    def test_zeroed_action_reports_each_pair_once(self, built):
+        # the right action is not checked again: with JM_1 zeroed at (3,2)
+        # every pair fails its diagonal, and is reported once
+        _, A, images, basis = built[(3, 2)]
+        jm = {**B.jm_images(A, images), 1: {}}
+        pairs = [f.split(":")[0].split(" on ")[1]
+                 for f in B.check_jm(A, basis, jm)]
+        assert sorted(pairs) == sorted(f"({S}, {T})"
+                                       for _, S, T in basis.index)
+
+    @pytest.mark.parametrize("case,n,l", [
+        ("zeroed", 3, 2), ("swapped", 3, 2), ("changed inverse", 3, 2),
+        ("changed inverse", 2, 3)])
+    def test_right_report_mirrors_the_left(self, built, case, n, l):
+        # the argument check_jm rests on, on the independent reference:
+        # the right lines of per_vector_jm, with (S, T) and (U, V)
+        # swapped, are its left lines
+        _, A, images, basis = built[(n, l)]
+        jm = B.jm_images(A, images)
+        if case == "zeroed":
+            jm[1] = {}
+        elif case == "swapped":
+            jm[1], jm[2] = jm[2], jm[1]
+        else:
+            basis = copy.copy(basis)
+            basis._inv = held_inverse(basis, changed_inverse(basis))
+        ref = per_vector_jm(A, basis, jm)
+        right = sided(ref, "right")
+        assert right and sorted(map(mirrored, right)) == \
+            sorted(sided(ref, "left"))
 
 
 class TestCellularBasis:
@@ -1015,6 +1048,24 @@ def per_vector_jm(A, basis, jm):
     return report
 
 
+def sided(lines, side):
+    """The lines of a JM report on one side, "left" or "right"."""
+    return [line for line in lines if line.split()[1] == side]
+
+
+def mirrored(line):
+    """The left line that a right line of a JM report mirrors through
+    sigma: (S, T) and (U, V) swapped."""
+    head, rest = line.split(": ", 1)
+    name, _, _, pair = head.split(" ", 3)
+    S, T = ast.literal_eval(pair)
+    stray = "stray component on "
+    if rest.startswith(stray):
+        U, V = ast.literal_eval(rest[len(stray):])
+        rest = f"{stray}({V}, {U})"
+    return f"{name} left on ({T}, {S}): {rest}"
+
+
 def per_vector_cell_modules(A, basis):
     """(shape, action, Gram matrix, Gram rank) per shape, each Gram entry
     from the left-multiplication matrix (``A.push`` of its lift to H) of
@@ -1130,10 +1181,16 @@ class TestCellularBasisMatrices:
         moved._inv = held_inverse(basis, changed_inverse(basis))
         with pytest.raises(ValueError, match="stray component"):
             per_vector_cell_modules(A, moved)
+        # check_cellularity writes no e(i); the psi_1 lines still catch
+        # the changed inverse
         cells = B.check_cellularity(A, moved)
-        assert cells and cells == per_vector_cellularity(A, moved)
+        assert cells == [line for line in per_vector_cellularity(A, moved)
+                         if not line.startswith("e(")]
+        assert len(cells) == {(3, 2): 2, (2, 3): 1}[n, l]
+        assert all(line.startswith("psi_1") for line in cells)
         jm = B.jm_images(A, images)
-        assert B.check_jm(A, moved, jm) == per_vector_jm(A, moved, jm)
+        assert B.check_jm(A, moved, jm) == \
+            sided(per_vector_jm(A, moved, jm), "left")
 
     @pytest.mark.parametrize("n,l", SCALES)
     def test_jm_images_equal_per_class_sum(self, built, n, l):
@@ -1235,7 +1292,7 @@ class TestBlockPath:
                 dense_coords(basis, inv, M).tobytes(), name
         # right multiplication by L_k is left multiplication swapped by
         # sigma, on the cellular basis
-        right, sw = star_conjugates(A).RL, basis.swapped
+        right, sw = star_conjugates(A).RL, swapped_columns(basis)
         for k in A.L:
             assert block_equal(images.L[k], held(images, A.L[k]), A.p)
             assert basis.coords(held(images, right[k])).tobytes() == \
@@ -1308,6 +1365,35 @@ class TestBlockPath:
         got = B.jm_images(A, images)
         assert {k: images.dense(M).tobytes() for k, M in got.items()} == \
             {k: M.tobytes() for k, M in want.items()}
+
+
+class TestCertifiedFactsNotRechecked:
+    """The cellular layer writes on the basis only what no certificate
+    proves already: the y_k and psi_r, not the e(i); and the cellular
+    suite builds no cell module to re-check the Gram symmetry."""
+
+    def test_cellularity_writes_dots_and_crossings(self, built33,
+                                                   monkeypatch):
+        _, A, images, basis = built33
+        written, coords = [], B.CellularBasis.coords
+
+        def counted(self, M):
+            written.append(id(M))
+            return coords(self, M)
+
+        monkeypatch.setattr(B.CellularBasis, "coords", counted)
+        assert B.check_cellularity(A, basis) == []
+        assert len(written) == 5
+        assert set(written) == {id(M) for M in (*images.Y.values(),
+                                                *images.PSI.values())}
+
+    def test_cellular_suite_builds_no_cell_modules(self, monkeypatch):
+        def unexpected(algebra, basis):
+            raise AssertionError("cell_modules called")
+
+        monkeypatch.setattr(B, "cell_modules", unexpected)
+        assert cli.main(["verify", "--n", "3", "--l", "2", "--suite",
+                         "cellular", "--out", os.devnull]) == 0
 
 
 class TestNoDenseProducts:

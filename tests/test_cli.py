@@ -2,6 +2,8 @@
 reports, verification suites and exit codes, artifact dumps, and the
 symbolic straightening trace."""
 
+import contextlib
+import errno
 import json
 import math
 import os
@@ -153,6 +155,19 @@ class TestRejectedInput:
         code, out, err = run(argv + ["--out", str(path)], capsys)
         assert code == 2 and not out
         assert err == f"error: cannot write {path}: {reason}\n"
+
+    def test_broken_pipe_names_standard_output(self, capsys):
+        # a reader that exits early (dims | head -1) breaks the pipe; the
+        # failed write is to standard output, which has no file name
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        with contextlib.redirect_stdout(ClosedPipe()):
+            code = cli.main(["dims", "--n", "2", "--l", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: cannot write standard output: Broken pipe\n"
 
     def test_negative_strings_in_dims(self, capsys):
         code, out, err = run(["dims", "--n", "-1", "--l", "2"], capsys)
