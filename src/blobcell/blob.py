@@ -637,17 +637,18 @@ class CellularBasis:
     above that of pair j, so the cell order keeps a coefficient at (i, j);
     ``residues[S]`` is i^S.
 
-    **Held form.**  m_{S,T} lies in e(i^S)B, as psi_w e(i) = e(w i)
-    psi_w.  So the pairs are grouped by i^S (``members[g]``: the places
-    in ``index`` of the pairs of group g), and C^-1 (family), which
-    ``_adapted`` holds, is one square block per weight space when the
-    family is a basis (:meth:`_blocks`).  A class the carrier drops has
-    e(i^lam) = 0 there, so its pairs give zero columns.  ``rank`` is the
-    rank of the family and ``_inv``, when it is a basis (else None), the
-    inverse of each block, {(group, weight block): block}.  So
-    :meth:`coords` takes one small product per block.  ``matrix``,
-    column j the family's j-th pair of ``index`` on the carrier's basis,
-    is formed on first use.
+    **Held form.**  For images whose relation suite is empty, m_{S,T}
+    lies in e(i^S)B: the projection certificate makes E[i] the identity
+    block of class i, and "psi_r e(i) = e(s_r i) psi_r" takes block i to
+    block s_r i.  So the pairs are grouped by i^S (``members[g]``: the
+    places in ``index`` of the pairs of group g), and C^-1 (family),
+    which ``_adapted`` holds, is its diagonal blocks (:meth:`_blocks`).
+    A class the carrier drops has e(i^lam) = 0 there, so its pairs give
+    zero columns.  ``rank`` is the sum of the blocks' ranks and ``_inv``,
+    when that is dim B = the number of pairs (else None), the inverse of
+    each block, {(group, weight block): block}; :meth:`coords` takes one
+    small product per block.  ``matrix``, column j the family's j-th pair
+    of ``index`` on the carrier's basis, is formed on first use.
 
     The constructor certifies nothing: :func:`build_cellular_basis` checks
     the rank, and the swap by sigma holds by construction."""
@@ -700,19 +701,12 @@ class CellularBasis:
                     V = images._apply(images.PSI[r], V)
                 cols.append(V)
         self._adapted = np.hstack(cols)
-        fam = block_split(self._adapted[:, order], images.blocks,
-                          self._slots)
-        # one elimination per group when the family is block-diagonal
-        self._inv = None
-        if any(i != g for i, g in fam):
-            self.rank = rank(self._adapted, p)
-        else:
-            found = {g: rank_and_inverse(fam.get(
-                (g, g), np.zeros((0, len(js)), dtype=np.int64)), p)
-                for g, js in members.items()}
-            self.rank = sum(r for r, _ in found.values())
-            if self.rank == A.dim == len(index):
-                self._inv = {(g, g): inv for g, (_, inv) in found.items()}
+        # one elimination per weight block
+        found = {g: rank_and_inverse(M, p)
+                 for (g, _), M in self._blocks().items()}
+        self.rank = sum(r for r, _ in found.values())
+        self._inv = {(g, g): inv for g, (_, inv) in found.items()} \
+            if self.rank == A.dim == len(index) else None
         # strictly-dominating shape comparisons, for the cell order
         self._above = {
             lam: {mu for mu in shapes
@@ -724,7 +718,7 @@ class CellularBasis:
 
     def _blocks(self) -> dict:
         """The diagonal blocks {(g, g): block} of C^-1 (family), cut out of
-        ``_adapted``: all of it when the family is a basis."""
+        ``_adapted``: all of it for images whose relation suite is empty."""
         blocks = self.images.blocks
         return {(g, g): self._adapted[blocks[g], js]
                 for g, js in self.members.items() if g in blocks}
@@ -769,20 +763,20 @@ class CellularBasis:
 def build_cellular_basis(algebra: BlobAlgebra, images: KLRImages,
                          theta=None) -> CellularBasis:
     """Construct the cellular basis for ``images`` whose relation suite is
-    empty, and certify it: dim B pairs of full rank, one block per weight
-    space.  The rest holds by construction.  sigma reverses products and
-    fixes e(i) and psi_r (:meth:`KLRImages._sigma_failures`), and
-    m_{S,T} = psi_{d(S)}^* e(i^lam) psi_{d(T)}, d(S) acting on the left
-    last letter first, so sigma(m_{S,T}) = m_{T,S}; and d(t^lam_theta) =
-    1, so m_{T^lam,T^lam} = e(i^lam)."""
+    empty, and certify it: dim B pairs of full rank.  The rest holds by
+    construction.  The projection certificate and "psi_r e(i) = e(s_r i)
+    psi_r" put m_{S,T} in e(i^S)B, so the weight blocks hold the family
+    (:class:`CellularBasis`).  sigma reverses products and fixes e(i) and
+    psi_r (:meth:`KLRImages._sigma_failures`), and m_{S,T} =
+    psi_{d(S)}^* e(i^lam) psi_{d(T)}, d(S) acting on the left last letter
+    first, so sigma(m_{S,T}) = m_{T,S}; and d(t^lam_theta) = 1, so
+    m_{T^lam,T^lam} = e(i^lam)."""
     A = algebra
     basis = CellularBasis(A, images, theta)
-    if len(basis.index) != A.dim or basis.rank != A.dim:
+    if basis._inv is None:
         raise ValueError(
             f"cellular family of size {len(basis.index)} has rank "
             f"{basis.rank}, expected {A.dim}")
-    if basis._inv is None:
-        raise ValueError("cellular family leaves the weight spaces e(i^S)B")
     return basis
 
 
@@ -813,8 +807,8 @@ def check_cellularity(algebra: BlobAlgebra, basis: CellularBasis
 
     Only y_k and psi_r are written on the basis.  E[i] is the identity
     block of class i (:meth:`KLRImages._projection_failures`) and
-    ``_inv`` the exact blockwise inverse of a family block-diagonal by
-    weight (:func:`build_cellular_basis`), so the X of e(i) is the
+    ``_inv`` the exact blockwise inverse of the family, block-diagonal by
+    weight (:class:`CellularBasis`), so the X of e(i) is the
     diagonal selecting the pairs with i^S = i: 1 (x) 1 on each shape and
     of degree 0, it gives no line."""
     images, e, index = basis.images, basis.params.e, basis.index

@@ -213,7 +213,7 @@ def _cellular_basis(build, theta) -> tuple:
         return None, _uncertified(relation_fails)
     try:
         return B.build_cellular_basis(A, images, theta), []
-    except ValueError as ex:   # what the construction's certificates raise
+    except ValueError as ex:   # what the construction's certificate raises
         return None, [f"cellular basis construction failed: {ex}"]
 
 

@@ -5,6 +5,7 @@ cellular basis, Jucys-Murphy triangularity, and cell modules."""
 import ast
 import copy
 import functools
+import json
 import os
 
 import numpy as np
@@ -1326,9 +1327,10 @@ class TestBlockPath:
         assert moved.expand(A.identity).tobytes() == inv.tobytes()
 
     @pytest.mark.parametrize("n,l", [(2, 2), (2, 3)])
-    def test_family_off_the_weight_spaces(self, built, n, l):
-        # psi_1 + 1 takes m_{S,T} out of e(i^S)B: the rank comes from the
-        # dense adapted family, and the certificate refuses the family
+    def test_family_off_the_weight_spaces(self, built, n, l, tmp_path,
+                                          monkeypatch):
+        # psi_1 + 1 takes m_{S,T} out of e(i^S)B; the relation suite
+        # refuses it, so verify builds no basis on it
         _, A, images, _ = built[(n, l)]
         changed = tampered(images, PSI={**images.PSI, 1: held(
             images, (images.dense(images.PSI[1]) + A.identity) % A.p)})
@@ -1336,10 +1338,21 @@ class TestBlockPath:
         order = np.concatenate(list(family.members.values()))
         assert any(i != g for i, g in block_split(
             family._adapted[:, order], images.blocks, family._slots))
-        assert family.rank == rank(family.matrix, A.p) and \
-            family._inv is None
-        with pytest.raises(ValueError, match="leaves the weight spaces"):
-            B.build_cellular_basis(A, changed)
+        fails = changed.relation_failures()
+        assert "psi_r e(i) = e(s_r i) psi_r" in {f.relation for f in fails}
+
+        def unexpected(*args):
+            raise AssertionError("cellular family built")
+
+        monkeypatch.setattr(B, "KLRImages", lambda algebra: changed)
+        monkeypatch.setattr(B, "CellularBasis", unexpected)
+        for suite in ("cellular", "jm"):
+            out = tmp_path / f"{suite}.json"
+            assert cli.main(["verify", "--n", str(n), "--l", str(l),
+                             "--suite", suite, "--out", str(out)]) == 1
+            assert json.loads(out.read_text())["suites"][suite] == {
+                "passed": False, "failures": [
+                    f"generator images fail {len(fails)} relations"]}
 
     @pytest.mark.parametrize("n,l", SCALES + [(3, 3)])
     def test_projection_certificate(self, built, built33, n, l):
@@ -1443,6 +1456,14 @@ class TestNoDenseProducts:
         assert recorded and all(
             list(dims).count(D) < 2 if name == "matmul" else dims[0] < D
             for name, dims in recorded)
+
+    def test_cellular_family_eliminations(self, built33, recorded):
+        # one rank_and_inverse per weight space, no rank of the family
+        _, A, images, _ = built33
+        B.build_cellular_basis(A, images)
+        assert [name for name, _ in recorded if name != "matmul"] == \
+            ["rank_and_inverse"] * len(images.blocks) == \
+            ["rank_and_inverse"] * 25
 
     def test_relation_suite_products(self, monkeypatch):
         # C^-1 C, sigma's adapted form, sigma^2 and one star conjugate per

@@ -112,6 +112,31 @@ class TestRejectedInput:
         assert code == 2 and not out
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("command", ["verify", "basis", "cell"])
+    def test_negative_multicharge_before_rewriting(self, command, capsys,
+                                                   monkeypatch):
+        # Q_1 = t^-10 is no polynomial: refused with hat_kappa named,
+        # before any key of H is rewritten
+        def unexpected(params):
+            raise AssertionError("normal form built")
+        monkeypatch.setattr(H, "generic_normal_form", unexpected)
+        code, out, err = run([command, "--n", "2", "--l", "2",
+                              "--kappa-hat=-10,2"], capsys)
+        assert code == 2 and not out
+        assert err == ("error: hat_kappa = [-10, 2]: the regular "
+                       "representation needs each Q_j = t^hat_kappa_j to be "
+                       "a polynomial\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["dims"], ["trace", "--k", "1", "--oracle", "off"],
+        ["verify", "--suite", "rewrite", "--oracle", "off"]])
+    def test_negative_multicharge_without_h(self, argv, capsys):
+        # the commands that build no regular representation still run
+        code, out, err = run(argv + ["--n", "2", "--l", "2",
+                                     "--kappa-hat=-10,2"], capsys)
+        assert code == 0 and not err
+        assert json.loads(out)["kappa_hat"] == [-10, 2]
+
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

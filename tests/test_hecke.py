@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -210,7 +211,8 @@ class TestRegularRep:
 
     def test_each_commuting_l_pair_is_checked_once(self):
         # L_2 replaced by T_1, which commutes with L_3 but not with L_1:
-        # (1, 2) fails once, and no pair is named as (s, r) or (r, r)
+        # the one pair checked, (1, 2), fails once; the other pairs follow
+        # from it by induction and are not formed
         reg = copy.copy(H.regular_rep(P32))
         reg.L = dict(reg.L)
         reg.L[2] = reg.T[1]
@@ -233,10 +235,12 @@ class TestRegularRep:
             == ["commuting T_1 T_3"]
 
     def test_relation_suite_products(self, monkeypatch):
-        # at (3,3): 2 quadratic, 4 braid, 6 for the L pairs, 2 for T_2 L_1,
+        # at (3,3): 2 quadratic, 4 braid, 2 for L_1 L_2, 2 for T_2 L_1,
         # 2 cyclotomic, 1 for S^2, and 2 per star conjugate S L_g S and
-        # per unordered pair {g, h} of T_1, T_2, L_1
-        reg = H.regular_rep(H.default_params(3, 3))
+        # per unordered pair {g, h} of T_1, T_2, L_1; at (4,2): 3
+        # quadratic, 2 for T_1 T_3, 8 braid, 2 for L_1 L_2, 4 for T_r L_1,
+        # 1 cyclotomic, 1 for S^2, and 2 per S L_g S and pair of T_1, T_2,
+        # T_3, L_1
         shapes, product = [], xf._product
 
         def recorded(M, N, p):
@@ -244,8 +248,19 @@ class TestRegularRep:
             return product(M, N, p)
 
         monkeypatch.setattr(xf, "_product", recorded)
-        assert reg.relation_failures() == []
-        assert shapes.count((reg.dim,) * 3) <= 35
+        for n, l, count in [(3, 3, 31), (4, 2, 49)]:
+            reg = H.regular_rep(H.default_params(n, l))
+            shapes.clear()
+            assert reg.relation_failures() == []
+            assert shapes.count((reg.dim,) * 3) == count, (n, l)
+
+    @pytest.mark.parametrize("n,l", [(3, 2), (2, 3), (3, 3), (4, 2)])
+    def test_every_l_pair_commutes(self, n, l):
+        # the pairs the suite leaves to the induction from L_1 L_2
+        reg = H.regular_rep(H.default_params(n, l))
+        for r, s in combinations(reg.L, 2):
+            assert np.array_equal(matmul((reg.L[r], reg.L[s]), reg.p),
+                                  matmul((reg.L[s], reg.L[r]), reg.p)), (r, s)
 
     def test_spanning_tree_levels(self):
         # every key but the identity once, each the product of a parent
