@@ -14,7 +14,8 @@ its cellular basis at most once: the suites of ``verify`` share one lazy
 build, and ``basis`` and ``cell`` share one helper.
 
 ``--oracle on`` (the default) certifies the symbolic straightenings of
-the ``rewrite`` suite and of ``trace`` against the matrix representation.
+the ``rewrite`` suite and of ``trace`` against the matrix representation;
+the ``verify`` report records the setting as ``oracle``.
 
 Reports are JSON (deterministic modulo the timestamp field); ``basis``
 can also write its matrix as CSV, and the other commands refuse a ``.csv``
@@ -299,6 +300,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
            "jm": lambda: _suite_jm(build, basis),
            "rewrite": lambda: _suite_rewrite(params, build, cfg.oracle)}
     report = _header(cfg, params)
+    report["oracle"] = cfg.oracle
     report["suites"] = suites = {}
     for name in wanted:
         fails = run[name]()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blobcell import blob as B
+from blobcell import exactfield as xf
 from blobcell import hecke as H
 from blobcell.exactfield import (invert_matrix, mat_pow, matmul,
                                  nullspace, rank)
@@ -143,6 +144,20 @@ def _family_swap(algebra, images):
     fam = B.CellularBasis(algebra, images)
     return matmul((fam.matrix[:, swapped_columns(fam)],
                    invert_matrix(fam.matrix, algebra.p)), algebra.p)
+
+
+def product_shapes(monkeypatch) -> list:
+    """The shapes (m, k, n) of the dense products that
+    ``exactfield._product`` forms from now on, in order; n = 1 for a
+    vector."""
+    shapes, product = [], xf._product
+
+    def recorded(M, N, p):
+        shapes.append((*M.shape, N.shape[1] if N.ndim == 2 else 1))
+        return product(M, N, p)
+
+    monkeypatch.setattr(xf, "_product", recorded)
+    return shapes
 
 
 @pytest.fixture(scope="session")

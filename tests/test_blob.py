@@ -14,13 +14,12 @@ import pytest
 from blobcell import blob as B
 from blobcell import cli
 from blobcell import combinatorics as C
-from blobcell import exactfield as xf
 from blobcell import hecke as H
 from blobcell.exactfield import (block_equal, block_split, invert_matrix,
                                  mat_pow, matmul, rank, rref)
 from conftest import (changed_inverse, dense_generators, held_inverse,
-                      mixed_split, star_conjugates, swapped_columns,
-                      weight_split_misses)
+                      mixed_split, product_shapes, star_conjugates,
+                      swapped_columns, weight_split_misses)
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
 
@@ -112,6 +111,25 @@ class TestIdealClosure:
         assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape
         assert rows.tobytes() == ref_rows.tobytes()
         assert B.build_blob(params).ideal_rows.tobytes() == ref_rows.tobytes()
+
+    @pytest.mark.parametrize("n,l", SCALES + [(3, 3), (4, 2)])
+    def test_ideal_is_stable(self, n, l):
+        # the reference for the closure's induction: the quotient map
+        # kills the ideal's rows moved by the star, L_1 and every T_i
+        A = B.build_blob(H.default_params(n, l))
+        reg, rows = A.reg, A.ideal_rows
+        assert len(rows)
+        for M in (reg.star_mat, reg.L[1], *reg.T.values()):
+            assert not matmul((A.quotient_map, M, rows.T), A.p).any()
+
+    @pytest.mark.parametrize("n,l", [(3, 3), (4, 2)])
+    def test_build_forms_no_stability_product(self, n, l, monkeypatch):
+        # no D x D x rank product moves the ideal's rows once it is closed
+        params = H.default_params(n, l)
+        D = H.regular_rep(params).dim
+        shapes = product_shapes(monkeypatch)
+        A = B.build_blob(params)
+        assert A.ideal_rank and shapes.count((D, D, A.ideal_rank)) == 0
 
 
 class TestQuotient:
@@ -518,6 +536,13 @@ class TestAdaptedCoordinates:
         assert max(x for x in sizes if x != A.dim) <= largest < A.dim
         # E[i] comes from C and C^-1, not from an element of H
         assert pushes == []
+
+    @pytest.mark.parametrize("n,l", SCALES + [(3, 3), (4, 2)])
+    def test_inverse_of_c(self, n, l):
+        # the reference for the constructor's exact inverse of the square C
+        images = B.KLRImages(B.build_blob(H.default_params(n, l)))
+        assert np.array_equal(matmul((images._Cinv, images.C), images.p),
+                              images.algebra.identity)
 
     def test_kept_classes_are_the_nonzero_ones(self, built, built_full,
                                                nonzero_classes):
@@ -1413,7 +1438,7 @@ class TestNoDenseProducts:
     """At (3,3), after the relation suite, the cellular and Jucys-Murphy
     layers and the rewrite oracle form no product with two dimensions of
     size D, the cellular layer no elimination of D rows, and the relation
-    suite no rank of size D and at most six products of size D x D x D."""
+    suite no rank of size D and five products of size D x D x D."""
 
     @pytest.fixture
     def recorded(self, monkeypatch):
@@ -1466,31 +1491,19 @@ class TestNoDenseProducts:
             ["rank_and_inverse"] * 25
 
     def test_relation_suite_products(self, monkeypatch):
-        # C^-1 C, sigma's adapted form, sigma^2 and one star conjugate per
-        # generator T_1, T_2, L_1
+        # sigma's adapted form, sigma^2 and one star conjugate per
+        # generator T_1, T_2, L_1; C^-1 C = I holds by construction
         A = B.build_blob(H.default_params(3, 3))
         images = B.KLRImages(A)
-        shapes, product = [], xf._product
-
-        def recorded(M, N, p):
-            shapes.append((*M.shape, N.shape[1] if N.ndim == 2 else 1))
-            return product(M, N, p)
-
-        monkeypatch.setattr(xf, "_product", recorded)
+        shapes = product_shapes(monkeypatch)
         assert images.relation_failures() == []
-        assert shapes.count((A.dim,) * 3) <= 6
+        assert shapes.count((A.dim,) * 3) == 5
 
     def test_rewrite_oracle(self, monkeypatch):
         params = H.default_params(3, 3)
         build = functools.cache(functools.partial(cli._build, params))
         A, _, relation_fails = build()
         assert relation_fails == []
-        shapes, product = [], xf._product
-
-        def recorded(M, N, p):
-            shapes.append((*M.shape, N.shape[1] if N.ndim == 2 else 1))
-            return product(M, N, p)
-
-        monkeypatch.setattr(xf, "_product", recorded)
+        shapes = product_shapes(monkeypatch)
         assert cli._suite_rewrite(params, build, True) == []
         assert shapes and all(dims.count(A.dim) < 2 for dims in shapes)

@@ -260,6 +260,19 @@ class TestVerify:
         report = json.loads(out)
         assert report["suites"]["rewrite"]["passed"]
 
+    @pytest.mark.parametrize("flags,config,oracle", [
+        ([], "", True), (["--oracle", "on"], "", True),
+        (["--oracle", "off"], "", False), ([], "oracle = off", False),
+        (["--oracle", "on"], "oracle = off", True)])
+    def test_report_records_the_oracle(self, flags, config, oracle,
+                                       tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"n = 2\nl = 2\n{config}\n")
+        code, out, _ = run(["verify", "--config", str(cfgfile), "--suite",
+                            "hecke", *flags], capsys)
+        assert code == 0
+        assert json.loads(out)["oracle"] is oracle
+
     def test_one_build_per_run(self, monkeypatch, capsys):
         calls = {"build_blob": 0, "KLRImages": 0, "build_cellular_basis": 0}
 

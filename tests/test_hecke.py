@@ -8,11 +8,10 @@ import pytest
 
 from blobcell import blob as B
 from blobcell import combinatorics as C
-from blobcell import exactfield as xf
 from blobcell import hecke as H
 from blobcell.exactfield import (PoleAtSpecialization, Poly, RatFunc,
                                  matmul)
-from conftest import eigenvalue_system_seeds
+from conftest import eigenvalue_system_seeds, product_shapes
 
 P22 = H.default_params(2, 2)
 P32 = H.default_params(3, 2)
@@ -241,13 +240,7 @@ class TestRegularRep:
         # quadratic, 2 for T_1 T_3, 8 braid, 2 for L_1 L_2, 4 for T_r L_1,
         # 1 cyclotomic, 1 for S^2, and 2 per S L_g S and pair of T_1, T_2,
         # T_3, L_1
-        shapes, product = [], xf._product
-
-        def recorded(M, N, p):
-            shapes.append((*M.shape, N.shape[1] if N.ndim == 2 else 1))
-            return product(M, N, p)
-
-        monkeypatch.setattr(xf, "_product", recorded)
+        shapes = product_shapes(monkeypatch)
         for n, l, count in [(3, 3, 31), (4, 2, 49)]:
             reg = H.regular_rep(H.default_params(n, l))
             shapes.clear()
