@@ -749,6 +749,14 @@ class CellularBasis:
         X = block_matmul((self._inv, M, self._blocks()), self.algebra.p)
         return self._pairs(X, self._slots, len(self.index))[:, self._place]
 
+    @cached_property
+    def generators(self) -> dict:
+        """{name: :meth:`coords` of the held image} for each y_k and psi_r,
+        the one table that the cellularity and cell-module checks read."""
+        Y, PSI = self.images.Y, self.images.PSI
+        return {**{f"y_{k}": self.coords(M) for k, M in Y.items()},
+                **{f"psi_{r}": self.coords(M) for r, M in PSI.items()}}
+
     def degree(self, S, T) -> int:
         lam = comb.shape_of(S)
         ilam = self.i_lam[lam]
@@ -810,18 +818,18 @@ def check_cellularity(algebra: BlobAlgebra, basis: CellularBasis
     images, e, index = basis.images, basis.params.e, basis.index
     degs = np.array([basis.degree(S, T) for _, S, T in index])
     # m_{S,T} lies in e(i^S) B, where psi_r has degree psi_degree(i^S)
-    table = [(f"y_{k}", M, degs + 2) for k, M in images.Y.items()]
-    table += [(f"psi_{r}", M, degs + [comb.psi_degree(
+    table = [(f"y_{k}", degs + 2) for k in images.Y]
+    table += [(f"psi_{r}", degs + [comb.psi_degree(
         *basis.residues[S][r - 1:r + 1], e) for _, S, _ in index])
-        for r, M in images.PSI.items()]
+        for r in images.PSI]
     # W = r (x) 1: W[(U, V), (S, T)] = X[(U, T^lam), (S, T^lam)] when both
     # pairs have shape lam and V = T, i.e. when their keys agree; else 0
     top = [basis.column[(U, basis.t_lam[lam])] for lam, U, _ in index]
     ids: dict = {}
     key = np.array([ids.setdefault((lam, V), len(ids)) for lam, _, V in index])
     cells, grading = [], []
-    for name, M, target in table:
-        X = basis.coords(M)
+    for name, target in table:
+        X = basis.generators[name]
         W = np.where(key[:, None] == key, X[np.ix_(top, top)], 0)
         bad = (X != W) & basis.below
         for j in np.flatnonzero(bad.any(axis=0)):
@@ -876,9 +884,9 @@ def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
                  ) -> list[CellModule]:
     """Cell modules with the generator action rho(a) (the coefficients
     r_{u,S,a} of a m_{S,T^lam} read off at T = T^lam) and Gram matrices.
-    Each y_k and psi_r is written on the basis once (:meth:`CellularBasis.
-    coords`), and the action of every shape is read off it; rho(e(i))
-    selects the S with i^S = i (proof at :func:`check_cellularity`).
+    The action of every shape is read off the y_k and psi_r on the basis
+    (:attr:`CellularBasis.generators`, which :func:`check_cellularity`
+    reads too); rho(e(i)) selects the S with i^S = i (proof there).
 
     Row S of the Gram matrix is row T^lam of rho(e(i^lam)) rho(psi_(r_1))
     ... rho(psi_(r_m)), for the word r_1 ... r_m of d(S): m_{T^lam,S}
@@ -894,9 +902,6 @@ def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
     dimensions add up to dim B, one pair per dimension
     (:func:`build_cellular_basis`)."""
     p, images = algebra.p, basis.images
-    # the y_k and psi_r, after the e(i) in _named_generators
-    X = {name: basis.coords(M)
-         for name, M in _named_generators(images)[len(images.E):]}
     out = []
     for lam in basis.shapes:
         std, tl = basis.std[lam], basis.t_lam[lam]
@@ -904,7 +909,8 @@ def cell_modules(algebra: BlobAlgebra, basis: CellularBasis
         res = [basis.residues[S] for S in std]
         action = {f"e({i})": np.diag([r == i for r in res]).astype(np.int64)
                   for i in images.E}
-        action.update({name: M[np.ix_(top, top)] for name, M in X.items()})
+        action.update({name: M[np.ix_(top, top)]
+                       for name, M in basis.generators.items()})
         e, t = action[f"e({basis.i_lam[lam]})"], std.index(tl)
         gram = np.array([
             matmul([e] + [action[f"psi_{r}"] for r in basis.word[S]], p)[t]

@@ -219,13 +219,13 @@ def _cellular_basis(build, theta) -> tuple:
 
 
 def _suite_hecke(params: H.HeckeParams) -> list[str]:
-    """The relations of H in its regular representation (the Ariki-Koike
-    presentation, each relation once, and the star certificate) and in
-    its seminormal model.  Murphy's product formula is the seminormal
-    matrix unit at (S, S) by construction: c_U(k) lies in the content set
-    C(k), so ``murphy_eigenvalue(S, U)`` is zero at the first k with
-    c_U(k) != c_S(k) and one at U = S, and ``tableau_contents`` raises
-    unless the contents separate the tableaux."""
+    """The relations of H in its regular representation (that the unit
+    generates H, the star certificate, and the Ariki-Koike presentation
+    on the unit vector) and in its seminormal model.  Murphy's product
+    formula is the seminormal matrix unit at (S, S) by construction:
+    c_U(k) lies in the content set C(k), so ``murphy_eigenvalue(S, U)``
+    is zero at the first k with c_U(k) != c_S(k) and one at U = S, and
+    ``tableau_contents`` raises unless the contents separate the tableaux."""
     return (H.regular_rep(params).relation_failures()
             + H.SeminormalModel(params).relation_failures())
 
@@ -330,7 +330,7 @@ def cmd_basis(cfg: RunConfig) -> dict:
 def cmd_cell(cfg: RunConfig) -> dict:
     """Cell-module table: dimension, Gram rank and radical per shape; raises
     the first line of :func:`B.check_cellularity` on a basis that fails it.
-    Both steps write the y_k and psi_r on the basis, and only those."""
+    Both steps read one table of the y_k and psi_r on the basis."""
     params, A, basis = _certified_basis(cfg)
     cells = B.check_cellularity(A, basis)
     if cells:

@@ -12,8 +12,9 @@
   Jucys-Murphy recursion t^k L_{k+1} = T_k (t^{k-1} L_k) T_k, as sparse
   products over F_p[t] (``exactfield.poly_matmul``), and ``RegularRep``
   shares them with the Murphy engine.  ``RegularRep.relation_failures``
-  checks the Ariki-Koike presentation in T_0 = L_1, ..., T_(n-1), each
-  relation once (L_r L_s = L_s L_r at (1, 2) only), and certifies the star.
+  certifies the star and that the unit generates H, and then checks the
+  Ariki-Koike presentation in T_0 = L_1, ..., T_(n-1) on the unit vector,
+  each relation once (L_r L_s = L_s L_r at (1, 2) only, on all of H).
 
 * A *seminormal* block model over F_p(t): one block per multipartition of
   n, with basis indexed by standard tableaux, the L_k acting diagonally
@@ -122,6 +123,8 @@ class HeckeParams:
                 f"of physical memory")
 
 
+MAX_E = 2 ** 16   # the root of unity and weight labels are e-entry tables
+
 _DEFAULTS = {
     2: {"e": 5, "p": 11, "kappa": (0, 2)},
     3: {"e": 7, "p": 29, "kappa": (0, 2, 4)},
@@ -138,8 +141,9 @@ def default_params(n: int, l: int, e: int | None = None, p: int | None = None,
         e = preset.get("e")
     if e is None:
         raise ValueError(f"no preset for level {l}; pass e, p, hat_kappa explicitly")
-    if e < 1:
-        raise ValueError(f"e = {e}: need a quantum characteristic e >= 1")
+    if not 1 <= e <= MAX_E:
+        raise ValueError(f"e = {e}: need a quantum characteristic "
+                         f"1 <= e <= {MAX_E}")
     if p is None:
         p = preset.get("p")
         if p is None or (p - 1) % e:
@@ -492,11 +496,12 @@ class RegularRep:
         return v
 
     def relation_failures(self) -> list[str]:
-        """Exact matrix checks of the Ariki-Koike presentation in T_0 =
-        L_1, T_1, ..., T_(n-1), each relation once: the quadratic and
-        braid relations, T_i T_j = T_j T_i for i < j - 1, L_1 L_2 = L_2
-        L_1 (the type-B braid relation T_0 T_1 T_0 T_1 = T_1 T_0 T_1 T_0),
-        T_r L_1 = L_1 T_r for r >= 2 and the cyclotomic relation.
+        """Exact checks of the Ariki-Koike presentation in T_0 = L_1, T_1,
+        ..., T_(n-1), each relation once and, but for L_1 L_2, on the unit
+        vector: the quadratic and braid relations, T_i T_j = T_j T_i for
+        i < j - 1, L_1 L_2 = L_2 L_1 (the type-B braid relation T_0 T_1
+        T_0 T_1 = T_1 T_0 T_1 T_0), T_r L_1 = L_1 T_r for r >= 2 and the
+        cyclotomic relation.
 
         The rest follows.  ``entries[k+1]`` is T_k ``entries[k]`` T_k over
         F_p[t], and evaluation at q is a ring map, so L_(r+1) = q^-1 T_r
@@ -511,23 +516,43 @@ class RegularRep:
         T_r T_j L_j T_j L_j T_r T_j by the braid relation, T_r L_j = L_j
         T_r and L_j L_r = L_r L_j.
 
-        Then an exact certificate from left multiplications L_x (by x)
-        alone that the star S is an anti-involution fixing each g in G =
-        {T_i, L_1}: S^2 = 1, S(1) = 1, S(g) = g, and R_g = S L_g S
-        commutes with L_h for all g, h in G.  As G generates H, R_g
-        commutes with every L_x, so R_g x = x R_g(1) = x S(g), and x =
-        S(y) gives S(g y) = S(y) S(g); by induction on the length of a
-        word w in G, S(w y) = S(y) S(w), for all y.  Each unordered pair
-        {g, h} is tested once: with S^2 = 1, conjugating [R_g, L_h] by S
-        gives -[R_h, L_g].  A failure names the pair's first g in G."""
+        The unit generates H under G = {T_i, L_1}: each key but 1 is
+        exactly g times a parent key, T_i T_(w') = T_(s_i w') for the
+        first letter i of the word of w if a = 0, else L_k L^(a - e_k) T_w
+        for the first k with a_k > 0, one column each; as L_k lies in the
+        algebra generated by G (above), the L_u 1, u a word in G, span H.
+        The star S is certified from left multiplications L_x alone: S^2 =
+        1, S(1) = 1, S(g) = g, and R_g = S L_g S commutes with L_h for g, h
+        in G, once per pair {g, h} (conjugating by S gives -[R_h, L_g]).
+        So R_g commutes with every L_x, R_g x = x R_g(1) = x S(g), and x =
+        S(y) gives S(g y) = S(y) S(g), so S(w y) = S(y) S(w) by induction
+        on w.  The R_u 1 = S L_u 1 span H too, and a relation Z, a
+        polynomial in the L_g, commutes with each R_u: Z 1 = 0 gives Z R_u
+        1 = R_u Z 1 = 0, so Z = 0.  L_1 L_2 is checked on all of H, as the
+        walk does not tie the stored L_2 to G.  A failure names the first
+        bad key, or the pair's first g in G."""
         p, q, n = self.p, self.params.q, self.params.n
-        I = self.identity()
+        nf, I, one = self.nf, self.identity(), self.unit_vector()
         T, L, S = self.T, self.L, self.star_mat
         fails = []
+        for a, w in (key for key in nf.basis if key != nf.identity_key):
+            if any(a):
+                k = next(j for j in range(n) if a[j]) + 1
+                name, G = f"L_{k}", L[k]
+                parent = (a[:k - 1] + (a[k - 1] - 1,) + a[k:], w)
+            else:
+                i, *rest = comb.official_word(w)
+                name, G = f"T_{i}", T[i]
+                parent = (a, comb.perm_from_word(n, rest))
+            col = G[:, nf.index[parent]]
+            if np.count_nonzero(col) != 1 or col[nf.index[a, w]] != 1:
+                fails.append(f"key {a, w} is not {name} times {parent}")
+                break
 
-        def check(name, lhs, rhs):
-            """Record a failure unless the two chains of factors agree."""
-            if not np.array_equal(matmul(lhs, p), matmul(rhs, p)):
+        def check(name, lhs, rhs, at=(one,)):
+            """Record a failure unless the two chains agree on ``at``."""
+            if not np.array_equal(matmul((*lhs, *at), p),
+                                  matmul((*rhs, *at), p)):
                 fails.append(name)
 
         zero = (np.zeros_like(I),)
@@ -541,15 +566,14 @@ class RegularRep:
             check(f"braid T_{i} T_{i+1} T_{i}", (T[i], T[i + 1], T[i]),
                   (T[i + 1], T[i], T[i + 1]))
         if n >= 2:
-            check("commuting L_1 L_2", (L[1], L[2]), (L[2], L[1]))
+            check("commuting L_1 L_2", (L[1], L[2]), (L[2], L[1]), at=())
         for r in range(2, n):
             check(f"commuting T_{r} L_1", (T[r], L[1]), (L[1], T[r]))
         check("cyclotomic relation for L_1",
               [(L[1] - pow(q, kj, p) * I) % p
                for kj in self.params.hat_kappa], zero)
-        check("star is an involution", (S, S), (I,))
-        one = self.unit_vector()
-        check("star anti-multiplicativity on 1", (S, one), (one,))
+        check("star is an involution", (S, S), (I,), at=())
+        check("star anti-multiplicativity on 1", (S,), ())
         gens = [(f"T_{i}", T[i]) for i in T] + [("L_1", L[1])]
         for a, (name, G) in enumerate(gens):
             g, R = G[:, self.id_index], matmul((S, G, S), p)

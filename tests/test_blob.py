@@ -34,6 +34,17 @@ def tampered(images, **held):
     return out
 
 
+def moved_basis(basis, **held):
+    """A copy of ``basis`` with the named attributes replaced, which
+    writes its generators on the basis afresh: the ``generators`` table
+    of ``basis`` is not carried over."""
+    out = copy.copy(basis)
+    out.__dict__.pop("generators", None)
+    for name, value in held.items():
+        setattr(out, name, value)
+    return out
+
+
 def as_quotient(images):
     """A copy of ``images`` whose carrier is a copy that claims to be the
     quotient, so that the relation suite checks the vanishing pattern."""
@@ -769,8 +780,8 @@ class TestJucysMurphy:
         elif case == "swapped":
             jm[1], jm[2] = jm[2], jm[1]
         else:
-            basis = copy.copy(basis)
-            basis._inv = held_inverse(basis, changed_inverse(basis))
+            basis = moved_basis(
+                basis, _inv=held_inverse(basis, changed_inverse(basis)))
         ref = per_vector_jm(A, basis, jm)
         right = sided(ref, "right")
         assert right and sorted(map(mirrored, right)) == \
@@ -1183,8 +1194,8 @@ class TestCellularBasisMatrices:
 
     def test_images_changed_after_the_basis(self, built):
         _, A, images, basis = built[(3, 2)]
-        moved = copy.copy(basis)
-        moved.images = changed = changed_after_the_basis(images)
+        changed = changed_after_the_basis(images)
+        moved = moved_basis(basis, images=changed)
         # the changed psi_2 leaves the block pattern
         assert changed.PSI[2].keys() - {
             (C.swap_entries(i, 2), i) for i in images.blocks}
@@ -1203,8 +1214,8 @@ class TestCellularBasisMatrices:
         # the row of an (S, S) pair gains the row of (T^lam, T^lam), so an
         # expansion on (T^lam, T^lam) also lands on (S, S)
         _, A, images, basis = built[(n, l)]
-        moved = copy.copy(basis)
-        moved._inv = held_inverse(basis, changed_inverse(basis))
+        moved = moved_basis(
+            basis, _inv=held_inverse(basis, changed_inverse(basis)))
         with pytest.raises(ValueError, match="stray component"):
             per_vector_cell_modules(A, moved)
         # check_cellularity writes no e(i); the psi_1 lines still catch
@@ -1343,8 +1354,7 @@ class TestBlockPath:
     def test_changed_block_inverse(self, built, n, l):
         _, A, images, basis = built[(n, l)]
         inv = changed_inverse(basis)
-        moved = copy.copy(basis)
-        moved._inv = held_inverse(basis, inv)
+        moved = moved_basis(basis, _inv=held_inverse(basis, inv))
         assert any(g != i for g, i in moved._inv)
         for name, M in dense_operators(A, images):
             assert moved.coords(held(images, M)).tobytes() == \
@@ -1410,9 +1420,10 @@ class TestCertifiedFactsNotRechecked:
     proves already: the y_k and psi_r, not the e(i); and the cellular
     suite builds no cell module to re-check the Gram symmetry."""
 
-    def test_cellularity_writes_dots_and_crossings(self, built33,
-                                                   monkeypatch):
-        _, A, images, basis = built33
+    @pytest.fixture
+    def written(self, monkeypatch):
+        """The ids of the operators that ``CellularBasis.coords`` writes
+        on a basis from now on, in order."""
         written, coords = [], B.CellularBasis.coords
 
         def counted(self, M):
@@ -1420,10 +1431,22 @@ class TestCertifiedFactsNotRechecked:
             return coords(self, M)
 
         monkeypatch.setattr(B.CellularBasis, "coords", counted)
+        return written
+
+    def test_cellularity_writes_dots_and_crossings(self, built33, written):
+        # cell_modules reads the table check_cellularity wrote
+        _, A, images, basis = built33
+        basis = moved_basis(basis)
         assert B.check_cellularity(A, basis) == []
+        B.cell_modules(A, basis)
         assert len(written) == 5
         assert set(written) == {id(M) for M in (*images.Y.values(),
                                                 *images.PSI.values())}
+
+    def test_cell_writes_each_generator_once(self, written):
+        assert cli.main(["cell", "--n", "3", "--l", "3", "--out",
+                         os.devnull]) == 0
+        assert len(written) == 5
 
     def test_cellular_suite_builds_no_cell_modules(self, monkeypatch):
         def unexpected(algebra, basis):

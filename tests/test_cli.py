@@ -112,6 +112,16 @@ class TestRejectedInput:
         assert code == 2 and not out
         assert err.startswith("error: ") and message in err
 
+    def test_large_e_refused_within_a_second(self, capsys):
+        # a table of e roots of unity or weight labels would take minutes
+        # and gigabytes here
+        start = time.perf_counter()
+        code, out, err = run(["dims", "--n", "2", "--l", "2", "--e",
+                              "100000007", "--p", "1800000127"], capsys)
+        assert code == 2 and not out and time.perf_counter() - start < 1
+        assert err == ("error: e = 100000007: need a quantum characteristic"
+                       " 1 <= e <= 65536\n")
+
     @pytest.mark.parametrize("command", ["verify", "basis", "cell"])
     def test_negative_multicharge_before_rewriting(self, command, capsys,
                                                    monkeypatch):

@@ -65,6 +65,17 @@ class TestParams:
         with pytest.raises(ValueError, match=f"order {e} mod 11"):
             H.HeckeParams(n=2, l=2, e=e, p=11, q=1, hat_kappa=(0, 5))
 
+    def test_large_quantum_characteristic_refused_at_once(self,
+                                                          monkeypatch):
+        # e above the limit is refused before the root of unity, a table
+        # of e entries, is sought
+        def unexpected(p, e):
+            raise AssertionError("root of unity sought")
+        monkeypatch.setattr(H, "root_of_unity", unexpected)
+        for e in (H.MAX_E + 1, 100000007):
+            with pytest.raises(ValueError, match=f"e = {e}: .* <= 65536"):
+                H.default_params(2, 2, e=e, p=1800000127)
+
     def test_override_multicharge(self):
         pa = H.default_params(2, 2, hat_kappa=(1, 8))
         assert pa.hat_kappa == (1, 8)
@@ -234,14 +245,12 @@ class TestRegularRep:
             == ["commuting T_1 T_3"]
 
     def test_relation_suite_products(self, monkeypatch):
-        # at (3,3): 2 quadratic, 4 braid, 2 for L_1 L_2, 2 for T_2 L_1,
-        # 2 cyclotomic, 1 for S^2, and 2 per star conjugate S L_g S and
-        # per unordered pair {g, h} of T_1, T_2, L_1; at (4,2): 3
-        # quadratic, 2 for T_1 T_3, 8 braid, 2 for L_1 L_2, 4 for T_r L_1,
-        # 1 cyclotomic, 1 for S^2, and 2 per S L_g S and pair of T_1, T_2,
-        # T_3, L_1
+        # the relations but L_1 L_2 are checked on the unit vector, with
+        # no dense product; at (3,3): 2 for L_1 L_2, 1 for S^2, and 2 per
+        # star conjugate S L_g S and per unordered pair {g, h} of T_1,
+        # T_2, L_1; at (4,2): the same with T_1, T_2, T_3, L_1
         shapes = product_shapes(monkeypatch)
-        for n, l, count in [(3, 3, 31), (4, 2, 49)]:
+        for n, l, count in [(3, 3, 21), (4, 2, 31)]:
             reg = H.regular_rep(H.default_params(n, l))
             shapes.clear()
             assert reg.relation_failures() == []
@@ -277,12 +286,62 @@ class TestRegularRep:
             reached.update(keys.tolist())
         assert reached == set(range(reg.dim))
 
+    def test_spanning_check_names_a_key(self):
+        # T_1 with the columns of T_(s_2) and T_(s_2 s_1) swapped: T_1
+        # T_(s_2) is no longer the key T_(s_1 s_2), the first key the walk
+        # reaches through one of them
+        reg = copy.copy(H.regular_rep(P32))
+        x, y = [reg.nf.index[((0, 0, 0), C.perm_from_word(3, w))]
+                for w in ([2], [2, 1])]
+        T1 = reg.T[1].copy()
+        T1[:, [x, y]] = T1[:, [y, x]]
+        reg.T = {**reg.T, 1: T1}
+        assert reg.relation_failures()[0] == (
+            "key ((0, 0, 0), (2, 3, 1)) is not T_1 times "
+            "((0, 0, 0), (1, 3, 2))")
+
     def test_regular_rep_is_faithful(self):
         # matrix_of is injective: an element is recovered from its
         # column at the identity, so the matrix determines the element
         reg = H.RegularRep(P22)
         M = reg.matrix_of(reg.unit_vector())
         assert np.array_equal(M, reg.identity())
+
+
+def mutant(reg, name: str, i: int, j: int):
+    """A copy of ``reg`` whose held ``name`` (T_k, L_k or "star") has its
+    entry (i, j) raised by 1 mod p."""
+    bad = copy.copy(reg)
+    if name == "star":
+        M = bad.star_mat = reg.star_mat.copy()
+    else:
+        ops = dict(getattr(reg, name[0]))
+        setattr(bad, name[0], ops)
+        M = ops[int(name[2:])] = ops[int(name[2:])].copy()
+    M[i, j] = (M[i, j] + 1) % reg.p
+    return bad
+
+
+class TestMutationCensus:
+    """Every +1 change of one entry of a held T_i, L_1, L_2 or the star
+    makes the hecke suite fail.  The relations on the unit vector and the
+    spanning walk reach T_i, L_1 and the star; the dense L_1 L_2 reaches
+    the stored L_2."""
+
+    @pytest.mark.parametrize("pa", [P22, P23], ids=["22", "23"])
+    def test_every_entry(self, pa):
+        reg = H.regular_rep(pa)
+        D = reg.dim
+        assert [(name, i, j) for name in ("T_1", "L_1", "L_2", "star")
+                for i in range(D) for j in range(D)
+                if not mutant(reg, name, i, j).relation_failures()] == []
+
+    def test_one_entry_per_column(self):
+        reg = H.regular_rep(P32)
+        D = reg.dim
+        assert [(name, j) for name in ("T_1", "T_2", "L_1", "L_2", "star")
+                for j in range(D) if not mutant(
+                    reg, name, (7 * j + 3) % D, j).relation_failures()] == []
 
 
 def entry_set(entries) -> set:
