@@ -9,9 +9,10 @@ generalized blob algebra B.  This module
 * builds B as an explicit quotient of the regular representation
   (:class:`BlobAlgebra`, :func:`build_blob`),
 * realizes the quiver-Hecke generators ``e(i)``, ``y_k``, ``psi_r`` inside
-  B -- or, for comparison, inside H itself -- with the anti-involution
-  sigma that fixes them, built the same way in both by one walk of the
-  basis tree of H, and verifies the complete defining relation suite
+  a carrier that states the names :class:`KLRImages` lists -- B, or for
+  comparison H itself (:class:`~.hecke.RegularRep`) -- with the
+  anti-involution sigma that fixes them, built by the carrier's walk of
+  its basis, and verifies the complete defining relation suite
   (:class:`KLRImages`, :func:`klr_images`),
 * builds the one-column family ``m_{S,T}`` indexed by pairs of standard
   one-column tableaux (:class:`CellularBasis`), certifies it as a
@@ -64,29 +65,6 @@ def one_column_dimension(n: int, l: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense left-multiplication matrices
-# ---------------------------------------------------------------------------
-
-
-def _times_basis(carrier, ops: dict, u: np.ndarray) -> np.ndarray:
-    """Columns X(b) for the basis elements b of the :class:`BlobAlgebra`
-    ``carrier``, for the linear map X with X(1) = u and X(b g) =
-    ops[kind][i] X(b) for every generator g = T_i (kind "T") or L_i (kind
-    "L").  The keys of H are reached along ``reg.spanning_tree``, as
-    b = parent * g, one product per level and generator; the columns kept
-    are those of the non-pivot keys, the carrier's basis.  With right
-    multiplication by g it gives u b (:meth:`BlobAlgebra.push`), with left
-    multiplication by sigma(g) and u = 1, all in weight-space
-    coordinates, it gives those of sigma(b) (:meth:`KLRImages._held_sigma`)."""
-    reg = carrier.reg
-    cols = np.zeros((len(u), reg.dim), dtype=np.int64)
-    cols[:, reg.id_index] = u
-    for kind, i, keys, parents in reg.spanning_tree:
-        cols[:, keys] = matmul((ops[kind][i], cols[:, parents]), reg.p)
-    return cols[:, carrier._nonpiv]
-
-
-# ---------------------------------------------------------------------------
 # The quotient algebra
 # ---------------------------------------------------------------------------
 
@@ -121,11 +99,9 @@ def _ideal_closure(reg: RegularRep, seeds: list[dict]):
 
 class BlobAlgebra:
     """The quotient B = H / (two-string rank-one idempotents), presented on
-    an explicit coordinate basis.
-
-    With ``quotient=False`` the same interface wraps H itself (trivial
-    ideal), so that the quiver-Hecke generator images can be compared
-    before and after passing to the quotient.
+    an explicit coordinate basis: the non-pivot keys of the ideal's
+    reduced echelon form.  It is B as a carrier of :class:`KLRImages` (the
+    names listed there); H itself is :class:`~.hecke.RegularRep`.
 
     Attributes: ``dim``; ``quotient_map`` (dim x dim_H matrix taking
     H-coordinates to B-coordinates); the generator image matrices ``T``,
@@ -134,31 +110,29 @@ class BlobAlgebra:
     and every T_i by the closure's induction (:func:`_ideal_closure`), so
     quotient matrices multiply as lifts do."""
 
-    def __init__(self, params: HeckeParams, quotient: bool = True):
+    is_quotient = True
+
+    def __init__(self, params: HeckeParams):
         params.validate()
         self.params = params
-        self.is_quotient = quotient
         self.reg = reg = regular_rep(params)
-        self.p, self.q, self.e = params.p, params.q, params.e
-        p = self.p
-        D = reg.dim
-        if quotient and params.n >= 2:
+        self.p, self.q = params.p, params.q
+        p, D = self.p, reg.dim
+        if params.n >= 2:
             seeds = [embed_two_string(params, f)
                      for f in e2_idempotents(params)]
             rows, piv = _ideal_closure(reg, seeds)
         else:
-            rows = np.zeros((0, D), dtype=np.int64)
-            piv = []
+            rows, piv = np.zeros((0, D), dtype=np.int64), []
         self.ideal_rows = rows
         self.ideal_rank = len(piv)
         self.dim = D - self.ideal_rank
-        if quotient:
-            expected = one_column_dimension(params.n, params.l)
-            if self.dim != expected:
-                raise ValueError(
-                    f"quotient dimension {self.dim} differs from the "
-                    f"standard-tableau count {expected} at "
-                    f"(n, l) = ({params.n}, {params.l})")
+        expected = one_column_dimension(params.n, params.l)
+        if self.dim != expected:
+            raise ValueError(
+                f"quotient dimension {self.dim} differs from the "
+                f"standard-tableau count {expected} at "
+                f"(n, l) = ({params.n}, {params.l})")
         pivset = set(piv)
         nonpiv = [j for j in range(D) if j not in pivset]
         # reduction mod the ideal sends v to v - rows^T . v[pivots]; the
@@ -171,34 +145,37 @@ class BlobAlgebra:
         self._nonpiv = np.array(nonpiv, dtype=np.int64)
         self.T = {i: self._q(reg.T[i]) for i in reg.T}
         self.L = {k: self._q(reg.L[k]) for k in reg.L}
-        self.unit = matmul((Pi, reg.unit_vector()), p)
-        self.identity = np.eye(self.dim, dtype=np.int64)
+        self.unit = matmul((Pi, reg.unit), p)
 
     def _q(self, M: np.ndarray) -> np.ndarray:
         """The quotient matrix of M: reduce its columns at the lifts of
         the quotient basis, which are the non-pivot basis vectors."""
         return matmul((self.quotient_map, M[:, self._nonpiv]), self.p)
 
+    def times_basis(self, ops: dict, u: np.ndarray) -> np.ndarray:
+        """The walk :meth:`~.hecke.RegularRep.times_basis` of H, kept at
+        the non-pivot keys, the basis of B."""
+        return self.reg.times_basis(ops, u)[:, self._nonpiv]
+
     def push(self, el) -> np.ndarray:
         """Quotient left-multiplication matrix of an element of H, given
         as a coefficient dict or vector on the normal-form basis: column j
         is u times the j-th quotient basis element, the image of the j-th
         non-pivot key, for the quotient vector u of the element.  The
-        products are taken in the quotient itself, along the spanning tree
-        of the basis of H: :func:`_times_basis` with right multiplication
-        by the generators, the star conjugates S g S of the quotient star
-        S, formed on each call: the tests' reference; the pipeline forms
-        no right multiplication."""
+        products are taken in the quotient itself: :meth:`times_basis`
+        with right multiplication by the generators, the star conjugates
+        S g S of the quotient star S, formed on each call: the tests'
+        reference; the pipeline forms no right multiplication."""
         p, S = self.p, self._q(self.reg.star_mat)
         right = {kind: {i: matmul((S, X, S), p) for i, X in ops.items()}
                  for kind, ops in (("T", self.T), ("L", self.L))}
         u = matmul((self.quotient_map, self.reg.coefficients(el)), p)
-        return _times_basis(self, right, u)
+        return self.times_basis(right, u)
 
 
 def build_blob(params: HeckeParams) -> "BlobAlgebra":
     """Construct the quotient algebra B with certified dimension."""
-    return BlobAlgebra(params, quotient=True)
+    return BlobAlgebra(params)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +192,16 @@ def _leaves_block(X: dict, iseq) -> bool:
 class KLRImages:
     """Images of the quiver-Hecke generators inside the given algebra,
     held in its weight-space coordinates.
+
+    **The carrier.**  This class and the cellular layer read from
+    ``algebra`` only ``params``, ``p``, ``q``, ``dim``, ``unit`` (the
+    coordinate vector of 1), ``T`` and ``L`` (dense left multiplication
+    by T_r and L_k), ``is_quotient`` (whether B's vanishing pattern is
+    checked) and ``times_basis(ops, u)``: the columns X(b), b running over
+    the carrier's basis, of the linear map X with X(1) = u and X(b g) =
+    ops[kind][i] X(b) for each generator g = T_i (kind "T") or L_i (kind
+    "L").  :class:`BlobAlgebra` (B) and :class:`~.hecke.RegularRep` (H)
+    state them.
 
     **Weight-space coordinates.**  The columns of ``C`` are the bases of
     the nonzero joint generalized eigenspaces of the images of L_1, ...,
@@ -245,7 +232,7 @@ class KLRImages:
     **The anti-involution.**  sigma fixes e(i), y_k and psi_r.
     :meth:`_psi` keeps the blocks of Q_r(i) and P_r(i) in T_r e(i) =
     psi_r Q_r(i) e(i) - P_r(i) e(i), so sigma(T_r) is known in closed
-    form in either carrier, and sigma is filled along the basis tree of H.
+    form in any carrier, and sigma is filled along ``times_basis``.
     It maps e(i)A onto A e(i), so its adapted form, formed on each call
     of :meth:`_held_sigma`, is a dense matrix.  Only its certificate,
     :meth:`_sigma_failures` in :meth:`relation_failures`, reads it; the
@@ -253,10 +240,9 @@ class KLRImages:
 
     def __init__(self, algebra: BlobAlgebra):
         self.algebra = A = algebra
-        params = A.params
-        self.params = params
+        self.params = params = A.params
         p, q, n = A.p, A.q, params.n
-        self.p, self.q, self.e, self.n = p, q, A.e, n
+        self.p, self.q, self.e, self.n = p, q, params.e, n
         self.C, self.blocks = weight_spaces(A.L, params)
         if self.C.shape[1] != A.dim:
             raise RelationFailure(
@@ -291,7 +277,7 @@ class KLRImages:
 
     def _assemble(self, X: dict) -> np.ndarray:
         """The dense adapted matrix of the held X."""
-        out = np.zeros_like(self.algebra.identity)
+        out = np.zeros_like(self.C)
         for (j, i), M in X.items():
             out[self.blocks[j], self.blocks[i]] = M
         return out
@@ -310,7 +296,7 @@ class KLRImages:
         """C X C^-1, the matrix on the carrier's basis of the held X, one
         product per block."""
         p, C, Cinv = self.p, self.C, self._Cinv
-        out = np.zeros_like(self.algebra.identity)
+        out = np.zeros_like(C)
         for (j, i), M in X.items():
             out = (out + matmul((C[:, self.blocks[j]], M,
                                  Cinv[self.blocks[i]]), p)) % p
@@ -390,17 +376,17 @@ class KLRImages:
         """The adapted form C^-1 sigma C of the anti-involution that fixes
         e(i), y_k and psi_r, the cellular one (m_{S,T} -> m_{T,S};
         Graham-Lehrer, Hu-Mathas for the quiver-Hecke case), built the
-        same way in B and in H.
+        same way in every carrier.
 
         It fixes each L_k, a combination of the e(i) and y_k.  By
         :meth:`_psi` it sends T_r to sum_i e(i) Q_r(i) psi_r - P_r(i) e(i),
         whose adapted rows of block i are the block of Q_r(i) times row
         block i of psi_r, less the block of P_r(i) in column block i.  So
         sigma(1) = 1 and sigma(b g) = sigma(g) sigma(b) fill the adapted
-        coordinates of its columns along the basis tree
-        (:func:`_times_basis`).  This assumes that sigma exists;
-        :meth:`_sigma_failures` certifies the result: an involution,
-        fixing every generator, and reversing every product."""
+        coordinates of its columns along the carrier's ``times_basis``.
+        This assumes that sigma exists; :meth:`_sigma_failures` certifies
+        the result: an involution, fixing every generator, and reversing
+        every product."""
         p, left = self.p, {}
         for r, QP in self._QP.items():
             X = block_lincomb(
@@ -409,7 +395,7 @@ class KLRImages:
                  (-1, {(i, i): P for i, (_, P) in QP.items()})], p)
             left[r] = self._assemble(X)
         L = {k: self._assemble(X) for k, X in self.L.items()}
-        cols = _times_basis(self.algebra, {"T": left, "L": L}, self._unit)
+        cols = self.algebra.times_basis({"T": left, "L": L}, self._unit)
         return matmul((cols, self.C), p)
 
     @property
@@ -524,7 +510,7 @@ class KLRImages:
         failure names the pair's first g in {T_r, L_1}."""
         p, S, one = self.p, self._held_sigma(), self._unit
         fails = []
-        if not np.array_equal(matmul((S, S), p), self.algebra.identity):
+        if not np.array_equal(matmul((S, S), p), np.eye(len(S))):
             fails.append(RelationFailure("star is an involution", "sigma"))
         images = [(name, self._apply(G, one))
                   for name, G in _named_generators(self)]

@@ -340,7 +340,6 @@ def cmd_cell(cfg: RunConfig) -> dict:
     report["modules"] = [
         {"shape": str(m.shape), "dim": m.dim, "gram_rank": m.gram_rank,
          "radical_dim": m.radical_dim} for m in modules]
-    report["dim_check"] = sum(m.dim ** 2 for m in modules) == A.dim
     return report
 
 

@@ -98,15 +98,18 @@ class HeckeParams:
             raise ValueError(msg)
 
     def validate_exact(self) -> None:
-        """:meth:`validate`, and reject a negative hat_kappa_j, a p too
-        large for exact int64 matrices of size D = dim H = l^n n!, or a D
-        whose 2n dense int64 matrices (T_i, L_k and the star of
-        :class:`RegularRep`) would not fit in physical memory."""
+        """:meth:`validate`, and reject a hat_kappa_j outside [0,
+        MAX_HAT_KAPPA], a p too large for exact int64 matrices of size D =
+        dim H = l^n n!, or a D whose 2n dense int64 matrices (T_i, L_k and
+        the star of :class:`RegularRep`) would not fit in physical memory."""
         self.validate()
         if any(k < 0 for k in self.hat_kappa):
             raise ValueError(f"hat_kappa = {list(self.hat_kappa)}: the regular"
                              f" representation needs each Q_j = t^hat_kappa_j"
                              f" to be a polynomial")
+        if max(self.hat_kappa) > MAX_HAT_KAPPA:
+            raise ValueError(f"hat_kappa = {list(self.hat_kappa)}: need each "
+                             f"hat_kappa_j <= {MAX_HAT_KAPPA}")
         D = self.l ** self.n * factorial(self.n)
         if product_bound(D, self.p) > INT64_MAX:
             raise ValueError(
@@ -124,6 +127,7 @@ class HeckeParams:
 
 
 MAX_E = 2 ** 16   # the root of unity and weight labels are e-entry tables
+MAX_HAT_KAPPA = 2 ** 12   # rewriting with t^hat_kappa_j grows as its square
 
 _DEFAULTS = {
     2: {"e": 5, "p": 11, "kappa": (0, 2)},
@@ -378,16 +382,20 @@ class RegularRep:
     ``entries[k+1]`` = T_k ``entries[k]`` T_k, two sparse products over
     F_p[t] (:func:`~.exactfield.poly_matmul`).  The
     :class:`MurphyEngine` of the same parameters expands its factors from
-    these arrays, so L_k is formed once per algebra."""
+    these arrays, so L_k is formed once per algebra.
+
+    It is H as a carrier of :class:`~.blob.KLRImages` (names listed there)."""
+
+    is_quotient = False
 
     def __init__(self, params: HeckeParams):
         params.validate_exact()
         self.params = params
-        p, q = params.p, params.q
+        self.p, self.q = p, q = params.p, params.q
         self.nf = nf = generic_normal_form(params)
         self.dim = nf.dim
-        self.p = p
         self.id_index = nf.index[nf.identity_key]
+        self.unit = (np.arange(nf.dim) == self.id_index).astype(np.int64)
         t_entries = {i: self._entries(nf.lmul_t, i)
                      for i in range(1, params.n)}
         # t^k L_(k+1) = T_k (t^(k-1) L_k) T_k
@@ -415,7 +423,7 @@ class RegularRep:
 
     def _at_q(self, entries) -> np.ndarray:
         """The dense matrix sum_a q^a A_a mod p of coordinate arrays."""
-        p, q = self.p, self.params.q
+        p, q = self.p, self.q
         deg, rows, cols, vals = entries
         qpow = np.array([pow(q, a, p) for a in range(deg.max() + 1)],
                         dtype=np.int64)
@@ -425,11 +433,6 @@ class RegularRep:
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=np.int64)
-
-    def unit_vector(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[self.id_index] = 1
-        return v
 
     def matrix_of(self, el) -> np.ndarray:
         """Left-multiplication matrix of an element given as a dict or a
@@ -466,6 +469,16 @@ class RegularRep:
             parents.append(index[parent])
         return [(kind, i, np.array(keys), np.array(parents))
                 for (_, kind, i), (keys, parents) in sorted(levels.items())]
+
+    def times_basis(self, ops: dict, u: np.ndarray) -> np.ndarray:
+        """Columns X(b) for the basis keys b of the linear map X with X(1) =
+        u and X(b g) = ops[kind][i] X(b), g = T_i (kind "T") or L_i ("L"):
+        one product per level of :attr:`spanning_tree` and generator."""
+        cols = np.zeros((len(u), self.dim), dtype=np.int64)
+        cols[:, self.id_index] = u
+        for kind, i, keys, parents in self.spanning_tree:
+            cols[:, keys] = matmul((ops[kind][i], cols[:, parents]), self.p)
+        return cols
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Coefficient vector of x * y for reduced coefficient vectors x, y,
@@ -531,8 +544,8 @@ class RegularRep:
         1 = R_u Z 1 = 0, so Z = 0.  L_1 L_2 is checked on all of H, as the
         walk does not tie the stored L_2 to G.  A failure names the first
         bad key, or the pair's first g in G."""
-        p, q, n = self.p, self.params.q, self.params.n
-        nf, I, one = self.nf, self.identity(), self.unit_vector()
+        p, q, n = self.p, self.q, self.params.n
+        nf, I, one = self.nf, self.identity(), self.unit
         T, L, S = self.T, self.L, self.star_mat
         fails = []
         for a, w in (key for key in nf.basis if key != nf.identity_key):
@@ -1257,7 +1270,7 @@ def weight_units(params: HeckeParams) -> dict:
     if C.shape[1] != reg.dim:
         raise ValueError(f"the weight spaces of H have {C.shape[1]} "
                          f"dimensions, not {reg.dim}")
-    unit = invert_matrix(C, params.p)[:, reg.id_index]
+    unit = matmul((invert_matrix(C, params.p), reg.unit), params.p)
     return {i: matmul((C[:, sl], unit[sl]), params.p)
             for i, sl in blocks.items()}
 

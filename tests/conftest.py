@@ -64,7 +64,7 @@ def dense_generators(images) -> SimpleNamespace:
         for name in ("E", "Y", "PSI")})
     gens.psi_of = lambda word: matmul(
         [gens.PSI[r] for r in word], images.p) if word else \
-        images.algebra.identity
+        np.eye(images.algebra.dim, dtype=np.int64)
     return gens
 
 
@@ -77,11 +77,26 @@ def weight_split_misses(algebra, images) -> list:
     out = [] if rank(C, p) == A.dim else ["rank"]
     for k, L in A.L.items():
         for iseq, sl in images.blocks.items():
-            N = mat_pow((L - pow(A.q, iseq[k - 1], p) * A.identity) % p,
-                        A.dim, p)
+            N = mat_pow((L - pow(A.q, iseq[k - 1], p)
+                         * np.eye(A.dim, dtype=np.int64)) % p, A.dim, p)
             if matmul((N, C[:, sl]), p).any():
                 out.append((k, iseq))
     return out
+
+
+def conjugated_carrier(A, P) -> SimpleNamespace:
+    """The carrier B in the basis b'_j = sum_k P[k, j] b_k, for an
+    invertible P, with only the names that :class:`B.KLRImages` lists: T
+    and L become P^-1 X P, the unit P^-1 u, and ``times_basis`` the walk
+    of B times P.  A layer that reads any other name of its carrier
+    raises AttributeError on it."""
+    p, Pinv = A.p, invert_matrix(P, A.p)
+    return SimpleNamespace(
+        params=A.params, p=p, q=A.q, dim=A.dim, is_quotient=A.is_quotient,
+        unit=matmul((Pinv, A.unit), p),
+        T={i: matmul((Pinv, X, P), p) for i, X in A.T.items()},
+        L={k: matmul((Pinv, X, P), p) for k, X in A.L.items()},
+        times_basis=lambda ops, u: matmul((A.times_basis(ops, u), P), p))
 
 
 def mixed_split(C, blocks, p):

@@ -55,7 +55,7 @@ def test_criterion_02_relation_suites(built):
         assert H.RegularRep(params).relation_failures() == []
         assert H.SeminormalModel(params).relation_failures() == []
         assert images.relation_failures() == []
-        full = B.KLRImages(B.BlobAlgebra(params, quotient=False))
+        full = B.KLRImages(H.regular_rep(params))
         assert full.relation_failures() == []
 
 

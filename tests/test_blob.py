@@ -17,9 +17,9 @@ from blobcell import combinatorics as C
 from blobcell import hecke as H
 from blobcell.exactfield import (block_equal, block_split, invert_matrix,
                                  mat_pow, matmul, rank, rref)
-from conftest import (changed_inverse, dense_generators, held_inverse,
-                      mixed_split, product_shapes, star_conjugates,
-                      swapped_columns, weight_split_misses)
+from conftest import (changed_inverse, conjugated_carrier, dense_generators,
+                      held_inverse, mixed_split, product_shapes,
+                      star_conjugates, swapped_columns, weight_split_misses)
 
 SCALES = [(2, 2), (3, 2), (2, 3)]
 
@@ -86,7 +86,7 @@ def built_full():
     out = {}
     for n, l in SCALES:
         params = H.default_params(n, l)
-        A = B.BlobAlgebra(params, quotient=False)
+        A = H.regular_rep(params)
         out[(n, l)] = (params, A, B.KLRImages(A))
     return out
 
@@ -167,7 +167,8 @@ class TestQuotient:
         assert A.quotient_map.shape == (A.dim, A.reg.dim)
         # the map kills the ideal and is a left inverse of the lift
         assert not (A.quotient_map @ A.ideal_rows.T % A.p).any()
-        assert np.array_equal(A.quotient_map[:, A._nonpiv], A.identity)
+        assert np.array_equal(A.quotient_map[:, A._nonpiv],
+                              np.eye(A.dim, dtype=np.int64))
 
     def test_quotient_is_algebra_map(self, built):
         params, A, _, _ = built[(3, 2)]
@@ -181,12 +182,16 @@ class TestQuotient:
             assert np.array_equal(lhs, rhs)
 
     def test_left_mult_matrix_matches_dict_route(self):
+        # H's walk with right multiplication by each generator g, the star
+        # conjugate S g S, from u = v gives the columns v b
         params = H.default_params(2, 2)
         reg = H.regular_rep(params)
         rng = np.random.default_rng(7)
         v = rng.integers(0, params.p, reg.dim)
-        full = B.BlobAlgebra(params, quotient=False)
-        assert np.array_equal(full.push(v), reg.matrix_of(v))
+        p, S = reg.p, reg.star_mat
+        right = {kind: {i: matmul((S, X, S), p) for i, X in ops.items()}
+                 for kind, ops in (("T", reg.T), ("L", reg.L))}
+        assert np.array_equal(reg.times_basis(right, v), reg.matrix_of(v))
 
     @pytest.mark.parametrize("n,l", SCALES)
     def test_right_mult_matches_lifted_star_conjugates(self, built, n, l):
@@ -206,6 +211,36 @@ class TestQuotient:
         seed = {((1, 0), (2, 1)): 1}   # L_1 T_1, whose star is T_1 L_1
         with pytest.raises(ValueError, match="seed 0"):
             B._ideal_closure(reg, [seed])
+
+
+class TestStatedCarrier:
+    """The generator images and the cellular layer read only the carrier
+    names that :class:`B.KLRImages` lists, so B in another basis gives
+    the same cellular structure."""
+
+    @pytest.mark.parametrize("n,l", SCALES + [(3, 3)])
+    def test_every_suite_on_a_conjugated_carrier(self, n, l):
+        params = H.default_params(n, l)
+        A = B.build_blob(params)
+        rng = np.random.default_rng(n + 10 * l)
+        P = rng.integers(0, A.p, (A.dim, A.dim))
+        while rank(P, A.p) < A.dim:
+            P = rng.integers(0, A.p, (A.dim, A.dim))
+        seen = []
+        for X in (A, conjugated_carrier(A, P)):
+            images = B.klr_images(X)
+            basis = B.build_cellular_basis(X, images)
+            assert B.check_cellularity(X, basis) == []
+            assert B.check_jm(X, basis, B.jm_images(X, images)) == []
+            assert cli._suite_rewrite(params, lambda: (X, images, []),
+                                      True) == []
+            seen.append((images.C, {
+                name: M.tobytes() for name, M in basis.generators.items()},
+                [(m.dim, m.gram_rank, m.gram.tobytes())
+                 for m in B.cell_modules(X, basis)]))
+        (C, coords, cells), (C_P, coords_P, cells_P) = seen
+        assert not np.array_equal(C, C_P)
+        assert coords == coords_P and cells == cells_P
 
 
 class TestRelationSuite:
@@ -347,8 +382,7 @@ class TestAntiInvolution:
     def test_unquotiented_sigma_is_certified(self, built_full, n, l):
         # the same closed form and walk serve H itself
         images = (built_full[(n, l)][2] if (n, l) in built_full else
-                  B.KLRImages(B.BlobAlgebra(H.default_params(n, l),
-                                            quotient=False)))
+                  B.KLRImages(H.regular_rep(H.default_params(n, l))))
         assert images._sigma_failures() == []
         assert images.relation_failures() == []
 
@@ -425,7 +459,7 @@ def dense_relation_failures(images, blob_defining):
     """The relation suite on the dense matrices, one full product per
     factor: the reference that the block suite is compared against."""
     p, e, n = images.p, images.e, images.n
-    I = images.algebra.identity
+    I = np.eye(images.algebra.dim, dtype=np.int64)
     zero = np.zeros_like(I)
     gens = dense_generators(images)
     E, Y, PSI = gens.E, gens.Y, gens.PSI
@@ -518,7 +552,7 @@ class TestAdaptedCoordinates:
         _, A, images, _ = built[(3, 2)]
         gens = dense_generators(images)
         for iseq, Ei in gens.E.items():
-            P = np.zeros_like(A.identity)
+            P = np.zeros((A.dim, A.dim), dtype=np.int64)
             sl = images.blocks[iseq]
             P[sl, sl] = np.eye(sl.stop - sl.start, dtype=np.int64)
             assert np.array_equal(adapted(images, Ei), P)
@@ -553,7 +587,7 @@ class TestAdaptedCoordinates:
         # the reference for the constructor's exact inverse of the square C
         images = B.KLRImages(B.build_blob(H.default_params(n, l)))
         assert np.array_equal(matmul((images._Cinv, images.C), images.p),
-                              images.algebra.identity)
+                              np.eye(images.algebra.dim, dtype=np.int64))
 
     def test_kept_classes_are_the_nonzero_ones(self, built, built_full,
                                                nonzero_classes):
@@ -562,8 +596,7 @@ class TestAdaptedCoordinates:
             params, A, images, _ = built[(n, l)]
             assert set(images.E) == nonzero_classes(A), (n, l)
             _, A_full, full = built_full[(n, l)]
-            assert set(full.E) == nonzero_classes(A_full) == \
-                set(H.class_partition(params)), (n, l)
+            assert set(full.E) == set(H.class_partition(params)), (n, l)
 
     def test_kept_classes_at_three_strings_level_three(self, nonzero_classes):
         A = B.build_blob(H.default_params(3, 3))
@@ -688,15 +721,16 @@ class TestWeightIdempotents:
     @pytest.mark.parametrize("n,l", SCALES)
     def test_equal_the_specialized_product_formula(self, built, built_full,
                                                    n, l):
-        # each E[i] is the push of the F_p(t) class sum E_[i] at t = q,
-        # in B and in H; the classes B drops push to zero there
+        # each E[i] is the push of the F_p(t) class sum E_[i] at t = q
+        # to B, and its matrix in H; the classes B drops push to zero there
         params = built[(n, l)][0]
         eng = H.murphy_engine(params)
         for A, images in (built[(n, l)][1:3], built_full[(n, l)][1:]):
             E = dense_generators(images).E
+            push = A.push if A.is_quotient else A.matrix_of
             for iseq, tabs in H.class_partition(params).items():
-                want = A.push(H.specialize_vector(eng.class_vector(tabs),
-                                                  params))
+                want = push(H.specialize_vector(eng.class_vector(tabs),
+                                                params))
                 got = E.get(iseq, np.zeros_like(want))
                 assert np.array_equal(got, want), (A.is_quotient, iseq)
 
@@ -718,7 +752,7 @@ class TestJucysMurphy:
         for iseq, Ei in dense_generators(images).E.items():
             for k in jm:
                 N = (jm[k] - pow(A.q, iseq[k - 1], A.p)
-                     * A.identity) @ Ei % A.p
+                     * np.eye(A.dim, dtype=np.int64)) @ Ei % A.p
                 assert not mat_pow(N, A.dim + 1, A.p).any()
 
     def test_redundant_generator(self, built):
@@ -1232,7 +1266,7 @@ class TestCellularBasisMatrices:
     @pytest.mark.parametrize("n,l", SCALES)
     def test_jm_images_equal_per_class_sum(self, built, n, l):
         _, A, images, _ = built[(n, l)]
-        p, I = A.p, A.identity
+        p, I = A.p, np.eye(A.dim, dtype=np.int64)
         gens = dense_generators(images)
         for k, M in B.jm_images(A, images).items():
             want = np.zeros_like(I)
@@ -1264,14 +1298,14 @@ def dense_projection_failures(images):
         if rank(Ei, p) != sl.stop - sl.start or \
                 not np.array_equal(matmul((Ei, C[:, sl]), p), C[:, sl]):
             fails.append(("e(i) is the block projection", iseq))
-    if not np.array_equal(total, images.algebra.identity):
+    if not np.array_equal(total, np.eye(len(C), dtype=np.int64)):
         fails.append(("sum of e(i) = 1", "all"))
     return fails
 
 
 def dense_jm_images(A, images):
     """The Jucys-Murphy elements and their checks on the dense matrices."""
-    p, q, I = A.p, A.q, A.identity
+    p, q, I = A.p, A.q, np.eye(A.dim, dtype=np.int64)
     gens, jm = dense_generators(images), {}
     for k in range(1, A.params.n + 1):
         M = np.zeros_like(I)
@@ -1336,9 +1370,9 @@ class TestBlockPath:
                 basis.coords(images.L[k])[np.ix_(sw, sw)].tobytes()
         rng = np.random.default_rng(n + l)
         for X in list(A.T.values()) + [
-                rng.integers(0, A.p, A.identity.shape)]:
+                rng.integers(0, A.p, (A.dim, A.dim))]:
             assert block_equal(images._adapt(X), held(images, X), A.p)
-        for v in (A.unit, A.T[1], A.identity):
+        for v in (A.unit, A.T[1], np.eye(A.dim, dtype=np.int64)):
             assert basis.expand(v).tobytes() == \
                 matmul((inv, v), A.p).tobytes()
 
@@ -1359,7 +1393,8 @@ class TestBlockPath:
         for name, M in dense_operators(A, images):
             assert moved.coords(held(images, M)).tobytes() == \
                 dense_coords(basis, inv, M).tobytes(), name
-        assert moved.expand(A.identity).tobytes() == inv.tobytes()
+        assert moved.expand(np.eye(A.dim, dtype=np.int64)).tobytes() == \
+            inv.tobytes()
 
     @pytest.mark.parametrize("n,l", [(2, 2), (2, 3)])
     def test_family_off_the_weight_spaces(self, built, n, l, tmp_path,
@@ -1368,7 +1403,8 @@ class TestBlockPath:
         # refuses it, so verify builds no basis on it
         _, A, images, _ = built[(n, l)]
         changed = tampered(images, PSI={**images.PSI, 1: held(
-            images, (images.dense(images.PSI[1]) + A.identity) % A.p)})
+            images, (images.dense(images.PSI[1])
+                     + np.eye(A.dim, dtype=np.int64)) % A.p)})
         family = B.CellularBasis(A, changed)
         order = np.concatenate(list(family.members.values()))
         assert any(i != g for i, g in block_split(

@@ -112,15 +112,27 @@ class TestRejectedInput:
         assert code == 2 and not out
         assert err.startswith("error: ") and message in err
 
-    def test_large_e_refused_within_a_second(self, capsys):
+    def test_large_e_refused_within_a_second(self):
         # a table of e roots of unity or weight labels would take minutes
-        # and gigabytes here
-        start = time.perf_counter()
-        code, out, err = run(["dims", "--n", "2", "--l", "2", "--e",
-                              "100000007", "--p", "1800000127"], capsys)
-        assert code == 2 and not out and time.perf_counter() - start < 1
+        # and gigabytes here; the refusal itself takes well under a second
+        err = _refused_at_once(["dims", "--n", "2", "--l", "2", "--e",
+                                "100000007", "--p", "1800000127"])
         assert err == ("error: e = 100000007: need a quantum characteristic"
                        " 1 <= e <= 65536\n")
+
+    @pytest.mark.parametrize("argv,hat_kappa", [
+        (["--n", "2", "--l", "2", "--suite", "hecke",
+          "--kappa-hat", "0,1000002"], [0, 1000002]),
+        (["--n", "3", "--l", "2", "--e", "65536", "--p", "65537"],
+         [0, 65538]),
+        (["--n", "3", "--l", "2", "--e", "4096", "--p", "12289"],
+         [0, 4098])], ids=["flag", "lift-65536", "lift-4096"])
+    def test_large_multicharge_refused_at_once(self, argv, hat_kappa):
+        # the rewriting with Q_j = t^hat_kappa_j grows as hat_kappa_j^2:
+        # minutes and more for these inputs, which verify now refuses
+        err = _refused_at_once(["verify"] + argv)
+        assert err == (f"error: hat_kappa = {hat_kappa}: need each "
+                       f"hat_kappa_j <= {H.MAX_HAT_KAPPA}\n")
 
     @pytest.mark.parametrize("command", ["verify", "basis", "cell"])
     def test_negative_multicharge_before_rewriting(self, command, capsys,
@@ -146,6 +158,19 @@ class TestRejectedInput:
                                      "--kappa-hat=-10,2"], capsys)
         assert code == 0 and not err
         assert json.loads(out)["kappa_hat"] == [-10, 2]
+
+    @pytest.mark.parametrize("argv", [
+        ["dims"], ["trace", "--k", "1", "--oracle", "off"],
+        ["verify", "--suite", "rewrite", "--oracle", "off"]])
+    @pytest.mark.parametrize("scale,hat_kappa", [
+        (["--n", "2", "--l", "2", "--kappa-hat", "0,1000002"], [0, 1000002]),
+        (["--n", "3", "--l", "2", "--e", "65536", "--p", "65537"],
+         [0, 65538])], ids=["flag", "lift-65536"])
+    def test_large_multicharge_without_h(self, argv, scale, hat_kappa,
+                                         capsys):
+        code, out, err = run(argv + scale, capsys)
+        assert code == 0 and not err
+        assert json.loads(out)["kappa_hat"] == hat_kappa
 
 
     def test_unknown_config_key(self, tmp_path, capsys):
@@ -491,7 +516,6 @@ class TestArtifacts:
         code, out, _ = run(["cell", "--n", "3", "--l", "3"], capsys)
         assert code == 0
         report = json.loads(out)
-        assert report["dim_check"]
         assert len(report["modules"]) == 10
         assert sum(m["dim"] ** 2 for m in report["modules"]) == 93
 
@@ -548,26 +572,39 @@ class TestTrace:
         assert err == "error: trace is not oracle-invariant\n"
 
 
-def _run_fresh(script: str) -> None:
-    """Run a script in a fresh interpreter that imports from ``src``."""
+def _run_fresh(script: str, timeout: float = 120
+               ) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports from ``src`` and
+    return the finished process; past ``timeout`` seconds it is killed
+    and ``subprocess.TimeoutExpired`` fails the test."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _refused_at_once(argv) -> str:
+    """The error line of ``blobcell argv`` run in a fresh interpreter,
+    which must exit 2 with no report within a few seconds: a hang guard
+    that fails instead of stalling the suite."""
+    done = _run_fresh("import sys\nfrom blobcell import cli\n"
+                      f"sys.exit(cli.main({argv!r}))\n", timeout=5)
+    assert done.returncode == 2 and not done.stdout, done.stderr
+    return done.stderr
 
 
 def test_commands_do_not_import_scipy():
     # scipy serves only the generic oracle of the tests; a fresh process
     # running the commands must not load it
-    _run_fresh(
+    done = _run_fresh(
         "import contextlib, io, sys\n"
         "from blobcell import cli\n"
         "for cmd in ('verify', 'cell', 'basis', 'dims'):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main([cmd, '--n', '2', '--l', '2']) == 0, cmd\n"
         "assert 'scipy' not in sys.modules\n")
+    assert done.returncode == 0, done.stderr
 
 
 def test_certificates_do_not_import_numpy_random():
@@ -575,7 +612,7 @@ def test_certificates_do_not_import_numpy_random():
     # verify nor a certified pipeline pass loads numpy.random; nor does
     # either load numpy.ma, whose first import (np.isin, np.setdiff1d)
     # costs more than a small pass
-    _run_fresh(
+    done = _run_fresh(
         "import contextlib, io, sys\n"
         "from blobcell import blob as B, cli, hecke as H\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -590,3 +627,4 @@ def test_certificates_do_not_import_numpy_random():
         "B.cell_modules(A, basis)\n"
         "assert 'numpy.random' not in sys.modules\n"
         "assert 'numpy.ma' not in sys.modules\n")
+    assert done.returncode == 0, done.stderr

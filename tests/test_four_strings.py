@@ -28,7 +28,7 @@ def built():
 @pytest.fixture(scope="module")
 def full():
     """The generator images inside the unquotiented algebra."""
-    return B.KLRImages(B.BlobAlgebra(H.default_params(4, 2), quotient=False))
+    return B.KLRImages(H.regular_rep(H.default_params(4, 2)))
 
 
 def _triples(images, sign):

@@ -304,7 +304,7 @@ class TestRegularRep:
         # matrix_of is injective: an element is recovered from its
         # column at the identity, so the matrix determines the element
         reg = H.RegularRep(P22)
-        M = reg.matrix_of(reg.unit_vector())
+        M = reg.matrix_of(reg.unit)
         assert np.array_equal(M, reg.identity())
 
 
@@ -755,7 +755,7 @@ class TestTwoStringIdempotents:
         p2 = H.HeckeParams(n=2, l=pa.l, e=pa.e, p=pa.p, q=pa.q,
                            hat_kappa=pa.hat_kappa)
         reg = H.RegularRep(p2)
-        mats = [reg.matrix_of(reg.matrix_of(e) @ reg.unit_vector() % reg.p)
+        mats = [reg.matrix_of(reg.matrix_of(e) @ reg.unit % reg.p)
                 for e in H.e2_idempotents(pa)]
         for j, M in enumerate(mats):
             assert np.array_equal(matmul((M, M), reg.p), M)

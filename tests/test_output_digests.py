@@ -17,16 +17,16 @@ from blobcell import hecke as H
 DIGESTS = {
     ("verify", 2, 2): "7c16a5590151fe047dc03b38d820b5fb37372f0683b3010f6f3f0b4955ff9880",
     ("basis", 2, 2): "2425981294d0294c8935dca386e9f1e42263839d9d2d592ea78c5540429d4c48",
-    ("cell", 2, 2): "bf09155f357cfb473b900e444c49604c113c842ceaa2f0eda75c2c1aca4c5e9d",
+    ("cell", 2, 2): "63a61ba17e837c98bbee23cc27246ef3e91e41c94cafcd25bdd83bf66b751b83",
     ("verify", 3, 2): "7f9ed8203105eed87e6d40bfbfebd457f6a1d1fcd11eb05954c355b84726d1bd",
     ("basis", 3, 2): "9a9dbe2ca457d2e685935673e699857ee629e615d344bab5306b7cc73f321d8b",
-    ("cell", 3, 2): "246e9b586810ae3b7c5773be7988dc13d302c7ad73e856d59da4a85d44dd6bdc",
+    ("cell", 3, 2): "ceef447d18e96ac4a67cceec68a8e96a388a296fe2c88a6c3f40fe3014f6ad19",
     ("verify", 2, 3): "53190d6cc0cf46efe7cd05b51eb50c9fc12067dcad0fff7c66a3f9258d55fea8",
     ("basis", 2, 3): "918495e4c0ea4aa7eae3c383b6c5bd2bc0953c4e72b38ba5200ba289c6655e39",
-    ("cell", 2, 3): "37c82ac37650c71845470129c4e13a17f1be9496f1f3cba9f458095cbea5474b",
+    ("cell", 2, 3): "7a96915cab6d96754ab2ef55cb436bc0869013cedd45c9695033672d95c19b97",
     ("verify", 3, 3): "7f3f64c089d16da5db848833f35613609f81ab2320d1dd127b33438a082212bf",
     ("basis", 3, 3): "30e22bcab3622bb2917084f888ae77cc7431929cd5eca766c6e37650e10446af",
-    ("cell", 3, 3): "b0ea78a74821abfb0fd4c05698c2fcbd3f610ac2f4902ffe648abcea05e87bf4",
+    ("cell", 3, 3): "b40ba54ffed0b62d81b8943b0ef1732254601ae0b07f7eb7e340b2c5450de67f",
     ("verify --oracle off", 3, 2): "02a2c70e13430b3ff6b793a194e57b7166bfccbf6788172b5c4e291becb15e0d",
 }
 
@@ -50,6 +50,7 @@ HELD_DIGESTS = {
         "sigma": "507ffcc43f731354fbf3b84ae95dd9a404a032e88797ba2081fc587bfa33f5d2",
         "basis": "127067d3ff5a2f3ff67cbdfacf88859203943641e8658f81e4a17884b4e391ed",
         "gram": "8b1bcbac18c2b5f8b4bb846f86af5504cdd60a646f91ba1d05bebc23479acd1e",
+        "inv": "7b47504e5d22e30e9b271d18ddb9ee5c301c63cb62e569e6045fdc9c4a3f0d52",
     },
     (3, 2): {
         "ideal_rows": "c6618efe2cd6bc649e2e486d3a75446eab079126e5544138c5c40fd7a1d3bb16",
@@ -64,6 +65,7 @@ HELD_DIGESTS = {
         "sigma": "85710d1d6043fe1f0555c36c6a452cc56a5ce8a2f3fea483c01d5b50b533ffae",
         "basis": "f14ec7f0e5db2c79a4800e3e9e6c61df752349db2e237c3965f3baa2888a06fc",
         "gram": "b38116e5e7363fadde3204e9b47415c6547ed121336a1db0dbbd0328ac0c7cf9",
+        "inv": "c7d2723788441f11327b27af77bbc00240ceabc539435faa1337f80a58c93029",
     },
     (2, 3): {
         "ideal_rows": "80d4a97034066c7f118930691a06865a5edbdcd52f7c72133cd289fd05b57171",
@@ -78,6 +80,7 @@ HELD_DIGESTS = {
         "sigma": "dfed42495afa604b2e44656e954fd61cd510c146cb7e72b39b1e7e49333bb1ca",
         "basis": "0e489e6c78f1a505922637e2dfac645882847ee9982ba145f59adec042740fef",
         "gram": "1e48c61007c99521090588620d11f6bbcdb429070ddf002382d085d3028cf7cb",
+        "inv": "6a370aec4527263466565759bc059d7323c8f131ed11ed2b80f3f40f6fbcb484",
     },
     (3, 3): {
         "ideal_rows": "096b8201e9911905e9703c96afe9ebe54c93195b9cb6098d925c07e4dfed3149",
@@ -92,9 +95,44 @@ HELD_DIGESTS = {
         "sigma": "c775b4c98e3448673521de9bd0c5c94ae97472b1bd09ef63ec82fb26e5feb187",
         "basis": "305f6afa0a5d811ff9517400e63ad6e47577aac5b3ce5e8103de7d551eb9de31",
         "gram": "6e6df7047726db9dd9ec98a31e94a3bc7666b69ec8d74c59e76c93594eff2d14",
+        "inv": "5d8fac616774717019746c1b2a1e05b1ded1b5ecf79635b2cf53517063480557",
     },
 }
 
+
+# the generator images inside H itself: KLRImages(regular_rep(params))
+H_DIGESTS = {
+    (2, 2): {
+        "C": "12c2b4ed70530f02c7292c729dee681e46fd1bc266cf5ed077da860ca5039376",
+        "Cinv": "c34528727a318eea2f12e6491127e8c36d5292471f2abdd1b2eed65ba0882a85",
+        "E": "84c9f877eea2304efdb18c03fa63bb7c5bc5a9582c619010cb90d086adfb71eb",
+        "Y": "6b51d431df5d7f141cbececcf79edf3dd861c3b4069f0b11661a3eefacbba918",
+        "PSI": "0e930754b0917a8e6bc02060b3600349b748330d10c69f6bf2f8d955fe819619",
+        "T": "9446b4b14902f81645f228586c819a0d8f80e83629a64718b66f0c70608b3667",
+        "L": "2b85835e856134740c9166e2b8ca424063c9ec46c76ddc8917569df5b731328e",
+        "sigma": "c47698037e5c6f1a80998d4f95c368164e73d3bcf6b1f2c7d384e96dd3a21987",
+    },
+    (3, 2): {
+        "C": "fd1af48fbdb6604b86dcc05c168d3aaccd57dbaf5495a2a5de47a5aae80723fd",
+        "Cinv": "8e036b05b2db2a34267f0b997bad4b3b2d70eea3c56326fbd4220ee64d1a8f4a",
+        "E": "5ffa50c703ec283a7089dfef245725b16ed7bca99a5147a47e3e7206e2f4532b",
+        "Y": "0ddd441f8c4e6b329235ecf547ec2b5da67087d325fc88be01e9168188023de5",
+        "PSI": "c4d28267c5fd7883d54d24b39e0aa190008bea52e37827212c838c96ce2188a1",
+        "T": "4c17521e31019246ad9c37312e14a24422f2fd8d241b471dcd6584ac482dc8e3",
+        "L": "bd49c045cc106d73697b9022d0337d4f6ce52e0a115fa67e4bef88492adc630b",
+        "sigma": "b21c735bf8d70af3feefd77a664b4f74128c955248f9305612a722f2dc29d51e",
+    },
+    (2, 3): {
+        "C": "84a33e2afb57346a378447eb0213c62e6dec851c3f1b44b4400bfd51ec3772cf",
+        "Cinv": "5efc98a7cca124e788c3ba216c0940ed563ee77309ec494f38db6c4fdeccddf2",
+        "E": "2384703845840e4061e7fad70fda09359239012284670c1d5b221e9ffe1acd65",
+        "Y": "6b51d431df5d7f141cbececcf79edf3dd861c3b4069f0b11661a3eefacbba918",
+        "PSI": "83815dfdfb80d5822c78b2151bba2f0518476e33338e873a5f0e0133d03b50db",
+        "T": "a981e475714cbcd26b52cbd2a3c821dfe1a6bcf3e14a58f51012ed15d7fa60bd",
+        "L": "978ea732b9cffe62aa18f729d95e4752af82eff1bf1f27d05f3aa49b9e947385",
+        "sigma": "d38f46b886cbf1ae88bab5fff4c5e316dba06add337014f73d113b759c34aefa",
+    },
+}
 
 def report_digest(argv, tmp_path) -> str:
     """Run a command that must exit 0 and return the SHA-256 of its JSON
@@ -144,17 +182,24 @@ def matrix_digest(value) -> str:
     return h.hexdigest()
 
 
+def image_matrices(images) -> dict:
+    """{name: matrix or held form} of generator images: C, C^-1, the held
+    E, Y, psi, T and L, and sigma's adapted form."""
+    return {"C": images.C, "Cinv": images._Cinv,
+            **{name: getattr(images, name)
+               for name in ("E", "Y", "PSI", "T", "L")},
+            "sigma": images._held_sigma()}
+
+
 def held_matrices(n, l) -> dict:
     """{name: matrix or held form} of one certified pass at (n, l)."""
     A = B.build_blob(H.default_params(n, l))
     images = B.klr_images(A)
     basis = B.build_cellular_basis(A, images)
     return {"ideal_rows": A.ideal_rows, "quotient_map": A.quotient_map,
-            "C": images.C, "Cinv": images._Cinv,
-            **{name: getattr(images, name)
-               for name in ("E", "Y", "PSI", "T", "L")},
-            "sigma": images._held_sigma(), "basis": basis.matrix,
-            "gram": [m.gram for m in B.cell_modules(A, basis)]}
+            **image_matrices(images), "basis": basis.matrix,
+            "gram": [m.gram for m in B.cell_modules(A, basis)],
+            "inv": basis._inv}
 
 
 @pytest.mark.parametrize("n,l", list(HELD_DIGESTS),
@@ -163,3 +208,12 @@ def test_held_matrix_digests(n, l):
     digests = {name: matrix_digest(value)
                for name, value in held_matrices(n, l).items()}
     assert digests == HELD_DIGESTS[n, l]
+
+
+@pytest.mark.parametrize("n,l", list(H_DIGESTS),
+                         ids=[f"{n}{l}" for n, l in H_DIGESTS])
+def test_h_carrier_digests(n, l):
+    images = B.KLRImages(H.regular_rep(H.default_params(n, l)))
+    digests = {name: matrix_digest(value)
+               for name, value in image_matrices(images).items()}
+    assert digests == H_DIGESTS[n, l]
